@@ -46,7 +46,7 @@ from .msp import (
     msp_eval,
     parse_msp,
 )
-from .quantum import probe_family, qss_mixed, qss_pure
+from .quantum import AmplitudeBudgetError, probe_family, qss_mixed, qss_pure
 from .structures import (
     FormulaError,
     StructureFormatError,
@@ -235,7 +235,8 @@ def _cmd_qss_verify_pure(args: argparse.Namespace) -> int:
         scheme = qss_pure(msp)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print("hint: use verify-mixed", file=sys.stderr)
+        if not isinstance(exc, AmplitudeBudgetError):
+            print("hint: use verify-mixed", file=sys.stderr)
         return 1
     family = probe_family(msp.field.p, seed=args.seed, n_random=args.random)
     return _print_report(scheme.verify_all(inputs=family, seed=args.seed), args.format)

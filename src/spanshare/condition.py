@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .msp import MSP, msp_structure
-from .quantum import QuantumState, partial_trace, trace_distance
+from .quantum import QuantumState, partial_trace, probe_family, trace_distance
 from .structures import AdversaryStructure, complement, format_players
 
 
@@ -128,13 +128,7 @@ def check_correctness(sch: ClassicalScheme, q_mask: int) -> bool:
 
 
 def _derive_structure(sch: ClassicalScheme) -> AdversaryStructure:
-    members = [b for b in range(1 << sch.n) if check_secrecy(sch, b)]
-    maximal = [
-        b
-        for b in members
-        if all((b | (1 << i)) not in set(members) for i in range(sch.n) if not b >> i & 1)
-    ]
-    return AdversaryStructure(sch.n, tuple(maximal))
+    return AdversaryStructure.from_table(sch.n, [check_secrecy(sch, b) for b in range(1 << sch.n)])
 
 
 def scheme_from_msp(msp: MSP, guard: int = ENUMERATION_GUARD) -> ClassicalScheme:
@@ -277,23 +271,6 @@ class LiftReport:
     seed: int
 
 
-def _alpha_family(
-    secret_count: int, seed: int, n_random: int
-) -> list[tuple[str, np.ndarray]]:
-    family = []
-    for s in range(secret_count):
-        alpha = np.zeros(secret_count, dtype=complex)
-        alpha[s] = 1.0
-        family.append((f"basis:{s}", alpha))
-    uniform = np.ones(secret_count, dtype=complex) / np.sqrt(secret_count)
-    family.append(("uniform", uniform))
-    rng = np.random.default_rng(seed)
-    for i in range(n_random):
-        raw = rng.standard_normal(secret_count) + 1j * rng.standard_normal(secret_count)
-        family.append((f"random:{i}", raw / np.linalg.norm(raw)))
-    return family
-
-
 def lift_report(
     sch: ClassicalScheme,
     u_mask: int,
@@ -316,7 +293,9 @@ def lift_report(
         dim *= sz
     if dim > ORACLE_DIMENSION_GUARD:
         raise ValueError(f"lifted state dimension {dim} exceeds the oracle guard")
-    family = inputs if inputs is not None else _alpha_family(sch.secret_count, seed, n_random)
+    family = inputs if inputs is not None else [
+        (name, psi.dense()) for name, psi in probe_family(sch.secret_count, seed, n_random)
+    ]
     if sch.secret_count > 1 and all(int(np.count_nonzero(alpha)) < 2 for _, alpha in family):
         raise ValueError("oracle inputs must include non-basis amplitude assignments")
     u_coords = sch.coords(u_mask)

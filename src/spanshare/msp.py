@@ -123,14 +123,7 @@ def msp_structure(msp: MSP) -> AdversaryStructure:
     """The adversary structure f^-1(0), by exhaustive enumeration."""
     if msp.n > MAX_STRUCTURE_PLAYERS:
         raise ValueError(f"structure enumeration capped at {MAX_STRUCTURE_PLAYERS} players")
-    values = [msp_eval(msp, b) for b in range(1 << msp.n)]
-    maximal = [
-        b
-        for b in range(1 << msp.n)
-        if values[b] == 0
-        and all(values[b | (1 << i)] == 1 for i in range(msp.n) if not b >> i & 1)
-    ]
-    return AdversaryStructure(msp.n, tuple(maximal))
+    return AdversaryStructure.from_table(msp.n, [1 - msp_eval(msp, b) for b in range(1 << msp.n)])
 
 
 def shamir_msp(n: int, k: int, field: Field) -> MSP:

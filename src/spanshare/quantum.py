@@ -33,7 +33,7 @@ RECOVERY_TOL = 1e-9
 SECRECY_TOL = 1e-9
 # the sparse simulation materializes at most p**e amplitudes (p**(e-1)
 # share vectors per basis secret), so that is what the guard bounds
-MIXED_AMPLITUDE_GUARD = 2_000_000
+AMPLITUDE_GUARD = 2_000_000
 REDUCTION_DIM_GUARD = 4096
 
 
@@ -94,7 +94,8 @@ class QuantumState:
         )
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amps.values()))
+        # compensated: a naive sum of ~10**6 squares drifts past NORM_ATOL
+        return math.sqrt(math.fsum(abs(a) ** 2 for a in self.amps.values()))
 
     def dense(self) -> np.ndarray:
         out = np.zeros(math.prod(self.dims), dtype=complex)
@@ -361,12 +362,42 @@ class VerificationReport:
         return f"{head}\n{body}\nresult={'pass' if self.passed else 'fail'}\n"
 
 
-def _recovery_check(
-    enc: EncodedState, plan: ReconstructionPlan, state: QuantumState
-) -> float:
-    after = apply_plan(enc, plan)
-    reduced = partial_trace(after, (plan.a_rows[0],))
-    return fidelity(reduced, state)
+class AmplitudeBudgetError(ValueError):
+    """An encoding would exceed the exact-simulation amplitude guard."""
+
+
+def _check_budget(msp: MSP) -> None:
+    amplitudes = msp.field.p**msp.e
+    if amplitudes > AMPLITUDE_GUARD:
+        raise AmplitudeBudgetError(
+            f"encoding needs {amplitudes} amplitudes, beyond the "
+            f"simulation guard ({AMPLITUDE_GUARD})"
+        )
+
+
+def _sweep(
+    report: VerificationReport,
+    msp: MSP,
+    family: list[tuple[str, QuantumState]],
+    blocks: Iterable[tuple[Iterable[tuple[int, ReconstructionPlan]], Iterable[int]]],
+) -> VerificationReport:
+    """Encode every probe with msp, then check each block: recovery of
+    every probe by each (mask, plan) pair, then pairwise secrecy of
+    the probes on each coalition."""
+    encoded = [(name, state, qencode(msp, state)) for name, state in family]
+    for recoveries, coalitions in blocks:
+        for mask, plan in recoveries:
+            for name, state, enc in encoded:
+                reduced = partial_trace(apply_plan(enc, plan), (plan.a_rows[0],))
+                fide = fidelity(reduced, state)
+                report.add("recovery", mask, name, "fidelity", fide, fide >= 1 - RECOVERY_TOL)
+        for b in coalitions:
+            rows = msp.row_indices(b)
+            views = [(name, partial_trace(enc.state, rows)) for name, _, enc in encoded]
+            for (name1, rho1), (name2, rho2) in itertools.combinations(views, 2):
+                ok, value = trace_distance_within(rho1, rho2, SECRECY_TOL)
+                report.add("secrecy", b, f"{name1}|{name2}", "distance", value, ok)
+    return report
 
 
 def verify_erasure(
@@ -380,6 +411,7 @@ def verify_erasure(
     Returns a NOT_APPLICABLE report (distinct from failure) when the
     set is outside the intersection of the structure and its dual.
     """
+    _check_budget(msp)
     structure = msp_structure(msp)
     dual = structure.dual()
     descriptor = f"field={msp.field.p} d={msp.d} e={msp.e} n={msp.n} B={{{format_players(b_mask)}}}"
@@ -392,21 +424,9 @@ def verify_erasure(
         report.applicable = False
         report.reason = "set is not in the dual structure"
         return report
-    plan = build_reconstruction_plan(msp, b_mask)
     family = inputs if inputs is not None else probe_family(msp.field.p, seed)
-    reduced: list[tuple[str, DensityMatrix]] = []
-    for name, state in family:
-        enc = qencode(msp, state)
-        fide = _recovery_check(enc, plan, state)
-        report.add("recovery", b_mask, name, "fidelity", fide, fide >= 1 - RECOVERY_TOL)
-        reduced.append((name, partial_trace(enc.state, msp.row_indices(b_mask))))
-    for i in range(len(reduced)):
-        for j in range(i + 1, len(reduced)):
-            ok, value = trace_distance_within(reduced[i][1], reduced[j][1], SECRECY_TOL)
-            report.add(
-                "secrecy", b_mask, f"{reduced[i][0]}|{reduced[j][0]}", "distance", value, ok
-            )
-    return report
+    blocks = [([(b_mask, build_reconstruction_plan(msp, b_mask))], [b_mask])]
+    return _sweep(report, msp, family, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +442,7 @@ class PureScheme:
     """
 
     def __init__(self, msp: MSP):
+        _check_budget(msp)
         structure = msp_structure(msp)
         if not structure.is_selfdual():
             raise ValueError(
@@ -451,22 +472,8 @@ class PureScheme:
         descriptor = f"field={self.msp.field.p} d={self.msp.d} e={self.msp.e} n={self.msp.n}"
         report = VerificationReport("pure-qss", descriptor, seed)
         family = inputs if inputs is not None else probe_family(self.msp.field.p, seed)
-        encoded = [(name, state, self.encode(state)) for name, state in family]
-        for b, plan in self.plans.items():
-            for name, state, enc in encoded:
-                fide = _recovery_check(enc, plan, state)
-                report.add("recovery", b, name, "fidelity", fide, fide >= 1 - RECOVERY_TOL)
-            reduced = [
-                (name, partial_trace(enc.state, self.msp.row_indices(b)))
-                for name, _, enc in encoded
-            ]
-            for i in range(len(reduced)):
-                for j in range(i + 1, len(reduced)):
-                    ok, value = trace_distance_within(reduced[i][1], reduced[j][1], SECRECY_TOL)
-                    report.add(
-                        "secrecy", b, f"{reduced[i][0]}|{reduced[j][0]}", "distance", value, ok
-                    )
-        return report
+        blocks = [([(b, plan)], [b]) for b, plan in self.plans.items()]
+        return _sweep(report, self.msp, family, blocks)
 
 
 class MixedScheme:
@@ -486,12 +493,7 @@ class MixedScheme:
         self.structure = structure
         self.extended = extend_msp(msp)
         self.extended_structure = msp_structure(self.extended)
-        amplitudes = msp.field.p ** self.extended.e
-        if amplitudes > MIXED_AMPLITUDE_GUARD:
-            raise ValueError(
-                f"extended encoding needs {amplitudes} amplitudes, beyond the "
-                f"simulation guard ({MIXED_AMPLITUDE_GUARD})"
-            )
+        _check_budget(self.extended)
         self.tau = self.extended.n
         self.qualified = [
             q for q in range(1 << msp.n) if not structure.is_member(q)
@@ -526,24 +528,8 @@ class MixedScheme:
         )
         report = VerificationReport("mixed-qss", descriptor, seed)
         family = inputs if inputs is not None else probe_family(self.base_msp.field.p, seed)
-        encoded = [(name, state, self.encode(state)) for name, state in family]
-        for q in self.qualified:
-            plan = self.plans[q]
-            for name, state, enc in encoded:
-                fide = _recovery_check(enc, plan, state)
-                report.add("recovery", q, name, "fidelity", fide, fide >= 1 - RECOVERY_TOL)
-        for b in self.structure.members():
-            reduced = [
-                (name, partial_trace(enc.state, self.extended.row_indices(b)))
-                for name, _, enc in encoded
-            ]
-            for i in range(len(reduced)):
-                for j in range(i + 1, len(reduced)):
-                    ok, value = trace_distance_within(reduced[i][1], reduced[j][1], SECRECY_TOL)
-                    report.add(
-                        "secrecy", b, f"{reduced[i][0]}|{reduced[j][0]}", "distance", value, ok
-                    )
-        return report
+        blocks = [(self.plans.items(), self.structure.members())]
+        return _sweep(report, self.extended, family, blocks)
 
 
 def qss_pure(msp: MSP) -> PureScheme:

@@ -9,6 +9,7 @@ and membership sweeps can simply enumerate all 2**n subsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
 MAX_PLAYERS = 16
@@ -86,29 +87,47 @@ class AdversaryStructure:
                 raise ValueError("maximal set contains a player id out of range")
         object.__setattr__(self, "maximal", _antichain(self.maximal))
 
+    @classmethod
+    def from_table(cls, n: int, table: Sequence[int]) -> "AdversaryStructure":
+        """The structure whose members are the truthy entries of a
+        downward-closed 2**n membership table indexed by bitmask."""
+        maximal = [
+            b
+            for b in range(1 << n)
+            if table[b] and not any(table[b | 1 << i] for i in range(n) if not b >> i & 1)
+        ]
+        return cls(n, tuple(maximal))
+
+    @cached_property
+    def _table(self) -> bytes:
+        """Membership of every subset, by downward closure of the maximal sets."""
+        table = bytearray(1 << self.n)
+        for m in self.maximal:
+            table[m] = 1
+        for i in range(self.n):
+            for b in range(1 << self.n):
+                table[b] |= table[b | 1 << i]
+        return bytes(table)
+
+    @cached_property
+    def _dual(self) -> "AdversaryStructure":
+        # B is in the dual iff complement(B) = full - B is not a member
+        return AdversaryStructure.from_table(self.n, bytes(1 - x for x in reversed(self._table)))
+
     def is_member(self, mask: int) -> bool:
         if mask & ~full_mask(self.n):
             raise ValueError("subset contains a player id out of range")
-        return any(is_subset(mask, m) for m in self.maximal)
+        return self._table[mask] == 1
 
     def members(self) -> Iterator[int]:
         """All member subsets, ascending as ints (2**n sweep)."""
-        for b in range(1 << self.n):
-            if self.is_member(b):
+        for b, member in enumerate(self._table):
+            if member:
                 yield b
 
     def dual(self) -> "AdversaryStructure":
-        """The structure {B : complement(B) not a member}, by enumeration."""
-        full = full_mask(self.n)
-        member = [self.is_member(b) for b in range(1 << self.n)]
-        dual_member = [not member[full & ~b] for b in range(1 << self.n)]
-        maximal = [
-            b
-            for b in range(1 << self.n)
-            if dual_member[b]
-            and all(not dual_member[b | (1 << i)] for i in range(self.n) if not b >> i & 1)
-        ]
-        return AdversaryStructure(self.n, tuple(maximal))
+        """The structure {B : complement(B) not a member}."""
+        return self._dual
 
     def is_q2(self) -> bool:
         """True iff no two member sets cover the full player set."""
@@ -160,7 +179,7 @@ class AdversaryStructure:
         """The structure {B member : B within 1..n}, over n players."""
         if n > self.n:
             raise ValueError("restriction cannot grow the player set")
-        return AdversaryStructure(n, tuple(b for b in range(1 << n) if self.is_member(b)))
+        return AdversaryStructure.from_table(n, self._table[: 1 << n])
 
 
 def build_structure(n: int, maximal: Iterable[Iterable[int]]) -> AdversaryStructure:
@@ -407,10 +426,4 @@ def structure_from_formula(f: Formula, n: int | None = None) -> AdversaryStructu
         n = max_player(f)
     if n < max_player(f):
         raise ValueError("formula references a player beyond n")
-    maximal = [
-        b
-        for b in range(1 << n)
-        if eval_formula(f, b) == 0
-        and all(eval_formula(f, b | (1 << i)) == 1 for i in range(n) if not b >> i & 1)
-    ]
-    return AdversaryStructure(n, tuple(maximal))
+    return AdversaryStructure.from_table(n, [1 - eval_formula(f, b) for b in range(1 << n)])

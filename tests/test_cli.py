@@ -137,6 +137,16 @@ def test_qss_verify_pure(shamir_msp_file, orand_msp_file, capsys):
     assert "verify-mixed" in err
 
 
+def test_qss_verify_pure_budget_refusal_has_no_hint(tmp_path, capsys):
+    # Shamir(5,2) over GF(127) is self-dual but needs 127**3 > 2e6 amplitudes
+    path = tmp_path / "big.msp"
+    assert main(["msp", "from-formula", "thr3(1,2,3,4,5)", "--field", "127", "--out", str(path)]) == 0
+    assert main(["qss", "verify-pure", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "amplitudes" in err
+    assert "hint" not in err
+
+
 def test_qss_verify_mixed(orand_msp_file, capsys):
     assert main(["qss", "verify-mixed", str(orand_msp_file), "--random", "2", "--format", "machine"]) == 0
     out = capsys.readouterr().out

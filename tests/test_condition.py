@@ -181,6 +181,12 @@ def test_lift_and_test_counterexample(counterexample):
     assert report.witness is not None
 
 
+def test_lift_report_default_probes(shamir_table):
+    report = lift_report(shamir_table, mask(1, n=3), seed=5)
+    basis = [f"basis:{s}" for s in range(5)]
+    assert report.inputs == basis + ["uniform"] + [f"random:{i}" for i in range(10)]
+
+
 def test_lift_single_secret_scheme():
     # one secret, carried verbatim by player 2; player 1 uniform noise
     table = {

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from spanshare.galois import Field
 from spanshare.classical import build_reconstruction_plan
 from spanshare.msp import compile_formula, extend_msp, shamir_msp
 from spanshare.quantum import (
+    AmplitudeBudgetError,
     DensityMatrix,
     QuantumState,
     apply_plan,
@@ -175,6 +177,25 @@ def test_density_matrix_validation():
     dm.validate_psd()
 
 
+def test_norm_is_compensated_at_large_sizes():
+    # 7**6 amplitudes of 7**-3, as in the uniform secret's encoding under an
+    # e=6 MSP over GF(7); a naive float sum of the squares drifts ~1.3e-12
+    psi = QuantumState.uniform(7**6)
+    assert abs(psi.norm() - 1.0) < 1e-15
+
+
+def test_amplitude_budget_refuses_every_sweep(orand):
+    # 127**3 > 2e6 amplitudes per encoding; refused before any plan is built
+    big = shamir_msp(5, 2, Field(127))
+    with pytest.raises(AmplitudeBudgetError, match="amplitudes"):
+        qss_pure(big)
+    with pytest.raises(AmplitudeBudgetError, match="amplitudes"):
+        verify_erasure(big, mask(1, 2, n=5))
+    # the generic dual grows the Shamir(4,2) extension to 5**10 amplitudes
+    with pytest.raises(AmplitudeBudgetError, match="amplitudes"):
+        qss_mixed(shamir_msp(4, 2, GF5))
+
+
 def small_family(p):
     return probe_family(p, seed=11, n_random=3)
 
@@ -292,3 +313,37 @@ def test_probe_family_is_deterministic():
     for (_, s1), (_, s2) in zip(fam1, fam2):
         assert s1.amps == s2.amps
     assert len(fam1) == 5 + 1 + 4
+
+
+def sweep_keys(recovery_sets, secrecy_sets, names):
+    keys = [("recovery", q, name) for q in recovery_sets for name in names]
+    pairs = [f"{a}|{b}" for a, b in itertools.combinations(names, 2)]
+    return keys + [("secrecy", b, pair) for b in secrecy_sets for pair in pairs]
+
+
+def report_keys(report):
+    return [(line.check, line.subset, line.label) for line in report.lines]
+
+
+def test_sweep_line_order(shamir13, orand):
+    family = probe_family(5, seed=4, n_random=2)
+    names = ["basis:0", "basis:1", "basis:2", "basis:3", "basis:4", "uniform", "random:0", "random:1"]
+    assert [name for name, _ in family] == names
+
+    assert report_keys(verify_erasure(shamir13, mask(2, n=3), inputs=family)) == sweep_keys(
+        ["2"], ["2"], names
+    )
+    assert report_keys(verify_erasure(orand, mask(1, n=3), inputs=family)) == sweep_keys(
+        ["1"], ["1"], names
+    )
+    # pure: per erasable set, its recovery lines then its secrecy lines
+    pure = qss_pure(shamir13).verify_all(inputs=family)
+    expected = []
+    for b in ["-", "1", "2", "3"]:
+        expected += sweep_keys([b], [b], names)
+    assert report_keys(pure) == expected
+    # mixed: every qualified set's recovery, then every coalition's secrecy
+    mixed = qss_mixed(orand).verify_all(inputs=family)
+    assert report_keys(mixed) == sweep_keys(
+        ["1,3", "2,3", "1,2,3"], ["-", "1", "2", "1,2", "3"], names
+    )

@@ -15,6 +15,7 @@ from spanshare.structures import (
     format_formula,
     format_structure,
     full_mask,
+    is_subset,
     mask_from_players,
     parse_formula,
     parse_structure,
@@ -191,6 +192,16 @@ def structures(draw, max_n=10):
 @settings(max_examples=200)
 def test_dual_involution(a):
     assert a.dual().dual() == a
+
+
+@given(structures())
+@settings(max_examples=200)
+def test_membership_table_matches_definitions(a):
+    dual = a.dual()
+    for b in range(1 << a.n):
+        assert a.is_member(b) == any(is_subset(b, m) for m in a.maximal)
+        assert dual.is_member(b) == (not a.is_member(complement(b, a.n)))
+    assert a.dual() is dual
 
 
 @given(structures(max_n=7))
