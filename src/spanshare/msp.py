@@ -17,6 +17,9 @@ the one-extra-player self-dual extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .galois import Field, Matrix, rank, solve_left, kernel_witness
 from .structures import (
@@ -89,6 +92,19 @@ class MSP:
     @property
     def eps(self) -> tuple[int, ...]:
         return (1,) + (0,) * (self.e - 1)
+
+    @cached_property
+    def _label_table(self) -> np.ndarray:
+        """Every dealt share vector M (s, a) as one read-only int64 row.
+
+        Rows run over (s, a) in itertools.product order, so the p**(e-1)
+        rows of secret s are the contiguous block starting at s * p**(e-1).
+        """
+        p, e = self.field.p, self.e
+        coeffs = np.indices((p,) * e).reshape(e, -1).T
+        table = coeffs @ np.array(self.matrix.data, dtype=np.int64).T % p
+        table.flags.writeable = False
+        return table
 
     def row_indices(self, mask: int) -> tuple[int, ...]:
         """Indices of rows labeled into the given player set, in row order."""

@@ -2,23 +2,31 @@
 
 A secret qudit is encoded by padding it with a uniform superposition
 over the dealer randomness and relabeling basis states through the
-MSP matrix (extended to an invertible map, multiplication by which is
-a basis permutation, so the whole simulation stays sparse and exact).
-Erasure of a tolerable set B with qualified complement A is corrected
-by relabeling the A coordinates through the classical reconstruction
-plan's matrix U, after which the first A coordinate factors out as
-the secret.
+MSP matrix: the state dealt for secret s is the uniform superposition
+over the labels M (s, a). The map is injective (M has full column
+rank), so the simulation stays sparse and exact. Erasure of a
+tolerable set B with qualified complement A is corrected by relabeling
+the A coordinates through the classical reconstruction plan's
+invertible matrix U, after which the first A coordinate factors out
+as the secret.
 
-States are sparse maps from basis labels to complex amplitudes; the
-only dense objects are the small reduced density matrices used for
-fidelity/trace-distance checks, where numpy does the eigenvalue work.
+States are sparse: a dict from basis labels to complex amplitudes,
+mirrored by an (N x k int64 labels, N complex values) array view. Both
+relabelings are whole-array integer products mod p: the encoder slices
+the MSP's cached table of every M (s, a), and a plan multiplies the A
+columns by U. Partial traces group the amplitudes by their traced-out
+labels with numpy sorts. The only dense objects are the small reduced
+density matrices used for fidelity/trace-distance checks, where numpy
+does the eigenvalue work.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import mmap
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,13 +43,44 @@ SECRECY_TOL = 1e-9
 # share vectors per basis secret), so that is what the guard bounds
 AMPLITUDE_GUARD = 2_000_000
 REDUCTION_DIM_GUARD = 4096
+# row-major keys stay exact below this bound; past it they are
+# compressed to dense group ids so int64 never overflows
+_KEY_LIMIT = 2**40
+# partial_trace expands at most about this many amplitude pairs at once
+_PAIR_CHUNK = 1 << 20
+# numpy advises transparent huge pages for arrays of this many bytes and more
+_HUGEPAGE_BYTES = 1 << 22
 
 
-def _ravel(label: Sequence[int], dims: Sequence[int]) -> int:
-    index = 0
-    for value, dim in zip(label, dims):
-        index = index * dim + value
-    return index
+def _row_keys(labels: np.ndarray, cols: Sequence[int], dims: Sequence[int]) -> np.ndarray:
+    """One int64 per label row, equal exactly when the rows agree on cols.
+
+    This is the row-major index of the cols (as numpy.ravel_multi_index)
+    whenever the product of their dims is at most 2**40.
+    """
+    key = np.zeros(len(labels), dtype=np.int64)
+    bound = 1
+    for c in cols:
+        if bound * dims[c] > _KEY_LIMIT:
+            uniq, key = np.unique(key, return_inverse=True)
+            bound = len(uniq)
+        key = key * dims[c] + labels[:, c]
+        bound *= dims[c]
+    return key
+
+
+def _zero_matrix(dim: int) -> np.ndarray:
+    """A dim x dim complex zero matrix whose unwritten pages stay non-resident.
+
+    Reduced states of sparse encodings are mostly zero, but numpy backs
+    arrays from 4 MiB on with transparent huge pages, where one written
+    entry makes 2 MiB resident. Those sizes get fresh private pages instead.
+    """
+    nbytes = dim * dim * np.dtype(complex).itemsize
+    if nbytes < _HUGEPAGE_BYTES or not hasattr(mmap, "MAP_ANONYMOUS"):
+        return np.zeros((dim, dim), dtype=complex)
+    pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(pages, dtype=complex).reshape(dim, dim)
 
 
 @dataclass(frozen=True)
@@ -57,13 +96,45 @@ class QuantumState:
     amps: dict[tuple[int, ...], complex]
 
     def __post_init__(self) -> None:
-        for label in self.amps:
-            if len(label) != len(self.dims):
-                raise ValueError("basis label arity does not match coordinate count")
-            if any(not 0 <= x < d for x, d in zip(label, self.dims)):
-                raise ValueError(f"basis label {label} out of range for dims {self.dims}")
+        labels, _ = self._view
+        if labels.shape[1] != len(self.dims):
+            raise ValueError("basis label arity does not match coordinate count")
+        bad = (labels < 0) | (labels >= np.array(self.dims, dtype=np.int64))
+        if np.count_nonzero(bad):
+            label = list(self.amps)[int(np.argmax(bad.any(axis=1)))]
+            raise ValueError(f"basis label {label} out of range for dims {self.dims}")
         if abs(self.norm() - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm {self.norm()} is not 1 within {NORM_ATOL}")
+
+    @cached_property
+    def _view(self) -> tuple[np.ndarray, np.ndarray]:
+        """(labels: N x k int64, values: N complex), read-only, in amps order."""
+        if any(len(label) != len(self.dims) for label in self.amps):
+            raise ValueError("basis label arity does not match coordinate count")
+        labels = np.array(list(self.amps)).reshape(len(self.amps), len(self.dims))
+        if labels.size and labels.dtype.kind not in "biu":
+            raise ValueError(f"basis labels must be int tuples within int64, got {labels.dtype}")
+        labels = labels.astype(np.int64, copy=False)
+        values = np.fromiter(self.amps.values(), dtype=complex, count=len(self.amps))
+        labels.flags.writeable = values.flags.writeable = False
+        return labels, values
+
+    @classmethod
+    def _from_arrays(
+        cls, dims: tuple[int, ...], labels: np.ndarray, values: np.ndarray
+    ) -> "QuantumState":
+        """State with distinct label rows and their amplitudes; amps is filled
+        in row order and every construction check runs."""
+        amps = dict(zip(map(tuple, labels.tolist()), values.tolist()))
+        if len(amps) != len(labels):
+            raise ValueError("duplicate basis labels")
+        state = cls.__new__(cls)
+        object.__setattr__(state, "dims", dims)
+        object.__setattr__(state, "amps", amps)
+        labels.flags.writeable = values.flags.writeable = False
+        state.__dict__["_view"] = (labels, values)
+        state.__post_init__()
+        return state
 
     @staticmethod
     def from_amplitudes(
@@ -95,12 +166,12 @@ class QuantumState:
 
     def norm(self) -> float:
         # compensated: a naive sum of ~10**6 squares drifts past NORM_ATOL
-        return math.sqrt(math.fsum(abs(a) ** 2 for a in self.amps.values()))
+        return math.sqrt(math.fsum((np.abs(self._view[1]) ** 2).tolist()))
 
     def dense(self) -> np.ndarray:
+        labels, values = self._view
         out = np.zeros(math.prod(self.dims), dtype=complex)
-        for label, amp in self.amps.items():
-            out[_ravel(label, self.dims)] = amp
+        out[_row_keys(labels, range(len(self.dims)), self.dims)] = values
         return out
 
 
@@ -167,13 +238,17 @@ def qencode(msp: MSP, state: QuantumState) -> EncodedState:
         raise ValueError(f"input state must be a single GF({p}) coordinate")
     if rank(msp.matrix) != msp.e:
         raise ValueError("MSP matrix lacks full column rank")
-    scale = 1.0 / math.sqrt(p ** (msp.e - 1))
-    amps: dict[tuple[int, ...], complex] = {}
-    for (s,), alpha in state.amps.items():
-        for a in itertools.product(range(p), repeat=msp.e - 1):
-            label = msp.matrix.matvec((s,) + a)
-            amps[label] = alpha * scale
-    return EncodedState(QuantumState((p,) * msp.d, amps), msp)
+    block = p ** (msp.e - 1)
+    scale = 1.0 / math.sqrt(block)
+    table = msp._label_table
+    secrets = [s for (s,) in state.amps]
+    if secrets == list(range(secrets[0], secrets[0] + len(secrets))):
+        # ascending consecutive secrets (basis and full-support probes): a view
+        labels = table[secrets[0] * block : (secrets[-1] + 1) * block]
+    else:
+        labels = np.concatenate([table[s * block : (s + 1) * block] for s in secrets])
+    values = np.repeat(state._view[1] * scale, block)
+    return EncodedState(QuantumState._from_arrays((p,) * msp.d, labels, values), msp)
 
 
 def apply_plan(enc: EncodedState, plan: ReconstructionPlan) -> QuantumState:
@@ -184,15 +259,12 @@ def apply_plan(enc: EncodedState, plan: ReconstructionPlan) -> QuantumState:
     """
     if plan.msp != enc.msp:
         raise ValueError("plan was built for a different MSP")
-    a_rows = plan.a_rows
-    amps: dict[tuple[int, ...], complex] = {}
-    for label, amp in enc.state.amps.items():
-        transformed = plan.u.matvec([label[i] for i in a_rows])
-        new_label = list(label)
-        for i, value in zip(a_rows, transformed):
-            new_label[i] = value
-        amps[tuple(new_label)] = amp
-    return QuantumState(enc.state.dims, amps)
+    labels, values = enc.state._view
+    a_rows = list(plan.a_rows)
+    u = np.array(plan.u.data, dtype=np.int64)
+    out = labels.copy()
+    out[:, a_rows] = labels[:, a_rows] @ u.T % enc.msp.field.p
+    return QuantumState._from_arrays(enc.state.dims, out, values)
 
 
 def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
@@ -209,15 +281,37 @@ def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
         raise ValueError(
             f"reduced dimension {dim} exceeds the exact-simulation guard ({REDUCTION_DIM_GUARD})"
         )
-    groups: dict[tuple[int, ...], list[tuple[int, complex]]] = {}
-    for label, amp in state.amps.items():
-        kidx = _ravel([label[c] for c in keep], kdims)
-        groups.setdefault(tuple(label[c] for c in rest), []).append((kidx, amp))
-    mat = np.zeros((dim, dim), dtype=complex)
-    for entries in groups.values():
-        for i1, a1 in entries:
-            for i2, a2 in entries:
-                mat[i1, i2] += a1 * a2.conjugate()
+    labels, values = state._view
+    kidx = _row_keys(labels, keep, state.dims)
+    # A group is the amplitudes sharing one traced-out label. Groups are
+    # numbered by first appearance and members kept in amps order.
+    _, first, where = np.unique(
+        _row_keys(labels, rest, state.dims), return_index=True, return_inverse=True
+    )
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    gid = rank[where]
+    order = np.argsort(gid, kind="stable")
+    sizes = np.bincount(gid)
+    # Row i of a group adds a_i conj(a_j) into entry (kidx_i, kidx_j) for
+    # every member j. np.add.at accumulates in sequence, so each entry sums
+    # its terms in the same order as a label-at-a-time loop, and only the
+    # entries that receive a term are written: a sparse view leaves most
+    # zero pages of mat untouched.
+    width = np.repeat(sizes, sizes)
+    row_start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    ends = np.cumsum(width)
+    mat = _zero_matrix(dim)
+    flat_mat = mat.reshape(-1)
+    lo = 0
+    while lo < len(order):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - width[lo] + _PAIR_CHUNK, "right")))
+        w = width[lo:hi]
+        offsets = np.arange(int(w.sum())) - np.repeat(np.cumsum(w) - w, w)
+        i = np.repeat(order[lo:hi], w)
+        j = order[np.repeat(row_start[lo:hi], w) + offsets]
+        np.add.at(flat_mat, kidx[i] * dim + kidx[j], values[i] * values[j].conj())
+        lo = hi
     return DensityMatrix(kdims, mat)
 
 
@@ -259,13 +353,9 @@ def schmidt_rank(state: QuantumState, first: Iterable[int], tol: float = 1e-9) -
     rest = tuple(c for c in range(len(state.dims)) if c not in set(first))
     d1 = math.prod(state.dims[c] for c in first) if first else 1
     d2 = math.prod(state.dims[c] for c in rest) if rest else 1
+    labels, values = state._view
     mat = np.zeros((d1, d2), dtype=complex)
-    fdims = tuple(state.dims[c] for c in first)
-    rdims = tuple(state.dims[c] for c in rest)
-    for label, amp in state.amps.items():
-        i = _ravel([label[c] for c in first], fdims)
-        j = _ravel([label[c] for c in rest], rdims)
-        mat[i, j] = amp
+    mat[_row_keys(labels, first, state.dims), _row_keys(labels, rest, state.dims)] = values
     singular = np.linalg.svd(mat, compute_uv=False)
     return int(np.sum(singular > tol))
 
@@ -363,16 +453,27 @@ class VerificationReport:
 
 
 class AmplitudeBudgetError(ValueError):
-    """An encoding would exceed the exact-simulation amplitude guard."""
+    """An encoding or a coalition's reduced state would exceed an
+    exact-simulation guard."""
 
 
-def _check_budget(msp: MSP) -> None:
+def _check_budget(msp: MSP, coalitions: Iterable[int] = ()) -> None:
+    """Refuse, before any plan or encoding exists, an encoding past
+    AMPLITUDE_GUARD or a secrecy coalition whose view of it would pass
+    REDUCTION_DIM_GUARD."""
     amplitudes = msp.field.p**msp.e
     if amplitudes > AMPLITUDE_GUARD:
         raise AmplitudeBudgetError(
             f"encoding needs {amplitudes} amplitudes, beyond the "
             f"simulation guard ({AMPLITUDE_GUARD})"
         )
+    for b in coalitions:
+        dim = msp.field.p ** len(msp.row_indices(b))
+        if dim > REDUCTION_DIM_GUARD:
+            raise AmplitudeBudgetError(
+                f"coalition {{{format_players(b)}}} has reduced dimension {dim}, "
+                f"beyond the exact-simulation guard ({REDUCTION_DIM_GUARD})"
+            )
 
 
 def _sweep(
@@ -424,6 +525,7 @@ def verify_erasure(
         report.applicable = False
         report.reason = "set is not in the dual structure"
         return report
+    _check_budget(msp, [b_mask])
     family = inputs if inputs is not None else probe_family(msp.field.p, seed)
     blocks = [([(b_mask, build_reconstruction_plan(msp, b_mask))], [b_mask])]
     return _sweep(report, msp, family, blocks)
@@ -449,6 +551,7 @@ class PureScheme:
                 "structure is not self-dual; no pure-state scheme exists "
                 "(use qss_mixed for a Q2* structure)"
             )
+        _check_budget(msp, structure.members())
         self.msp = msp
         self.structure = structure
         self.plans = {b: build_reconstruction_plan(msp, b) for b in structure.members()}
@@ -493,7 +596,7 @@ class MixedScheme:
         self.structure = structure
         self.extended = extend_msp(msp)
         self.extended_structure = msp_structure(self.extended)
-        _check_budget(self.extended)
+        _check_budget(self.extended, structure.members())
         self.tau = self.extended.n
         self.qualified = [
             q for q in range(1 << msp.n) if not structure.is_member(q)
