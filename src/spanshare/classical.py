@@ -14,10 +14,10 @@ golden tests control it fully; seeded generation lives in the CLI.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .galois import Matrix, kernel_basis, kernel_witness, rank, solve_left
 from .msp import MSP, msp_eval, msp_structure, rows_of
@@ -179,39 +179,38 @@ def verify_classical(
     report = ClassicalVerifyReport(msp, deals=total)
 
     members = list(structure.members())
-    qualified = [q for q in range(1 << msp.n) if q not in set(members)]
-    recombinators: dict[int, tuple[tuple[int, ...] | None, tuple[int, ...]]] = {
-        q: (solve_left(rows_of(msp, q), msp.eps), msp.row_indices(q)) for q in qualified
-    }
+    member_set = set(members)
+    qualified = [q for q in range(1 << msp.n) if q not in member_set]
+    recombinators = {q: solve_left(rows_of(msp, q), msp.eps) for q in qualified}
+    for q, u1 in recombinators.items():
+        if u1 is None:
+            report.record(f"qualified set {{{format_players(q)}}} cannot reconstruct at all")
+            return report
 
-    b_tuples: dict[int, dict[int, Counter]] = {b: {} for b in members}
-    b_rows = {b: msp.row_indices(b) for b in members}
-
-    for s in range(p):
-        for a in itertools.product(range(p), repeat=msp.e - 1):
-            dealt = msp.matrix.matvec((s,) + a)
-            for q in qualified:
-                u1, indices = recombinators[q]
-                if u1 is None:
-                    report.record(
-                        f"qualified set {{{format_players(q)}}} cannot reconstruct at all"
-                    )
-                    return report
-                got = sum(c * dealt[i] for c, i in zip(u1, indices)) % p
-                if got != s:
-                    report.record(
-                        f"set {{{format_players(q)}}} reconstructed {got} for secret {s}, a={a}"
-                    )
-                    return report
-            for b in members:
-                view = tuple(dealt[i] for i in b_rows[b])
-                b_tuples[b].setdefault(s, Counter())[view] += 1
+    # every deal M (s, a) is one row of the label table, s in blocks of p**(e-1)
+    table = msp._label_table
+    secrets = np.arange(total) // p ** (msp.e - 1)
+    first: tuple[int, int, int] | None = None  # (deal, set, reconstructed value)
+    for q, u1 in recombinators.items():
+        got = table[:, msp.row_indices(q)] @ np.array(u1, dtype=np.int64) % p
+        wrong = np.flatnonzero(got != secrets)
+        if wrong.size and (first is None or wrong[0] < first[0]):
+            first = (int(wrong[0]), q, int(got[wrong[0]]))
+    if first is not None:
+        deal, q, got = first
+        s, *a = (int(x) for x in np.unravel_index(deal, (p,) * msp.e))
+        report.record(
+            f"set {{{format_players(q)}}} reconstructed {got} for secret {s}, a={tuple(a)}"
+        )
+        return report
 
     for b in members:
-        counters = b_tuples[b]
-        reference = counters.get(0, Counter())
-        for s, counter in counters.items():
-            if counter != reference:
+        rows = msp.row_indices(b)
+        views = table[:, rows].reshape(p, total // p, len(rows))
+        # the multiset of B's share tuples for each secret: distinct tuples and counts
+        tallies = [np.unique(view, axis=0, return_counts=True) for view in views]
+        for s in range(1, p):
+            if not all(np.array_equal(x, y) for x, y in zip(tallies[s], tallies[0])):
                 report.record(
                     f"B={{{format_players(b)}}} share distribution differs between secrets 0 and {s}"
                 )
@@ -244,8 +243,11 @@ def parse_share_file(text: str) -> tuple[int, dict[int, tuple[int, int]]]:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "field" and len(parts) == 2 and parts[1].isdigit():
-            p = int(parts[1])
+        if parts[0] == "field" and len(parts) == 2 and parts[1].isdecimal():
+            try:
+                p = int(parts[1])
+            except ValueError:  # past the interpreter's digit limit
+                raise ShareFormatError(f"line {lineno}: field modulus too long") from None
         elif parts[0] == "share" and len(parts) == 4:
             try:
                 player, row, value = int(parts[1]), int(parts[2]), int(parts[3])

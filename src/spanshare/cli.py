@@ -38,7 +38,6 @@ from .condition import (
     search_counterexample,
 )
 from .msp import (
-    MspFormatError,
     compile_formula,
     dual_msp,
     dump_msp,
@@ -46,25 +45,14 @@ from .msp import (
     msp_eval,
     parse_msp,
 )
-from .quantum import AmplitudeBudgetError, probe_family, qss_mixed, qss_pure
+from .quantum import probe_family, qss_mixed, qss_pure
 from .structures import (
-    FormulaError,
-    StructureFormatError,
     format_structure,
     full_mask,
     mask_from_players,
     parse_formula,
     parse_structure,
 )
-
-_FORMAT_ERRORS = (
-    StructureFormatError,
-    MspFormatError,
-    ShareFormatError,
-    SchemeFormatError,
-    FormulaError,
-)
-
 
 class SplitMix64:
     """Frozen 64-bit generator for reproducible dealing randomness.
@@ -235,7 +223,7 @@ def _cmd_qss_verify_pure(args: argparse.Namespace) -> int:
         scheme = qss_pure(msp)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if not isinstance(exc, AmplitudeBudgetError):
+        if "not self-dual" in str(exc):  # the one refusal verify-mixed gets past
             print("hint: use verify-mixed", file=sys.stderr)
         return 1
     family = probe_family(msp.field.p, seed=args.seed, n_random=args.random)
@@ -394,10 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _FORMAT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # every format error subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

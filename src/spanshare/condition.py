@@ -23,10 +23,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .classical import ENUMERATION_GUARD
 from .msp import MSP, msp_structure
 from .quantum import QuantumState, partial_trace, probe_family, trace_distance
 from .structures import AdversaryStructure, complement, format_players
@@ -40,7 +41,6 @@ class PreconditionError(ValueError):
     """A conversion check was asked about an invalid split."""
 
 
-ENUMERATION_GUARD = 10**7
 ORACLE_DIMENSION_GUARD = 10**6
 
 
@@ -67,7 +67,7 @@ class ClassicalScheme:
             raise ValueError("share_sizes must list one space per player")
         if self.secret_count < 1:
             raise ValueError("need at least one secret")
-        sums = [Fraction(0)] * self.secret_count
+        sums: dict[int, Fraction] = {}
         cleaned: dict[tuple[int, tuple[int, ...]], Fraction] = {}
         for (s, y), pr in self.table.items():
             if not 0 <= s < self.secret_count:
@@ -79,8 +79,9 @@ class ClassicalScheme:
                 raise ValueError("negative probability")
             if pr > 0:
                 cleaned[(s, tuple(y))] = pr
-                sums[s] += pr
-        for s, total in enumerate(sums):
+                sums[s] = sums.get(s, 0) + pr
+        for s in range(self.secret_count):
+            total = sums.get(s, 0)
             if total != 1:
                 raise ValueError(f"probabilities for secret {s} sum to {total}, not 1")
         object.__setattr__(self, "table", cleaned)
@@ -90,11 +91,6 @@ class ClassicalScheme:
     def coords(self, mask: int) -> tuple[int, ...]:
         """0-based share coordinates of a player set."""
         return tuple(i for i in range(self.n) if mask >> i & 1)
-
-    def words(self, mask: int) -> Iterator[tuple[int, ...]]:
-        """All share words of a player set, lexicographic."""
-        sizes = [self.share_sizes[i] for i in self.coords(mask)]
-        return itertools.product(*(range(sz) for sz in sizes))
 
     def project(self, y: tuple[int, ...], mask: int) -> tuple[int, ...]:
         return tuple(y[i] for i in self.coords(mask))
@@ -143,19 +139,19 @@ def scheme_from_msp(msp: MSP, guard: int = ENUMERATION_GUARD) -> ClassicalScheme
         raise ValueError(f"{total} deals exceed the enumeration guard ({guard})")
     per_player = [msp.row_indices(1 << i) for i in range(msp.n)]
     sizes = tuple(p ** len(rows) for rows in per_player)
-    weight = Fraction(1, p ** (msp.e - 1))
+    block = p ** (msp.e - 1)
+    weight = Fraction(1, block)
     table: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    for s in range(p):
-        for a in itertools.product(range(p), repeat=msp.e - 1):
-            dealt = msp.matrix.matvec((s,) + a)
-            y = []
-            for rows in per_player:
-                idx = 0
-                for r in rows:
-                    idx = idx * p + dealt[r]
-                y.append(idx)
-            key = (s, tuple(y))
-            table[key] = table.get(key, Fraction(0)) + weight
+    # the deals M (s, a) in label-table order: secret s owns rows s*block ...
+    for deal, dealt in enumerate(msp._label_table.tolist()):
+        y = []
+        for rows in per_player:
+            idx = 0
+            for r in rows:
+                idx = idx * p + dealt[r]
+            y.append(idx)
+        key = (deal // block, tuple(y))
+        table[key] = table.get(key, Fraction(0)) + weight
     return ClassicalScheme(msp.n, p, sizes, table, structure=msp_structure(msp))
 
 
@@ -501,24 +497,31 @@ def _function_given_q(cells: dict[tuple[int, int], int]) -> bool:
 
 
 def _enumerate_tables(
-    den: int, s_count: int, size_u: int, size_q: int, g: tuple[int, ...]
+    den: int,
+    s_count: int,
+    size_u: int,
+    size_q: int,
+    g: tuple[int, ...],
+    compositions: Callable[[int, int], Iterable[tuple[int, ...]]] = _compositions,
 ) -> Iterator[dict[int, dict[tuple[int, int], int]]]:
     """Valid-by-construction numerator tables, lexicographically.
 
-    The secret-0 slice ranges over all compositions of den on its
+    The secret-0 slice ranges over the compositions of den on its
     cells; every other slice is constrained, row by row in y_u, to
     reproduce slice 0's exact U-marginal, which enforces secrecy.
     Correctness holds because slice s only populates g^-1(s).
+    ``compositions(total, parts)`` is asked once for slice 0 and then
+    once per row in (s, y_u) order; the default yields all of them.
     """
     preimages = [tuple(yq for yq in range(size_q) if g[yq] == s) for s in range(s_count)]
     cells0 = [(yu, yq) for yu in range(size_u) for yq in preimages[0]]
-    for comp0 in _compositions(den, len(cells0)):
+    for comp0 in compositions(den, len(cells0)):
         slice0 = dict(zip(cells0, comp0))
         marginal = [sum(slice0.get((yu, yq), 0) for yq in preimages[0]) for yu in range(size_u)]
         row_options: list[list[list[tuple[int, ...]]]] = []
         feasible = True
         for s in range(1, s_count):
-            per_row = [list(_compositions(marginal[yu], len(preimages[s]))) for yu in range(size_u)]
+            per_row = [list(compositions(marginal[yu], len(preimages[s]))) for yu in range(size_u)]
             if any(not opts for opts in per_row):
                 feasible = False
                 break
@@ -537,6 +540,41 @@ def _enumerate_tables(
                     idx += 1
                 numerators[s] = cells
             yield numerators
+
+
+def _table_candidates(
+    max_secrets: int, max_share_size: int, max_denominator: int, functional: bool
+) -> Iterator[ClassicalScheme]:
+    """Every valid table in search order; with ``functional`` only
+    those where Y_1 is determined by Y_2."""
+    for den in range(2, max_denominator + 1):
+        for s_count in range(2, max_secrets + 1):
+            for size_u in range(2, max_share_size + 1):
+                for size_q in range(s_count, max_share_size + 1):
+                    for g in _surjections(size_q, s_count):
+                        for numerators in _enumerate_tables(den, s_count, size_u, size_q, g):
+                            if functional and not all(
+                                _function_given_q(cells) for cells in numerators.values()
+                            ):
+                                continue
+                            yield _scheme_from_numerators(
+                                den, size_u, size_q, numerators, s_count
+                            )
+
+
+def _homomorphic_candidates(max_modulus: int) -> Iterator[ClassicalScheme]:
+    """Every injective two-share homomorphic scheme over Z_m, m up to
+    max_modulus, with randomness arity 1 or 2."""
+    for modulus in range(2, max_modulus + 1):
+        for arity in (1, 2):
+            entry_space = itertools.product(range(modulus), repeat=arity + 1)
+            for rows in itertools.product(list(entry_space), repeat=2):
+                spec = HomomorphicSpec((modulus,), arity, rows)
+                try:
+                    sch = homomorphic_scheme(spec)
+                except ValueError:
+                    continue  # not injective
+                yield sch
 
 
 def search_counterexample(
@@ -568,53 +606,26 @@ def search_counterexample(
         raise ValueError(f"unknown search family {family!r}")
     u_mask = 0b01
     if family == "homomorphic":
-        return _search_homomorphic(u_mask, max_share_size)
-    for den in range(2, max_denominator + 1):
-        for s_count in range(2, max_secrets + 1):
-            for size_u in range(2, max_share_size + 1):
-                for size_q in range(s_count, max_share_size + 1):
-                    for g in _surjections(size_q, s_count):
-                        for numerators in _enumerate_tables(den, s_count, size_u, size_q, g):
-                            if family == "function" and not all(
-                                _function_given_q(cells) for cells in numerators.values()
-                            ):
-                                continue
-                            sch = _scheme_from_numerators(
-                                den, size_u, size_q, numerators, s_count
-                            )
-                            if eq1_check(sch, u_mask):
-                                continue
-                            report = lift_report(sch, u_mask, seed=0)
-                            if report.passed:
-                                raise RuntimeError(
-                                    "eq1_check rejected a scheme the oracle accepts; "
-                                    "criterion and oracle disagree"
-                                )
-                            return sch
-    return None
-
-
-def _search_homomorphic(u_mask: int, max_modulus: int) -> ClassicalScheme | None:
-    """Exhaust small two-share homomorphic schemes against eq1_check."""
-    for modulus in range(2, max_modulus + 1):
-        for arity in (1, 2):
-            entry_space = itertools.product(range(modulus), repeat=arity + 1)
-            for rows in itertools.product(list(entry_space), repeat=2):
-                spec = HomomorphicSpec((modulus,), arity, rows)
-                try:
-                    sch = homomorphic_scheme(spec)
-                except ValueError:
-                    continue  # not injective
-                try:
-                    if not eq1_check(sch, u_mask):
-                        report = lift_report(sch, u_mask, seed=0)
-                        if report.passed:
-                            raise RuntimeError(
-                                "eq1_check rejected a homomorphic scheme the oracle accepts"
-                            )
-                        return sch
-                except PreconditionError:
-                    continue  # split not valid for this scheme
+        candidates = _homomorphic_candidates(max_share_size)
+        # a spec's split may fail the eq1 preconditions; the tables meet them by construction
+        skip: tuple[type[Exception], ...] = (PreconditionError,)
+    else:
+        candidates = _table_candidates(
+            max_secrets, max_share_size, max_denominator, family == "function"
+        )
+        skip = ()
+    for sch in candidates:
+        try:
+            if eq1_check(sch, u_mask):
+                continue
+        except skip:
+            continue
+        if lift_report(sch, u_mask, seed=0).passed:
+            raise RuntimeError(
+                "eq1_check rejected a scheme the oracle accepts; "
+                "criterion and oracle disagree"
+            )
+        return sch
     return None
 
 
@@ -627,22 +638,17 @@ def generate_valid_schemes(
 ) -> list[ClassicalScheme]:
     """Seeded random 2-player schemes, perfect for the U={1} split.
 
-    Built by the same marginal-matching construction as the search, so
-    correctness and secrecy hold by construction; the mix contains
-    both schemes that pass the square-root criterion and schemes that
-    fail it.
+    Drawn through the search's own table construction with one seeded
+    composition per slice row, so correctness and secrecy hold by
+    construction; the mix contains both schemes that pass the
+    square-root criterion and schemes that fail it.
     """
     rng = random.Random(seed)
     out: list[ClassicalScheme] = []
 
-    def composition(total: int, parts: int) -> list[int]:
+    def composition(total: int, parts: int) -> list[tuple[int, ...]]:
         cuts = sorted(rng.randint(0, total) for _ in range(parts - 1))
-        values = []
-        prev = 0
-        for c in cuts + [total]:
-            values.append(c - prev)
-            prev = c
-        return values
+        return [tuple(hi - lo for lo, hi in zip([0] + cuts, cuts + [total]))]
 
     while len(out) < count:
         s_count = rng.randint(2, max_secrets)
@@ -654,19 +660,7 @@ def generate_valid_schemes(
         rng.shuffle(assignment)
         g = tuple(assignment)
         den = rng.randint(2, max_denominator)
-        preimages = [tuple(yq for yq in range(size_q) if g[yq] == s) for s in range(s_count)]
-        cells0 = [(yu, yq) for yu in range(size_u) for yq in preimages[0]]
-        comp0 = composition(den, len(cells0))
-        numerators = {0: dict(zip(cells0, comp0))}
-        marginal = [
-            sum(numerators[0].get((yu, yq), 0) for yq in preimages[0]) for yu in range(size_u)
-        ]
-        for s in range(1, s_count):
-            cells: dict[tuple[int, int], int] = {}
-            for yu in range(size_u):
-                for yq, num in zip(preimages[s], composition(marginal[yu], len(preimages[s]))):
-                    cells[(yu, yq)] = num
-            numerators[s] = cells
+        numerators = next(_enumerate_tables(den, s_count, size_u, size_q, g, composition))
         out.append(_scheme_from_numerators(den, size_u, size_q, numerators, s_count))
     return out
 
@@ -696,9 +690,12 @@ def parse_scheme(text: str) -> ClassicalScheme:
     header: dict[str, int] = {}
     for token in lines[0].split()[1:]:
         key, _, value = token.partition("=")
-        if not value.isdigit():
-            raise SchemeFormatError(f"bad header token {token!r}")
-        header[key] = int(value)
+        try:
+            if not value.isdecimal():
+                raise ValueError
+            header[key] = int(value)  # fails past the interpreter's digit limit
+        except ValueError:
+            raise SchemeFormatError(f"bad header token {token!r}") from None
     if "n" not in header or "secrets" not in header:
         raise SchemeFormatError("scheme header needs n= and secrets=")
     n = header["n"]
@@ -707,9 +704,12 @@ def parse_scheme(text: str) -> ClassicalScheme:
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "space":
-            if len(parts) != 3:
-                raise SchemeFormatError(f"bad space line {ln!r}")
-            sizes[int(parts[1])] = int(parts[2])
+            try:
+                if len(parts) != 3:
+                    raise ValueError
+                sizes[int(parts[1])] = int(parts[2])
+            except ValueError:
+                raise SchemeFormatError(f"bad space line {ln!r}") from None
         elif parts[0] == "p":
             if len(parts) != n + 3:
                 raise SchemeFormatError(f"p line needs secret, {n} shares and a probability")
@@ -724,7 +724,7 @@ def parse_scheme(text: str) -> ClassicalScheme:
             table[key] = table.get(key, Fraction(0)) + pr
         else:
             raise SchemeFormatError(f"unknown directive {parts[0]!r}")
-    if sorted(sizes) != list(range(1, n + 1)):
+    if len(sizes) != n or sorted(sizes) != list(range(1, n + 1)):
         raise SchemeFormatError("need one space line per player")
     try:
         return ClassicalScheme(

@@ -3,7 +3,7 @@
 Field elements are plain ints reduced mod p; matrices are immutable
 row-major tuples of such ints. Everything here is pure and exact (no
 floats), and operations with a free choice (underdetermined solves,
-kernel witnesses, basis completions) break ties lexicographically so
+kernel witnesses, kernel bases) break ties lexicographically so
 identical inputs always produce identical outputs.
 """
 
@@ -117,21 +117,12 @@ class Matrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.data[i]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.data)
-
     def transpose(self) -> "Matrix":
         data = tuple(tuple(r[j] for r in self.data) for j in range(self.cols))
         return Matrix(self.field, data, self.rows)
 
     def take_rows(self, indices: Sequence[int]) -> "Matrix":
         return Matrix(self.field, tuple(self.data[i] for i in indices), self.cols)
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if other.rows != self.rows:
-            raise ValueError("hstack of matrices with different row counts")
-        data = tuple(a + b for a, b in zip(self.data, other.data))
-        return Matrix(self.field, data, self.cols + other.cols)
 
     def matvec(self, v: Sequence[int]) -> tuple[int, ...]:
         """m @ v for a length-cols vector; returns a length-rows vector."""
@@ -146,16 +137,6 @@ class Matrix:
             raise ValueError(f"left_mul of {self.rows}x{self.cols} matrix with length-{len(u)} vector")
         p = self.field.p
         return tuple(sum(u[i] * self.data[i][j] for i in range(self.rows)) % p for j in range(self.cols))
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("matrix product dimension mismatch")
-        p = self.field.p
-        data = tuple(
-            tuple(sum(self.data[i][k] * other.data[k][j] for k in range(self.cols)) % p for j in range(other.cols))
-            for i in range(self.rows)
-        )
-        return Matrix(self.field, data, other.cols)
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.data) + "]"
@@ -273,32 +254,3 @@ def kernel_witness(m: Matrix, eps: Sequence[int]) -> tuple[int, ...] | None:
         if m.field.dot(eps, row) != 0:
             return row
     return None
-
-
-def independent_rows(m: Matrix) -> tuple[int, ...]:
-    """Indices of the rows that are independent of all rows above them."""
-    kept: list[int] = []
-    for r in range(m.rows):
-        if rank(m.take_rows(kept + [r])) > len(kept):
-            kept.append(r)
-    return tuple(kept)
-
-
-def extend_to_invertible(m: Matrix) -> Matrix:
-    """Extend a full-column-rank d x e matrix to an invertible d x d one.
-
-    The first e columns are m itself; for each row that is linearly
-    dependent on the rows above it, the corresponding standard basis
-    column is appended (ascending row order), which leaves the result
-    with a provably nonzero determinant.
-    """
-    if m.cols > m.rows:
-        raise ValueError("matrix has more columns than rows")
-    if rank(m) != m.cols:
-        raise ValueError("matrix lacks full column rank")
-    dependent = [i for i in range(m.rows) if i not in set(independent_rows(m))]
-    extra = tuple(tuple(1 if i == j else 0 for j in dependent) for i in range(m.rows))
-    result = m.hstack(Matrix(m.field, extra, len(dependent)))
-    if det(result) == 0:
-        raise RuntimeError("basis completion failed to produce an invertible matrix")
-    return result

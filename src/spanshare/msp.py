@@ -8,10 +8,11 @@ witness, and ``msp_eval`` always computes both criteria and insists
 they agree.
 
 Constructions here: the Shamir/Vandermonde instance, compilation of
-monotone threshold formulas (or: stack sharing the secret column;
-and: additive secret split across fresh columns; threshold: a
-Vandermonde block composed by row insertion), a generic dualizer, and
-the one-extra-player self-dual extension.
+monotone threshold formulas by one block-insertion composer (each
+child's secret entry times a head row of the gate: (1) for or, unit
+vectors then (1, -1, ..., -1) for and, a Vandermonde row for
+threshold), a generic dualizer, and the one-extra-player self-dual
+extension.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .galois import Field, Matrix, rank, solve_left, kernel_witness
 from .structures import (
+    MAX_PLAYERS,
     AdversaryStructure,
     And,
     Formula,
@@ -36,8 +38,6 @@ from .structures import (
     players_from_mask,
 )
 
-MAX_STRUCTURE_PLAYERS = 16
-
 
 class MspFormatError(ValueError):
     """Raised for malformed MSP dump files."""
@@ -50,8 +50,8 @@ class MSP:
     ``psi[i]`` is the 1-based player owning row i. Column 0 is the
     secret coordinate; full column rank is enforced at construction
     (silently dropping dependent columns would move the secret
-    coordinate, and the quantum encoding needs an invertible
-    extension).
+    coordinate, and the quantum encoding needs the dealt labels
+    M (s, a) to be a bijection of the (s, a)).
     """
 
     field: Field
@@ -137,8 +137,8 @@ def msp_eval(msp: MSP, mask: int) -> int:
 
 def msp_structure(msp: MSP) -> AdversaryStructure:
     """The adversary structure f^-1(0), by exhaustive enumeration."""
-    if msp.n > MAX_STRUCTURE_PLAYERS:
-        raise ValueError(f"structure enumeration capped at {MAX_STRUCTURE_PLAYERS} players")
+    if msp.n > MAX_PLAYERS:
+        raise ValueError(f"structure enumeration capped at {MAX_PLAYERS} players")
     return AdversaryStructure.from_table(msp.n, [1 - msp_eval(msp, b) for b in range(1 << msp.n)])
 
 
@@ -165,71 +165,34 @@ def _var_msp(field: Field, player: int, n: int) -> MSP:
     return MSP(field, Matrix.from_rows(field, [(1,)], 1), (player,), n)
 
 
-def _or_compose(field: Field, parts: list[MSP], n: int) -> MSP:
-    """Stack the parts, sharing the secret column."""
-    cols = 1 + sum(part.e - 1 for part in parts)
-    rows: list[list[int]] = []
-    psi: list[int] = []
-    offset = 1
-    for part in parts:
-        for i in range(part.d):
-            src = part.matrix.row(i)
-            row = [src[0]] + [0] * (cols - 1)
-            row[offset : offset + part.e - 1] = src[1:]
-            rows.append(row)
-            psi.append(part.psi[i])
-        offset += part.e - 1
-    return MSP(field, Matrix.from_rows(field, rows, cols), tuple(psi), n)
+def _compose(field: Field, heads: list[tuple[int, ...]], parts: list[MSP], n: int) -> MSP:
+    """Insert the parts into one gate of k = len(heads[i]) secret columns.
 
-
-def _and_compose(field: Field, parts: list[MSP], n: int) -> MSP:
-    """Split the secret additively: part i shares r_i, the last shares
-    s - r_1 - ... - r_{k-1}, with the r_i on fresh columns."""
-    k = len(parts)
+    Part i's secret entry a becomes a * heads[i] on the first k
+    columns, and its randomness columns go to fresh columns at the
+    running offset, so the parts' randomness stays independent.
+    """
+    k = len(heads[0])
     cols = k + sum(part.e - 1 for part in parts)
     rows: list[list[int]] = []
     psi: list[int] = []
     offset = k
-    for i, part in enumerate(parts):
+    for head, part in zip(heads, parts):
         for r in range(part.d):
-            src = part.matrix.row(r)
-            a = src[0]
-            row = [0] * cols
-            if i < k - 1:
-                row[1 + i] = a
-            else:
-                row[0] = a
-                for j in range(1, k):
-                    row[j] = (-a) % field.p
-            row[offset : offset + part.e - 1] = src[1:]
+            a, *rest = part.matrix.row(r)
+            row = [a * h for h in head] + [0] * (cols - k)
+            row[offset : offset + part.e - 1] = rest
             rows.append(row)
             psi.append(part.psi[r])
         offset += part.e - 1
     return MSP(field, Matrix.from_rows(field, rows, cols), tuple(psi), n)
 
 
-def _threshold_compose(field: Field, k: int, parts: list[MSP], n: int) -> MSP:
-    """Insert each part into one row of an arity x k Vandermonde block."""
-    arity = len(parts)
-    if field.p <= arity:
-        raise ValueError(
-            f"field GF({field.p}) too small for a threshold gate of arity {arity}"
-        )
-    cols = k + sum(part.e - 1 for part in parts)
-    rows: list[list[int]] = []
-    psi: list[int] = []
-    offset = k
-    for i, part in enumerate(parts):
-        point = [pow(i + 1, j, field.p) for j in range(k)]
-        for r in range(part.d):
-            src = part.matrix.row(r)
-            a = src[0]
-            row = [(a * point[j]) % field.p for j in range(k)] + [0] * (cols - k)
-            row[offset : offset + part.e - 1] = src[1:]
-            rows.append(row)
-            psi.append(part.psi[r])
-        offset += part.e - 1
-    return MSP(field, Matrix.from_rows(field, rows, cols), tuple(psi), n)
+def _and_heads(arity: int) -> list[tuple[int, ...]]:
+    """Split the secret additively: part i < arity-1 shares the fresh
+    r_i, the last shares s - r_1 - ... - r_{arity-1}."""
+    units = [tuple(int(j == i + 1) for j in range(arity)) for i in range(arity - 1)]
+    return units + [(1,) + (-1,) * (arity - 1)]
 
 
 _VERIFY_LIMIT = 12
@@ -239,11 +202,18 @@ def _compile(f: Formula, field: Field, n: int) -> MSP:
     if isinstance(f, Var):
         return _var_msp(field, f.player, n)
     parts = [_compile(c, field, n) for c in f.children]
+    arity = len(parts)
     if isinstance(f, Or):
-        return _or_compose(field, parts, n)
+        return _compose(field, [(1,)] * arity, parts, n)
     if isinstance(f, And):
-        return _and_compose(field, parts, n)
-    return _threshold_compose(field, f.k, parts, n)
+        return _compose(field, _and_heads(arity), parts, n)
+    if field.p <= arity:
+        raise ValueError(
+            f"field GF({field.p}) too small for a threshold gate of arity {arity}"
+        )
+    # one row of an arity x k Vandermonde block per part
+    heads = [tuple(pow(x, j, field.p) for j in range(f.k)) for x in range(1, arity + 1)]
+    return _compose(field, heads, parts, n)
 
 
 def compile_formula(f: Formula, field: Field, n: int | None = None) -> MSP:
@@ -305,9 +275,8 @@ def extend_msp(msp: MSP, dualizer=dual_msp) -> MSP:
     dual_part = dualizer(msp)
     dual_lifted = MSP(msp.field, dual_part.matrix, dual_part.psi, n2)
     tau = _var_msp(msp.field, n2, n2)
-    out = _or_compose(
-        msp.field, [base, _and_compose(msp.field, [dual_lifted, tau], n2)], n2
-    )
+    dual_and_tau = _compose(msp.field, _and_heads(2), [dual_lifted, tau], n2)
+    out = _compose(msp.field, [(1,), (1,)], [base, dual_and_tau], n2)
     expected = structure.extend_selfdual()
     if msp_structure(out) != expected:
         raise RuntimeError("extended MSP does not compute the extended structure")
@@ -334,9 +303,12 @@ def parse_msp(text: str) -> MSP:
     header: dict[str, int] = {}
     for token in lines[0].split()[1:]:
         key, _, value = token.partition("=")
-        if not value.isdigit():
-            raise MspFormatError(f"bad header token {token!r}")
-        header[key] = int(value)
+        try:
+            if not value.isdecimal():
+                raise ValueError
+            header[key] = int(value)  # fails past the interpreter's digit limit
+        except ValueError:
+            raise MspFormatError(f"bad header token {token!r}") from None
     for key in ("field", "d", "e", "n"):
         if key not in header:
             raise MspFormatError(f"header missing {key}")

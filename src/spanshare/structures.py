@@ -220,9 +220,12 @@ def parse_structure(text: str) -> AdversaryStructure:
         if parts[0] == "players":
             if n is not None:
                 raise StructureFormatError(f"line {lineno}: duplicate players directive")
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise StructureFormatError(f"line {lineno}: expected 'players <n>'")
-            n = int(parts[1])
+            try:
+                if len(parts) != 2 or not parts[1].isdecimal():
+                    raise ValueError
+                n = int(parts[1])  # fails past the interpreter's digit limit
+            except ValueError:
+                raise StructureFormatError(f"line {lineno}: expected 'players <n>'") from None
         elif parts[0] == "maximal":
             if n is None:
                 raise StructureFormatError(f"line {lineno}: 'maximal' before 'players'")
@@ -321,16 +324,6 @@ def max_player(f: Formula) -> int:
     return max(max_player(c) for c in f.children)
 
 
-def max_threshold_arity(f: Formula) -> int:
-    """Largest arity among threshold gates; 0 if there are none."""
-    if isinstance(f, Var):
-        return 0
-    inner = max(max_threshold_arity(c) for c in f.children)
-    if isinstance(f, Threshold):
-        return max(inner, len(f.children))
-    return inner
-
-
 def format_formula(f: Formula) -> str:
     if isinstance(f, Var):
         return str(f.player)
@@ -350,10 +343,16 @@ class FormulaError(ValueError):
         self.position = position
 
 
+# deepest gate nesting the parser accepts; the parser, the compiler and
+# the evaluators recurse once or twice per level, far below Python's limit
+_MAX_NESTING = 200
+
+
 class _FormulaParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -371,28 +370,39 @@ class _FormulaParser:
     def _integer(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise FormulaError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's digit limit
+            raise FormulaError("integer too long", start) from None
 
     def _arguments(self) -> list[Formula]:
         self._expect("(")
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise FormulaError(f"gates nested deeper than {_MAX_NESTING}", self.pos)
         args = [self.expr()]
         while self._peek() == ",":
             self.pos += 1
             args.append(self.expr())
         self._expect(")")
+        self.depth -= 1
         if len(args) < 2:
             raise FormulaError("gate needs at least two arguments", self.pos)
         return args
 
     def expr(self) -> Formula:
         ch = self._peek()
-        if ch.isdigit():
-            return Var(self._integer())
         start = self.pos
+        if ch.isdecimal():
+            player = self._integer()
+            try:
+                return Var(player)
+            except ValueError as exc:
+                raise FormulaError(str(exc), start) from None
         for keyword in ("and", "or", "thr"):
             if self.text.startswith(keyword, self.pos):
                 self.pos += len(keyword)
@@ -418,12 +428,3 @@ class _FormulaParser:
 def parse_formula(text: str) -> Formula:
     """Parse ``1``, ``and(...)``, ``or(...)``, ``thrK(...)`` expressions."""
     return _FormulaParser(text).parse()
-
-
-def structure_from_formula(f: Formula, n: int | None = None) -> AdversaryStructure:
-    """The adversary structure {B : f(B) = 0} of a monotone formula."""
-    if n is None:
-        n = max_player(f)
-    if n < max_player(f):
-        raise ValueError("formula references a player beyond n")
-    return AdversaryStructure.from_table(n, [1 - eval_formula(f, b) for b in range(1 << n)])

@@ -1,5 +1,9 @@
 """Shared helpers for the test suite."""
 
+import random
+
+from spanshare.galois import Field, Matrix
+from spanshare.msp import MSP
 from spanshare.structures import mask_from_players
 
 
@@ -38,3 +42,14 @@ def lagrange_at_zero(field, points):
                 den = field.mul(den, field.sub(xj, xi))
         total = field.add(total, field.mul(yi, field.div(num, den)))
     return total
+
+
+def random_msps(count, seed):
+    """Small MSPs with arbitrary matrices, rank-deficient ones included."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        field = Field(rng.choice((2, 3, 5)))
+        n, e, d = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 5)
+        rows = [[rng.randrange(field.p) for _ in range(e)] for _ in range(d)]
+        psi = tuple(rng.randint(1, n) for _ in range(d))
+        yield MSP._unchecked(field, Matrix.from_rows(field, rows, e), psi, n)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from spanshare.galois import Field, Matrix, det
+from spanshare import classical
 from spanshare.classical import (
     ReconstructionError,
     ShareFormatError,
@@ -15,6 +16,10 @@ from spanshare.classical import (
 )
 from spanshare.msp import MSP, compile_formula, msp_structure, shamir_msp
 from spanshare.structures import mask_from_players, parse_formula, threshold_structure
+
+import reference_classical
+from conftest import random_msps
+from reference_classical import ref_verify_classical
 
 GF5 = Field(5)
 GF7 = Field(7)
@@ -177,6 +182,30 @@ def test_verify_classical_detects_corruption(shamir13):
     report = verify_classical(corrupted, structure=threshold_structure(3, 1))
     assert not report.passed
     assert report.failures
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_verify_classical_matches_deal_loop(monkeypatch, shift):
+    """The label-table sweep reports what dealing one (s, a) at a time
+    reports; shift=1 breaks every recombination vector of three or more
+    rows, so the first wrong deal and set are compared too."""
+    solve = classical.solve_left
+
+    def recombination(m, target):
+        u = solve(m, target)
+        if u is None or m.rows < 3:
+            return u
+        return ((u[0] + shift) % m.field.p,) + u[1:]
+
+    monkeypatch.setattr(classical, "solve_left", recombination)
+    monkeypatch.setattr(reference_classical, "solve_left", recombination)
+    seen = set()
+    for i, msp in enumerate(random_msps(200, 11)):
+        for structure in (msp_structure(msp), threshold_structure(msp.n, i % msp.n)):
+            report = verify_classical(msp, structure=structure)
+            assert (report.passed, report.failures) == ref_verify_classical(msp, structure)
+            seen.add(report.failures[0].split()[0].partition("=")[0] if report.failures else "pass")
+    assert seen == {"pass", "qualified", "B"} | ({"set"} if shift else set())
 
 
 def test_share_file_round_trip(shamir13):

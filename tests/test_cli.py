@@ -87,6 +87,16 @@ def test_msp_from_formula_field_too_small(capsys):
     assert "too small" in capsys.readouterr().err
 
 
+def test_msp_from_formula_nesting_bound(capsys):
+    formula = "or(1,2)"
+    for _ in range(199):
+        formula = f"or({formula},1)"
+    assert main(["msp", "from-formula", formula, "--field", "5"]) == 0
+    assert capsys.readouterr().out.startswith("msp field=5 d=201 e=1 n=2")
+    assert main(["msp", "from-formula", f"or({formula},1)", "--field", "5"]) == 2
+    assert capsys.readouterr().err == "error: gates nested deeper than 200 at position 603\n"
+
+
 def test_msp_dual_and_extend(orand_msp_file, tmp_path, capsys):
     assert main(["msp", "dual", str(orand_msp_file)]) == 0
     assert capsys.readouterr().out.startswith("msp field=5")
@@ -145,6 +155,17 @@ def test_qss_verify_pure_budget_refusal_has_no_hint(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "amplitudes" in err
     assert "hint" not in err
+
+
+def test_qss_verify_pure_player_cap_refusal_has_no_hint(tmp_path, capsys):
+    # verify-mixed refuses a 17-player MSP the same way, so the hint would mislead
+    path = tmp_path / "p17.msp"
+    path.write_text("msp field=2 d=17 e=1 n=17\n" + "".join(f"row {i} 1\n" for i in range(1, 18)))
+    assert main(["qss", "verify-pure", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: structure enumeration capped at 16 players\n"
+    assert main(["qss", "verify-mixed", str(path)]) == 1
+    assert capsys.readouterr().err == err
 
 
 def test_qss_verify_mixed(orand_msp_file, capsys):
@@ -219,7 +240,9 @@ def test_missing_file_is_exit_2(capsys):
 @pytest.mark.parametrize(
     "content",
     ["\x00\x01garbage\xff", "msp field=banana", "players 99\nmaximal 1\n",
-     "scheme n=2\np 0 0 0 1/0\n", "field five\nshare a b c\n"],
+     "scheme n=2\np 0 0 0 1/0\n", "field five\nshare a b c\n",
+     "scheme n=2 secrets=2\nspace x 2\nspace 2 2\n", "and(1,0)",
+     pytest.param("or(" * 1200 + "1,2" + ")" * 1200, id="or-nested-1200")],
 )
 def test_malformed_files_never_traceback(tmp_path, capsys, content):
     path = tmp_path / "junk"
@@ -229,9 +252,12 @@ def test_malformed_files_never_traceback(tmp_path, capsys, content):
         ["msp", "eval", str(path), "--set", "1"],
         ["condition", "check", str(path), "--set", "1"],
         ["reconstruct", str(path), str(path), "--set", "1"],
+        ["msp", "from-formula", content, "--field", "5"],
     ):
         assert main(argv) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_console_entry_point():

@@ -33,6 +33,9 @@ from spanshare.structures import (
     threshold_structure,
 )
 
+from conftest import random_msps
+from reference_classical import ref_scheme_table
+
 GF2 = Field(2)
 GF5 = Field(5)
 
@@ -85,6 +88,11 @@ def test_scheme_from_msp_additive_two_of_two():
         assert len(support) == 2
         assert all(sch.table[(s, y)] == Fraction(1, 2) for y in support)
     assert sch.structure == threshold_structure(2, 1)
+
+
+def test_scheme_from_msp_matches_deal_loop():
+    for msp in random_msps(200, 5):
+        assert list(scheme_from_msp(msp).table.items()) == ref_scheme_table(msp)
 
 
 def test_scheme_validation():

@@ -4,8 +4,6 @@ from hypothesis import given, settings, strategies as st
 from spanshare.galois import (
     Field,
     Matrix,
-    det,
-    extend_to_invertible,
     kernel_basis,
     kernel_witness,
     rank,
@@ -73,18 +71,6 @@ def test_kernel_witness_examples():
     assert kernel_witness(M(GF5, [[1, 1], [1, 2]]), (1, 0)) is None
 
 
-def test_extend_to_invertible_examples():
-    out = extend_to_invertible(M(GF5, [[1, 1], [1, 2], [1, 3]]))
-    assert out.data == ((1, 1, 0), (1, 2, 0), (1, 3, 1))
-    assert det(out) == 1
-
-    ident = Matrix.identity(GF5, 2)
-    assert extend_to_invertible(ident).data == ident.data
-
-    with pytest.raises(ValueError, match="full column rank"):
-        extend_to_invertible(M(GF5, [[1, 2], [2, 4]]))
-
-
 def test_matrix_shape_validation():
     with pytest.raises(ValueError):
         Matrix(GF5, ((1, 2), (3,)), 2)
@@ -150,20 +136,6 @@ def test_kernel_basis_spans_the_kernel(m):
     assert basis.rows == m.cols - rank(m)
     for row in basis.data:
         assert m.matvec(row) == (0,) * m.rows
-
-
-@given(matrices())
-@settings(max_examples=150)
-def test_extend_to_invertible_property(m):
-    if m.cols > m.rows or rank(m) != m.cols:
-        with pytest.raises(ValueError):
-            extend_to_invertible(m)
-        return
-    out = extend_to_invertible(m)
-    assert out.rows == out.cols == m.rows
-    assert det(out) != 0
-    for i in range(m.rows):
-        assert out.data[i][: m.cols] == m.data[i]
 
 
 @given(matrices())

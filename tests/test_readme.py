@@ -1,0 +1,13 @@
+"""The README's library tour runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_tour_runs():
+    section = README.read_text(encoding="utf-8").split("## Library tour", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S)
+    assert block is not None, "README has no python block under 'Library tour'"
+    exec(compile(block.group(1), f"{README}:library-tour", "exec"), {})
