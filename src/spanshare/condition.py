@@ -11,6 +11,9 @@ integers have canonical forms, so equality is decidable);
 ``lift_and_test`` is the independent brute-force oracle that builds
 the lifted states and compares the reduced density matrices.
 
+``scheme_from_msp`` and ``homomorphic_scheme`` both tally the array of
+``msp``'s one linear dealer into a table.
+
 Not every classically secure scheme passes: ``search_counterexample``
 finds, by deterministic enumeration, a two-player table that is
 perfectly correct and secret yet fails the criterion, and the oracle
@@ -23,14 +26,14 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .classical import ENUMERATION_GUARD
-from .msp import MSP, msp_structure
-from .quantum import QuantumState, partial_trace, probe_family, trace_distance
-from .structures import AdversaryStructure, complement, format_players
+from .msp import MSP, _linear_deals, msp_structure
+from .quantum import SECRECY_TOL, QuantumState, partial_trace, probe_family, trace_distance
+from .structures import MAX_PLAYERS, AdversaryStructure, complement, format_players
 
 
 class SchemeFormatError(ValueError):
@@ -65,6 +68,8 @@ class ClassicalScheme:
     def __post_init__(self) -> None:
         if self.n < 1 or len(self.share_sizes) != self.n:
             raise ValueError("share_sizes must list one space per player")
+        if self.n > MAX_PLAYERS:  # before _derive_structure's 2**n secrecy checks
+            raise ValueError(f"player count must lie in 1..{MAX_PLAYERS}, got {self.n}")
         if self.secret_count < 1:
             raise ValueError("need at least one secret")
         sums: dict[int, Fraction] = {}
@@ -127,7 +132,18 @@ def _derive_structure(sch: ClassicalScheme) -> AdversaryStructure:
     return AdversaryStructure.from_table(sch.n, [check_secrecy(sch, b) for b in range(1 << sch.n)])
 
 
-def scheme_from_msp(msp: MSP, guard: int = ENUMERATION_GUARD) -> ClassicalScheme:
+def _tally(words: Iterable[tuple[int, ...]], block: int) -> dict[tuple[int, tuple[int, ...]], Fraction]:
+    """The table of a linear dealer: word i is dealt for secret i // block
+    with weight 1/block, keys in first-dealt order."""
+    weight = Fraction(1, block)
+    table: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+    for i, y in enumerate(words):
+        key = (i // block, y)
+        table[key] = table.get(key, Fraction(0)) + weight
+    return table
+
+
+def scheme_from_msp(msp: MSP) -> ClassicalScheme:
     """Marginalize an MSP scheme over uniform randomness into a table.
 
     Player i's share (the tuple of their row values) is packed into a
@@ -135,23 +151,16 @@ def scheme_from_msp(msp: MSP, guard: int = ENUMERATION_GUARD) -> ClassicalScheme
     """
     p = msp.field.p
     total = p**msp.e
-    if total > guard:
-        raise ValueError(f"{total} deals exceed the enumeration guard ({guard})")
+    if total > ENUMERATION_GUARD:
+        raise ValueError(f"{total} deals exceed the enumeration guard ({ENUMERATION_GUARD})")
     per_player = [msp.row_indices(1 << i) for i in range(msp.n)]
     sizes = tuple(p ** len(rows) for rows in per_player)
-    block = p ** (msp.e - 1)
-    weight = Fraction(1, block)
-    table: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    # the deals M (s, a) in label-table order: secret s owns rows s*block ...
-    for deal, dealt in enumerate(msp._label_table.tolist()):
-        y = []
-        for rows in per_player:
-            idx = 0
-            for r in rows:
-                idx = idx * p + dealt[r]
-            y.append(idx)
-        key = (deal // block, tuple(y))
-        table[key] = table.get(key, Fraction(0)) + weight
+    shares = []
+    for rows in per_player:
+        # an object radix packs in Python ints: many rows pass 2**63
+        radix = np.array([p**j for j in reversed(range(len(rows)))], dtype=object)
+        shares.append((msp._label_table[:, list(rows)] @ radix).tolist())
+    table = _tally(zip(*shares), p ** (msp.e - 1))
     return ClassicalScheme(msp.n, p, sizes, table, structure=msp_structure(msp))
 
 
@@ -272,8 +281,6 @@ def lift_report(
     u_mask: int,
     inputs: list[tuple[str, np.ndarray]] | None = None,
     seed: int = 0,
-    n_random: int = 10,
-    tol: float = 1e-9,
 ) -> LiftReport:
     """Build the lifted state for each amplitude assignment and compare
     the exact reduced density matrices on U.
@@ -290,7 +297,7 @@ def lift_report(
     if dim > ORACLE_DIMENSION_GUARD:
         raise ValueError(f"lifted state dimension {dim} exceeds the oracle guard")
     family = inputs if inputs is not None else [
-        (name, psi.dense()) for name, psi in probe_family(sch.secret_count, seed, n_random)
+        (name, psi.dense()) for name, psi in probe_family(sch.secret_count, seed, n_random=10)
     ]
     if sch.secret_count > 1 and all(int(np.count_nonzero(alpha)) < 2 for _, alpha in family):
         raise ValueError("oracle inputs must include non-basis amplitude assignments")
@@ -311,7 +318,7 @@ def lift_report(
             if dist > worst:
                 worst = dist
                 witness = (reduced[i][0], reduced[j][0])
-    return LiftReport(worst <= tol, worst, witness, [n for n, _ in family], seed)
+    return LiftReport(worst <= SECRECY_TOL, worst, witness, [n for n, _ in family], seed)
 
 
 def lift_and_test(
@@ -319,9 +326,8 @@ def lift_and_test(
     u_mask: int,
     inputs: list[tuple[str, np.ndarray]] | None = None,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> bool:
-    return lift_report(sch, u_mask, inputs=inputs, seed=seed, tol=tol).passed
+    return lift_report(sch, u_mask, inputs=inputs, seed=seed).passed
 
 
 # ---------------------------------------------------------------------------
@@ -358,32 +364,8 @@ class HomomorphicSpec:
             order *= md
         return order
 
-    def elements(self) -> list[tuple[int, ...]]:
-        return list(itertools.product(*(range(md) for md in self.moduli)))
 
-    def index(self, element: tuple[int, ...]) -> int:
-        idx = 0
-        for value, md in zip(element, self.moduli):
-            idx = idx * md + value
-        return idx
-
-    def apply(self, inputs: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """h applied to (s, v1, ..., vm); returns the n share elements."""
-        out = []
-        for row in self.matrix:
-            element = tuple(
-                sum(c * x[l] for c, x in zip(row, inputs)) % md
-                for l, md in enumerate(self.moduli)
-            )
-            out.append(element)
-        return out
-
-
-def homomorphic_scheme(
-    spec: HomomorphicSpec,
-    structure: AdversaryStructure | None = None,
-    guard: int = ENUMERATION_GUARD,
-) -> ClassicalScheme:
+def homomorphic_scheme(spec: HomomorphicSpec) -> ClassicalScheme:
     """Exact table of a homomorphic scheme by enumerating the randomness.
 
     Raises if h is not injective (a nontrivial kernel would make two
@@ -391,26 +373,17 @@ def homomorphic_scheme(
     """
     order = spec.group_order
     total = order ** (spec.m + 1)
-    if total > guard:
-        raise ValueError(f"{total} group inputs exceed the enumeration guard ({guard})")
-    elements = spec.elements()
-    zero = tuple(0 for _ in spec.moduli)
-    kernel = 0
-    for inputs in itertools.product(elements, repeat=spec.m + 1):
-        if all(y == zero for y in spec.apply(inputs)):
-            kernel += 1
+    if total > ENUMERATION_GUARD:
+        raise ValueError(
+            f"{total} group inputs exceed the enumeration guard ({ENUMERATION_GUARD})"
+        )
+    deals = _linear_deals(spec.matrix, spec.moduli)
+    kernel = int(np.count_nonzero(~deals.any(axis=1)))
     if kernel != 1:
         raise ValueError(f"homomorphism is not injective (kernel size {kernel})")
     n = len(spec.matrix)
-    weight = Fraction(1, order**spec.m)
-    table: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    for s_elt in elements:
-        s = spec.index(s_elt)
-        for vs in itertools.product(elements, repeat=spec.m):
-            y = tuple(spec.index(e) for e in spec.apply((s_elt,) + vs))
-            key = (s, y)
-            table[key] = table.get(key, Fraction(0)) + weight
-    return ClassicalScheme(n, order, (order,) * n, table, structure=structure)
+    table = _tally(map(tuple, deals.tolist()), order**spec.m)
+    return ClassicalScheme(n, order, (order,) * n, table)
 
 
 def homomorphic_dichotomy_check(sch: ClassicalScheme, u_mask: int) -> bool:

@@ -11,8 +11,10 @@ Constructions here: the Shamir/Vandermonde instance, compilation of
 monotone threshold formulas by one block-insertion composer (each
 child's secret entry times a head row of the gate: (1) for or, unit
 vectors then (1, -1, ..., -1) for and, a Vandermonde row for
-threshold), a generic dualizer, and the one-extra-player self-dual
-extension.
+threshold), a generic dualizer, the one-extra-player self-dual
+extension, and ``_linear_deals``, the one dealer of every linear
+scheme: the MSP label table and ``condition``'s group-homomorphic
+schemes both read its array of h (s, r) over every input.
 """
 
 from __future__ import annotations
@@ -100,15 +102,30 @@ class MSP:
         Rows run over (s, a) in itertools.product order, so the p**(e-1)
         rows of secret s are the contiguous block starting at s * p**(e-1).
         """
-        p, e = self.field.p, self.e
-        coeffs = np.indices((p,) * e).reshape(e, -1).T
-        table = coeffs @ np.array(self.matrix.data, dtype=np.int64).T % p
+        table = _linear_deals(self.matrix.data, (self.field.p,))
         table.flags.writeable = False
         return table
 
     def row_indices(self, mask: int) -> tuple[int, ...]:
         """Indices of rows labeled into the given player set, in row order."""
         return tuple(i for i, lbl in enumerate(self.psi) if mask >> (lbl - 1) & 1)
+
+
+def _linear_deals(h: tuple[tuple[int, ...], ...], moduli: tuple[int, ...]) -> np.ndarray:
+    """h (x_0, ..., x_m) for every input over G = Z_moduli[0] x ..., as int64.
+
+    Rows run over the inputs in itertools.product order (x_0 = s first,
+    each x_j in G's product order); entry (i, r) is share r of input i,
+    its components packed by mixed radix, first modulus most significant.
+    """
+    k, arity = len(moduli), len(h[0])
+    inputs = np.indices(moduli * arity).reshape(arity * k, -1)
+    deals = 0
+    for j, md in enumerate(moduli):
+        # entries may be any Python ints: reduce before the int64 product
+        h_j = np.array([[c % md for c in row] for row in h], dtype=np.int64)
+        deals = deals * md + inputs[j::k].T @ h_j.T % md
+    return deals
 
 
 def rows_of(msp: MSP, mask: int) -> Matrix:

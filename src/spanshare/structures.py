@@ -226,6 +226,8 @@ def parse_structure(text: str) -> AdversaryStructure:
                 n = int(parts[1])  # fails past the interpreter's digit limit
             except ValueError:
                 raise StructureFormatError(f"line {lineno}: expected 'players <n>'") from None
+            if n > MAX_PLAYERS:  # before any player id becomes a mask of n bits
+                raise StructureFormatError(f"player count must lie in 1..{MAX_PLAYERS}, got {n}")
         elif parts[0] == "maximal":
             if n is None:
                 raise StructureFormatError(f"line {lineno}: 'maximal' before 'players'")

@@ -3,14 +3,17 @@
 These are the loops that ``verify_classical`` and ``scheme_from_msp``
 ran before both read the deals from the MSP's label table: every
 (s, a) comes from itertools.product and is dealt with ``Matrix.matvec``.
-They return the report text and the table items, so the table-backed
-paths can be compared with them exactly.
+``ref_homomorphic_table`` is the loop ``homomorphic_scheme`` ran before
+it read the same vectorized deals: a kernel scan, then one Python
+evaluation of h per input. They return the report text and the table
+items, so the table-backed paths can be compared with them exactly.
 """
 
 import itertools
 from collections import Counter
 from fractions import Fraction
 
+from spanshare.classical import ENUMERATION_GUARD
 from spanshare.galois import solve_left
 from spanshare.msp import rows_of
 from spanshare.structures import format_players
@@ -68,3 +71,49 @@ def ref_scheme_table(msp):
         key = (s, tuple(y))
         table[key] = table.get(key, Fraction(0)) + weight
     return list(table.items())
+
+
+def _apply(spec, inputs):
+    """h applied to (s, v1, ..., vm), componentwise mod each modulus."""
+    return [
+        tuple(
+            sum(c * x[l] for c, x in zip(row, inputs)) % md
+            for l, md in enumerate(spec.moduli)
+        )
+        for row in spec.matrix
+    ]
+
+
+def _index(spec, element):
+    idx = 0
+    for value, md in zip(element, spec.moduli):
+        idx = idx * md + value
+    return idx
+
+
+def ref_homomorphic_table(spec):
+    """(share_sizes, table items in insertion order) of homomorphic_scheme,
+    raising its ValueError texts for the guard and for a nontrivial kernel."""
+    order = spec.group_order
+    total = order ** (spec.m + 1)
+    if total > ENUMERATION_GUARD:
+        raise ValueError(
+            f"{total} group inputs exceed the enumeration guard ({ENUMERATION_GUARD})"
+        )
+    elements = list(itertools.product(*(range(md) for md in spec.moduli)))
+    zero = tuple(0 for _ in spec.moduli)
+    kernel = sum(
+        all(y == zero for y in _apply(spec, inputs))
+        for inputs in itertools.product(elements, repeat=spec.m + 1)
+    )
+    if kernel != 1:
+        raise ValueError(f"homomorphism is not injective (kernel size {kernel})")
+    weight = Fraction(1, order**spec.m)
+    table = {}
+    for s_elt in elements:
+        s = _index(spec, s_elt)
+        for vs in itertools.product(elements, repeat=spec.m):
+            y = tuple(_index(spec, e) for e in _apply(spec, (s_elt,) + vs))
+            key = (s, y)
+            table[key] = table.get(key, Fraction(0)) + weight
+    return (order,) * len(spec.matrix), list(table.items())

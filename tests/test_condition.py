@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from spanshare import condition
 from spanshare.galois import Field, Matrix
 from spanshare.condition import (
     ClassicalScheme,
@@ -34,7 +36,7 @@ from spanshare.structures import (
 )
 
 from conftest import random_msps
-from reference_classical import ref_scheme_table
+from reference_classical import ref_homomorphic_table, ref_scheme_table
 
 GF2 = Field(2)
 GF5 = Field(5)
@@ -93,6 +95,17 @@ def test_scheme_from_msp_additive_two_of_two():
 def test_scheme_from_msp_matches_deal_loop():
     for msp in random_msps(200, 5):
         assert list(scheme_from_msp(msp).table.items()) == ref_scheme_table(msp)
+
+
+def test_scheme_from_msp_packs_shares_past_int64():
+    # player 1 holds 8 rows over GF(257): its packed share reaches 256 * 257**7 > 2**63
+    gf = Field(257)
+    rows = [[1, x] for x in range(1, 9)] + [[0, 1]]
+    msp = MSP(gf, Matrix.from_rows(gf, rows), (1,) * 8 + (2,), 2)
+    sch = scheme_from_msp(msp)
+    assert sch.share_sizes == (257**8, 257)
+    assert max(y[0] for _, y in sch.table) >= 2**63
+    assert list(sch.table.items()) == ref_scheme_table(msp)
 
 
 def test_scheme_validation():
@@ -243,6 +256,75 @@ def test_homomorphic_three_of_three():
 def test_homomorphic_rejects_non_injective():
     with pytest.raises(ValueError, match="injective"):
         homomorphic_scheme(HomomorphicSpec((2,), 1, ((1, 1), (1, 1))))
+
+
+def _homomorphic_outcome(build, spec):
+    """(share sizes, table items in insertion order), or the ValueError text."""
+    try:
+        out = build(spec)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(out, ClassicalScheme):
+        return out.share_sizes, list(out.table.items())
+    return out
+
+
+def test_homomorphic_scheme_matches_reference_on_search_specs(monkeypatch):
+    seen = []
+    build = condition.homomorphic_scheme
+
+    def recording(spec):
+        seen.append((spec, _homomorphic_outcome(build, spec)))
+        return build(spec)
+
+    monkeypatch.setattr(condition, "homomorphic_scheme", recording)
+    found = list(condition._homomorphic_candidates(4))
+    assert len(seen) == 5242 and len(found) == 150
+    for spec, outcome in seen:
+        assert outcome == _homomorphic_outcome(ref_homomorphic_table, spec), spec
+
+
+def _product_and_wide_specs():
+    rng = random.Random(5)
+    for moduli in [(2, 2), (2, 3), (3, 3)]:
+        for m in (0, 1, 2):
+            identity = tuple(tuple(int(i == j) for j in range(m + 1)) for i in range(m + 1))
+            yield HomomorphicSpec(moduli, m, identity)
+            for _ in range(6):
+                rows = tuple(
+                    tuple(rng.randint(-9, 9) for _ in range(m + 1))
+                    for _ in range(rng.randint(1, 3))
+                )
+                yield HomomorphicSpec(moduli, m, rows)
+    # entries reduced mod each modulus before any fixed-width arithmetic
+    yield HomomorphicSpec((5,), 1, ((1, -1), (2**64 + 1, 3 - 2**70)))
+    yield HomomorphicSpec((6,), 1, ((2**63, 1), (-(2**63) - 1, 2**65 - 1)))
+    yield HomomorphicSpec((2, 3), 1, ((2**63 + 1, -7), (-1, 2**100)))
+    yield HomomorphicSpec((3, 3), 2, ((-(2**64), 1, 0), (0, 2**64, 1), (1, 1, -(2**80))))
+    # 10**8 inputs: refused by the enumeration guard
+    yield HomomorphicSpec((10,), 7, ((1,) * 8,))
+
+
+def test_homomorphic_scheme_matches_reference_on_product_groups():
+    outcomes = []
+    for spec in _product_and_wide_specs():
+        outcome = _homomorphic_outcome(homomorphic_scheme, spec)
+        assert outcome == _homomorphic_outcome(ref_homomorphic_table, spec), spec
+        outcomes.append(outcome)
+    assert sum(not isinstance(o, str) for o in outcomes) >= 10
+    assert any("injective" in o for o in outcomes if isinstance(o, str))
+    assert outcomes[-1] == "100000000 group inputs exceed the enumeration guard (10000000)"
+
+
+def test_scheme_player_cap_refused_before_structure(monkeypatch):
+    calls = []
+    monkeypatch.setattr(condition, "check_secrecy", lambda *args: calls.append(args) or True)
+    text = "scheme n=17 secrets=1\n" + "".join(f"space {i} 1\n" for i in range(1, 18))
+    text += "p 0 " + "0 " * 17 + "1\n"
+    with pytest.raises(SchemeFormatError) as exc:
+        parse_scheme(text)
+    assert str(exc.value) == "player count must lie in 1..16, got 17"
+    assert calls == []
 
 
 def test_homomorphic_product_group():

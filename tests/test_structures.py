@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -121,6 +123,20 @@ def test_structure_file_errors():
         parse_structure("players 3\nbogus\n")
     with pytest.raises(StructureFormatError):
         parse_structure("")
+
+
+def test_structure_file_player_cap_checked_first():
+    # a 36-byte file must not make the parser build a 10**8-bit mask
+    text = "players 100000000\nmaximal 100000000\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(StructureFormatError) as exc:
+            parse_structure(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "player count must lie in 1..16, got 100000000"
+    assert peak < 1 << 20
 
 
 def test_parse_formula_examples():
