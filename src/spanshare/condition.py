@@ -70,6 +70,10 @@ class ClassicalScheme:
             raise ValueError("share_sizes must list one space per player")
         if self.n > MAX_PLAYERS:  # before _derive_structure's 2**n secrecy checks
             raise ValueError(f"player count must lie in 1..{MAX_PLAYERS}, got {self.n}")
+        if self.structure is not None and self.structure.n != self.n:
+            raise ValueError(
+                f"structure over {self.structure.n} players for a scheme of {self.n} players"
+            )
         if self.secret_count < 1:
             raise ValueError("need at least one secret")
         sums: dict[int, Fraction] = {}

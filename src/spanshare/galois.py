@@ -5,6 +5,13 @@ row-major tuples of such ints. Everything here is pure and exact (no
 floats), and operations with a free choice (underdetermined solves,
 kernel witnesses, kernel bases) break ties lexicographically so
 identical inputs always produce identical outputs.
+
+``span_table`` decides, for a matrix with labeled rows, whether the
+target (1, 0, ..., 0) lies in the span of the rows of every label set
+at once. It runs both criteria of ``msp_eval`` incrementally on int64
+arrays, one label's rows at a time: a reduced echelon basis of the row
+space grows, and a kernel basis is cut down from the identity. Every
+set's two answers are cross-checked.
 """
 
 from __future__ import annotations
@@ -12,7 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 MAX_MODULUS = 257
+
+# Cap on masks x e x e entries of one chunk's basis stack, per criterion.
+_STACK_ENTRIES = 1 << 16
 
 
 def _is_prime(n: int) -> bool:
@@ -102,14 +114,6 @@ class Matrix:
             cols = len(data[0])
         return Matrix(field, data, cols)
 
-    @staticmethod
-    def identity(field: Field, n: int) -> "Matrix":
-        return Matrix(field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
-
-    @staticmethod
-    def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, tuple((0,) * cols for _ in range(rows)), cols)
-
     @property
     def rows(self) -> int:
         return len(self.data)
@@ -130,13 +134,6 @@ class Matrix:
             raise ValueError(f"matvec of {self.rows}x{self.cols} matrix with length-{len(v)} vector")
         p = self.field.p
         return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.data)
-
-    def left_mul(self, u: Sequence[int]) -> tuple[int, ...]:
-        """u^T @ m for a length-rows vector; returns a length-cols vector."""
-        if len(u) != self.rows:
-            raise ValueError(f"left_mul of {self.rows}x{self.cols} matrix with length-{len(u)} vector")
-        p = self.field.p
-        return tuple(sum(u[i] * self.data[i][j] for i in range(self.rows)) % p for j in range(self.cols))
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.data) + "]"
@@ -169,29 +166,6 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 def rank(m: Matrix) -> int:
     """Rank of m over its field, by exact row reduction."""
     return len(rref(m)[1])
-
-
-def det(m: Matrix) -> int:
-    """Determinant of a square matrix."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    p = m.field.p
-    rows = [list(r) for r in m.data]
-    result = 1
-    for c in range(m.cols):
-        pr = next((i for i in range(c, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            result = -result
-        result = (result * rows[c][c]) % p
-        inv = pow(rows[c][c], p - 2, p)
-        for i in range(c + 1, len(rows)):
-            if rows[i][c] != 0:
-                f = (rows[i][c] * inv) % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[c])]
-    return result % p
 
 
 def solve_left(m: Matrix, target: Sequence[int]) -> tuple[int, ...] | None:
@@ -254,3 +228,82 @@ def kernel_witness(m: Matrix, eps: Sequence[int]) -> tuple[int, ...] | None:
         if m.field.dot(eps, row) != 0:
             return row
     return None
+
+
+def span_table(field: Field, m: np.ndarray, labels: Sequence[int], n: int) -> np.ndarray:
+    """1 or 0 for every mask B < 2**n: whether (1, 0, ..., 0) lies in the
+    span of the rows of m whose label (1..n) is in B, bit i standing
+    for label i + 1.
+
+    Both criteria run on every mask. Span: a reduced echelon basis grows
+    by each label's rows, so mask B | 2**i extends the basis of B by the
+    rows of label i + 1, and the target is spanned iff it is the basis
+    row of pivot 0. Kernel: a kernel basis is cut down from the identity
+    by the same rows, and a witness exists iff some basis vector has a
+    nonzero entry 0. Exactly one may hold; anything else raises. Masks
+    that share their high bits share one prefix basis, and the low bits
+    run in chunks whose stacks hold at most _STACK_ENTRIES entries each.
+    """
+    p, e = field.p, m.shape[1]
+    inv = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
+    m, labels = np.asarray(m, dtype=np.int64) % p, np.asarray(labels)
+    owned = [m[labels == i + 1] for i in range(n)]
+    low = min(n, max(1, _STACK_ENTRIES // (e * e)).bit_length() - 1)
+    out = np.empty(1 << n, dtype=np.uint8)
+
+    def chunk(span: np.ndarray, kernel: np.ndarray, base: int) -> None:
+        # entry B of each stack is the basis of the mask base | B
+        spans, kernels = np.empty((2, 1 << low, e, e), dtype=np.int64)
+        spans[0], kernels[0] = span, kernel
+        for i in range(low):
+            h = 1 << i
+            spans[h:2 * h], kernels[h:2 * h] = spans[:h], kernels[:h]
+            _add_rows(spans[h:2 * h], kernels[h:2 * h], owned[i], p, inv)
+        target = spans[:, 0] % p
+        spanned = (target[:, 0] == 1) & ~target[:, 1:].any(axis=1)
+        witnessed = (kernels[:, :, 0] % p).any(axis=1)
+        agree = spanned == witnessed
+        if agree.any():
+            bad = base + int(agree.argmax())
+            raise RuntimeError(
+                f"span and kernel criteria disagree on subset {bad:b}; "
+                "the linear algebra layer is broken"
+            )
+        out[base:base + (1 << low)] = spanned
+
+    def walk(bit: int, span: np.ndarray, kernel: np.ndarray, base: int) -> None:
+        if bit < low:
+            chunk(span, kernel, base)
+            return
+        walk(bit - 1, span, kernel, base)
+        span, kernel = span.copy(), kernel.copy()
+        _add_rows(span[None], kernel[None], owned[bit], p, inv)
+        walk(bit - 1, span, kernel, base | 1 << bit)
+
+    walk(n - 1, np.zeros((e, e), dtype=np.int64), np.eye(e, dtype=np.int64), 0)
+    return out
+
+
+def _add_rows(span: np.ndarray, kernel: np.ndarray, rows: np.ndarray, p: int,
+              inv: np.ndarray) -> None:
+    """Add the rows to every set of a stack, in place on both criteria's
+    bases. ``span[k, c]`` is the reduced echelon row with pivot c, or a
+    zero row; ``kernel[k]`` holds kernel basis vectors and zero rows.
+
+    Both stacks hold their entries unreduced: rows are zero and reduced
+    only mod p, and every test reduces first. Each added row subtracts
+    products of reduced factors, so after d rows every entry stays below
+    p + d * p**2 in size, and every product with a row below
+    e * d * p**3, far inside int64 for any matrix that fits in memory.
+    """
+    at = np.arange(len(span))
+    for v in rows:
+        red = (v - v @ span) % p  # zero on every pivot column
+        c = (red != 0).argmax(axis=1)
+        red = red * inv[red[at, c]][:, None] % p  # zero where v was spanned
+        span -= (span[at, :, c] % p)[:, :, None] * red[:, None, :]
+        span[at, c] += red
+        dots = kernel @ v % p
+        j = (dots != 0).argmax(axis=1)
+        dots = dots * inv[dots[at, j]][:, None] % p  # kernel row j cancels itself
+        kernel -= dots[:, :, None] * (kernel[at, j] % p)[:, None, :]

@@ -4,8 +4,11 @@ An MSP is a field, a d x e matrix with full column rank, and a
 labeling of each row by a player. A player set accepts when the
 target vector (1, 0, ..., 0) lies in the span of its rows; by the
 kernel/image duality this is equivalent to the absence of a kernel
-witness, and ``msp_eval`` always computes both criteria and insists
-they agree.
+witness. ``msp_eval`` computes both criteria for one set and insists
+they agree. ``msp_structure`` reads the table of every set from
+``galois.span_table``, which runs both criteria incrementally, one
+player's rows at a time, and cross-checks them on every set; the
+structure is derived once per MSP object and cached on it.
 
 Constructions here: the Shamir/Vandermonde instance, compilation of
 monotone threshold formulas by one block-insertion composer (each
@@ -24,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .galois import Field, Matrix, rank, solve_left, kernel_witness
+from .galois import Field, Matrix, kernel_witness, rank, solve_left, span_table
 from .structures import (
     MAX_PLAYERS,
     AdversaryStructure,
@@ -106,6 +109,13 @@ class MSP:
         table.flags.writeable = False
         return table
 
+    @cached_property
+    def _structure(self) -> AdversaryStructure:
+        """f^-1(0) from the all-subsets table; msp_structure caps n first."""
+        matrix = np.array(self.matrix.data, dtype=np.int64).reshape(self.d, self.e)
+        table = span_table(self.field, matrix, self.psi, self.n)
+        return AdversaryStructure.from_table(self.n, (1 - table).tobytes())
+
     def row_indices(self, mask: int) -> tuple[int, ...]:
         """Indices of rows labeled into the given player set, in row order."""
         return tuple(i for i, lbl in enumerate(self.psi) if mask >> (lbl - 1) & 1)
@@ -153,10 +163,16 @@ def msp_eval(msp: MSP, mask: int) -> int:
 
 
 def msp_structure(msp: MSP) -> AdversaryStructure:
-    """The adversary structure f^-1(0), by exhaustive enumeration."""
+    """The adversary structure f^-1(0), by exhaustive enumeration.
+
+    ``galois.span_table`` decides every subset in one pass, running the
+    span and the kernel criterion incrementally and cross-checking them
+    on each subset. The result is cached on the MSP object, so the
+    constructions that check themselves and their callers derive it once.
+    """
     if msp.n > MAX_PLAYERS:
         raise ValueError(f"structure enumeration capped at {MAX_PLAYERS} players")
-    return AdversaryStructure.from_table(msp.n, [1 - msp_eval(msp, b) for b in range(1 << msp.n)])
+    return msp._structure
 
 
 def shamir_msp(n: int, k: int, field: Field) -> MSP:
@@ -246,8 +262,9 @@ def compile_formula(f: Formula, field: Field, n: int | None = None) -> MSP:
         raise ValueError(f"formula references player {needed} but n={n}")
     out = _compile(f, field, n)
     if n <= _VERIFY_LIMIT:
+        structure = msp_structure(out)
         for b in range(1 << n):
-            if msp_eval(out, b) != eval_formula(f, b):
+            if int(not structure.is_member(b)) != eval_formula(f, b):
                 raise RuntimeError(f"compiled MSP disagrees with formula on {b:b}")
     return out
 

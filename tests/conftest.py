@@ -3,8 +3,8 @@
 import random
 
 from spanshare.galois import Field, Matrix
-from spanshare.msp import MSP
-from spanshare.structures import mask_from_players
+from spanshare.msp import MSP, compile_formula, shamir_msp
+from spanshare.structures import mask_from_players, parse_formula
 
 
 def mask(*players, n):
@@ -53,3 +53,15 @@ def random_msps(count, seed):
         rows = [[rng.randrange(field.p) for _ in range(e)] for _ in range(d)]
         psi = tuple(rng.randint(1, n) for _ in range(d))
         yield MSP._unchecked(field, Matrix.from_rows(field, rows, e), psi, n)
+
+
+def msp_corpus():
+    """Shamir over GF(7) for 2 to 5 players, and compiled formulas over GF(5)."""
+    corpus = []
+    for n in range(2, 6):
+        for k in range(n):
+            corpus.append(shamir_msp(n, k, Field(7)))
+    for text in ["1", "and(1,2)", "or(1,2)", "thr2(1,2,3)",
+                 "or(and(1,3),and(2,3))", "and(or(1,2),or(3,4))"]:
+        corpus.append(compile_formula(parse_formula(text), Field(5)))
+    return corpus

@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from conftest import all_antichains, lagrange_at_zero, mask
+from conftest import all_antichains, lagrange_at_zero, mask, msp_corpus
 
 from spanshare.galois import Field
 from spanshare.classical import reconstruct, share, verify_classical
@@ -117,21 +117,10 @@ def test_criterion_03_mixed_state_qss():
                 assert line.value <= SECRECY_TOL
 
 
-def _msp_corpus():
-    corpus = []
-    for n in range(2, 6):
-        for k in range(n):
-            corpus.append(shamir_msp(n, k, GF7))
-    for text in ["1", "and(1,2)", "or(1,2)", "thr2(1,2,3)",
-                 "or(and(1,3),and(2,3))", "and(or(1,2),or(3,4))"]:
-        corpus.append(compile_formula(parse_formula(text), GF5))
-    return corpus
-
-
 def test_criterion_04_msp_semantics():
     with criterion(4, "MSP semantics and Remark-criteria agreement"):
         start = time.monotonic()
-        base = _msp_corpus()
+        base = msp_corpus()
         everything = list(base)
         everything += [dual_msp(m) for m in base]
         everything += [extend_msp(m) for m in base if msp_structure(m).is_q2star()]

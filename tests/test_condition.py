@@ -119,6 +119,12 @@ def test_scheme_validation():
         ClassicalScheme(1, 1, (2,), {(0, (5,)): Fraction(1)})
 
 
+def test_scheme_refuses_structure_of_other_player_count():
+    with pytest.raises(ValueError) as exc:
+        ClassicalScheme(2, 1, (2, 2), {(0, (0, 0)): 1}, structure=AdversaryStructure(5, (0b11111,)))
+    assert str(exc.value) == "structure over 5 players for a scheme of 2 players"
+
+
 def test_check_correctness_examples(shamir_table):
     assert check_correctness(shamir_table, mask(2, 3, n=3))
     assert not check_correctness(shamir_table, mask(1, n=3))

@@ -11,6 +11,8 @@ from spanshare.galois import (
     solve_left,
 )
 
+from reference_galois import identity, left_mul, zeros
+
 GF5 = Field(5)
 GF7 = Field(7)
 
@@ -44,13 +46,13 @@ def test_field_arithmetic():
 
 def test_rank_examples():
     assert rank(M(GF5, [[1, 2], [2, 4]])) == 1
-    assert rank(Matrix.identity(GF5, 2)) == 2
-    assert rank(Matrix.zeros(GF7, 2, 3)) == 0
+    assert rank(identity(GF5, 2)) == 2
+    assert rank(zeros(GF7, 2, 3)) == 0
 
 
 def test_solve_left_examples():
     assert solve_left(M(GF5, [[1, 2], [1, 3]]), (1, 0)) == (3, 3)
-    assert solve_left(Matrix.identity(GF5, 2), (1, 0)) == (1, 0)
+    assert solve_left(identity(GF5, 2), (1, 0)) == (1, 0)
     assert solve_left(M(GF5, [[1, 1]]), (1, 0)) is None
 
 
@@ -112,7 +114,7 @@ def test_solve_left_is_exact(m, data):
     target = tuple(data.draw(st.integers(0, m.field.p - 1)) for _ in range(m.cols))
     u = solve_left(m, target)
     if u is not None:
-        assert m.left_mul(u) == tuple(t % m.field.p for t in target)
+        assert left_mul(m, u) == tuple(t % m.field.p for t in target)
 
 
 @given(matrices(), st.data())

@@ -1,7 +1,12 @@
+import random
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spanshare.galois import Field, Matrix, kernel_witness, rank, solve_left
+from spanshare import galois, msp as msp_module
+from spanshare.galois import Field, Matrix, kernel_witness, rank, solve_left, span_table
 from spanshare.msp import (
     MSP,
     MspFormatError,
@@ -22,6 +27,8 @@ from spanshare.structures import (
     parse_formula,
     threshold_structure,
 )
+
+from conftest import msp_corpus
 
 GF2 = Field(2)
 GF5 = Field(5)
@@ -226,3 +233,104 @@ def c_text(f):
 def test_compiled_msp_full_column_rank(f):
     msp = compile_formula(f, GF5)
     assert rank(msp.matrix) == msp.e
+
+
+# ---------------------------------------------------------------------------
+# the all-subsets table against the per-set msp_eval
+
+
+def table_of(m):
+    matrix = np.array(m.matrix.data, dtype=np.int64).reshape(m.d, m.e)
+    return span_table(m.field, matrix, m.psi, m.n)
+
+
+def assert_table_is_eval(m, masks=None, chunk_masks=(1, 4)):
+    """span_table agrees with msp_eval on the masks, at the default chunk
+    size and with chunks of the given mask counts, so that the prefix
+    walk and the in-chunk doubling both run."""
+    masks = range(1 << m.n) if masks is None else masks
+    expected = [msp_eval(m, b) for b in masks]
+    for entries in (galois._STACK_ENTRIES,) + tuple(k * m.e * m.e for k in chunk_masks):
+        with mock.patch.object(galois, "_STACK_ENTRIES", entries):
+            table = table_of(m)
+        assert [int(table[b]) for b in masks] == expected, entries
+
+
+@st.composite
+def labeled_msps(draw):
+    """Arbitrary MSPs, rank-deficient ones included: every player owns
+    zero to three rows, drawn with repeats from a pool with a zero row."""
+    field = Field(draw(st.sampled_from([2, 3, 5, 7])))
+    n, e = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    vector = st.lists(st.integers(0, field.p - 1), min_size=e, max_size=e)
+    pool = [(0,) * e] + [tuple(v) for v in draw(st.lists(vector, min_size=1, max_size=4))]
+    rows = [(player, draw(st.sampled_from(pool)))
+            for player in range(1, n + 1) for _ in range(draw(st.integers(0, 3)))]
+    rows = draw(st.permutations(rows))
+    matrix = Matrix.from_rows(field, [r for _, r in rows], e)
+    return MSP._unchecked(field, matrix, tuple(player for player, _ in rows), n)
+
+
+@given(labeled_msps())
+@settings(max_examples=150, deadline=None)
+def test_span_table_matches_eval_on_arbitrary_msps(m):
+    assert_table_is_eval(m)
+
+
+def test_span_table_matches_eval_on_corpus_duals_and_extensions():
+    base = msp_corpus()
+    everything = base + [dual_msp(m) for m in base]
+    everything += [extend_msp(m) for m in base if msp_structure(m).is_q2star()]
+    for m in everything:
+        assert_table_is_eval(m)
+
+
+def test_span_table_matches_eval_on_dual_of_thr3_of_7():
+    m = dual_msp(compile_formula(parse_formula("thr3(1,2,3,4,5,6,7)"), Field(11)))
+    assert (m.d, m.e) == (105, 85)
+    assert_table_is_eval(m)
+
+
+def test_span_table_matches_eval_on_shamir_16_7_sample():
+    m = shamir_msp(16, 7, Field(17))
+    masks = random.Random(16).sample(range(1 << 16), 300)
+    assert_table_is_eval(m, masks, chunk_masks=(16,))
+    table = table_of(m)
+    assert all(table[b] == (bin(b).count("1") > 7) for b in range(1 << 16))
+
+
+def test_span_table_raises_when_the_criteria_disagree(monkeypatch):
+    add_rows = galois._add_rows
+
+    def lose_the_kernel(span, kernel, rows, p, inv):
+        add_rows(span, kernel, rows, p, inv)
+        kernel[...] = 0
+
+    monkeypatch.setattr(galois, "_add_rows", lose_the_kernel)
+    with pytest.raises(RuntimeError, match="disagree on subset 1;"):
+        table_of(shamir_msp(3, 1, GF5))
+
+
+def test_structure_derived_once_per_msp(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return span_table(*args)
+
+    monkeypatch.setattr(msp_module, "span_table", counted)
+    m = compile_formula(parse_formula("or(and(1,3),and(2,3))"), GF5)  # checks itself
+    assert len(calls) == 1
+    dual = dual_msp(m)  # reads m's structure, compiles and checks the dual
+    assert len(calls) == 2
+    assert msp_structure(dual) == msp_structure(m).dual()
+    assert len(calls) == 2
+
+
+def test_msp_structure_refuses_17_players_before_the_table(monkeypatch):
+    calls = []
+    monkeypatch.setattr(msp_module, "span_table", lambda *args: calls.append(args))
+    wide = MSP._unchecked(GF5, Matrix.from_rows(GF5, [(1,)], 1), (1,), 17)
+    with pytest.raises(ValueError, match="capped at 16 players"):
+        msp_structure(wide)
+    assert calls == []
