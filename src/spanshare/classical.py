@@ -158,7 +158,7 @@ ENUMERATION_GUARD = 10**7
 
 
 def verify_classical(
-    msp: MSP, structure: AdversaryStructure | None = None, guard: int = ENUMERATION_GUARD
+    msp: MSP, structure: AdversaryStructure | None = None
 ) -> ClassicalVerifyReport:
     """Deal every (secret, randomness) vector and check the scheme.
 
@@ -170,9 +170,9 @@ def verify_classical(
     """
     p = msp.field.p
     total = p**msp.e
-    if total > guard:
+    if total > ENUMERATION_GUARD:
         raise ValueError(
-            f"{total} deals exceed the enumeration guard ({guard}); use a smaller field"
+            f"{total} deals exceed the enumeration guard ({ENUMERATION_GUARD}); use a smaller field"
         )
     if structure is None:
         structure = msp_structure(msp)

@@ -95,6 +95,12 @@ class ClassicalScheme:
                 raise ValueError(f"probabilities for secret {s} sum to {total}, not 1")
         object.__setattr__(self, "table", cleaned)
         if self.structure is None:
+            # _derive_structure makes 2**n passes over the table
+            if len(cleaned) << self.n > ENUMERATION_GUARD:
+                raise ValueError(
+                    f"{len(cleaned)} rows times {1 << self.n} player sets exceed "
+                    f"the enumeration guard ({ENUMERATION_GUARD})"
+                )
             object.__setattr__(self, "structure", _derive_structure(self))
 
     def coords(self, mask: int) -> tuple[int, ...]:
@@ -235,33 +241,38 @@ def _split_preconditions(sch: ClassicalScheme, u_mask: int) -> dict[tuple[int, .
 def eq1_check(sch: ClassicalScheme, u_mask: int) -> bool:
     """The exact square-root criterion for erasure correction on U.
 
-    For every pair of U-words, the sum over Q-words reconstructing to s
-    of sqrt(P(yu1, yq | s)) * sqrt(P(yu2, yq | s)) must not depend on s.
-    All tables here are rational, so the comparison is exact; pairs
-    where a word never occurs contribute empty (zero) sums and cannot
-    discriminate.
+    Secret s has the Gram table G_s[yu1, yu2], the sum over Q-words yq
+    reconstructing to s of sqrt(P(yu1, yq | s)) * sqrt(P(yu2, yq | s));
+    the criterion holds iff every secret has the same table. Two
+    U-words meet in a term only inside one Q-word's column, so each
+    table is summed in one pass over that secret's columns, in the
+    canonical form of ``_sqrt_sum``. Every term is positive, so no
+    form cancels to empty and a pair that shares no Q-word, the empty
+    (zero) sum, is simply absent. All tables here are rational, so the
+    comparison is exact.
     """
     _split_preconditions(sch, u_mask)
     q_mask = complement(u_mask, sch.n)
-    joint: dict[tuple[int, ...], dict[int, dict[tuple[int, ...], Fraction]]] = {}
+    columns: list[dict[tuple[int, ...], list[tuple[tuple[int, ...], Fraction]]]] = [
+        {} for _ in range(sch.secret_count)
+    ]
     for (s, y), pr in sch.table.items():
-        yu = sch.project(y, u_mask)
-        yq = sch.project(y, q_mask)
-        joint.setdefault(yu, {}).setdefault(s, {})[yq] = pr
-    words = sorted(joint)
-    for i, yu1 in enumerate(words):
-        for yu2 in words[i:]:
-            reference: dict[int, Fraction] | None = None
-            for s in range(sch.secret_count):
-                by_q1 = joint.get(yu1, {}).get(s, {})
-                by_q2 = joint.get(yu2, {}).get(s, {})
-                value = _sqrt_sum(
-                    by_q1[yq] * by_q2[yq] for yq in by_q1 if yq in by_q2
-                )
-                if reference is None:
-                    reference = value
-                elif value != reference:
-                    return False
+        columns[s].setdefault(sch.project(y, q_mask), []).append((sch.project(y, u_mask), pr))
+    reference: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, Fraction]] | None = None
+    for by_q in columns:
+        gram: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, Fraction]] = {}
+        for column in by_q.values():
+            column.sort()
+            for i, (yu1, p1) in enumerate(column):
+                for yu2, p2 in column[i:]:
+                    t = p1 * p2
+                    a, k = _sqrt_decompose(t.numerator * t.denominator)
+                    form = gram.setdefault((yu1, yu2), {})
+                    form[k] = form.get(k, Fraction(0)) + Fraction(a, t.denominator)
+        if reference is None:
+            reference = gram
+        elif gram != reference:
+            return False
     return True
 
 
@@ -391,36 +402,27 @@ def homomorphic_scheme(spec: HomomorphicSpec) -> ClassicalScheme:
 
 
 def homomorphic_dichotomy_check(sch: ClassicalScheme, u_mask: int) -> bool:
-    """For every pair of U-words and every Q-word: the two conditional
-    probabilities are either never jointly positive or exactly equal.
+    """For every Q-word, all U-words seen with it are equiprobable: two
+    conditional probabilities are either never jointly positive or
+    exactly equal.
 
     Conditionals are taken under the uniform secret prior, which makes
     the check a property of the scheme itself; on splits where the
     complement reconstructs, conditioning on Y_q pins the secret down
-    and this coincides with the per-secret conditional. Homomorphic
-    schemes satisfy the dichotomy (conditioned on a Q-word, the
-    compatible U-words form a coset and are equiprobable), which is
-    what makes them pass the square-root criterion.
+    and this coincides with the per-secret conditional. Every joint
+    entry is positive and dividing by the Q-marginal keeps equality,
+    so the joint table alone decides it. Homomorphic schemes satisfy
+    the dichotomy (conditioned on a Q-word, the compatible U-words
+    form a coset and are equiprobable), which is what makes them pass
+    the square-root criterion.
     """
     q_mask = complement(u_mask, sch.n)
-    marginal_q: dict[tuple[int, ...], Fraction] = {}
     joint: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
     for (s, y), pr in sch.table.items():
-        yq = sch.project(y, q_mask)
+        by_u = joint.setdefault(sch.project(y, q_mask), {})
         yu = sch.project(y, u_mask)
-        marginal_q[yq] = marginal_q.get(yq, Fraction(0)) + pr
-        bucket = joint.setdefault(yq, {})
-        bucket[yu] = bucket.get(yu, Fraction(0)) + pr
-    words_u = sorted({yu for by_u in joint.values() for yu in by_u})
-    for yq, by_u in joint.items():
-        total = marginal_q[yq]
-        for i, yu1 in enumerate(words_u):
-            p1 = by_u.get(yu1, Fraction(0)) / total
-            for yu2 in words_u[i + 1 :]:
-                p2 = by_u.get(yu2, Fraction(0)) / total
-                if p1 * p2 != 0 and p1 != p2:
-                    return False
-    return True
+        by_u[yu] = by_u.get(yu, Fraction(0)) + pr
+    return all(len(set(by_u.values())) == 1 for by_u in joint.values())
 
 
 # ---------------------------------------------------------------------------

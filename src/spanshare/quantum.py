@@ -199,16 +199,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def validate_psd(self, atol: float = 1e-9) -> None:
-        lowest = float(np.linalg.eigvalsh(self.mat)[0])
-        if lowest < -atol:
-            raise ValueError(f"density matrix has negative eigenvalue {lowest}")
-
-    @staticmethod
-    def projector(psi: QuantumState) -> "DensityMatrix":
-        v = psi.dense()
-        return DensityMatrix(psi.dims, np.outer(v, v.conj()))
-
 
 @dataclass(frozen=True)
 class EncodedState:
@@ -216,13 +206,6 @@ class EncodedState:
 
     state: QuantumState
     msp: MSP
-
-    def support_in_image(self) -> bool:
-        """Every support label is M w for some w (sanity check)."""
-        from .galois import solve_left
-
-        mt = self.msp.matrix.transpose()
-        return all(solve_left(mt, label) is not None for label in self.state.amps)
 
 
 def qencode(msp: MSP, state: QuantumState) -> EncodedState:
@@ -345,19 +328,6 @@ def trace_distance_within(r1: DensityMatrix, r2: DensityMatrix, tol: float) -> t
         return True, bound
     value = float(0.5 * np.abs(np.linalg.eigvalsh(delta)).sum())
     return value <= tol, value
-
-
-def schmidt_rank(state: QuantumState, first: Iterable[int], tol: float = 1e-9) -> int:
-    """Schmidt rank across the cut (first coordinates) vs (the rest)."""
-    first = tuple(sorted(first))
-    rest = tuple(c for c in range(len(state.dims)) if c not in set(first))
-    d1 = math.prod(state.dims[c] for c in first) if first else 1
-    d2 = math.prod(state.dims[c] for c in rest) if rest else 1
-    labels, values = state._view
-    mat = np.zeros((d1, d2), dtype=complex)
-    mat[_row_keys(labels, first, state.dims), _row_keys(labels, rest, state.dims)] = values
-    singular = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(singular > tol))
 
 
 def probe_family(dim: int, seed: int = 0, n_random: int = 20) -> list[tuple[str, QuantumState]]:

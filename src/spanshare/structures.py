@@ -58,11 +58,18 @@ def is_subset(a: int, b: int) -> bool:
 
 
 def _antichain(masks: Iterable[int]) -> tuple[int, ...]:
-    """Maximal elements of a family, sorted ascending as ints."""
-    unique = sorted(set(masks), key=lambda m: (bin(m).count("1"), m), reverse=True)
+    """Maximal elements of a family, sorted ascending as ints.
+
+    Distinct sets of one size never contain each other, so each set is
+    tested only against the kept sets of strictly larger size: a family
+    of one size costs no subset test at all.
+    """
     kept: list[int] = []
-    for m in unique:
-        if not any(is_subset(m, k) for k in kept):
+    size, larger = -1, 0  # kept[:larger] are larger than the current size
+    for count, m in sorted(((bin(m).count("1"), m) for m in set(masks)), reverse=True):
+        if count != size:
+            size, larger = count, len(kept)
+        if not any(is_subset(m, k) for k in kept[:larger]):
             kept.append(m)
     return tuple(sorted(kept))
 

@@ -7,6 +7,10 @@ ran before both read the deals from the MSP's label table: every
 it read the same vectorized deals: a kernel scan, then one Python
 evaluation of h per input. They return the report text and the table
 items, so the table-backed paths can be compared with them exactly.
+``ref_eq1_check`` and ``ref_homomorphic_dichotomy_check`` are the
+all-pairs-of-U-words loops that ``eq1_check`` and
+``homomorphic_dichotomy_check`` ran before both summed the table once
+over Q-words.
 """
 
 import itertools
@@ -14,9 +18,10 @@ from collections import Counter
 from fractions import Fraction
 
 from spanshare.classical import ENUMERATION_GUARD
+from spanshare.condition import _split_preconditions, _sqrt_sum
 from spanshare.galois import solve_left
 from spanshare.msp import rows_of
-from spanshare.structures import format_players
+from spanshare.structures import complement, format_players
 
 
 def _deals(msp):
@@ -117,3 +122,52 @@ def ref_homomorphic_table(spec):
             key = (s, y)
             table[key] = table.get(key, Fraction(0)) + weight
     return (order,) * len(spec.matrix), list(table.items())
+
+
+def ref_eq1_check(sch, u_mask):
+    """eq1_check with one canonical sum per pair of U-words and secret."""
+    _split_preconditions(sch, u_mask)
+    q_mask = complement(u_mask, sch.n)
+    joint = {}
+    for (s, y), pr in sch.table.items():
+        yu = sch.project(y, u_mask)
+        yq = sch.project(y, q_mask)
+        joint.setdefault(yu, {}).setdefault(s, {})[yq] = pr
+    words = sorted(joint)
+    for i, yu1 in enumerate(words):
+        for yu2 in words[i:]:
+            reference = None
+            for s in range(sch.secret_count):
+                by_q1 = joint.get(yu1, {}).get(s, {})
+                by_q2 = joint.get(yu2, {}).get(s, {})
+                value = _sqrt_sum(
+                    by_q1[yq] * by_q2[yq] for yq in by_q1 if yq in by_q2
+                )
+                if reference is None:
+                    reference = value
+                elif value != reference:
+                    return False
+    return True
+
+
+def ref_homomorphic_dichotomy_check(sch, u_mask):
+    """The dichotomy on the conditionals of every pair of U-words."""
+    q_mask = complement(u_mask, sch.n)
+    marginal_q = {}
+    joint = {}
+    for (s, y), pr in sch.table.items():
+        yq = sch.project(y, q_mask)
+        yu = sch.project(y, u_mask)
+        marginal_q[yq] = marginal_q.get(yq, Fraction(0)) + pr
+        bucket = joint.setdefault(yq, {})
+        bucket[yu] = bucket.get(yu, Fraction(0)) + pr
+    words_u = sorted({yu for by_u in joint.values() for yu in by_u})
+    for yq, by_u in joint.items():
+        total = marginal_q[yq]
+        for i, yu1 in enumerate(words_u):
+            p1 = by_u.get(yu1, Fraction(0)) / total
+            for yu2 in words_u[i + 1 :]:
+                p2 = by_u.get(yu2, Fraction(0)) / total
+                if p1 * p2 != 0 and p1 != p2:
+                    return False
+    return True

@@ -4,11 +4,19 @@ These are the label-at-a-time implementations that spanshare.quantum
 used before it switched to whole-array numpy work. They read only
 ``state.amps`` and return plain dicts or arrays, so the fast paths can
 be compared with them entry by entry.
+
+``validate_psd``, ``projector``, ``schmidt_rank`` and
+``support_in_image`` are checks that only tests use; they moved here
+from spanshare.quantum, whose own code never called them.
 """
 
 import itertools
+import math
 
 import numpy as np
+
+from spanshare.galois import solve_left
+from spanshare.quantum import DensityMatrix, _row_keys
 
 
 def ravel(label, dims):
@@ -59,3 +67,33 @@ def ref_partial_trace(state, keep):
             for i2, a2 in entries:
                 mat[i1, i2] += a1 * a2.conjugate()
     return mat
+
+
+def validate_psd(dm, atol=1e-9):
+    lowest = float(np.linalg.eigvalsh(dm.mat)[0])
+    if lowest < -atol:
+        raise ValueError(f"density matrix has negative eigenvalue {lowest}")
+
+
+def projector(psi):
+    v = psi.dense()
+    return DensityMatrix(psi.dims, np.outer(v, v.conj()))
+
+
+def schmidt_rank(state, first, tol=1e-9):
+    """Schmidt rank across the cut (first coordinates) vs (the rest)."""
+    first = tuple(sorted(first))
+    rest = tuple(c for c in range(len(state.dims)) if c not in set(first))
+    d1 = math.prod(state.dims[c] for c in first) if first else 1
+    d2 = math.prod(state.dims[c] for c in rest) if rest else 1
+    labels, values = state._view
+    mat = np.zeros((d1, d2), dtype=complex)
+    mat[_row_keys(labels, first, state.dims), _row_keys(labels, rest, state.dims)] = values
+    singular = np.linalg.svd(mat, compute_uv=False)
+    return int(np.sum(singular > tol))
+
+
+def support_in_image(enc):
+    """Every support label of an encoded state is M w for some w."""
+    mt = enc.msp.matrix.transpose()
+    return all(solve_left(mt, label) is not None for label in enc.state.amps)

@@ -171,9 +171,10 @@ def test_verify_classical_passes(shamir13):
     assert verify_classical(orm).passed
 
 
-def test_verify_classical_guard(shamir13):
+def test_verify_classical_guard(shamir13, monkeypatch):
+    monkeypatch.setattr(classical, "ENUMERATION_GUARD", 10)
     with pytest.raises(ValueError, match="guard"):
-        verify_classical(shamir13, guard=10)
+        verify_classical(shamir13)
 
 
 def test_verify_classical_detects_corruption(shamir13):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spanshare import condition
+from spanshare.cli import main
 from spanshare.galois import Field, Matrix
 from spanshare.condition import (
     ClassicalScheme,
@@ -36,7 +37,12 @@ from spanshare.structures import (
 )
 
 from conftest import random_msps
-from reference_classical import ref_homomorphic_table, ref_scheme_table
+from reference_classical import (
+    ref_eq1_check,
+    ref_homomorphic_dichotomy_check,
+    ref_homomorphic_table,
+    ref_scheme_table,
+)
 
 GF2 = Field(2)
 GF5 = Field(5)
@@ -333,6 +339,35 @@ def test_scheme_player_cap_refused_before_structure(monkeypatch):
     assert calls == []
 
 
+def _sixteen_player_text(rows):
+    """One secret dealt as `rows` distinct 16-bit words, equiprobable."""
+    text = "scheme n=16 secrets=1\n" + "".join(f"space {i} 2\n" for i in range(1, 17))
+    for r in range(rows):
+        text += "p 0 " + " ".join(str(r >> i & 1) for i in range(16)) + f" 1/{rows}\n"
+    return text
+
+
+def test_scheme_structure_derivation_bounded(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(condition, "check_secrecy", lambda *args: calls.append(args) or True)
+    # 153 * 2**16 is above the guard of 10**7, 152 * 2**16 below it
+    with pytest.raises(SchemeFormatError) as exc:
+        parse_scheme(_sixteen_player_text(153))
+    assert str(exc.value) == (
+        "153 rows times 65536 player sets exceed the enumeration guard (10000000)"
+    )
+    assert calls == []
+    path = tmp_path / "wide.scheme"
+    path.write_text(_sixteen_player_text(153))
+    assert main(["condition", "check", str(path), "--set", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {exc.value}\n"
+    assert calls == []
+    parse_scheme(_sixteen_player_text(152))
+    assert len(calls) == 1 << 16
+
+
 def test_homomorphic_product_group():
     # Z2 x Z2 one-time pad
     spec = HomomorphicSpec((2, 2), 1, ((0, 1), (1, 1)))
@@ -368,6 +403,77 @@ def test_dichotomy_detects_unequal_conditionals():
         {(0, (0, 0)): Fraction(1, 3), (0, (1, 0)): Fraction(2, 3)},
     )
     assert not homomorphic_dichotomy_check(skewed, U1)
+
+
+def _check_outcome(check, sch, u):
+    """The verdict, or the PreconditionError text."""
+    try:
+        return check(sch, u)
+    except PreconditionError as exc:
+        return f"PreconditionError: {exc}"
+
+
+def _assert_checks_match_reference(schemes, dichotomy_splits=None):
+    """eq1 agrees with its pair-loop oracle on every split, and the
+    dichotomy on every split or on ``dichotomy_splits``; returns how
+    many dichotomy verdicts of each value were compared."""
+    seen = {True: 0, False: 0}
+    for sch in schemes:
+        for u in range(1 << sch.n):
+            eq1 = _check_outcome(eq1_check, sch, u)
+            assert eq1 == _check_outcome(ref_eq1_check, sch, u), (format_scheme(sch), u)
+        for u in dichotomy_splits or range(1 << sch.n):
+            verdict = homomorphic_dichotomy_check(sch, u)
+            assert verdict == ref_homomorphic_dichotomy_check(sch, u), (format_scheme(sch), u)
+            seen[verdict] += 1
+    return seen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_checks_match_reference_on_generated_tables(seed):
+    schemes = generate_valid_schemes(200, seed, max_secrets=4, max_share_size=6, max_denominator=24)
+    verdicts = [eq1_check(sch, U1) for sch in schemes]
+    assert 0 < sum(verdicts) < len(verdicts)
+    seen = _assert_checks_match_reference(schemes)
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"max_secrets": 3, "max_share_size": 4, "max_denominator": 3},
+        {"max_denominator": 4, "family": "function"},
+        {"max_share_size": 3, "family": "homomorphic"},
+    ],
+)
+def test_checks_match_reference_on_search_streams(monkeypatch, kwargs):
+    streamed = []
+    eq1 = condition.eq1_check
+
+    def recording(sch, u):
+        streamed.append(sch)
+        return eq1(sch, u)
+
+    monkeypatch.setattr(condition, "eq1_check", recording)
+    condition.search_counterexample(**kwargs)
+    assert streamed
+    _assert_checks_match_reference(streamed)
+
+
+def test_checks_match_reference_on_homomorphic_candidates():
+    schemes = list(condition._homomorphic_candidates(4))
+    assert len(schemes) == 150
+    _assert_checks_match_reference(schemes)
+
+
+def test_checks_match_reference_on_msp_tables(shamir_table):
+    _assert_checks_match_reference([shamir_table])
+    # the dichotomy's pair-loop oracle takes minutes on all 32 splits of
+    # Shamir(5,2) (about 16 s on one split of size 3), so here it runs on
+    # the splits of sizes 0, 1 and 5 and on one split each of sizes 2 and 4
+    splits = [u for u in range(32) if bin(u).count("1") in (0, 1, 5)] + [0b00011, 0b01111]
+    _assert_checks_match_reference([scheme_from_msp(shamir_msp(5, 2, Field(7)))], splits)
 
 
 def test_search_counterexample_found(counterexample):

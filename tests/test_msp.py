@@ -299,6 +299,12 @@ def test_span_table_matches_eval_on_shamir_16_7_sample():
     assert all(table[b] == (bin(b).count("1") > 7) for b in range(1 << 16))
 
 
+def test_msp_structure_of_shamir_16_7_is_threshold():
+    structure = msp_structure(shamir_msp(16, 7, Field(17)))
+    assert structure == threshold_structure(16, 7)
+    assert structure.dual() == threshold_structure(16, 8)
+
+
 def test_span_table_raises_when_the_criteria_disagree(monkeypatch):
     add_rows = galois._add_rows
 

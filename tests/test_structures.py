@@ -1,8 +1,10 @@
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spanshare import structures as structures_module
 from spanshare.structures import (
     AdversaryStructure,
     And,
@@ -261,3 +263,28 @@ def test_exhaustive_structure_algebra_n_le_4():
             a = AdversaryStructure(n, chain)
             assert a.dual().dual() == a
             a.is_selfdual()  # exercises both cross-checked predicates
+
+
+def test_antichain_matches_definition_on_random_families():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        family = [rng.randrange(1 << n) for _ in range(rng.randint(1, 12))]
+        maximal = {m for m in family if not any(m != k and is_subset(m, k) for k in family)}
+        assert AdversaryStructure(n, tuple(family)).maximal == tuple(sorted(maximal))
+
+
+def test_antichain_tests_only_against_larger_sets(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return is_subset(a, b)
+
+    monkeypatch.setattr(structures_module, "is_subset", counted)
+    same_size = threshold_structure(8, 4)
+    assert len(same_size.maximal) == 70 and calls == []
+    mixed = AdversaryStructure(3, (0b001, 0b011, 0b110, 0b100))
+    assert mixed.maximal == (0b011, 0b110)
+    # the singletons meet only the kept sets of size 2, never each other
+    assert calls == [(0b100, 0b110), (0b001, 0b110), (0b001, 0b011)]
