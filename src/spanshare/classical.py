@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .galois import Matrix, kernel_basis, kernel_witness, rank, solve_left
-from .msp import MSP, msp_eval, msp_structure, rows_of
+from .msp import MSP, msp_structure, rows_of
 from .structures import AdversaryStructure, complement, format_players
 
 
@@ -111,20 +111,18 @@ def build_reconstruction_plan(msp: MSP, b_mask: int) -> ReconstructionPlan:
     its dual.
     """
     a_mask = complement(b_mask, msp.n)
-    if msp_eval(msp, b_mask) != 0:
+    v = kernel_witness(rows_of(msp, b_mask), msp.eps)
+    if v is None:
         raise ValueError(
             f"set {{{format_players(b_mask)}}} is qualified, not in the adversary structure"
         )
-    if msp_eval(msp, a_mask) != 1:
+    m_a = rows_of(msp, a_mask)
+    u1 = solve_left(m_a, msp.eps)
+    if u1 is None:
         raise ValueError(
             f"complement {{{format_players(a_mask)}}} cannot reconstruct; "
             "erased set is not in the dual structure"
         )
-    m_a = rows_of(msp, a_mask)
-    m_b = rows_of(msp, b_mask)
-    u1 = solve_left(m_a, msp.eps)
-    v = kernel_witness(m_b, msp.eps)
-    assert u1 is not None and v is not None  # guaranteed by the two checks above
     w = m_a.matvec(v)
     basis = kernel_basis(Matrix(msp.field, (w,), len(w)))
     assert msp.field.dot(u1, w) != 0  # u1 lies outside the secrecy subspace

@@ -197,25 +197,6 @@ def _sqrt_decompose(n: int) -> tuple[int, int]:
     return a, k
 
 
-def _sqrt_sum(terms: Iterable[Fraction]) -> dict[int, Fraction]:
-    """Canonical form of sum(sqrt(t)): {squarefree k: rational coefficient}.
-
-    Square roots of distinct squarefree integers are linearly
-    independent over the rationals, so two sums are equal iff these
-    maps are equal.
-    """
-    acc: dict[int, Fraction] = {}
-    for t in terms:
-        if t == 0:
-            continue
-        a, k = _sqrt_decompose(t.numerator * t.denominator)
-        coeff = Fraction(a, t.denominator)
-        acc[k] = acc.get(k, Fraction(0)) + coeff
-        if acc[k] == 0:
-            del acc[k]
-    return acc
-
-
 def _split_preconditions(sch: ClassicalScheme, u_mask: int) -> dict[tuple[int, ...], int]:
     """Shared eq1/oracle preconditions; returns the reconstruction map."""
     q_mask = complement(u_mask, sch.n)
@@ -243,13 +224,17 @@ def eq1_check(sch: ClassicalScheme, u_mask: int) -> bool:
 
     Secret s has the Gram table G_s[yu1, yu2], the sum over Q-words yq
     reconstructing to s of sqrt(P(yu1, yq | s)) * sqrt(P(yu2, yq | s));
-    the criterion holds iff every secret has the same table. Two
-    U-words meet in a term only inside one Q-word's column, so each
-    table is summed in one pass over that secret's columns, in the
-    canonical form of ``_sqrt_sum``. Every term is positive, so no
-    form cancels to empty and a pair that shares no Q-word, the empty
-    (zero) sum, is simply absent. All tables here are rational, so the
-    comparison is exact.
+    the criterion holds iff every secret has the same table. Each entry
+    is kept in canonical form, a map {squarefree k: rational c} for the
+    sum of c * sqrt(k): square roots of distinct squarefree integers
+    are linearly independent over the rationals, so two sums are equal
+    iff their maps are, and the comparison is exact. Two U-words meet
+    in a term only inside one Q-word's column, so each table is summed
+    in one pass over that secret's columns. Every term is positive, so
+    no form cancels to empty and a pair that shares no Q-word, the
+    empty (zero) sum, is simply absent. The diagonal is left out:
+    G_s[yu, yu] = P(yu | s) is the U-marginal, which the secrecy
+    precondition already found equal for every secret.
     """
     _split_preconditions(sch, u_mask)
     q_mask = complement(u_mask, sch.n)
@@ -264,7 +249,7 @@ def eq1_check(sch: ClassicalScheme, u_mask: int) -> bool:
         for column in by_q.values():
             column.sort()
             for i, (yu1, p1) in enumerate(column):
-                for yu2, p2 in column[i:]:
+                for yu2, p2 in column[i + 1 :]:
                     t = p1 * p2
                     a, k = _sqrt_decompose(t.numerator * t.denominator)
                     form = gram.setdefault((yu1, yu2), {})
@@ -317,13 +302,14 @@ def lift_report(
     if sch.secret_count > 1 and all(int(np.count_nonzero(alpha)) < 2 for _, alpha in family):
         raise ValueError("oracle inputs must include non-basis amplitude assignments")
     u_coords = sch.coords(u_mask)
+    words = np.array([y for _, y in sch.table], dtype=np.int64)
+    secrets = np.array([s for s, _ in sch.table], dtype=np.int64)
+    roots = np.array([float(pr) ** 0.5 for pr in sch.table.values()])
     reduced = []
     for name, alpha in family:
-        amps: dict[tuple[int, ...], complex] = {}
-        for (s, y), pr in sch.table.items():
-            if alpha[s] != 0:
-                amps[y] = alpha[s] * float(pr) ** 0.5
-        state = QuantumState(sch.share_sizes, amps)
+        amp = alpha[secrets]
+        keep = amp != 0
+        state = QuantumState(sch.share_sizes, words[keep], (amp * roots)[keep])
         reduced.append((name, partial_trace(state, u_coords)))
     worst = 0.0
     witness: tuple[str, str] | None = None

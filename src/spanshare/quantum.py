@@ -10,12 +10,13 @@ the A coordinates through the classical reconstruction plan's
 invertible matrix U, after which the first A coordinate factors out
 as the secret.
 
-States are sparse: a dict from basis labels to complex amplitudes,
-mirrored by an (N x k int64 labels, N complex values) array view. Both
-relabelings are whole-array integer products mod p: the encoder slices
-the MSP's cached table of every M (s, a), and a plan multiplies the A
-columns by U. Partial traces group the amplitudes by their traced-out
-labels with numpy sorts. The only dense objects are the small reduced
+States are sparse: an N x k int64 array of distinct basis labels and
+the N complex amplitudes on them, so an encoded state is rows of the
+dealt label table with one amplitude each. Both relabelings are
+whole-array integer products mod p: the encoder slices the MSP's cached
+table of every M (s, a), and a plan multiplies the A columns by U.
+Partial traces group the amplitudes by their traced-out labels with
+numpy sorts. The only dense objects are the small reduced
 density matrices used for fidelity/trace-distance checks, where numpy
 does the eigenvalue work.
 """
@@ -83,70 +84,65 @@ def _zero_matrix(dim: int) -> np.ndarray:
     return np.frombuffer(pages, dtype=complex).reshape(dim, dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumState:
     """Sparse state over a tuple of qudit coordinates.
 
-    Amplitudes are keyed by basis labels (int tuples, one entry per
-    coordinate); zero amplitudes are dropped. States are normalized
-    to unit norm within 1e-12 at construction.
+    Row i of ``labels`` (N x k int64, distinct rows) is a basis label,
+    one entry per coordinate, with amplitude ``values[i]``; both arrays
+    are read-only. States are normalized to unit norm within 1e-12 at
+    construction. Compare states through their arrays, not ==.
     """
 
     dims: tuple[int, ...]
-    amps: dict[tuple[int, ...], complex]
+    labels: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        labels, _ = self._view
-        if labels.shape[1] != len(self.dims):
+        labels = np.asarray(self.labels)
+        if labels.ndim != 2 or labels.shape[1] != len(self.dims):
             raise ValueError("basis label arity does not match coordinate count")
+        if labels.size and labels.dtype.kind not in "biu":
+            raise ValueError(f"basis labels must be int tuples within int64, got {labels.dtype}")
+        labels = labels.astype(np.int64, copy=False)
         bad = (labels < 0) | (labels >= np.array(self.dims, dtype=np.int64))
         if np.count_nonzero(bad):
-            label = list(self.amps)[int(np.argmax(bad.any(axis=1)))]
+            label = tuple(labels[int(np.argmax(bad.any(axis=1)))].tolist())
             raise ValueError(f"basis label {label} out of range for dims {self.dims}")
+        keys = np.sort(_row_keys(labels, range(len(self.dims)), self.dims))
+        if np.count_nonzero(keys[1:] == keys[:-1]):
+            raise ValueError("duplicate basis labels")
+        values = np.asarray(self.values, dtype=complex)
+        if values.shape != (len(labels),):
+            raise ValueError("labels and values differ in length")
+        labels.flags.writeable = values.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "values", values)
         if abs(self.norm() - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm {self.norm()} is not 1 within {NORM_ATOL}")
 
     @cached_property
-    def _view(self) -> tuple[np.ndarray, np.ndarray]:
-        """(labels: N x k int64, values: N complex), read-only, in amps order."""
-        if any(len(label) != len(self.dims) for label in self.amps):
-            raise ValueError("basis label arity does not match coordinate count")
-        labels = np.array(list(self.amps)).reshape(len(self.amps), len(self.dims))
-        if labels.size and labels.dtype.kind not in "biu":
-            raise ValueError(f"basis labels must be int tuples within int64, got {labels.dtype}")
-        labels = labels.astype(np.int64, copy=False)
-        values = np.fromiter(self.amps.values(), dtype=complex, count=len(self.amps))
-        labels.flags.writeable = values.flags.writeable = False
-        return labels, values
-
-    @classmethod
-    def _from_arrays(
-        cls, dims: tuple[int, ...], labels: np.ndarray, values: np.ndarray
-    ) -> "QuantumState":
-        """State with distinct label rows and their amplitudes; amps is filled
-        in row order and every construction check runs."""
-        amps = dict(zip(map(tuple, labels.tolist()), values.tolist()))
-        if len(amps) != len(labels):
-            raise ValueError("duplicate basis labels")
-        state = cls.__new__(cls)
-        object.__setattr__(state, "dims", dims)
-        object.__setattr__(state, "amps", amps)
-        labels.flags.writeable = values.flags.writeable = False
-        state.__dict__["_view"] = (labels, values)
-        state.__post_init__()
-        return state
+    def amps(self) -> dict[tuple[int, ...], complex]:
+        """The amplitudes as a dict from label tuples, in row order."""
+        return dict(zip(map(tuple, self.labels.tolist()), self.values.tolist()))
 
     @staticmethod
     def from_amplitudes(
         dims: Sequence[int], amps: Mapping[Sequence[int], complex], normalize: bool = False
     ) -> "QuantumState":
+        """State from a dict of label tuples to amplitudes; zeros are dropped."""
         cleaned = {tuple(k): complex(v) for k, v in amps.items() if v != 0}
         if normalize:
             norm = math.sqrt(sum(abs(a) ** 2 for a in cleaned.values()))
             if norm == 0:
                 raise ValueError("cannot normalize the zero vector")
             cleaned = {k: v / norm for k, v in cleaned.items()}
-        return QuantumState(tuple(dims), cleaned)
+        dims = tuple(dims)
+        if any(len(label) != len(dims) for label in cleaned):
+            raise ValueError("basis label arity does not match coordinate count")
+        labels = np.array(list(cleaned)).reshape(len(cleaned), len(dims))
+        values = np.fromiter(cleaned.values(), dtype=complex, count=len(cleaned))
+        return QuantumState(dims, labels, values)
 
     @staticmethod
     def basis(dims: Sequence[int], label: Sequence[int]) -> "QuantumState":
@@ -166,12 +162,11 @@ class QuantumState:
 
     def norm(self) -> float:
         # compensated: a naive sum of ~10**6 squares drifts past NORM_ATOL
-        return math.sqrt(math.fsum((np.abs(self._view[1]) ** 2).tolist()))
+        return math.sqrt(math.fsum((np.abs(self.values) ** 2).tolist()))
 
     def dense(self) -> np.ndarray:
-        labels, values = self._view
         out = np.zeros(math.prod(self.dims), dtype=complex)
-        out[_row_keys(labels, range(len(self.dims)), self.dims)] = values
+        out[_row_keys(self.labels, range(len(self.dims)), self.dims)] = self.values
         return out
 
 
@@ -224,14 +219,14 @@ def qencode(msp: MSP, state: QuantumState) -> EncodedState:
     block = p ** (msp.e - 1)
     scale = 1.0 / math.sqrt(block)
     table = msp._label_table
-    secrets = [s for (s,) in state.amps]
+    secrets = state.labels[:, 0].tolist()
     if secrets == list(range(secrets[0], secrets[0] + len(secrets))):
         # ascending consecutive secrets (basis and full-support probes): a view
         labels = table[secrets[0] * block : (secrets[-1] + 1) * block]
     else:
         labels = np.concatenate([table[s * block : (s + 1) * block] for s in secrets])
-    values = np.repeat(state._view[1] * scale, block)
-    return EncodedState(QuantumState._from_arrays((p,) * msp.d, labels, values), msp)
+    values = np.repeat(state.values * scale, block)
+    return EncodedState(QuantumState((p,) * msp.d, labels, values), msp)
 
 
 def apply_plan(enc: EncodedState, plan: ReconstructionPlan) -> QuantumState:
@@ -242,12 +237,12 @@ def apply_plan(enc: EncodedState, plan: ReconstructionPlan) -> QuantumState:
     """
     if plan.msp != enc.msp:
         raise ValueError("plan was built for a different MSP")
-    labels, values = enc.state._view
+    labels = enc.state.labels
     a_rows = list(plan.a_rows)
     u = np.array(plan.u.data, dtype=np.int64)
     out = labels.copy()
     out[:, a_rows] = labels[:, a_rows] @ u.T % enc.msp.field.p
-    return QuantumState._from_arrays(enc.state.dims, out, values)
+    return QuantumState(enc.state.dims, out, enc.state.values)
 
 
 def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
@@ -264,10 +259,10 @@ def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
         raise ValueError(
             f"reduced dimension {dim} exceeds the exact-simulation guard ({REDUCTION_DIM_GUARD})"
         )
-    labels, values = state._view
+    labels, values = state.labels, state.values
     kidx = _row_keys(labels, keep, state.dims)
     # A group is the amplitudes sharing one traced-out label. Groups are
-    # numbered by first appearance and members kept in amps order.
+    # numbered by first appearance and members kept in row order.
     _, first, where = np.unique(
         _row_keys(labels, rest, state.dims), return_index=True, return_inverse=True
     )

@@ -10,7 +10,9 @@ items, so the table-backed paths can be compared with them exactly.
 ``ref_eq1_check`` and ``ref_homomorphic_dichotomy_check`` are the
 all-pairs-of-U-words loops that ``eq1_check`` and
 ``homomorphic_dichotomy_check`` ran before both summed the table once
-over Q-words.
+over Q-words; ``_sqrt_sum`` is the canonical form the first sums in.
+``ref_lift_report`` is ``lift_report`` as it ran before it sliced
+arrays of the table: one dict of lifted amplitudes per probe.
 """
 
 import itertools
@@ -18,9 +20,16 @@ from collections import Counter
 from fractions import Fraction
 
 from spanshare.classical import ENUMERATION_GUARD
-from spanshare.condition import _split_preconditions, _sqrt_sum
+from spanshare.condition import LiftReport, _split_preconditions, _sqrt_decompose
 from spanshare.galois import solve_left
 from spanshare.msp import rows_of
+from spanshare.quantum import (
+    SECRECY_TOL,
+    QuantumState,
+    partial_trace,
+    probe_family,
+    trace_distance,
+)
 from spanshare.structures import complement, format_players
 
 
@@ -124,6 +133,25 @@ def ref_homomorphic_table(spec):
     return (order,) * len(spec.matrix), list(table.items())
 
 
+def _sqrt_sum(terms):
+    """Canonical form of sum(sqrt(t)): {squarefree k: rational coefficient}.
+
+    Square roots of distinct squarefree integers are linearly
+    independent over the rationals, so two sums are equal iff these
+    maps are equal.
+    """
+    acc = {}
+    for t in terms:
+        if t == 0:
+            continue
+        a, k = _sqrt_decompose(t.numerator * t.denominator)
+        coeff = Fraction(a, t.denominator)
+        acc[k] = acc.get(k, Fraction(0)) + coeff
+        if acc[k] == 0:
+            del acc[k]
+    return acc
+
+
 def ref_eq1_check(sch, u_mask):
     """eq1_check with one canonical sum per pair of U-words and secret."""
     _split_preconditions(sch, u_mask)
@@ -171,3 +199,25 @@ def ref_homomorphic_dichotomy_check(sch, u_mask):
                 if p1 * p2 != 0 and p1 != p2:
                     return False
     return True
+
+
+def ref_lift_report(sch, u_mask, seed=0):
+    """lift_report on the default probes, walking the table once per probe."""
+    _split_preconditions(sch, u_mask)
+    family = [
+        (name, psi.dense()) for name, psi in probe_family(sch.secret_count, seed, n_random=10)
+    ]
+    reduced = []
+    for name, alpha in family:
+        amps = {}
+        for (s, y), pr in sch.table.items():
+            if alpha[s] != 0:
+                amps[y] = alpha[s] * float(pr) ** 0.5
+        state = QuantumState.from_amplitudes(sch.share_sizes, amps)
+        reduced.append((name, partial_trace(state, sch.coords(u_mask))))
+    worst, witness = 0.0, None
+    for (name1, rho1), (name2, rho2) in itertools.combinations(reduced, 2):
+        dist = trace_distance(rho1, rho2)
+        if dist > worst:
+            worst, witness = dist, (name1, name2)
+    return LiftReport(worst <= SECRECY_TOL, worst, witness, [n for n, _ in family], seed)

@@ -86,7 +86,7 @@ def schmidt_rank(state, first, tol=1e-9):
     rest = tuple(c for c in range(len(state.dims)) if c not in set(first))
     d1 = math.prod(state.dims[c] for c in first) if first else 1
     d2 = math.prod(state.dims[c] for c in rest) if rest else 1
-    labels, values = state._view
+    labels, values = state.labels, state.values
     mat = np.zeros((d1, d2), dtype=complex)
     mat[_row_keys(labels, first, state.dims), _row_keys(labels, rest, state.dims)] = values
     singular = np.linalg.svd(mat, compute_uv=False)

@@ -107,6 +107,15 @@ def test_build_plan_errors(shamir13):
         build_reconstruction_plan(orm, mask(3, n=3))
 
 
+def test_build_plan_refusal_texts(shamir13):
+    # B = {1,2} of Shamir(3,1) fails both conditions; the B test comes first
+    with pytest.raises(ValueError, match=r"^set \{1,2\} is qualified, not in the adversary"):
+        build_reconstruction_plan(shamir13, mask(1, 2, n=3))
+    orm = compile_formula(parse_formula("or(and(1,3),and(2,3))"), GF5)
+    with pytest.raises(ValueError, match=r"^complement \{3\} cannot reconstruct; erased set is not"):
+        build_reconstruction_plan(orm, mask(1, 2, n=3))
+
+
 def test_build_plan_empty_set(shamir13):
     plan = build_reconstruction_plan(shamir13, 0)
     assert plan.m == shamir13.d

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from spanshare.condition import (
     scheme_from_msp,
     search_counterexample,
     _sqrt_decompose,
-    _sqrt_sum,
 )
 from spanshare.msp import MSP, shamir_msp
 from spanshare.structures import (
@@ -38,9 +38,11 @@ from spanshare.structures import (
 
 from conftest import random_msps
 from reference_classical import (
+    _sqrt_sum,
     ref_eq1_check,
     ref_homomorphic_dichotomy_check,
     ref_homomorphic_table,
+    ref_lift_report,
     ref_scheme_table,
 )
 
@@ -240,6 +242,24 @@ def test_lift_requires_superposition_probes(shamir_table):
     ]
     with pytest.raises(ValueError, match="non-basis"):
         lift_and_test(shamir_table, mask(1, n=3), inputs=basis_only)
+
+
+def test_lift_report_matches_dict_reference(shamir_table):
+    fixture = Path(__file__).parent / "fixtures" / "counterexample.scheme"
+    cases = [(shamir_table, u) for u in range(8)]
+    cases.append((parse_scheme(fixture.read_text()), U1))
+    for seed in (0, 1):
+        schemes = generate_valid_schemes(
+            60, seed, max_secrets=4, max_share_size=6, max_denominator=24
+        )
+        cases += [(sch, u) for sch in schemes for u in range(4)]
+    verdicts = set()
+    for sch, u in cases:
+        # LiftReport is a dataclass: == compares every field exactly
+        outcome = _check_outcome(lift_report, sch, u)
+        assert outcome == _check_outcome(ref_lift_report, sch, u), (format_scheme(sch), u)
+        verdicts.add(getattr(outcome, "passed", None))
+    assert verdicts == {True, False, None}
 
 
 def test_homomorphic_one_time_pad(one_time_pad):

@@ -47,13 +47,25 @@ def test_state_construction_and_norm():
     s = QuantumState.basis((5,), (3,))
     assert s.norm() == pytest.approx(1.0)
     with pytest.raises(ValueError, match="norm"):
-        QuantumState((2,), {(0,): 0.5})
+        QuantumState.from_amplitudes((2,), {(0,): 0.5})
     with pytest.raises(ValueError, match="arity"):
-        QuantumState((2,), {(0, 1): 1.0})
+        QuantumState.from_amplitudes((2,), {(0, 1): 1.0})
     with pytest.raises(ValueError, match="range"):
-        QuantumState((2,), {(3,): 1.0})
+        QuantumState.from_amplitudes((2,), {(3,): 1.0})
     normalized = QuantumState.from_amplitudes((2,), {(0,): 1, (1,): 1}, normalize=True)
     assert normalized.amps[(0,)] == pytest.approx(1 / math.sqrt(2))
+
+
+def test_state_arrays_are_the_only_storage():
+    state = QuantumState.from_amplitudes((3, 2), {(2, 1): 0.6, (0, 1): 0.8j})
+    assert state.amps == dict(zip(map(tuple, state.labels.tolist()), state.values.tolist()))
+    assert list(state.amps) == [(2, 1), (0, 1)]
+    with pytest.raises(ValueError, match="read-only"):
+        state.labels[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        state.values[0] = 0.6j
+    with pytest.raises(ValueError, match="length"):
+        QuantumState((3, 2), state.labels, np.array([1.0, 0.0, 0.0], dtype=complex))
 
 
 def test_qencode_basis_zero(shamir13):

@@ -126,7 +126,7 @@ def test_partial_trace_compresses_wide_keys():
     state = QuantumState.from_amplitudes(dims, amps, normalize=True)
     for keep in [(), (0,), (4,)]:
         assert_same_matrix(partial_trace(state, keep).mat, ref_partial_trace(state, keep))
-    labels = state._view[0]
+    labels = state.labels
     keys = _row_keys(labels, range(1, 9), dims).tolist()
     rows = [tuple(row[1:]) for row in labels.tolist()]
     assert all((keys[i] == keys[j]) == (rows[i] == rows[j])
@@ -156,13 +156,13 @@ def test_fast_paths_make_no_matvec_calls(monkeypatch):
 def test_array_built_states_keep_every_check():
     labels = np.array([[0, 1], [0, 1]], dtype=np.int64)
     with pytest.raises(ValueError, match="duplicate"):
-        QuantumState._from_arrays((2, 2), labels, np.array([0.6, 0.8], dtype=complex))
+        QuantumState((2, 2), labels, np.array([0.6, 0.8], dtype=complex))
     with pytest.raises(ValueError, match="range"):
-        QuantumState._from_arrays((2, 2), np.array([[0, 2]]), np.array([1.0], dtype=complex))
+        QuantumState((2, 2), np.array([[0, 2]]), np.array([1.0], dtype=complex))
     with pytest.raises(ValueError, match="norm"):
-        QuantumState._from_arrays((2, 2), np.array([[0, 1]]), np.array([0.5], dtype=complex))
+        QuantumState((2, 2), np.array([[0, 1]]), np.array([0.5], dtype=complex))
     with pytest.raises(ValueError, match="int"):
-        QuantumState((2,), {(0.5,): 1.0})
+        QuantumState.from_amplitudes((2,), {(0.5,): 1.0})
 
 
 SHAMIR_7_3_GF17 = shamir_msp(7, 3, Field(17))
