@@ -1,15 +1,16 @@
 """Adversary structures over small player sets, and monotone formulas.
 
 An adversary structure is a downward-closed family of player subsets,
-stored as the antichain of its maximal sets. Player sets are bitmasks
-over players 1..n (bit i-1 is player i); n is capped at 16 so duals
-and membership sweeps can simply enumerate all 2**n subsets.
+stored as one 2**n-bit membership set: an int whose bit b is set iff
+player set b is a member. Player sets are bitmasks over players 1..n
+(bit i-1 is player i); n is capped at 16, so that set has 65,536 bits
+at most.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
 MAX_PLAYERS = 16
@@ -32,15 +33,13 @@ def mask_from_players(players: Iterable[int], n: int) -> int:
     return mask
 
 
+def _positions(bits: int) -> list[int]:
+    """The set bits, ascending."""
+    return [b for b, digit in enumerate(bin(bits)[:1:-1]) if digit == "1"]
+
+
 def players_from_mask(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(b + 1 for b in _positions(mask))
 
 
 def format_players(mask: int) -> str:
@@ -53,102 +52,104 @@ def complement(mask: int, n: int) -> int:
     return full_mask(n) & ~mask
 
 
-def is_subset(a: int, b: int) -> bool:
-    return a & ~b == 0
+def _check_player_count(n: int) -> None:
+    if not 1 <= n <= MAX_PLAYERS:
+        raise ValueError(f"player count must lie in 1..{MAX_PLAYERS}, got {n}")
 
 
-def _antichain(masks: Iterable[int]) -> tuple[int, ...]:
-    """Maximal elements of a family, sorted ascending as ints.
+@cache
+def _with_player(n: int) -> tuple[int, ...]:
+    """Per player bit i, the membership set of the subsets holding it."""
+    every = (1 << (1 << n)) - 1
+    return tuple(every // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1 << (1 << i)) for i in range(n))
 
-    Distinct sets of one size never contain each other, so each set is
-    tested only against the kept sets of strictly larger size: a family
-    of one size costs no subset test at all.
-    """
-    kept: list[int] = []
-    size, larger = -1, 0  # kept[:larger] are larger than the current size
-    for count, m in sorted(((bin(m).count("1"), m) for m in set(masks)), reverse=True):
-        if count != size:
-            size, larger = count, len(kept)
-        if not any(is_subset(m, k) for k in kept[:larger]):
-            kept.append(m)
-    return tuple(sorted(kept))
+
+def _down_closure(bits: int, n: int) -> int:
+    """Add every subset of a member, dropping one player at a time."""
+    for i, upper in enumerate(_with_player(n)):
+        bits |= (bits & upper) >> (1 << i)
+    return bits
+
+
+def _reflect(bits: int, n: int) -> int:
+    """Bit b moves to bit full_mask(n) - b: each set to its complement."""
+    return int(format(bits, f"0{1 << n}b")[::-1], 2)
 
 
 @dataclass(frozen=True)
 class AdversaryStructure:
     """Downward-closed family of tolerable player coalitions.
 
-    Construction canonicalizes: redundant (non-maximal) input sets are
-    pruned and the remaining antichain is sorted, so structural
-    equality coincides with equality of the set families.
+    Construction closes the given sets downward into the membership
+    set and reads ``maximal`` back off it (the members with no member
+    one player larger, ascending), so structural equality coincides
+    with equality of the set families.
     """
 
     n: int
     maximal: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_PLAYERS:
-            raise ValueError(f"player count must lie in 1..{MAX_PLAYERS}, got {self.n}")
+        _check_player_count(self.n)
+        bits = 0
         for m in self.maximal:
             if m & ~full_mask(self.n):
                 raise ValueError("maximal set contains a player id out of range")
-        object.__setattr__(self, "maximal", _antichain(self.maximal))
+            bits |= 1 << m
+        self._settle(_down_closure(bits, self.n))
+
+    def _settle(self, bits: int) -> None:
+        """Store a downward-closed membership set and its maximal sets."""
+        covered = 0
+        for i, upper in enumerate(_with_player(self.n)):
+            covered |= (bits & upper) >> (1 << i)
+        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "maximal", tuple(_positions(bits & ~covered)))
+
+    @classmethod
+    def _from_bits(cls, n: int, bits: int) -> "AdversaryStructure":
+        """The structure whose downward-closed membership set is bits."""
+        out = cls(n, ())  # checks n
+        out._settle(bits)
+        return out
 
     @classmethod
     def from_table(cls, n: int, table: Sequence[int]) -> "AdversaryStructure":
-        """The structure whose members are the truthy entries of a
-        downward-closed 2**n membership table indexed by bitmask."""
-        maximal = [
-            b
-            for b in range(1 << n)
-            if table[b] and not any(table[b | 1 << i] for i in range(n) if not b >> i & 1)
-        ]
-        return cls(n, tuple(maximal))
-
-    @cached_property
-    def _table(self) -> bytes:
-        """Membership of every subset, by downward closure of the maximal sets."""
-        table = bytearray(1 << self.n)
-        for m in self.maximal:
-            table[m] = 1
-        for i in range(self.n):
-            for b in range(1 << self.n):
-                table[b] |= table[b | 1 << i]
-        return bytes(table)
+        """The structure generated by the truthy entries of a 2**n
+        membership table indexed by bitmask (byte values or bools)."""
+        digits = bytes(table).translate(b"0" + b"1" * 255)[::-1]
+        return cls._from_bits(n, _down_closure(int(digits, 2), n))
 
     @cached_property
     def _dual(self) -> "AdversaryStructure":
         # B is in the dual iff complement(B) = full - B is not a member
-        return AdversaryStructure.from_table(self.n, bytes(1 - x for x in reversed(self._table)))
+        every = (1 << (1 << self.n)) - 1
+        return AdversaryStructure._from_bits(self.n, every ^ _reflect(self._bits, self.n))
 
     def is_member(self, mask: int) -> bool:
         if mask & ~full_mask(self.n):
             raise ValueError("subset contains a player id out of range")
-        return self._table[mask] == 1
+        return self._bits >> mask & 1 == 1
 
     def members(self) -> Iterator[int]:
-        """All member subsets, ascending as ints (2**n sweep)."""
-        for b, member in enumerate(self._table):
-            if member:
-                yield b
+        """All member subsets, ascending as ints."""
+        yield from _positions(self._bits)
 
     def dual(self) -> "AdversaryStructure":
         """The structure {B : complement(B) not a member}."""
         return self._dual
 
     def is_q2(self) -> bool:
-        """True iff no two member sets cover the full player set."""
-        full = full_mask(self.n)
-        pairwise = not any(
-            m1 | m2 == full for m1 in self.maximal for m2 in self.maximal
-        )
+        """True iff no two member sets cover the full player set, i.e.
+        (the family being downward closed) no member's complement is one."""
+        result = self._bits & _reflect(self._bits, self.n) == 0
         # cross-check against the inclusion characterization: Q2 iff A is
         # contained in its dual
         dual = self.dual()
         inclusion = all(dual.is_member(m) for m in self.maximal)
-        if pairwise != inclusion:
+        if result != inclusion:
             raise RuntimeError("Q2 criteria disagree; structure algebra is broken")
-        return pairwise
+        return result
 
     def is_q2star(self) -> bool:
         """True iff the dual is Q2, i.e. any two qualified sets intersect."""
@@ -174,10 +175,8 @@ class AdversaryStructure:
         """
         if not self.is_q2star():
             raise ValueError("structure is not Q2*; no-cloning forbids QSS")
-        tau_bit = 1 << self.n
-        dual = self.dual()
-        maximal = list(self.maximal) + [m | tau_bit for m in dual.maximal]
-        out = AdversaryStructure(self.n + 1, tuple(maximal))
+        # the upper half of the new set: B + {n+1} for every member B of the dual
+        out = AdversaryStructure._from_bits(self.n + 1, self._bits | self.dual()._bits << (1 << self.n))
         if not out.is_selfdual():
             raise RuntimeError("self-dual extension failed its own check")
         return out
@@ -186,7 +185,8 @@ class AdversaryStructure:
         """The structure {B member : B within 1..n}, over n players."""
         if n > self.n:
             raise ValueError("restriction cannot grow the player set")
-        return AdversaryStructure.from_table(n, self._table[: 1 << n])
+        _check_player_count(n)
+        return AdversaryStructure._from_bits(n, self._bits & (1 << (1 << n)) - 1)
 
 
 def build_structure(n: int, maximal: Iterable[Iterable[int]]) -> AdversaryStructure:
@@ -198,12 +198,8 @@ def threshold_structure(n: int, t: int) -> AdversaryStructure:
     """All coalitions of size at most t."""
     if not 0 <= t <= n:
         raise ValueError(f"threshold {t} out of range for {n} players")
-    if t == 0:
-        return AdversaryStructure(n, (0,))
-    from itertools import combinations
-
-    maximal = [mask_from_players(c, n) for c in combinations(range(1, n + 1), t)]
-    return AdversaryStructure(n, tuple(maximal))
+    _check_player_count(n)  # before any of the 2**n sets is looked at
+    return AdversaryStructure.from_table(n, [b.bit_count() <= t for b in range(1 << n)])
 
 
 # ---------------------------------------------------------------------------

