@@ -11,21 +11,18 @@ invertible matrix U, after which the first A coordinate factors out
 as the secret.
 
 States are sparse: an N x k int64 array of distinct basis labels and
-the N complex amplitudes on them, so an encoded state is rows of the
-dealt label table with one amplitude each. Both relabelings are
-whole-array integer products mod p: the encoder slices the MSP's cached
-table of every M (s, a), and a plan multiplies the A columns by U.
+their N complex amplitudes. An encoded state is rows of the MSP's cached
+table of every M (s, a), and a plan multiplies the A columns by U mod p.
 Partial traces group the amplitudes by their traced-out labels with
-numpy sorts. The only dense objects are the small reduced
-density matrices used for fidelity/trace-distance checks, where numpy
-does the eigenvalue work.
+numpy sorts, and reduced states keep only the entries on their support,
+where secrecy checks compare them. Only fidelity and exact trace
+distances build dense matrices, where numpy does the eigenvalue work.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import mmap
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -49,8 +46,6 @@ REDUCTION_DIM_GUARD = 4096
 _KEY_LIMIT = 2**40
 # partial_trace expands at most about this many amplitude pairs at once
 _PAIR_CHUNK = 1 << 20
-# numpy advises transparent huge pages for arrays of this many bytes and more
-_HUGEPAGE_BYTES = 1 << 22
 
 
 def _row_keys(labels: np.ndarray, cols: Sequence[int], dims: Sequence[int]) -> np.ndarray:
@@ -68,20 +63,6 @@ def _row_keys(labels: np.ndarray, cols: Sequence[int], dims: Sequence[int]) -> n
         key = key * dims[c] + labels[:, c]
         bound *= dims[c]
     return key
-
-
-def _zero_matrix(dim: int) -> np.ndarray:
-    """A dim x dim complex zero matrix whose unwritten pages stay non-resident.
-
-    Reduced states of sparse encodings are mostly zero, but numpy backs
-    arrays from 4 MiB on with transparent huge pages, where one written
-    entry makes 2 MiB resident. Those sizes get fresh private pages instead.
-    """
-    nbytes = dim * dim * np.dtype(complex).itemsize
-    if nbytes < _HUGEPAGE_BYTES or not hasattr(mmap, "MAP_ANONYMOUS"):
-        return np.zeros((dim, dim), dtype=complex)
-    pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    return np.frombuffer(pages, dtype=complex).reshape(dim, dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,53 +127,78 @@ class QuantumState:
 
     @staticmethod
     def basis(dims: Sequence[int], label: Sequence[int]) -> "QuantumState":
-        return QuantumState.from_amplitudes(dims, {tuple(label): 1.0})
+        return QuantumState(tuple(dims), np.array([tuple(label)]), np.ones(1, dtype=complex))
 
     @staticmethod
     def uniform(dim: int) -> "QuantumState":
         amp = 1.0 / math.sqrt(dim)
-        return QuantumState.from_amplitudes((dim,), {(s,): amp for s in range(dim)})
+        return QuantumState((dim,), np.arange(dim).reshape(dim, 1), np.full(dim, complex(amp)))
 
     @staticmethod
     def random(dim: int, rng: np.random.Generator) -> "QuantumState":
-        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        return QuantumState.from_amplitudes(
-            (dim,), {(s,): raw[s] for s in range(dim)}, normalize=True
-        )
+        raw = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)).tolist()
+        # normalized in Python, in label order, as from_amplitudes does
+        norm = math.sqrt(sum(abs(a) ** 2 for a in raw))
+        return QuantumState((dim,), np.arange(dim).reshape(dim, 1), [a / norm for a in raw])
 
     def norm(self) -> float:
         # compensated: a naive sum of ~10**6 squares drifts past NORM_ATOL
         return math.sqrt(math.fsum((np.abs(self.values) ** 2).tolist()))
 
     def dense(self) -> np.ndarray:
-        out = np.zeros(math.prod(self.dims), dtype=complex)
-        out[_row_keys(self.labels, range(len(self.dims)), self.dims)] = self.values
-        return out
+        keys = _row_keys(self.labels, range(len(self.dims)), self.dims)
+        return _scatter(math.prod(self.dims), keys, self.values)
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Dense reduced state over a tuple of retained coordinates.
-
-    Compare with trace_distance/fidelity, not ==; the payload is a
-    numpy array.
+    """Reduced state on its support: ``index`` holds sorted, distinct row-major
+    flat indices closed under transpose, ``values`` the complex entries there
+    (both read-only); all other entries are exact zeros.
     """
 
     dims: tuple[int, ...]
-    mat: np.ndarray
+    index: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        dim = math.prod(self.dims) if self.dims else 1
-        if self.mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {self.mat.shape} does not match dims {self.dims}")
-        if not np.allclose(self.mat, self.mat.conj().T, atol=NORM_ATOL):
+        dim = self.dim
+        index = np.asarray(self.index, dtype=np.int64)
+        values = np.asarray(self.values, dtype=complex)
+        if index.ndim != 1 or values.shape != index.shape:
+            raise ValueError("density matrix index and values differ in shape")
+        if len(index) and (index[0] < 0 or index[-1] >= dim * dim):
+            raise ValueError(f"density matrix index out of range for dims {self.dims}")
+        # values[order[k]] is the transpose of entry k: np.isclose(mat, mat^H) on the support
+        rows, cols = np.divmod(index, dim)
+        transposed = cols * dim + rows
+        order = transposed.argsort()
+        if (index[1:] <= index[:-1]).any() or (transposed[order] != index).any():
+            raise ValueError("density matrix is not Hermitian: support unsorted or not symmetric")
+        if not (abs(values[order] - values.conj()) <= NORM_ATOL + 1e-5 * abs(values)).all():
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(self.mat) - 1.0) > NORM_ATOL:
+        if abs(values[rows == cols].sum() - 1.0) > NORM_ATOL:
             raise ValueError("density matrix trace is not 1")
+        index.flags.writeable = values.flags.writeable = False
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "values", values)
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return math.prod(self.dims)
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        """The dense, read-only dim x dim matrix, built on first read."""
+        mat = _scatter(self.dim**2, self.index, self.values).reshape(self.dim, self.dim)
+        mat.flags.writeable = False
+        return mat
+
+
+def _scatter(size: int, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    out = np.zeros(size, dtype=complex)
+    out[index] = values
+    return out
 
 
 @dataclass(frozen=True)
@@ -254,7 +260,7 @@ def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
         raise ValueError("keep refers to a coordinate that does not exist")
     rest = tuple(c for c in range(len(state.dims)) if c not in set(keep))
     kdims = tuple(state.dims[c] for c in keep)
-    dim = math.prod(kdims) if kdims else 1
+    dim = math.prod(kdims)
     if dim > REDUCTION_DIM_GUARD:
         raise ValueError(
             f"reduced dimension {dim} exceeds the exact-simulation guard ({REDUCTION_DIM_GUARD})"
@@ -263,34 +269,33 @@ def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
     kidx = _row_keys(labels, keep, state.dims)
     # A group is the amplitudes sharing one traced-out label. Groups are
     # numbered by first appearance and members kept in row order.
-    _, first, where = np.unique(
-        _row_keys(labels, rest, state.dims), return_index=True, return_inverse=True
-    )
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(len(first))
-    gid = rank[where]
-    order = np.argsort(gid, kind="stable")
+    rest_keys = _row_keys(labels, rest, state.dims)
+    _, first, where = np.unique(rest_keys, return_index=True, return_inverse=True)
+    gid = first.argsort().argsort()[where]
+    order = gid.argsort(kind="stable")
     sizes = np.bincount(gid)
-    # Row i of a group adds a_i conj(a_j) into entry (kidx_i, kidx_j) for
-    # every member j. np.add.at accumulates in sequence, so each entry sums
-    # its terms in the same order as a label-at-a-time loop, and only the
-    # entries that receive a term are written: a sparse view leaves most
-    # zero pages of mat untouched.
-    width = np.repeat(sizes, sizes)
-    row_start = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    ends = np.cumsum(width)
-    mat = _zero_matrix(dim)
-    flat_mat = mat.reshape(-1)
+    # Row i of a group adds a_i conj(a_j) into entry (kidx_i, kidx_j) for every
+    # member j. np.bincount sums in sequence, with each chunk's terms after the
+    # sums so far, so entries sum their terms as a label-at-a-time loop does.
+    width = sizes.repeat(sizes)
+    row_start = (sizes.cumsum() - sizes).repeat(sizes)
+    ends = width.cumsum()
+    index, real, imag = np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
     lo = 0
     while lo < len(order):
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - width[lo] + _PAIR_CHUNK, "right")))
         w = width[lo:hi]
-        offsets = np.arange(int(w.sum())) - np.repeat(np.cumsum(w) - w, w)
-        i = np.repeat(order[lo:hi], w)
-        j = order[np.repeat(row_start[lo:hi], w) + offsets]
-        np.add.at(flat_mat, kidx[i] * dim + kidx[j], values[i] * values[j].conj())
+        offsets = np.arange(int(w.sum())) - (w.cumsum() - w).repeat(w)
+        i = order[lo:hi].repeat(w)
+        j = order[row_start[lo:hi].repeat(w) + offsets]
+        terms = values[i] * values[j].conj()
+        index, where = np.unique(np.concatenate([index, kidx[i] * dim + kidx[j]]), return_inverse=True)
+        real = np.bincount(where, np.concatenate([real, terms.real]))
+        imag = np.bincount(where, np.concatenate([imag, terms.imag]))
         lo = hi
-    return DensityMatrix(kdims, mat)
+    entries = real.astype(complex)
+    entries.imag = imag
+    return DensityMatrix(kdims, index, entries)
 
 
 def fidelity(rho: DensityMatrix, psi: QuantumState) -> float:
@@ -311,17 +316,24 @@ def trace_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
 def trace_distance_within(r1: DensityMatrix, r2: DensityMatrix, tol: float) -> tuple[bool, float]:
     """Certified (within_tol, value) check, cheap when the states agree.
 
-    Uses the bound trace_norm <= sqrt(dim) * frobenius_norm first; the
-    returned value is that upper bound when it already certifies the
-    tolerance, else the exact trace distance.
+    Uses the bound trace_norm <= sqrt(dim) * frobenius_norm first, on the
+    union of the supports; the returned value is that upper bound when it
+    certifies the tolerance, else the exact trace distance.
     """
     if r1.dim != r2.dim:
         raise ValueError("trace distance of density matrices with different dimensions")
-    delta = r1.mat - r2.mat
-    bound = 0.5 * math.sqrt(delta.shape[0]) * float(np.linalg.norm(delta))
+    if np.array_equal(r1.index, r2.index):
+        index, delta = r1.index, r1.values - r2.values
+    else:
+        index, where = np.unique(np.concatenate([r1.index, r2.index]), return_inverse=True)
+        delta = np.zeros(len(index), dtype=complex)
+        delta[where[: len(r1.index)]] = r1.values
+        delta[where[len(r1.index) :]] -= r2.values
+    bound = 0.5 * math.sqrt(r1.dim) * float(np.linalg.norm(delta))
     if bound <= tol:
         return True, bound
-    value = float(0.5 * np.abs(np.linalg.eigvalsh(delta)).sum())
+    dense = _scatter(r1.dim**2, index, delta).reshape(r1.dim, r1.dim)
+    value = float(0.5 * np.abs(np.linalg.eigvalsh(dense)).sum())
     return value <= tol, value
 
 
@@ -393,15 +405,9 @@ class VerificationReport:
         rows = []
         worst: dict[tuple[str, str], CheckLine] = {}
         for line in self.lines:
-            key = (line.check, line.subset)
-            current = worst.get(key)
-            extremal = (
-                current is None
-                or (line.metric == "fidelity" and line.value < current.value)
-                or (line.metric != "fidelity" and line.value > current.value)
-            )
-            if extremal:
-                worst[key] = line
+            current = worst.setdefault((line.check, line.subset), line)
+            if line.value < current.value if line.metric == "fidelity" else line.value > current.value:
+                worst[line.check, line.subset] = line
         for (check, subset), line in worst.items():
             value = f"{line.value:.12f}" if line.metric == "fidelity" else f"{line.value:.3e}"
             word = "min" if line.metric == "fidelity" else "max"
@@ -482,14 +488,10 @@ def verify_erasure(
     dual = structure.dual()
     descriptor = f"field={msp.field.p} d={msp.d} e={msp.e} n={msp.n} B={{{format_players(b_mask)}}}"
     report = VerificationReport("erasure", descriptor, seed)
-    if not structure.is_member(b_mask):
-        report.applicable = False
-        report.reason = "set is not in the adversary structure"
-        return report
-    if not dual.is_member(b_mask):
-        report.applicable = False
-        report.reason = "set is not in the dual structure"
-        return report
+    for members, name in ((structure, "adversary"), (dual, "dual")):
+        if not members.is_member(b_mask):
+            report.applicable, report.reason = False, f"set is not in the {name} structure"
+            return report
     _check_budget(msp, [b_mask])
     family = inputs if inputs is not None else probe_family(msp.field.p, seed)
     blocks = [([(b_mask, build_reconstruction_plan(msp, b_mask))], [b_mask])]
@@ -563,9 +565,7 @@ class MixedScheme:
         self.extended_structure = msp_structure(self.extended)
         _check_budget(self.extended, structure.members())
         self.tau = self.extended.n
-        self.qualified = [
-            q for q in range(1 << msp.n) if not structure.is_member(q)
-        ]
+        self.qualified = [q for q in range(1 << msp.n) if not structure.is_member(q)]
         full_ext = (1 << self.extended.n) - 1
         self.plans = {
             q: build_reconstruction_plan(self.extended, full_ext & ~q) for q in self.qualified

@@ -8,6 +8,9 @@ be compared with them entry by entry.
 ``validate_psd``, ``projector``, ``schmidt_rank`` and
 ``support_in_image`` are checks that only tests use; they moved here
 from spanshare.quantum, whose own code never called them.
+``ref_trace_distance_within`` is the dense secrecy check that
+spanshare.quantum used before density matrices were stored on their
+support, and ``dense_dm`` builds such a matrix from a dense array.
 """
 
 import itertools
@@ -69,6 +72,26 @@ def ref_partial_trace(state, keep):
     return mat
 
 
+def dense_dm(dims, mat):
+    """DensityMatrix of a dense array, on the entries where it or its
+    transpose is nonzero."""
+    mat = np.asarray(mat, dtype=complex)
+    index = np.flatnonzero((mat != 0) | (mat.T != 0))
+    return DensityMatrix(tuple(dims), index, mat.reshape(-1)[index])
+
+
+def ref_trace_distance_within(r1, r2, tol):
+    """The dense Frobenius-bound check, with eigvalsh when it does not certify."""
+    if r1.dim != r2.dim:
+        raise ValueError("trace distance of density matrices with different dimensions")
+    delta = r1.mat - r2.mat
+    bound = 0.5 * math.sqrt(delta.shape[0]) * float(np.linalg.norm(delta))
+    if bound <= tol:
+        return True, bound
+    value = float(0.5 * np.abs(np.linalg.eigvalsh(delta)).sum())
+    return value <= tol, value
+
+
 def validate_psd(dm, atol=1e-9):
     lowest = float(np.linalg.eigvalsh(dm.mat)[0])
     if lowest < -atol:
@@ -77,7 +100,7 @@ def validate_psd(dm, atol=1e-9):
 
 def projector(psi):
     v = psi.dense()
-    return DensityMatrix(psi.dims, np.outer(v, v.conj()))
+    return dense_dm(psi.dims, np.outer(v, v.conj()))
 
 
 def schmidt_rank(state, first, tol=1e-9):

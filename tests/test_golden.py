@@ -1,7 +1,8 @@
 """Golden outputs of the constructions, pinned byte for byte.
 
 Each construction (gate composition, dualization, extension, dealing
-tables, seeded table generation, the counterexample search) is pinned
+tables, seeded table generation, the counterexample search, the seeded
+quantum verification reports) is pinned
 by the SHA-256 of its exact text, including dict insertion order, so a
 refactor that reorders rows, deals or candidates fails here even when
 every semantic check still passes.
@@ -13,9 +14,11 @@ import pytest
 
 from spanshare import condition
 from spanshare.classical import verify_classical
+from spanshare.cli import main
 from spanshare.condition import format_scheme, generate_valid_schemes, scheme_from_msp
 from spanshare.galois import Field, Matrix
 from spanshare.msp import MSP, compile_formula, dual_msp, dump_msp, extend_msp, msp_structure, shamir_msp
+from spanshare.quantum import qss_pure
 from spanshare.structures import parse_formula, threshold_structure
 
 GF5 = Field(5)
@@ -159,3 +162,20 @@ def test_search_candidate_stream_golden(search_calls, kwargs, found, counts):
     assert (None if result is None else digest(format_scheme(result) + repr(list(result.table)))) == found
     assert search_calls == counts
 
+
+
+QSS_REPORTS = {
+    "pure": "7fea61f005eec529cd1e121e0095fe274ae7052bdfc138eb955f82d44254f221",
+    "mixed": "24d024750c75719d25f3a380e2cad54f4a504cefd885a8233a88af79bdc869e5",
+}
+
+
+def test_qss_reports_golden(tmp_path, capsys):
+    # every probe line's fidelity or distance, as printed, is pinned
+    report = qss_pure(shamir_msp(5, 2, Field(7))).verify_all(seed=2026)
+    assert digest(report.to_machine()) == QSS_REPORTS["pure"]
+    path = tmp_path / "orand.msp"
+    assert main(["msp", "from-formula", "or(and(1,3),and(2,3))", "--field", "5", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["qss", "verify-mixed", str(path), "--seed", "2026", "--format", "machine"]) == 0
+    assert digest(capsys.readouterr().out) == QSS_REPORTS["mixed"]

@@ -24,7 +24,7 @@ from spanshare.quantum import (
 )
 from spanshare.structures import build_structure, mask_from_players, parse_formula
 
-from reference_quantum import projector, schmidt_rank, support_in_image, validate_psd
+from reference_quantum import dense_dm, projector, schmidt_rank, support_in_image, validate_psd
 
 GF5 = Field(5)
 
@@ -168,7 +168,7 @@ def test_fidelity_and_trace_distance_examples():
     assert fidelity(proj, psi) == pytest.approx(1.0)
     assert trace_distance(proj, proj) == pytest.approx(0.0, abs=1e-12)
 
-    maximally_mixed = DensityMatrix((5,), np.eye(5, dtype=complex) / 5)
+    maximally_mixed = dense_dm((5,), np.eye(5) / 5)
     zero = projector(QuantumState.basis((5,), (0,)))
     assert trace_distance(maximally_mixed, zero) == pytest.approx(4 / 5)
 
@@ -176,18 +176,46 @@ def test_fidelity_and_trace_distance_examples():
     assert not within and value == pytest.approx(4 / 5)
 
     with pytest.raises(ValueError):
-        trace_distance(maximally_mixed, DensityMatrix((2,), np.eye(2, dtype=complex) / 2))
+        trace_distance(maximally_mixed, dense_dm((2,), np.eye(2) / 2))
     with pytest.raises(ValueError):
         fidelity(maximally_mixed, QuantumState.basis((2,), (0,)))
 
 
 def test_density_matrix_validation():
     with pytest.raises(ValueError, match="Hermitian"):
-        DensityMatrix((2,), np.array([[0.5, 1], [0, 0.5]], dtype=complex))
+        dense_dm((2,), [[0.5, 1], [0, 0.5]])
     with pytest.raises(ValueError, match="trace"):
-        DensityMatrix((2,), np.eye(2, dtype=complex))
-    dm = DensityMatrix((2,), np.array([[0.5, 0], [0, 0.5]], dtype=complex))
+        dense_dm((2,), np.eye(2))
+    dm = dense_dm((2,), [[0.5, 0], [0, 0.5]])
     validate_psd(dm)
+
+
+def test_sparse_density_matrix_validation():
+    # |+><+| on one qubit: flat indices 0..3 of [[.5, .5], [.5, .5]]
+    half = np.full(4, 0.5)
+    dm = DensityMatrix((2,), np.arange(4), half)
+    assert np.array_equal(dm.mat, np.full((2, 2), 0.5))
+    assert not dm.index.flags.writeable and not dm.values.flags.writeable
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix((2,), [0, 2, 1, 3], half)
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix((2,), [0, 0, 3], [0.25, 0.25, 0.5])
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix((2,), [0, 1, 3], [0.5, 0.5, 0.5])
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix((2,), np.arange(4), [0.5, 0.5j, 0.5j, 0.5])
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix((2,), [0, 3], [0.5, 0.25])
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix((2,), [1, 2], [0.5, 0.5])
+    with pytest.raises(ValueError, match="out of range"):
+        DensityMatrix((2,), [0, 4], [1.0, 0.0])
+    with pytest.raises(ValueError, match="shape"):
+        DensityMatrix((2,), [0, 3], [0.5, 0.5, 0.0])
+    # np.isclose semantics against the conjugate-transpose entry: rtol 1e-5
+    DensityMatrix((2,), np.arange(4), [0.5, 0.5 + 2e-6, 0.5, 0.5])
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix((2,), np.arange(4), [0.5, 0.5 + 1e-5, 0.5, 0.5])
 
 
 def test_norm_is_compensated_at_large_sizes():
@@ -326,6 +354,26 @@ def test_probe_family_is_deterministic():
     for (_, s1), (_, s2) in zip(fam1, fam2):
         assert s1.amps == s2.amps
     assert len(fam1) == 5 + 1 + 4
+
+
+def test_probe_builders_match_from_amplitudes():
+    # the array-built probes keep the dict path's values bit for bit
+    def same(a, b):
+        assert a.dims == b.dims and np.array_equal(a.labels, b.labels)
+        assert a.values.tobytes() == b.values.tobytes()
+
+    for dim in (2, 3, 5, 7):
+        for s in range(dim):
+            same(QuantumState.basis((dim,), (s,)), QuantumState.from_amplitudes((dim,), {(s,): 1.0}))
+        amp = 1.0 / math.sqrt(dim)
+        same(QuantumState.uniform(dim), QuantumState.from_amplitudes((dim,), {(s,): amp for s in range(dim)}))
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            amps = {(s,): a for s, a in enumerate(raw.tolist())}
+            expected = QuantumState.from_amplitudes((dim,), amps, normalize=True)
+            same(QuantumState.random(dim, np.random.default_rng(seed)), expected)
+    same(QuantumState.basis([5, 5], [2, 3]), QuantumState.from_amplitudes((5, 5), {(2, 3): 1.0}))
 
 
 def sweep_keys(recovery_sets, secrecy_sets, names):

@@ -8,7 +8,12 @@ import time
 import numpy as np
 import pytest
 
-from reference_quantum import ref_apply_plan, ref_partial_trace, ref_qencode
+from reference_quantum import (
+    ref_apply_plan,
+    ref_partial_trace,
+    ref_qencode,
+    ref_trace_distance_within,
+)
 from spanshare.cli import main
 from spanshare.galois import Field, Matrix
 from spanshare.msp import compile_formula, dump_msp, extend_msp, shamir_msp
@@ -23,6 +28,7 @@ from spanshare.quantum import (
     qencode,
     qss_mixed,
     qss_pure,
+    trace_distance_within,
     verify_erasure,
 )
 from spanshare.structures import parse_formula
@@ -94,7 +100,7 @@ def test_partial_trace_matches_reference_on_every_keep():
 
 
 def test_large_views_match_reference():
-    # views of 4 MiB and more are built on fresh private pages
+    # views that would take 4 MiB and more as dense matrices
     state = random_sparse_state(np.random.default_rng(4), (8, 8, 8, 2), 0.15)
     for keep in [(0, 1, 2), (0, 1, 2, 3), (1, 3)]:
         assert_same_matrix(partial_trace(state, keep).mat, ref_partial_trace(state, keep))
@@ -135,10 +141,55 @@ def test_partial_trace_compresses_wide_keys():
 
 def test_partial_trace_in_small_chunks(monkeypatch):
     # a bucket of equal-size groups is expanded a few groups at a time
-    monkeypatch.setattr(quantum, "_PAIR_CHUNK", 7)
     state = random_sparse_state(np.random.default_rng(8), (3, 4, 2, 5), 0.5)
-    for keep in [(), (0,), (1, 3), (0, 1, 2)]:
-        assert_same_matrix(partial_trace(state, keep).mat, ref_partial_trace(state, keep))
+    keeps = [(), (0,), (1, 3), (0, 1, 2)]
+    whole = [partial_trace(state, keep) for keep in keeps]
+    monkeypatch.setattr(quantum, "_PAIR_CHUNK", 7)
+    # keep=() makes every row its own one-pair group, so chunks hold at
+    # most 7 rows and the single entry takes terms from every chunk
+    assert len(state.labels) > 2 * quantum._PAIR_CHUNK
+    for keep, unchunked in zip(keeps, whole):
+        rho = partial_trace(state, keep)
+        assert_same_matrix(rho.mat, ref_partial_trace(state, keep))
+        # merged chunk sums keep the single pass's summation order
+        assert np.array_equal(rho.index, unchunked.index)
+        assert rho.values.tobytes() == unchunked.values.tobytes()
+
+
+def assert_same_distance(rho1, rho2):
+    fast = trace_distance_within(rho1, rho2, quantum.SECRECY_TOL)
+    ref = ref_trace_distance_within(rho1, rho2, quantum.SECRECY_TOL)
+    assert fast[0] == ref[0] and abs(fast[1] - ref[1]) <= ATOL
+    return fast[0]
+
+
+def shamir_views(rows):
+    msp = shamir_msp(5, 2, GF7)
+    return [partial_trace(qencode(msp, state).state, rows) for _, state in inputs(7)]
+
+
+def test_secrecy_views_with_equal_supports_match_reference():
+    for b in (0b00001, 0b00011, 0b10100):
+        views = shamir_views(shamir_msp(5, 2, GF7).row_indices(b))
+        assert all(np.array_equal(v.index, views[0].index) for v in views)
+        assert all(assert_same_distance(r1, r2) for r1, r2 in itertools.combinations(views, 2))
+
+
+def test_views_with_different_supports_match_reference():
+    basis = shamir_views((0, 1, 2))[:7]
+    assert not any(np.array_equal(r1.index, r2.index) for r1, r2 in itertools.combinations(basis, 2))
+    assert not any(assert_same_distance(r1, r2) for r1, r2 in itertools.combinations(basis, 2))
+
+
+def test_leaking_pairs_on_equal_supports_take_the_exact_path():
+    views = shamir_views((0, 2, 4))[7:]
+    pairs = [(r1, r2) for r1, r2 in itertools.combinations(views, 2) if np.array_equal(r1.index, r2.index)]
+    assert len(pairs) >= 3
+    for r1, r2 in pairs:
+        assert not assert_same_distance(r1, r2)
+        # the Frobenius bound did not certify, so the value is the exact distance
+        exact = 0.5 * np.abs(np.linalg.eigvalsh(r1.mat - r2.mat)).sum()
+        assert abs(trace_distance_within(r1, r2, quantum.SECRECY_TOL)[1] - exact) <= ATOL
 
 
 def test_fast_paths_make_no_matvec_calls(monkeypatch):
