@@ -1,7 +1,9 @@
 """General (possibly nonlinear) classical schemes and their quantum lifting.
 
 A scheme is an exact rational probability table P(Y = y | S = s) over
-finite share spaces. For an adversary set U with qualified complement
+finite share spaces, held as arrays: one row per supported (s, y) with
+integer weights over one denominator, and every check groups the rows
+by integer keys of the shares it reads. For an adversary set U with qualified complement
 Q, the direct quantum lifting (amplitudes sqrt of probabilities)
 corrects erasures on U exactly when, for every pair of U-share words,
 the sum over reconstructing Q-words of the square-root products is
@@ -23,17 +25,20 @@ confirms the leak.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .classical import ENUMERATION_GUARD
 from .msp import MSP, _linear_deals, msp_structure
-from .quantum import SECRECY_TOL, QuantumState, partial_trace, probe_family, trace_distance
-from .structures import MAX_PLAYERS, AdversaryStructure, complement, format_players
+from .quantum import SECRECY_TOL, QuantumState, _row_keys, partial_trace, probe_family
+from .structures import MAX_PLAYERS, AdversaryStructure, complement, format_players, full_mask
 
 
 class SchemeFormatError(ValueError):
@@ -47,28 +52,49 @@ class PreconditionError(ValueError):
 ORACLE_DIMENSION_GUARD = 10**6
 
 
-@dataclass(frozen=True)
+def _groups(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each distinct key, ascending: its first row and the exact sum
+    of its rows' weights."""
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    starts = np.flatnonzero(np.r_[len(keys) > 0, ordered[1:] != ordered[:-1]])
+    return order[starts], np.add.reduceat(weights[order], starts)
+
+
+@dataclass(frozen=True, eq=False)
 class ClassicalScheme:
     """Exact conditional probability table of an n-player scheme.
 
     Secrets are 0..secret_count-1; player i's share is an int below
-    share_sizes[i-1]; the sparse table maps (s, y) to a positive
-    Fraction and each per-secret slice sums to exactly 1. ``structure``
-    is the adversary structure the scheme claims to tolerate; when not
-    given it is derived as the family of all subsets whose share
-    marginal is secret-independent (the maximal tolerable structure).
+    share_sizes[i-1]. Row r deals secret ``secrets[r]`` with probability
+    ``numerators[r] / denominator`` (int64 numerators when no sum of them
+    passes int64, else Python ints). ``shares`` gives each player's
+    column of shares; it is kept as ``codes`` (R x n int64), each
+    share's rank among its player's distinct values ``share_values[i]``
+    (ascending Python ints, exact past int64). Construction merges the
+    rows of one (s, y) in first-row order, drops zero rows, checks that
+    each secret's probabilities sum to exactly 1 and makes the arrays
+    read-only. ``structure`` is the adversary structure the scheme
+    claims to tolerate; when not given it is derived as the family of
+    all subsets whose share marginal is secret-independent (the maximal
+    tolerable structure).
     """
 
     n: int
     secret_count: int
     share_sizes: tuple[int, ...]
-    table: dict[tuple[int, tuple[int, ...]], Fraction]
+    secrets: np.ndarray
+    shares: InitVar[Sequence[Sequence[int]]]
+    numerators: np.ndarray
+    denominator: int
     structure: AdversaryStructure | None = None
+    codes: np.ndarray = dc_field(init=False)
+    share_values: tuple[tuple[int, ...], ...] = dc_field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, shares: Sequence[Sequence[int]]) -> None:
         if self.n < 1 or len(self.share_sizes) != self.n:
             raise ValueError("share_sizes must list one space per player")
-        if self.n > MAX_PLAYERS:  # before _derive_structure's 2**n secrecy checks
+        if self.n > MAX_PLAYERS:  # before _derive_structure's secrecy checks
             raise ValueError(f"player count must lie in 1..{MAX_PLAYERS}, got {self.n}")
         if self.structure is not None and self.structure.n != self.n:
             raise ValueError(
@@ -76,81 +102,125 @@ class ClassicalScheme:
             )
         if self.secret_count < 1:
             raise ValueError("need at least one secret")
-        sums: dict[int, Fraction] = {}
-        cleaned: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-        for (s, y), pr in self.table.items():
-            if not 0 <= s < self.secret_count:
-                raise ValueError(f"secret {s} out of range")
-            if len(y) != self.n or any(not 0 <= yi < sz for yi, sz in zip(y, self.share_sizes)):
-                raise ValueError(f"share word {y} out of range")
-            pr = Fraction(pr)
-            if pr < 0:
-                raise ValueError("negative probability")
-            if pr > 0:
-                cleaned[(s, tuple(y))] = pr
-                sums[s] = sums.get(s, 0) + pr
-        for s in range(self.secret_count):
-            total = sums.get(s, 0)
-            if total != 1:
+        # integers past int64 become object arrays of Python ints
+        secrets, nums = np.asarray(self.secrets), np.asarray(self.numerators)
+        columns = [np.asarray(col) for col in shares]
+        if len(columns) != self.n or secrets.ndim != 1 or self.denominator < 1:
+            raise ValueError("need one share column per player, 1-D secrets and a positive denominator")
+        if any(a.shape != secrets.shape for a in [nums, *columns]):
+            raise ValueError("need one numerator and one share per player in every row")
+        ranked = [np.unique(col, return_inverse=True) for col in columns]
+        values = tuple(tuple(v.tolist()) for v, _ in ranked)
+        ranks = [len(v) for v in values]
+        codes = np.array([inverse for _, inverse in ranked], dtype=np.int64).reshape(self.n, -1).T
+        # merge the rows of one (s, y) in first-row order, summing exactly
+        keys = _row_keys(np.column_stack([np.unique(secrets, return_inverse=True)[1], codes]),
+                         range(self.n + 1), [len(secrets)] + ranks)
+        first, nums = _groups(keys, nums.astype(object))
+        secrets, codes, nums = (a[first.argsort()] for a in (secrets[first], codes[first], nums))
+        bad_share = np.zeros(len(secrets), dtype=bool)
+        for v, size, col in zip(values, self.share_sizes, codes.T):
+            bad_share |= np.array([not 0 <= x < size for x in v], dtype=bool)[col]
+        bad = [(secrets < 0) | (secrets >= self.secret_count), bad_share, nums < 0]
+        bad_rows = np.flatnonzero(bad[0] | bad[1] | bad[2])
+        if len(bad_rows):  # the first bad row, checked for its secret, then its shares, then its sign
+            r = int(bad_rows[0])
+            word = tuple(v[c] for v, c in zip(values, codes[r].tolist()))
+            errors = [f"secret {secrets[r]} out of range", f"share word {word} out of range",
+                      "negative probability"]
+            raise ValueError(next(error for error, flags in zip(errors, bad) if flags[r]))
+        keep = nums != 0
+        secrets, codes, nums = secrets[keep], codes[keep], nums[keep]
+        first, totals = _groups(secrets, nums)
+        totals = dict(zip(secrets[first].tolist(), totals.tolist()))
+        # with k secrets present, one of the first k + 1 secrets is missing or wrong
+        for s in range(min(self.secret_count, len(totals) + 1)):
+            if (total := Fraction(totals.get(s, 0), self.denominator)) != 1:
                 raise ValueError(f"probabilities for secret {s} sum to {total}, not 1")
-        object.__setattr__(self, "table", cleaned)
+        # no numerator passes the denominator, so no sum passes rows * denominator
+        nums = nums.astype(np.int64 if len(nums) * self.denominator < 2**63 else object)
+        labels = np.column_stack([secrets.astype(np.int64), codes])
+        labels.flags.writeable = nums.flags.writeable = False
+        dims = [self.secret_count] + ranks
+        for name, value in zip(("_labels", "secrets", "codes", "numerators", "share_values", "_dims"),
+                               (labels, labels[:, 0], labels[:, 1:], nums, values, dims)):
+            object.__setattr__(self, name, value)
         if self.structure is None:
-            # _derive_structure makes 2**n passes over the table
-            if len(cleaned) << self.n > ENUMERATION_GUARD:
+            # _derive_structure may test every player set
+            if len(nums) << self.n > ENUMERATION_GUARD:
                 raise ValueError(
-                    f"{len(cleaned)} rows times {1 << self.n} player sets exceed "
+                    f"{len(nums)} rows times {1 << self.n} player sets exceed "
                     f"the enumeration guard ({ENUMERATION_GUARD})"
                 )
             object.__setattr__(self, "structure", _derive_structure(self))
 
-    def coords(self, mask: int) -> tuple[int, ...]:
-        """0-based share coordinates of a player set."""
-        return tuple(i for i in range(self.n) if mask >> i & 1)
+    @classmethod
+    def from_table(
+        cls, n: int, secret_count: int, share_sizes: tuple[int, ...], table: Mapping | Iterable,
+        structure: AdversaryStructure | None = None,
+    ) -> "ClassicalScheme":
+        """The scheme of a dict from (s, y) to P(Y = y | S = s), or of its
+        items, where a repeated (s, y) adds up; exact over the least
+        common denominator of the probabilities."""
+        items = list(table.items() if isinstance(table, Mapping) else table)
+        for (_, y), _ in items:
+            if len(y) != n:
+                raise ValueError(f"share word {y} out of range")
+        weights = [Fraction(pr) for _, pr in items]
+        den = math.lcm(*(w.denominator for w in weights))
+        shares = [[y[i] for (_, y), _ in items] for i in range(n)]
+        numerators = [w.numerator * (den // w.denominator) for w in weights]
+        secrets = [s for (s, _), _ in items]
+        return cls(n, secret_count, share_sizes, secrets, shares, numerators, den, structure)
 
-    def project(self, y: tuple[int, ...], mask: int) -> tuple[int, ...]:
-        return tuple(y[i] for i in self.coords(mask))
+    @cached_property
+    def table(self) -> Mapping[tuple[int, tuple[int, ...]], Fraction]:
+        """Read-only dict from (s, y) to P(Y = y | S = s) in row order,
+        built on first read."""
+        shares = [[v[c] for c in col] for v, col in zip(self.share_values, self.codes.T.tolist())]
+        probs = [Fraction(w, self.denominator) for w in self.numerators.tolist()]
+        return MappingProxyType(dict(zip(zip(self.secrets.tolist(), zip(*shares)), probs)))
+
+
+def _keys(sch: ClassicalScheme, mask: int, secret: bool = False) -> np.ndarray:
+    """One int64 per row, equal exactly when the rows agree on the shares
+    of the players in mask (and on the secret). Keys ascend as the rows
+    do, by secret first and then by share values."""
+    cols = [0] * secret + [i + 1 for i in range(sch.n) if mask >> i & 1]
+    return _row_keys(sch._labels, cols, sch._dims)
 
 
 def check_secrecy(sch: ClassicalScheme, u_mask: int) -> bool:
     """True iff the U-share marginal is the same exact distribution
     for every secret."""
-    marginals: list[dict[tuple[int, ...], Fraction]] = [
-        {} for _ in range(sch.secret_count)
-    ]
-    for (s, y), pr in sch.table.items():
-        yu = sch.project(y, u_mask)
-        marginals[s][yu] = marginals[s].get(yu, Fraction(0)) + pr
-    return all(m == marginals[0] for m in marginals[1:])
-
-
-def reconstruction_map(sch: ClassicalScheme, q_mask: int) -> dict[tuple[int, ...], int] | None:
-    """The function g with S = g(Y_q), or None if Q cannot reconstruct."""
-    g: dict[tuple[int, ...], int] = {}
-    for (s, y), _ in sch.table.items():
-        yq = sch.project(y, q_mask)
-        if g.setdefault(yq, s) != s:
-            return None
-    return g
+    first, mass = _groups(_keys(sch, u_mask, secret=True), sch.numerators)
+    # groups ascend by secret, then by U-word: every secret needs the same list
+    counts = np.bincount(sch.secrets[first], minlength=sch.secret_count)
+    if (counts != counts[0]).any():
+        return False
+    words = _keys(sch, u_mask)[first].reshape(sch.secret_count, -1)
+    mass = mass.reshape(sch.secret_count, -1)
+    return bool((words == words[0]).all() and (mass == mass[0]).all())
 
 
 def check_correctness(sch: ClassicalScheme, q_mask: int) -> bool:
     """True iff every supported Q-share word determines the secret."""
-    return reconstruction_map(sch, q_mask) is not None
+    return len(np.unique(_keys(sch, q_mask))) == len(np.unique(_keys(sch, q_mask, secret=True)))
 
 
 def _derive_structure(sch: ClassicalScheme) -> AdversaryStructure:
-    return AdversaryStructure.from_table(sch.n, [check_secrecy(sch, b) for b in range(1 << sch.n)])
+    if sch.secret_count == 1:  # every marginal is the one secret's
+        return AdversaryStructure(sch.n, (full_mask(sch.n),))
+    return AdversaryStructure.from_predicate(sch.n, lambda b: check_secrecy(sch, b))
 
 
-def _tally(words: Iterable[tuple[int, ...]], block: int) -> dict[tuple[int, tuple[int, ...]], Fraction]:
-    """The table of a linear dealer: word i is dealt for secret i // block
-    with weight 1/block, keys in first-dealt order."""
-    weight = Fraction(1, block)
-    table: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    for i, y in enumerate(words):
-        key = (i // block, y)
-        table[key] = table.get(key, Fraction(0)) + weight
-    return table
+def _tally(share_sizes: tuple[int, ...], secret_count: int, columns, block: int,
+           structure: AdversaryStructure | None = None) -> ClassicalScheme:
+    """The table of a linear dealer: deal i, player j's share columns[j][i],
+    is dealt for secret i // block with weight 1/block."""
+    secrets = np.arange(len(columns[0])) // block
+    return ClassicalScheme(len(share_sizes), secret_count, share_sizes, secrets, columns,
+                           np.ones_like(secrets), block, structure)
 
 
 def scheme_from_msp(msp: MSP) -> ClassicalScheme:
@@ -170,8 +240,7 @@ def scheme_from_msp(msp: MSP) -> ClassicalScheme:
         # an object radix packs in Python ints: many rows pass 2**63
         radix = np.array([p**j for j in reversed(range(len(rows)))], dtype=object)
         shares.append((msp._label_table[:, list(rows)] @ radix).tolist())
-    table = _tally(zip(*shares), p ** (msp.e - 1))
-    return ClassicalScheme(msp.n, p, sizes, table, structure=msp_structure(msp))
+    return _tally(sizes, p, shares, p ** (msp.e - 1), msp_structure(msp))
 
 
 # ---------------------------------------------------------------------------
@@ -180,35 +249,27 @@ def scheme_from_msp(msp: MSP) -> ClassicalScheme:
 
 def _sqrt_decompose(n: int) -> tuple[int, int]:
     """n = a*a*k with k squarefree; returns (a, k). Trial division."""
-    a, k = 1, 1
-    d = 2
+    a, k, d = 1, 1, 2
     while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+            a *= d
         if n % d == 0:
-            count = 0
-            while n % d == 0:
-                n //= d
-                count += 1
-            a *= d ** (count // 2)
-            if count % 2:
-                k *= d
+            n //= d
+            k *= d
         d += 1
-    if n > 1:
-        k *= n
-    return a, k
+    return (a, k * n) if n > 1 else (a, k)
 
 
-def _split_preconditions(sch: ClassicalScheme, u_mask: int) -> dict[tuple[int, ...], int]:
-    """Shared eq1/oracle preconditions; returns the reconstruction map."""
+def _split_preconditions(sch: ClassicalScheme, u_mask: int) -> None:
+    """Shared eq1/oracle preconditions."""
     q_mask = complement(u_mask, sch.n)
-    g = reconstruction_map(sch, q_mask)
-    if g is None:
+    if not check_correctness(sch, q_mask):
         raise PreconditionError(
             f"scheme is not correct: Q={{{format_players(q_mask)}}} cannot reconstruct"
         )
     if not check_secrecy(sch, u_mask):
-        raise PreconditionError(
-            f"scheme is not secret for U={{{format_players(u_mask)}}}"
-        )
+        raise PreconditionError(f"scheme is not secret for U={{{format_players(u_mask)}}}")
     structure = sch.structure
     assert structure is not None
     if not (structure.is_member(u_mask) and structure.dual().is_member(u_mask)):
@@ -216,7 +277,6 @@ def _split_preconditions(sch: ClassicalScheme, u_mask: int) -> dict[tuple[int, .
             f"U={{{format_players(u_mask)}}} is not in the intersection of the "
             "structure and its dual"
         )
-    return g
 
 
 def eq1_check(sch: ClassicalScheme, u_mask: int) -> bool:
@@ -229,36 +289,28 @@ def eq1_check(sch: ClassicalScheme, u_mask: int) -> bool:
     sum of c * sqrt(k): square roots of distinct squarefree integers
     are linearly independent over the rationals, so two sums are equal
     iff their maps are, and the comparison is exact. Two U-words meet
-    in a term only inside one Q-word's column, so each table is summed
-    in one pass over that secret's columns. Every term is positive, so
-    no form cancels to empty and a pair that shares no Q-word, the
-    empty (zero) sum, is simply absent. The diagonal is left out:
+    in a term only inside one Q-word's column, so all tables are summed
+    in one pass over the rows sorted by secret, Q-word and U-word. Every
+    term is positive, so no form cancels to empty and a pair that shares
+    no Q-word, the empty (zero) sum, is simply absent. The diagonal is left out:
     G_s[yu, yu] = P(yu | s) is the U-marginal, which the secrecy
     precondition already found equal for every secret.
     """
     _split_preconditions(sch, u_mask)
     q_mask = complement(u_mask, sch.n)
-    columns: list[dict[tuple[int, ...], list[tuple[tuple[int, ...], Fraction]]]] = [
-        {} for _ in range(sch.secret_count)
-    ]
-    for (s, y), pr in sch.table.items():
-        columns[s].setdefault(sch.project(y, q_mask), []).append((sch.project(y, u_mask), pr))
-    reference: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, Fraction]] | None = None
-    for by_q in columns:
-        gram: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, Fraction]] = {}
-        for column in by_q.values():
-            column.sort()
-            for i, (yu1, p1) in enumerate(column):
-                for yu2, p2 in column[i + 1 :]:
-                    t = p1 * p2
-                    a, k = _sqrt_decompose(t.numerator * t.denominator)
-                    form = gram.setdefault((yu1, yu2), {})
-                    form[k] = form.get(k, Fraction(0)) + Fraction(a, t.denominator)
-        if reference is None:
-            reference = gram
-        elif gram != reference:
-            return False
-    return True
+    sq, u = _keys(sch, q_mask, secret=True), _keys(sch, u_mask)
+    order = np.lexsort((u, sq))
+    rows = zip(*(a[order].tolist() for a in (sq, sch.secrets, u, sch.numerators)))
+    # every term sqrt(n1 n2) / denominator shares the denominator: forms keep integer coefficients
+    grams: list[dict[tuple[int, int], dict[int, int]]] = [{} for _ in range(sch.secret_count)]
+    for _, column in itertools.groupby(rows, key=lambda row: row[0]):
+        column = list(column)
+        for i, (_, s, u1, n1) in enumerate(column):
+            for _, _, u2, n2 in column[i + 1 :]:
+                a, k = _sqrt_decompose(n1 * n2)
+                form = grams[s].setdefault((u1, u2), {})
+                form[k] = form.get(k, 0) + a
+    return all(gram == grams[0] for gram in grams[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +328,18 @@ class LiftReport:
     seed: int
 
 
+@lru_cache(maxsize=64)
+def _default_inputs(secret_count: int, seed: int) -> tuple[tuple[str, np.ndarray], ...]:
+    """lift_report's default probes as read-only amplitude vectors,
+    built once per secret count and seed."""
+    family = tuple((name, psi.dense()) for name, psi in probe_family(secret_count, seed, n_random=10))
+    for _, alpha in family:
+        alpha.flags.writeable = False
+    return family
+
+
 def lift_report(
-    sch: ClassicalScheme,
-    u_mask: int,
-    inputs: list[tuple[str, np.ndarray]] | None = None,
-    seed: int = 0,
+    sch: ClassicalScheme, u_mask: int, inputs: list[tuple[str, np.ndarray]] | None = None, seed: int = 0
 ) -> LiftReport:
     """Build the lifted state for each amplitude assignment and compare
     the exact reduced density matrices on U.
@@ -291,42 +350,38 @@ def lift_report(
     do not establish erasure correction.
     """
     _split_preconditions(sch, u_mask)
-    dim = 1
-    for sz in sch.share_sizes:
-        dim *= sz
+    dim = math.prod(sch.share_sizes)
     if dim > ORACLE_DIMENSION_GUARD:
         raise ValueError(f"lifted state dimension {dim} exceeds the oracle guard")
-    family = inputs if inputs is not None else [
-        (name, psi.dense()) for name, psi in probe_family(sch.secret_count, seed, n_random=10)
-    ]
+    family = inputs if inputs is not None else _default_inputs(sch.secret_count, seed)
     if sch.secret_count > 1 and all(int(np.count_nonzero(alpha)) < 2 for _, alpha in family):
         raise ValueError("oracle inputs must include non-basis amplitude assignments")
-    u_coords = sch.coords(u_mask)
-    words = np.array([y for _, y in sch.table], dtype=np.int64)
-    secrets = np.array([s for s, _ in sch.table], dtype=np.int64)
-    roots = np.array([float(pr) ** 0.5 for pr in sch.table.values()])
-    reduced = []
-    for name, alpha in family:
-        amp = alpha[secrets]
+    # every share lies below its space size, so past the guard it fits int64
+    values = [np.array(v, dtype=np.int64) for v in sch.share_values]
+    words = np.column_stack([v[c] for v, c in zip(values, sch.codes.T)])
+    roots = np.array([(w / sch.denominator) ** 0.5 for w in sch.numerators.tolist()])
+    u_coords = [i for i in range(sch.n) if u_mask >> i & 1]
+    mats = []
+    for _, alpha in family:
+        amp = alpha[sch.secrets]
         keep = amp != 0
         state = QuantumState(sch.share_sizes, words[keep], (amp * roots)[keep])
-        reduced.append((name, partial_trace(state, u_coords)))
+        mats.append(partial_trace(state, u_coords).mat)
+    mats = np.array(mats)
+    names = [name for name, _ in family]
     worst = 0.0
     witness: tuple[str, str] | None = None
-    for i in range(len(reduced)):
-        for j in range(i + 1, len(reduced)):
-            dist = trace_distance(reduced[i][1], reduced[j][1])
-            if dist > worst:
-                worst = dist
-                witness = (reduced[i][0], reduced[j][0])
-    return LiftReport(worst <= SECRECY_TOL, worst, witness, [n for n, _ in family], seed)
+    for a in range(len(mats) - 1):
+        # the exact trace distances from probe a to every later probe, in one call
+        dists = 0.5 * np.abs(np.linalg.eigvalsh(mats[a] - mats[a + 1 :])).sum(axis=1)
+        b = int(dists.argmax())
+        if dists[b] > worst:
+            worst, witness = float(dists[b]), (names[a], names[a + 1 + b])
+    return LiftReport(worst <= SECRECY_TOL, worst, witness, names, seed)
 
 
 def lift_and_test(
-    sch: ClassicalScheme,
-    u_mask: int,
-    inputs: list[tuple[str, np.ndarray]] | None = None,
-    seed: int = 0,
+    sch: ClassicalScheme, u_mask: int, inputs: list[tuple[str, np.ndarray]] | None = None, seed: int = 0
 ) -> bool:
     return lift_report(sch, u_mask, inputs=inputs, seed=seed).passed
 
@@ -360,10 +415,7 @@ class HomomorphicSpec:
 
     @property
     def group_order(self) -> int:
-        order = 1
-        for md in self.moduli:
-            order *= md
-        return order
+        return math.prod(self.moduli)
 
 
 def homomorphic_scheme(spec: HomomorphicSpec) -> ClassicalScheme:
@@ -375,16 +427,12 @@ def homomorphic_scheme(spec: HomomorphicSpec) -> ClassicalScheme:
     order = spec.group_order
     total = order ** (spec.m + 1)
     if total > ENUMERATION_GUARD:
-        raise ValueError(
-            f"{total} group inputs exceed the enumeration guard ({ENUMERATION_GUARD})"
-        )
+        raise ValueError(f"{total} group inputs exceed the enumeration guard ({ENUMERATION_GUARD})")
     deals = _linear_deals(spec.matrix, spec.moduli)
     kernel = int(np.count_nonzero(~deals.any(axis=1)))
     if kernel != 1:
         raise ValueError(f"homomorphism is not injective (kernel size {kernel})")
-    n = len(spec.matrix)
-    table = _tally(map(tuple, deals.tolist()), order**spec.m)
-    return ClassicalScheme(n, order, (order,) * n, table)
+    return _tally((order,) * len(spec.matrix), order, deals.T, order**spec.m)
 
 
 def homomorphic_dichotomy_check(sch: ClassicalScheme, u_mask: int) -> bool:
@@ -402,13 +450,12 @@ def homomorphic_dichotomy_check(sch: ClassicalScheme, u_mask: int) -> bool:
     form a coset and are equiprobable), which is what makes them pass
     the square-root criterion.
     """
-    q_mask = complement(u_mask, sch.n)
-    joint: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-    for (s, y), pr in sch.table.items():
-        by_u = joint.setdefault(sch.project(y, q_mask), {})
-        yu = sch.project(y, u_mask)
-        by_u[yu] = by_u.get(yu, Fraction(0)) + pr
-    return all(len(set(by_u.values())) == 1 for by_u in joint.values())
+    first, joint = _groups(_keys(sch, full_mask(sch.n)), sch.numerators)
+    q = _keys(sch, complement(u_mask, sch.n))[first]
+    order = q.argsort(kind="stable")
+    q, joint = q[order], joint[order]
+    same = q[1:] == q[:-1]
+    return bool((joint[1:][same] == joint[:-1][same]).all())
 
 
 # ---------------------------------------------------------------------------
@@ -437,39 +484,24 @@ def _surjections(size: int, onto: int) -> Iterator[tuple[int, ...]]:
 
 
 def _scheme_from_numerators(
-    den: int,
-    size_u: int,
-    size_q: int,
-    numerators: dict[int, dict[tuple[int, int], int]],
-    s_count: int,
+    den: int, size_u: int, size_q: int, rows: list[tuple[int, int, int, int]], s_count: int
 ) -> ClassicalScheme:
-    table = {
-        (s, (yu, yq)): Fraction(num, den)
-        for s, cells in numerators.items()
-        for (yu, yq), num in cells.items()
-        if num
-    }
-    return ClassicalScheme(2, s_count, (size_u, size_q), table)
+    secrets, us, qs, nums = zip(*rows)
+    return ClassicalScheme(2, s_count, (size_u, size_q), secrets, [us, qs], nums, den)
 
 
-def _function_given_q(cells: dict[tuple[int, int], int]) -> bool:
+def _function_given_q(rows: list[tuple[int, int, int, int]]) -> bool:
     """True when each Q-word appears with at most one U-word."""
-    seen: dict[int, int] = {}
-    for (yu, yq), num in cells.items():
-        if num and seen.setdefault(yq, yu) != yu:
-            return False
-    return True
+    support = [yq for _, _, yq, num in rows if num]
+    return len(set(support)) == len(support)
 
 
 def _enumerate_tables(
-    den: int,
-    s_count: int,
-    size_u: int,
-    size_q: int,
-    g: tuple[int, ...],
+    den: int, s_count: int, size_u: int, size_q: int, g: tuple[int, ...],
     compositions: Callable[[int, int], Iterable[tuple[int, ...]]] = _compositions,
-) -> Iterator[dict[int, dict[tuple[int, int], int]]]:
-    """Valid-by-construction numerator tables, lexicographically.
+) -> Iterator[list[tuple[int, int, int, int]]]:
+    """Valid-by-construction tables, lexicographically, as rows
+    (s, y_u, y_q, numerator over den).
 
     The secret-0 slice ranges over the compositions of den on its
     cells; every other slice is constrained, row by row in y_u, to
@@ -479,32 +511,18 @@ def _enumerate_tables(
     once per row in (s, y_u) order; the default yields all of them.
     """
     preimages = [tuple(yq for yq in range(size_q) if g[yq] == s) for s in range(s_count)]
-    cells0 = [(yu, yq) for yu in range(size_u) for yq in preimages[0]]
-    for comp0 in compositions(den, len(cells0)):
-        slice0 = dict(zip(cells0, comp0))
-        marginal = [sum(slice0.get((yu, yq), 0) for yq in preimages[0]) for yu in range(size_u)]
-        row_options: list[list[list[tuple[int, ...]]]] = []
-        feasible = True
-        for s in range(1, s_count):
-            per_row = [list(compositions(marginal[yu], len(preimages[s]))) for yu in range(size_u)]
-            if any(not opts for opts in per_row):
-                feasible = False
-                break
-            row_options.append(per_row)
-        if not feasible:
-            continue
-        choice_space = [opts for per_row in row_options for opts in per_row]
+    cells = [[(yu, yq) for yu in range(size_u) for yq in preimage] for preimage in preimages]
+    width = len(preimages[0])
+    for comp0 in compositions(den, len(cells[0])):
+        marginal = [sum(comp0[yu * width : (yu + 1) * width]) for yu in range(size_u)]
+        choice_space = [
+            list(compositions(marginal[yu], len(preimages[s])))
+            for s in range(1, s_count)
+            for yu in range(size_u)
+        ]
         for combo in itertools.product(*choice_space):
-            numerators = {0: slice0}
-            idx = 0
-            for s in range(1, s_count):
-                cells: dict[tuple[int, int], int] = {}
-                for yu in range(size_u):
-                    for yq, num in zip(preimages[s], combo[idx]):
-                        cells[(yu, yq)] = num
-                    idx += 1
-                numerators[s] = cells
-            yield numerators
+            nums = itertools.chain(comp0, *combo)
+            yield [(s, yu, yq, next(nums)) for s in range(s_count) for yu, yq in cells[s]]
 
 
 def _table_candidates(
@@ -517,14 +535,9 @@ def _table_candidates(
             for size_u in range(2, max_share_size + 1):
                 for size_q in range(s_count, max_share_size + 1):
                     for g in _surjections(size_q, s_count):
-                        for numerators in _enumerate_tables(den, s_count, size_u, size_q, g):
-                            if functional and not all(
-                                _function_given_q(cells) for cells in numerators.values()
-                            ):
-                                continue
-                            yield _scheme_from_numerators(
-                                den, size_u, size_q, numerators, s_count
-                            )
+                        for rows in _enumerate_tables(den, s_count, size_u, size_q, g):
+                            if not functional or _function_given_q(rows):
+                                yield _scheme_from_numerators(den, size_u, size_q, rows, s_count)
 
 
 def _homomorphic_candidates(max_modulus: int) -> Iterator[ClassicalScheme]:
@@ -543,10 +556,7 @@ def _homomorphic_candidates(max_modulus: int) -> Iterator[ClassicalScheme]:
 
 
 def search_counterexample(
-    max_secrets: int = 2,
-    max_share_size: int = 3,
-    max_denominator: int = 8,
-    family: str = "all",
+    max_secrets: int = 2, max_share_size: int = 3, max_denominator: int = 8, family: str = "all"
 ) -> ClassicalScheme | None:
     """First (lexicographically) valid 2-player scheme failing eq1_check.
 
@@ -575,9 +585,8 @@ def search_counterexample(
         # a spec's split may fail the eq1 preconditions; the tables meet them by construction
         skip: tuple[type[Exception], ...] = (PreconditionError,)
     else:
-        candidates = _table_candidates(
-            max_secrets, max_share_size, max_denominator, family == "function"
-        )
+        functional = family == "function"
+        candidates = _table_candidates(max_secrets, max_share_size, max_denominator, functional)
         skip = ()
     for sch in candidates:
         try:
@@ -587,19 +596,14 @@ def search_counterexample(
             continue
         if lift_report(sch, u_mask, seed=0).passed:
             raise RuntimeError(
-                "eq1_check rejected a scheme the oracle accepts; "
-                "criterion and oracle disagree"
+                "eq1_check rejected a scheme the oracle accepts; criterion and oracle disagree"
             )
         return sch
     return None
 
 
 def generate_valid_schemes(
-    count: int,
-    seed: int,
-    max_secrets: int = 3,
-    max_share_size: int = 3,
-    max_denominator: int = 8,
+    count: int, seed: int, max_secrets: int = 3, max_share_size: int = 3, max_denominator: int = 8
 ) -> list[ClassicalScheme]:
     """Seeded random 2-player schemes, perfect for the U={1} split.
 
@@ -619,14 +623,12 @@ def generate_valid_schemes(
         s_count = rng.randint(2, max_secrets)
         size_u = rng.randint(1, max_share_size)
         size_q = rng.randint(s_count, max_share_size)
-        assignment = list(range(s_count)) + [
-            rng.randrange(s_count) for _ in range(size_q - s_count)
-        ]
+        assignment = list(range(s_count)) + [rng.randrange(s_count) for _ in range(size_q - s_count)]
         rng.shuffle(assignment)
         g = tuple(assignment)
         den = rng.randint(2, max_denominator)
-        numerators = next(_enumerate_tables(den, s_count, size_u, size_q, g, composition))
-        out.append(_scheme_from_numerators(den, size_u, size_q, numerators, s_count))
+        rows = next(_enumerate_tables(den, s_count, size_u, size_q, g, composition))
+        out.append(_scheme_from_numerators(den, size_u, size_q, rows, s_count))
     return out
 
 
@@ -647,9 +649,7 @@ def format_scheme(sch: ClassicalScheme) -> str:
 
 
 def parse_scheme(text: str) -> ClassicalScheme:
-    lines = [
-        ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln
-    ]
+    lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
     if not lines or not lines[0].startswith("scheme "):
         raise SchemeFormatError("missing scheme header line")
     header: dict[str, int] = {}
@@ -665,7 +665,7 @@ def parse_scheme(text: str) -> ClassicalScheme:
         raise SchemeFormatError("scheme header needs n= and secrets=")
     n = header["n"]
     sizes: dict[int, int] = {}
-    table: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+    rows: list[tuple[tuple[int, tuple[int, ...]], Fraction]] = []
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "space":
@@ -685,15 +685,13 @@ def parse_scheme(text: str) -> ClassicalScheme:
                 pr = Fraction(int(num), int(dencount)) if dencount else Fraction(int(num))
             except (ValueError, ZeroDivisionError):
                 raise SchemeFormatError(f"bad probability row {ln!r}") from None
-            key = (s, y)
-            table[key] = table.get(key, Fraction(0)) + pr
+            rows.append(((s, y), pr))
         else:
             raise SchemeFormatError(f"unknown directive {parts[0]!r}")
     if len(sizes) != n or sorted(sizes) != list(range(1, n + 1)):
         raise SchemeFormatError("need one space line per player")
     try:
-        return ClassicalScheme(
-            n, header["secrets"], tuple(sizes[i] for i in range(1, n + 1)), table
-        )
+        sizes_in_order = tuple(sizes[i] for i in range(1, n + 1))
+        return ClassicalScheme.from_table(n, header["secrets"], sizes_in_order, rows)
     except ValueError as exc:
         raise SchemeFormatError(str(exc)) from None

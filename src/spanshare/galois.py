@@ -54,29 +54,6 @@ class Field:
         if not _is_prime(self.p):
             raise ValueError(f"field modulus must be prime, got {self.p}")
 
-    def element(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("zero is not invertible")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def dot(self, u: Sequence[int], v: Sequence[int]) -> int:
         if len(u) != len(v):
             raise ValueError(f"dot product of vectors with lengths {len(u)} and {len(v)}")

@@ -306,13 +306,6 @@ def fidelity(rho: DensityMatrix, psi: QuantumState) -> float:
     return float(np.real(np.vdot(v, rho.mat @ v)))
 
 
-def trace_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
-    """Half the sum of the absolute eigenvalues of the difference."""
-    if r1.dim != r2.dim:
-        raise ValueError("trace distance of density matrices with different dimensions")
-    return float(0.5 * np.abs(np.linalg.eigvalsh(r1.mat - r2.mat)).sum())
-
-
 def trace_distance_within(r1: DensityMatrix, r2: DensityMatrix, tol: float) -> tuple[bool, float]:
     """Certified (within_tol, value) check, cheap when the states agree.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 MAX_PLAYERS = 16
 
@@ -119,6 +119,26 @@ class AdversaryStructure:
         membership table indexed by bitmask (byte values or bools)."""
         digits = bytes(table).translate(b"0" + b"1" * 255)[::-1]
         return cls._from_bits(n, _down_closure(int(digits, 2), n))
+
+    @classmethod
+    def from_predicate(cls, n: int, tolerable: Callable[[int], bool]) -> "AdversaryStructure":
+        """The sets passing a downward-closed test, grown one player at a
+        time: a set is tested only when every subset one player smaller
+        passed, so a failed set's supersets are never tested."""
+        _check_player_count(n)
+        every = (1 << (1 << n)) - 1
+        bits = tested = 0
+        while True:
+            # the untested sets whose every one-player-smaller subset is a member
+            fresh = every & ~tested
+            for i, upper in enumerate(_with_player(n)):
+                fresh &= (every ^ upper) | (bits & ~upper) << (1 << i)
+            if not fresh:
+                return cls._from_bits(n, bits)
+            tested |= fresh
+            for b in _positions(fresh):
+                if tolerable(b):
+                    bits |= 1 << b
 
     @cached_property
     def _dual(self) -> "AdversaryStructure":

@@ -6,6 +6,8 @@ from spanshare.galois import Field, Matrix
 from spanshare.msp import MSP, compile_formula, shamir_msp
 from spanshare.structures import mask_from_players, parse_formula
 
+from reference_galois import add, div, mul, sub
+
 
 def mask(*players, n):
     return mask_from_players(players, n)
@@ -38,9 +40,9 @@ def lagrange_at_zero(field, points):
         num, den = 1, 1
         for j, (xj, _) in enumerate(points):
             if i != j:
-                num = field.mul(num, xj)
-                den = field.mul(den, field.sub(xj, xi))
-        total = field.add(total, field.mul(yi, field.div(num, den)))
+                num = mul(field, num, xj)
+                den = mul(field, den, sub(field, xj, xi))
+        total = add(field, total, mul(field, yi, div(field, num, den)))
     return total
 
 

@@ -12,7 +12,13 @@ all-pairs-of-U-words loops that ``eq1_check`` and
 ``homomorphic_dichotomy_check`` ran before both summed the table once
 over Q-words; ``_sqrt_sum`` is the canonical form the first sums in.
 ``ref_lift_report`` is ``lift_report`` as it ran before it sliced
-arrays of the table: one dict of lifted amplitudes per probe.
+arrays of the table: one dict of lifted amplitudes per probe, and one
+``trace_distance`` call per pair of probes.
+
+``check_secrecy``, ``reconstruction_map`` and ``ref_derive_structure``
+are the dict walks ``condition`` ran before a scheme stored arrays:
+every check projected each row of ``table`` through ``project``, and
+the structure was read off one secrecy check per player set.
 """
 
 import itertools
@@ -23,14 +29,43 @@ from spanshare.classical import ENUMERATION_GUARD
 from spanshare.condition import LiftReport, _split_preconditions, _sqrt_decompose
 from spanshare.galois import solve_left
 from spanshare.msp import rows_of
-from spanshare.quantum import (
-    SECRECY_TOL,
-    QuantumState,
-    partial_trace,
-    probe_family,
-    trace_distance,
-)
-from spanshare.structures import complement, format_players
+from spanshare.quantum import SECRECY_TOL, QuantumState, partial_trace, probe_family
+from spanshare.structures import AdversaryStructure, complement, format_players
+
+from reference_quantum import trace_distance
+
+
+def coords(n, mask):
+    """0-based share coordinates of a player set."""
+    return tuple(i for i in range(n) if mask >> i & 1)
+
+
+def project(y, mask):
+    return tuple(y[i] for i in coords(len(y), mask))
+
+
+def check_secrecy(sch, u_mask):
+    """True iff the U-share marginal is the same exact distribution
+    for every secret."""
+    marginals = [{} for _ in range(sch.secret_count)]
+    for (s, y), pr in sch.table.items():
+        yu = project(y, u_mask)
+        marginals[s][yu] = marginals[s].get(yu, Fraction(0)) + pr
+    return all(m == marginals[0] for m in marginals[1:])
+
+
+def reconstruction_map(sch, q_mask):
+    """The function g with S = g(Y_q), or None if Q cannot reconstruct."""
+    g = {}
+    for (s, y), _ in sch.table.items():
+        if g.setdefault(project(y, q_mask), s) != s:
+            return None
+    return g
+
+
+def ref_derive_structure(sch):
+    """The structure of every player set passing check_secrecy, all 2**n tested."""
+    return AdversaryStructure.from_table(sch.n, [check_secrecy(sch, b) for b in range(1 << sch.n)])
 
 
 def _deals(msp):
@@ -158,8 +193,8 @@ def ref_eq1_check(sch, u_mask):
     q_mask = complement(u_mask, sch.n)
     joint = {}
     for (s, y), pr in sch.table.items():
-        yu = sch.project(y, u_mask)
-        yq = sch.project(y, q_mask)
+        yu = project(y, u_mask)
+        yq = project(y, q_mask)
         joint.setdefault(yu, {}).setdefault(s, {})[yq] = pr
     words = sorted(joint)
     for i, yu1 in enumerate(words):
@@ -184,8 +219,8 @@ def ref_homomorphic_dichotomy_check(sch, u_mask):
     marginal_q = {}
     joint = {}
     for (s, y), pr in sch.table.items():
-        yq = sch.project(y, q_mask)
-        yu = sch.project(y, u_mask)
+        yq = project(y, q_mask)
+        yu = project(y, u_mask)
         marginal_q[yq] = marginal_q.get(yq, Fraction(0)) + pr
         bucket = joint.setdefault(yq, {})
         bucket[yu] = bucket.get(yu, Fraction(0)) + pr
@@ -214,7 +249,7 @@ def ref_lift_report(sch, u_mask, seed=0):
             if alpha[s] != 0:
                 amps[y] = alpha[s] * float(pr) ** 0.5
         state = QuantumState.from_amplitudes(sch.share_sizes, amps)
-        reduced.append((name, partial_trace(state, sch.coords(u_mask))))
+        reduced.append((name, partial_trace(state, coords(sch.n, u_mask))))
     worst, witness = 0.0, None
     for (name1, rho1), (name2, rho2) in itertools.combinations(reduced, 2):
         dist = trace_distance(rho1, rho2)

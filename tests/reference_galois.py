@@ -1,10 +1,42 @@
 """GF(p) helpers that only the tests use.
 
 Constant matrices, u^T m and the determinant, kept here rather than in
-``spanshare.galois``, whose callers need none of them.
+``spanshare.galois``, whose callers need none of them. The scalar
+arithmetic (``element`` to ``div``) was once ``Field``'s methods; only
+the Lagrange oracle and the field tests call it.
 """
 
 from spanshare.galois import Matrix
+
+
+def element(field, a):
+    return a % field.p
+
+
+def add(field, a, b):
+    return (a + b) % field.p
+
+
+def sub(field, a, b):
+    return (a - b) % field.p
+
+
+def neg(field, a):
+    return (-a) % field.p
+
+
+def mul(field, a, b):
+    return (a * b) % field.p
+
+
+def inv(field, a):
+    if a % field.p == 0:
+        raise ZeroDivisionError("zero is not invertible")
+    return pow(a, field.p - 2, field.p)
+
+
+def div(field, a, b):
+    return mul(field, a, inv(field, b))
 
 
 def identity(field, n):

@@ -11,6 +11,9 @@ from spanshare.quantum, whose own code never called them.
 ``ref_trace_distance_within`` is the dense secrecy check that
 spanshare.quantum used before density matrices were stored on their
 support, and ``dense_dm`` builds such a matrix from a dense array.
+``trace_distance``, one dense ``eigvalsh`` per pair of states, is what
+``condition.lift_report`` called before it took one probe's distances
+to every later probe in one call.
 """
 
 import itertools
@@ -78,6 +81,13 @@ def dense_dm(dims, mat):
     mat = np.asarray(mat, dtype=complex)
     index = np.flatnonzero((mat != 0) | (mat.T != 0))
     return DensityMatrix(tuple(dims), index, mat.reshape(-1)[index])
+
+
+def trace_distance(r1, r2):
+    """Half the sum of the absolute eigenvalues of the difference."""
+    if r1.dim != r2.dim:
+        raise ValueError("trace distance of density matrices with different dimensions")
+    return float(0.5 * np.abs(np.linalg.eigvalsh(r1.mat - r2.mat)).sum())
 
 
 def ref_trace_distance_within(r1, r2, tol):

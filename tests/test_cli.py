@@ -1,8 +1,12 @@
+import contextlib
+import io
+import re
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spanshare.cli import SplitMix64, main
 from spanshare.structures import format_structure, threshold_structure
@@ -281,3 +285,70 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("msp field=5 d=2 e=1 n=2")
+
+
+@st.composite
+def scheme_texts(draw):
+    """A scheme file and a --set value. The table is correct and secret
+    for U = every player but the last, whose share names the secret; its
+    shares may pass int64 and both sides of each probability may carry
+    a huge factor. Then comes at most one malformation."""
+    n, secrets = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    offset = draw(st.sampled_from([0, 0, 0, 2**64, 10**40]))  # added to every share
+    scale = draw(st.sampled_from([1, 3, 2**64 + 1, 10**30]))  # multiplies both sides of p
+    span = draw(st.integers(1, 2))  # last player's shares per secret
+    sizes = [draw(st.integers(1, 3)) for _ in range(n - 1)] + [secrets * span]
+    lines = [f"scheme n={n} secrets={secrets}"]
+    lines += [f"space {i} {offset + size}" for i, size in enumerate(sizes, start=1)]
+    u_words = st.tuples(*(st.integers(offset, offset + size - 1) for size in sizes[:-1]))
+    u_rows = draw(st.lists(st.tuples(u_words, st.integers(1, 4)), min_size=1, max_size=3))
+    den = sum(weight for _, weight in u_rows)
+    for s in range(secrets):
+        for y, weight in u_rows:  # the same U-marginal for every secret
+            first = draw(st.integers(0, weight))
+            for q, part in ((0, first), (span - 1, weight - first)):
+                shares = " ".join(map(str, y + (offset + s * span + q,)))
+                lines.append(f"p {s} {shares} {part * scale}/{den * scale}")
+    junk = st.sampled_from(["x", "-1", "0", "1/0", "3/2", str(2**70), "1" * 5000, "p", "space"])
+    mutation = draw(st.sampled_from(["none"] * 4 + ["drop", "token", "append", "repeat"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    if mutation == "drop":
+        del lines[at]
+    elif mutation == "token":
+        tokens = lines[at].split()
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(junk)
+        lines[at] = " ".join(tokens)
+    elif mutation == "append":
+        lines.append(" ".join(draw(st.lists(junk, min_size=1, max_size=n + 3))))
+    elif mutation == "repeat":
+        lines.append(lines[at])
+    designed = ",".join(map(str, range(1, n))) or "-"
+    ids = st.lists(st.integers(1, n), min_size=1, unique=True).map(lambda ps: ",".join(map(str, ps)))
+    players = draw(st.just(designed) | ids | st.sampled_from(["-", "0", str(n + 1), "x", "1,1"]))
+    return "\n".join(lines) + "\n", players
+
+
+@given(case=scheme_texts())
+@settings(max_examples=200, deadline=None)
+@example(case=("scheme n=2 secrets=2\nspace 1 2\nspace 2 3\n"
+               "p 0 0 1 1/2\np 0 1 0 1/2\np 1 0 2 1/2\np 1 1 2 1/2\n", "1"))
+@example(case=(f"scheme n=1 secrets=1\nspace 1 {2**70}\np 0 {2**70 - 1} {10**30}/{10**30}\n", "1"))
+@example(case=(  # a reduced denominator past int64; eq1 factors 2**70 - 1
+    f"scheme n=2 secrets=2\nspace 1 2\nspace 2 2\np 0 0 0 1/{2**70}\np 0 1 0 {2**70 - 1}/{2**70}\n"
+    f"p 1 0 1 1/{2**70}\np 1 1 1 {2**70 - 1}/{2**70}\n", "1"))
+def test_condition_check_exit_codes(tmp_path_factory, case):
+    text, players = case
+    path = tmp_path_factory.getbasetemp() / "generated.scheme"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["condition", "check", str(path), "--set", players])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert re.fullmatch(r"eq1=(true|false) oracle=(true|false) agree=true\n", out)
+        assert err == ""

@@ -23,25 +23,27 @@ from spanshare.condition import (
     lift_and_test,
     lift_report,
     parse_scheme,
-    reconstruction_map,
     scheme_from_msp,
     search_counterexample,
     _sqrt_decompose,
 )
-from spanshare.msp import MSP, shamir_msp
+from spanshare.msp import MSP, compile_formula, extend_msp, msp_structure, shamir_msp
 from spanshare.structures import (
     AdversaryStructure,
     build_structure,
     mask_from_players,
+    parse_formula,
     threshold_structure,
 )
 
 from conftest import random_msps
 from reference_classical import (
     _sqrt_sum,
+    reconstruction_map,
     ref_eq1_check,
     ref_homomorphic_dichotomy_check,
     ref_homomorphic_table,
+    ref_derive_structure,
     ref_lift_report,
     ref_scheme_table,
 )
@@ -105,11 +107,15 @@ def test_scheme_from_msp_matches_deal_loop():
         assert list(scheme_from_msp(msp).table.items()) == ref_scheme_table(msp)
 
 
-def test_scheme_from_msp_packs_shares_past_int64():
+def _past_int64_msp():
     # player 1 holds 8 rows over GF(257): its packed share reaches 256 * 257**7 > 2**63
     gf = Field(257)
     rows = [[1, x] for x in range(1, 9)] + [[0, 1]]
-    msp = MSP(gf, Matrix.from_rows(gf, rows), (1,) * 8 + (2,), 2)
+    return MSP(gf, Matrix.from_rows(gf, rows), (1,) * 8 + (2,), 2)
+
+
+def test_scheme_from_msp_packs_shares_past_int64():
+    msp = _past_int64_msp()
     sch = scheme_from_msp(msp)
     assert sch.share_sizes == (257**8, 257)
     assert max(y[0] for _, y in sch.table) >= 2**63
@@ -118,18 +124,20 @@ def test_scheme_from_msp_packs_shares_past_int64():
 
 def test_scheme_validation():
     with pytest.raises(ValueError, match="sum"):
-        ClassicalScheme(1, 1, (2,), {(0, (0,)): Fraction(1, 2)})
+        ClassicalScheme.from_table(1, 1, (2,), {(0, (0,)): Fraction(1, 2)})
     with pytest.raises(ValueError, match="negative"):
-        ClassicalScheme(
+        ClassicalScheme.from_table(
             1, 1, (2,), {(0, (0,)): Fraction(3, 2), (0, (1,)): Fraction(-1, 2)}
         )
     with pytest.raises(ValueError, match="range"):
-        ClassicalScheme(1, 1, (2,), {(0, (5,)): Fraction(1)})
+        ClassicalScheme.from_table(1, 1, (2,), {(0, (5,)): Fraction(1)})
 
 
 def test_scheme_refuses_structure_of_other_player_count():
     with pytest.raises(ValueError) as exc:
-        ClassicalScheme(2, 1, (2, 2), {(0, (0, 0)): 1}, structure=AdversaryStructure(5, (0b11111,)))
+        ClassicalScheme.from_table(
+            2, 1, (2, 2), {(0, (0, 0)): 1}, structure=AdversaryStructure(5, (0b11111,))
+        )
     assert str(exc.value) == "structure over 5 players for a scheme of 2 players"
 
 
@@ -145,10 +153,17 @@ def test_check_correctness_examples(shamir_table):
 def test_check_secrecy_examples(shamir_table):
     assert check_secrecy(shamir_table, mask(1, n=3))
     assert not check_secrecy(shamir_table, mask(2, 3, n=3))
-    copying = ClassicalScheme(
+    copying = ClassicalScheme.from_table(
         1, 2, (2,), {(0, (0,)): Fraction(1), (1, (1,)): Fraction(1)}
     )
     assert not check_secrecy(copying, mask(1, n=1))
+    # the same support for both secrets, with different weights
+    skewed = ClassicalScheme.from_table(
+        1, 2, (2,), {(0, (0,)): Fraction(1, 2), (0, (1,)): Fraction(1, 2),
+                     (1, (0,)): Fraction(1, 3), (1, (1,)): Fraction(2, 3)}
+    )
+    assert not check_secrecy(skewed, mask(1, n=1))
+    assert check_secrecy(skewed, 0)
 
 
 def test_sqrt_canonical_forms():
@@ -179,7 +194,7 @@ def test_eq1_preconditions(shamir_table, one_time_pad):
     with pytest.raises(PreconditionError, match="not correct"):
         eq1_check(one_time_pad, U1)
     # a scheme that copies the secret everywhere is not secret for {1}
-    copying = ClassicalScheme(
+    copying = ClassicalScheme.from_table(
         2,
         2,
         (2, 2),
@@ -194,7 +209,7 @@ def test_eq1_intersection_precondition():
     # valid classical scheme but u outside the claimed structure's
     # intersection with its dual: claim the empty-only structure
     sch = search_counterexample()
-    declared = ClassicalScheme(
+    declared = ClassicalScheme.from_table(
         sch.n,
         sch.secret_count,
         sch.share_sizes,
@@ -228,7 +243,7 @@ def test_lift_single_secret_scheme():
         (0, (0, 0)): Fraction(1, 2),
         (0, (1, 0)): Fraction(1, 2),
     }
-    sch = ClassicalScheme(
+    sch = ClassicalScheme.from_table(
         2, 1, (2, 1), table, structure=AdversaryStructure(2, (0b01,))
     )
     assert lift_and_test(sch, U1)
@@ -248,7 +263,10 @@ def test_lift_report_matches_dict_reference(shamir_table):
     fixture = Path(__file__).parent / "fixtures" / "counterexample.scheme"
     cases = [(shamir_table, u) for u in range(8)]
     cases.append((parse_scheme(fixture.read_text()), U1))
-    for seed in (0, 1):
+    # the golden random tables too: the largest distance and its witness,
+    # from one eigvalsh call per probe, must equal those the oracle finds
+    # with one trace_distance call per pair, float for float
+    for seed in (0, 1, 2026):
         schemes = generate_valid_schemes(
             60, seed, max_secrets=4, max_share_size=6, max_denominator=24
         )
@@ -384,8 +402,59 @@ def test_scheme_structure_derivation_bounded(monkeypatch, tmp_path, capsys):
     assert out == ""
     assert err == f"error: {exc.value}\n"
     assert calls == []
-    parse_scheme(_sixteen_player_text(152))
-    assert len(calls) == 1 << 16
+    # one secret: every set is tolerable, so no set needs a secrecy check
+    assert parse_scheme(_sixteen_player_text(152)).structure.maximal == (0xFFFF,)
+    assert calls == []
+
+
+def _rederived(sch):
+    """The same table with no claimed structure, so that one is derived."""
+    shares = [np.array(v, dtype=object)[c] for v, c in zip(sch.share_values, sch.codes.T)]
+    return ClassicalScheme(
+        sch.n, sch.secret_count, sch.share_sizes, sch.secrets, shares, sch.numerators, sch.denominator
+    )
+
+
+def test_bottom_up_structure_matches_all_masks(monkeypatch):
+    orand = compile_formula(parse_formula("or(and(1,3),and(2,3))"), GF5)
+    msps = [shamir_msp(5, 2, Field(7)), extend_msp(orand), _past_int64_msp()]
+    schemes = [sch for seed in (0, 1, 2) for sch in generate_valid_schemes(
+        200, seed, max_secrets=4, max_share_size=6, max_denominator=24)]
+    schemes += list(condition._homomorphic_candidates(4))
+    for sch in schemes:
+        assert sch.structure == ref_derive_structure(sch), format_scheme(sch)
+    for msp in msps:
+        sch = _rederived(scheme_from_msp(msp))
+        assert sch.structure == ref_derive_structure(sch) == msp_structure(msp)
+    # Shamir(5,2) tests its 16 sets of at most two players and the 10 sets
+    # of three, each of whose two-player subsets is tolerable: 26 of 32
+    calls = []
+    check = condition.check_secrecy
+    monkeypatch.setattr(condition, "check_secrecy", lambda *args: calls.append(args[1]) or check(*args))
+    _rederived(scheme_from_msp(msps[0]))
+    assert sorted(calls) == sorted(b for b in range(32) if bin(b).count("1") <= 3)
+
+
+def test_scheme_arrays_hold_the_table(shamir_table):
+    sch = scheme_from_msp(_past_int64_msp())
+    assert sch.codes.dtype == np.int64 and sch.codes.shape == (len(sch.table), 2)
+    assert sch.share_values[0][-1] >= 2**63  # exact Python ints past int64
+    for array in (sch.secrets, sch.codes, sch.numerators):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    with pytest.raises(TypeError):
+        sch.table[(0, (0, 0))] = Fraction(1)
+    # rows of one (s, y) merge in first-row order; zero rows drop out
+    merged = ClassicalScheme(1, 1, (3,), [0, 0, 0, 0], [[2, 1, 2, 0]], [1, 3, 2, 0], 6)
+    assert list(merged.table.items()) == [((0, (2,)), Fraction(1, 2)), ((0, (1,)), Fraction(1, 2))]
+    # huge weights keep Python-int numerators
+    tiny = Fraction(1, 2**70)
+    big = ClassicalScheme.from_table(1, 1, (2,), {(0, (0,)): tiny, (0, (1,)): 1 - tiny})
+    assert big.numerators.dtype == object and big.denominator == 2**70
+    with pytest.raises(ValueError, match="one numerator and one share"):
+        ClassicalScheme(1, 1, (2,), [0, 0], [[0]], [1, 1], 2)
+    with pytest.raises(ValueError, match="share column per player"):
+        ClassicalScheme(2, 1, (2, 2), [0], [[0]], [1], 1)
 
 
 def test_homomorphic_product_group():
@@ -416,7 +485,7 @@ def test_dichotomy_is_not_sufficient_for_eq1(counterexample):
 
 
 def test_dichotomy_detects_unequal_conditionals():
-    skewed = ClassicalScheme(
+    skewed = ClassicalScheme.from_table(
         2,
         1,
         (2, 2),

@@ -18,13 +18,19 @@ from spanshare.quantum import (
     qss_mixed,
     qss_pure,
     probe_family,
-    trace_distance,
     trace_distance_within,
     verify_erasure,
 )
 from spanshare.structures import build_structure, mask_from_players, parse_formula
 
-from reference_quantum import dense_dm, projector, schmidt_rank, support_in_image, validate_psd
+from reference_quantum import (
+    dense_dm,
+    projector,
+    schmidt_rank,
+    support_in_image,
+    trace_distance,
+    validate_psd,
+)
 
 GF5 = Field(5)
 
