@@ -4,7 +4,7 @@ Layers, bottom up:
 
 - ``galois``: exact GF(p) matrices and linear solves.
 - ``structures``: adversary structures, duals, Q2/Q2*/self-dual tests,
-  and monotone threshold formulas.
+  monotone threshold formulas and the input-file reader.
 - ``msp``: monotone span programs, the Shamir instance, formula
   compilation, dualization and the self-dual extension.
 - ``classical``: dealing, reconstruction, share-space transformations

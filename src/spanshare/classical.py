@@ -21,14 +21,14 @@ import numpy as np
 
 from .galois import Matrix, kernel_basis, kernel_witness, rank, solve_left
 from .msp import MSP, msp_structure, rows_of
-from .structures import AdversaryStructure, complement, format_players
+from .structures import AdversaryStructure, FormatError, _read_ints, _read_lines, complement, format_players
 
 
 class ReconstructionError(ValueError):
     """A player set that cannot reconstruct was asked to."""
 
 
-class ShareFormatError(ValueError):
+class ShareFormatError(FormatError):
     """Raised for malformed share files."""
 
 
@@ -236,28 +236,20 @@ def parse_share_file(text: str) -> tuple[int, dict[int, tuple[int, int]]]:
     """Parse to (field modulus, {0-based row: (player, value)})."""
     p: int | None = None
     shares: dict[int, tuple[int, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "field" and len(parts) == 2 and parts[1].isdecimal():
-            try:
-                p = int(parts[1])
-            except ValueError:  # past the interpreter's digit limit
-                raise ShareFormatError(f"line {lineno}: field modulus too long") from None
-        elif parts[0] == "share" and len(parts) == 4:
-            try:
-                player, row, value = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ShareFormatError(f"line {lineno}: non-integer share entry") from None
+    for lineno, fields in _read_lines(text):
+        if fields[0] == "field":
+            if p is not None:
+                raise ShareFormatError(f"line {lineno}: duplicate field line")
+            (p,) = _read_ints(fields[1:], ShareFormatError, lineno, "field line", 1, decimal=True)
+        elif fields[0] == "share":
+            player, row, value = _read_ints(fields[1:], ShareFormatError, lineno, "share line", 3)
             if row < 1:
                 raise ShareFormatError(f"line {lineno}: rows are 1-based")
             if row - 1 in shares:
                 raise ShareFormatError(f"line {lineno}: duplicate row {row}")
             shares[row - 1] = (player, value)
         else:
-            raise ShareFormatError(f"line {lineno}: unrecognized line {line!r}")
+            raise ShareFormatError(f"line {lineno}: unknown directive {fields[0]!r}")
     if p is None:
         raise ShareFormatError("missing field header")
     return p, shares

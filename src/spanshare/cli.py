@@ -29,7 +29,6 @@ from .classical import (
 )
 from .condition import (
     PreconditionError,
-    SchemeFormatError,
     check_correctness,
     eq1_check,
     format_scheme,
@@ -47,6 +46,7 @@ from .msp import (
 )
 from .quantum import probe_family, qss_mixed, qss_pure
 from .structures import (
+    FormatError,
     format_structure,
     full_mask,
     mask_from_players,
@@ -82,8 +82,8 @@ class SplitMix64:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SchemeFormatError(f"cannot read {path}: {exc.strerror}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a decoding error has no strerror
+        raise FormatError(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from None
 
 
 def _emit(text: str, out: str | None) -> None:

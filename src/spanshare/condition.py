@@ -38,10 +38,11 @@ import numpy as np
 from .classical import ENUMERATION_GUARD
 from .msp import MSP, _linear_deals, msp_structure
 from .quantum import SECRECY_TOL, QuantumState, _row_keys, partial_trace, probe_family
-from .structures import MAX_PLAYERS, AdversaryStructure, complement, format_players, full_mask
+from .structures import MAX_PLAYERS, AdversaryStructure, FormatError, complement, format_players, full_mask
+from .structures import _read_header, _read_ints, _read_lines
 
 
-class SchemeFormatError(ValueError):
+class SchemeFormatError(FormatError):
     """Raised for malformed scheme table files."""
 
 
@@ -290,7 +291,10 @@ def eq1_check(sch: ClassicalScheme, u_mask: int) -> bool:
     are linearly independent over the rationals, so two sums are equal
     iff their maps are, and the comparison is exact. Two U-words meet
     in a term only inside one Q-word's column, so all tables are summed
-    in one pass over the rows sorted by secret, Q-word and U-word. Every
+    in one pass over the rows sorted by secret, Q-word and U-word. Each
+    weight is decomposed once, n = a*a*k with k squarefree; a term is then
+    sqrt(n1 n2) = a1 a2 g sqrt((k1/g)(k2/g)) with g = gcd(k1, k2), whose
+    root is squarefree again, so no product is ever factored. Every
     term is positive, so no form cancels to empty and a pair that shares
     no Q-word, the empty (zero) sum, is simply absent. The diagonal is left out:
     G_s[yu, yu] = P(yu | s) is the U-marginal, which the secrecy
@@ -303,13 +307,17 @@ def eq1_check(sch: ClassicalScheme, u_mask: int) -> bool:
     rows = zip(*(a[order].tolist() for a in (sq, sch.secrets, u, sch.numerators)))
     # every term sqrt(n1 n2) / denominator shares the denominator: forms keep integer coefficients
     grams: list[dict[tuple[int, int], dict[int, int]]] = [{} for _ in range(sch.secret_count)]
+    roots = {n: _sqrt_decompose(n) for n in set(sch.numerators.tolist())}
     for _, column in itertools.groupby(rows, key=lambda row: row[0]):
         column = list(column)
         for i, (_, s, u1, n1) in enumerate(column):
+            a1, k1 = roots[n1]
             for _, _, u2, n2 in column[i + 1 :]:
-                a, k = _sqrt_decompose(n1 * n2)
+                a2, k2 = roots[n2]
+                g = math.gcd(k1, k2)
+                k = k1 // g * (k2 // g)
                 form = grams[s].setdefault((u1, u2), {})
-                form[k] = form.get(k, 0) + a
+                form[k] = form.get(k, 0) + a1 * a2 * g
     return all(gram == grams[0] for gram in grams[1:])
 
 
@@ -463,18 +471,11 @@ def homomorphic_dichotomy_check(sch: ClassicalScheme, u_mask: int) -> bool:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All nonnegative integer tuples of the given length summing to
-    total, lexicographically ascending."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All nonnegative integer tuples of the given length (at least one)
+    summing to total, lexicographically ascending: stars and bars, with
+    the cut points ascending."""
+    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (total,)))
 
 
 def _surjections(size: int, onto: int) -> Iterator[tuple[int, ...]]:
@@ -649,49 +650,31 @@ def format_scheme(sch: ClassicalScheme) -> str:
 
 
 def parse_scheme(text: str) -> ClassicalScheme:
-    lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("scheme "):
-        raise SchemeFormatError("missing scheme header line")
-    header: dict[str, int] = {}
-    for token in lines[0].split()[1:]:
-        key, _, value = token.partition("=")
-        try:
-            if not value.isdecimal():
-                raise ValueError
-            header[key] = int(value)  # fails past the interpreter's digit limit
-        except ValueError:
-            raise SchemeFormatError(f"bad header token {token!r}") from None
-    if "n" not in header or "secrets" not in header:
-        raise SchemeFormatError("scheme header needs n= and secrets=")
+    """Parse a table: the ``scheme n= secrets=`` header line, one
+    ``space <player> <size>`` line per player and ``p <secret> <shares>
+    <num>[/<den>]`` rows, where a repeated (secret, shares) adds up."""
+    lines = _read_lines(text)
+    header = _read_header(lines, "scheme", ("n", "secrets"), SchemeFormatError)
     n = header["n"]
     sizes: dict[int, int] = {}
     rows: list[tuple[tuple[int, tuple[int, ...]], Fraction]] = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "space":
-            try:
-                if len(parts) != 3:
-                    raise ValueError
-                sizes[int(parts[1])] = int(parts[2])
-            except ValueError:
-                raise SchemeFormatError(f"bad space line {ln!r}") from None
-        elif parts[0] == "p":
-            if len(parts) != n + 3:
-                raise SchemeFormatError(f"p line needs secret, {n} shares and a probability")
-            try:
-                s = int(parts[1])
-                y = tuple(int(x) for x in parts[2 : 2 + n])
-                num, _, dencount = parts[-1].partition("/")
-                pr = Fraction(int(num), int(dencount)) if dencount else Fraction(int(num))
-            except (ValueError, ZeroDivisionError):
-                raise SchemeFormatError(f"bad probability row {ln!r}") from None
-            rows.append(((s, y), pr))
+    for lineno, fields in lines:
+        if fields[0] == "space":
+            i, size = _read_ints(fields[1:], SchemeFormatError, lineno, "space line", 2)
+            if i in sizes:
+                raise SchemeFormatError(f"line {lineno}: duplicate space line for player {i}")
+            sizes[i] = size
+        elif fields[0] == "p":
+            s, *y = _read_ints(fields[1:-1], SchemeFormatError, lineno, "secret and shares", n + 1)
+            num_den = _read_ints(fields[-1].split("/", 1), SchemeFormatError, lineno, "probability")
+            if num_den[1:] == [0]:
+                raise SchemeFormatError(f"line {lineno}: bad probability: zero denominator")
+            rows.append(((s, tuple(y)), Fraction(*num_den)))
         else:
-            raise SchemeFormatError(f"unknown directive {parts[0]!r}")
+            raise SchemeFormatError(f"line {lineno}: unknown directive {fields[0]!r}")
     if len(sizes) != n or sorted(sizes) != list(range(1, n + 1)):
         raise SchemeFormatError("need one space line per player")
     try:
-        sizes_in_order = tuple(sizes[i] for i in range(1, n + 1))
-        return ClassicalScheme.from_table(n, header["secrets"], sizes_in_order, rows)
+        return ClassicalScheme.from_table(n, header["secrets"], tuple(sizes[i] for i in sorted(sizes)), rows)
     except ValueError as exc:
         raise SchemeFormatError(str(exc)) from None

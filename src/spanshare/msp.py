@@ -32,9 +32,13 @@ from .structures import (
     MAX_PLAYERS,
     AdversaryStructure,
     And,
+    FormatError,
     Formula,
     Or,
     Var,
+    _read_header,
+    _read_ints,
+    _read_lines,
     complement,
     eval_formula,
     make_and,
@@ -44,7 +48,7 @@ from .structures import (
 )
 
 
-class MspFormatError(ValueError):
+class MspFormatError(FormatError):
     """Raised for malformed MSP dump files."""
 
 
@@ -331,41 +335,20 @@ def dump_msp(msp: MSP) -> str:
 
 
 def parse_msp(text: str) -> MSP:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("msp "):
-        raise MspFormatError("missing msp header line")
-    header: dict[str, int] = {}
-    for token in lines[0].split()[1:]:
-        key, _, value = token.partition("=")
-        try:
-            if not value.isdecimal():
-                raise ValueError
-            header[key] = int(value)  # fails past the interpreter's digit limit
-        except ValueError:
-            raise MspFormatError(f"bad header token {token!r}") from None
-    for key in ("field", "d", "e", "n"):
-        if key not in header:
-            raise MspFormatError(f"header missing {key}")
-    try:
-        field = Field(header["field"])
-    except ValueError as exc:
-        raise MspFormatError(str(exc)) from None
+    """Parse a dump: the ``msp field= d= e= n=`` header line, then one
+    ``row <player> <entries>`` line per matrix row."""
+    lines = _read_lines(text)
+    header = _read_header(lines, "msp", ("field", "d", "e", "n"), MspFormatError)
     rows: list[list[int]] = []
-    psi: list[int] = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] != "row":
-            raise MspFormatError(f"unexpected line {ln!r}")
-        if len(parts) != 2 + header["e"]:
-            raise MspFormatError(f"row with {len(parts) - 2} entries, expected {header['e']}")
-        try:
-            psi.append(int(parts[1]))
-            rows.append([int(x) for x in parts[2:]])
-        except ValueError:
-            raise MspFormatError(f"non-integer entry in {ln!r}") from None
+    for lineno, fields in lines:
+        if fields[0] != "row":
+            raise MspFormatError(f"line {lineno}: unknown directive {fields[0]!r}")
+        rows.append(_read_ints(fields[1:], MspFormatError, lineno, "row line", 1 + header["e"]))
     if len(rows) != header["d"]:
         raise MspFormatError(f"{len(rows)} rows, header says {header['d']}")
     try:
-        return MSP(field, Matrix.from_rows(field, rows, header["e"]), tuple(psi), header["n"])
+        field = Field(header["field"])
+        matrix = Matrix.from_rows(field, [row[1:] for row in rows], header["e"])
+        return MSP(field, matrix, tuple(row[0] for row in rows), header["n"])
     except ValueError as exc:
         raise MspFormatError(str(exc)) from None

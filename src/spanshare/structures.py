@@ -4,7 +4,8 @@ An adversary structure is a downward-closed family of player subsets,
 stored as one 2**n-bit membership set: an int whose bit b is set iff
 player set b is a member. Player sets are bitmasks over players 1..n
 (bit i-1 is player i); n is capped at 16, so that set has 65,536 bits
-at most.
+at most. The input-file reader that all four file formats parse with
+lives here too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,11 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 MAX_PLAYERS = 16
 
 
-class StructureFormatError(ValueError):
+class FormatError(ValueError):
+    """Raised for malformed input text; each input format raises its own subclass."""
+
+
+class StructureFormatError(FormatError):
     """Raised for malformed structure files."""
 
 
@@ -223,6 +228,53 @@ def threshold_structure(n: int, t: int) -> AdversaryStructure:
 
 
 # ---------------------------------------------------------------------------
+# the input-file reader, shared by the structure, MSP, share and scheme formats
+
+
+def _read_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, fields) of every line that keeps a field once
+    its ``#`` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield lineno, fields
+
+
+def _read_ints(tokens: Sequence[str], error: type[FormatError], lineno: int, what: str,
+               count: int | None = None, decimal: bool = False) -> list[int]:
+    """The tokens as ints, or the format's error naming the line: with
+    count, exactly that many; with decimal, nonnegative decimals only."""
+    if count is not None and len(tokens) != count:
+        raise error(f"line {lineno}: bad {what}: expected {count} numbers, got {len(tokens)}")
+    try:
+        if decimal and not all(t.isdecimal() for t in tokens):
+            raise ValueError
+        return [int(t) for t in tokens]  # int() also fails past the interpreter's digit limit
+    except ValueError:
+        kind = "nonnegative decimals" if decimal else "integers"
+        raise error(f"line {lineno}: bad {what}: expected {kind}") from None
+
+
+def _read_header(lines: Iterator[tuple[int, list[str]]], name: str, keys: tuple[str, ...],
+                 error: type[FormatError]) -> dict[str, int]:
+    """The first line, ``name key=value ...``: every key exactly once and
+    no other, each value a nonnegative decimal."""
+    lineno, fields = next(lines, (0, [""]))
+    if fields[0] != name:
+        raise error(f"line {lineno}: missing {name} header line" if lineno else f"missing {name} header line")
+    header: dict[str, int] = {}
+    for token in fields[1:]:
+        key, _, value = token.partition("=")
+        if key not in keys or key in header:
+            raise error(f"line {lineno}: {'duplicate' if key in header else 'unknown'} header key {key!r}")
+        (header[key],) = _read_ints([value], error, lineno, f"header value {key}=", decimal=True)
+    for key in keys:
+        if key not in header:
+            raise error(f"line {lineno}: header missing {key}=")
+    return header
+
+
+# ---------------------------------------------------------------------------
 # structure files
 
 
@@ -230,36 +282,23 @@ def parse_structure(text: str) -> AdversaryStructure:
     """Parse the plain-text structure format.
 
     One directive per line: ``players <n>`` once, then ``maximal <ids>``
-    lines (a bare ``maximal`` denotes the empty set). ``#`` starts a
-    comment.
+    lines (a bare ``maximal`` denotes the empty set).
     """
     n: int | None = None
     sets: list[list[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "players":
+    for lineno, fields in _read_lines(text):
+        if fields[0] == "players":
             if n is not None:
                 raise StructureFormatError(f"line {lineno}: duplicate players directive")
-            try:
-                if len(parts) != 2 or not parts[1].isdecimal():
-                    raise ValueError
-                n = int(parts[1])  # fails past the interpreter's digit limit
-            except ValueError:
-                raise StructureFormatError(f"line {lineno}: expected 'players <n>'") from None
+            (n,) = _read_ints(fields[1:], StructureFormatError, lineno, "players line", 1, decimal=True)
             if n > MAX_PLAYERS:  # before any player id becomes a mask of n bits
                 raise StructureFormatError(f"player count must lie in 1..{MAX_PLAYERS}, got {n}")
-        elif parts[0] == "maximal":
+        elif fields[0] == "maximal":
             if n is None:
                 raise StructureFormatError(f"line {lineno}: 'maximal' before 'players'")
-            try:
-                sets.append([int(x) for x in parts[1:]])
-            except ValueError:
-                raise StructureFormatError(f"line {lineno}: non-integer player id") from None
+            sets.append(_read_ints(fields[1:], StructureFormatError, lineno, "maximal line"))
         else:
-            raise StructureFormatError(f"line {lineno}: unknown directive {parts[0]!r}")
+            raise StructureFormatError(f"line {lineno}: unknown directive {fields[0]!r}")
     if n is None:
         raise StructureFormatError("missing players directive")
     try:
@@ -360,7 +399,7 @@ def format_formula(f: Formula) -> str:
     return f"thr{f.k}({inner})"
 
 
-class FormulaError(ValueError):
+class FormulaError(FormatError):
     """Syntax error in a formula, with a 0-based character position."""
 
     def __init__(self, message: str, position: int):

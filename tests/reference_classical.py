@@ -19,6 +19,10 @@ arrays of the table: one dict of lifted amplitudes per probe, and one
 are the dict walks ``condition`` ran before a scheme stored arrays:
 every check projected each row of ``table`` through ``project``, and
 the structure was read off one secrecy check per player set.
+
+``ref_compositions`` is the first-part-then-the-rest recursion that
+``condition._compositions`` ran before it read cut points off
+``itertools.combinations_with_replacement``.
 """
 
 import itertools
@@ -256,3 +260,14 @@ def ref_lift_report(sch, u_mask, seed=0):
         if dist > worst:
             worst, witness = dist, (name1, name2)
     return LiftReport(worst <= SECRECY_TOL, worst, witness, [n for n, _ in family], seed)
+
+
+def ref_compositions(total, parts):
+    """All nonnegative tuples of the given length summing to total,
+    lexicographically ascending, by recursion on the first part."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in ref_compositions(total - first, parts - 1):
+            yield (first,) + rest

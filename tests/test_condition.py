@@ -43,6 +43,7 @@ from reference_classical import (
     ref_eq1_check,
     ref_homomorphic_dichotomy_check,
     ref_homomorphic_table,
+    ref_compositions,
     ref_derive_structure,
     ref_lift_report,
     ref_scheme_table,
@@ -175,6 +176,31 @@ def test_sqrt_canonical_forms():
     assert total == {2: Fraction(2)}
     assert _sqrt_sum([Fraction(1, 4)]) == {1: Fraction(1, 2)}
     assert _sqrt_sum([]) == {}
+
+
+def test_eq1_decomposes_each_weight_once(monkeypatch):
+    # eq1 pairs 1000000007 with 998244353 in one Q-word's column: factoring
+    # their product by trial division would take about 10**9 steps
+    decompose, seen = condition._sqrt_decompose, []
+
+    def recording(n):
+        assert n <= sch.denominator, n  # before the slow factoring starts
+        seen.append(n)
+        return decompose(n)
+
+    monkeypatch.setattr(condition, "_sqrt_decompose", recording)
+    sch = parse_scheme((Path(__file__).parent / "fixtures" / "large_primes.scheme").read_text())
+    assert eq1_check(sch, U1) and lift_and_test(sch, U1)
+    assert sorted(seen) == [998244353, 1000000007]
+    for sch in generate_valid_schemes(20, 0, max_denominator=24):
+        eq1_check(sch, U1)
+    assert len(seen) > 20
+
+
+def test_compositions_match_the_recursion():
+    for total in range(9):
+        for parts in range(1, 6):
+            assert list(condition._compositions(total, parts)) == list(ref_compositions(total, parts))
 
 
 def test_eq1_shamir_passes(shamir_table):
