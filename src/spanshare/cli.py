@@ -210,35 +210,19 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 # quantum verification
 
 
-def _print_report(report, fmt: str) -> int:
-    print(report.to_machine() if fmt == "machine" else report.to_text(), end="")
-    if not report.applicable:
-        return 1
-    return 0 if report.passed else 1
-
-
-def _cmd_qss_verify_pure(args: argparse.Namespace) -> int:
+def _cmd_qss_verify(args: argparse.Namespace) -> int:
     msp = parse_msp(_read(args.file))
     try:
-        scheme = qss_pure(msp)
+        scheme = args.builder(msp)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if "not self-dual" in str(exc):  # the one refusal verify-mixed gets past
             print("hint: use verify-mixed", file=sys.stderr)
         return 1
     family = probe_family(msp.field.p, seed=args.seed, n_random=args.random)
-    return _print_report(scheme.verify_all(inputs=family, seed=args.seed), args.format)
-
-
-def _cmd_qss_verify_mixed(args: argparse.Namespace) -> int:
-    msp = parse_msp(_read(args.file))
-    try:
-        scheme = qss_mixed(msp)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    family = probe_family(msp.field.p, seed=args.seed, n_random=args.random)
-    return _print_report(scheme.verify_all(inputs=family, seed=args.seed), args.format)
+    report = scheme.verify_all(inputs=family, seed=args.seed)
+    print(report.to_machine() if args.format == "machine" else report.to_text(), end="")
+    return 0 if report.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +335,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_qss = sub.add_parser("qss", help="quantum scheme verification")
     q_sub = p_qss.add_subparsers(dest="subcommand", required=True)
-    for name, handler in [("verify-pure", _cmd_qss_verify_pure), ("verify-mixed", _cmd_qss_verify_mixed)]:
+    for name, builder in [("verify-pure", qss_pure), ("verify-mixed", qss_mixed)]:
         p = q_sub.add_parser(name)
         p.add_argument("file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--random", type=int, default=20, help="random probe states")
         p.add_argument("--format", choices=["text", "machine"], default="text")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_cmd_qss_verify, builder=builder)
 
     p_cond = sub.add_parser("condition", help="classical-to-quantum conversion condition")
     c_sub = p_cond.add_subparsers(dest="subcommand", required=True)

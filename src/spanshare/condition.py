@@ -8,8 +8,8 @@ Q, the direct quantum lifting (amplitudes sqrt of probabilities)
 corrects erasures on U exactly when, for every pair of U-share words,
 the sum over reconstructing Q-words of the square-root products is
 independent of the secret. ``eq1_check`` evaluates that criterion in
-exact arithmetic (sums of rationals times square roots of squarefree
-integers have canonical forms, so equality is decidable);
+exact arithmetic (sums of rationals times square roots of integers
+have canonical forms, so equality is decidable);
 ``lift_and_test`` is the independent brute-force oracle that builds
 the lifted states and compares the reduced density matrices.
 
@@ -248,18 +248,36 @@ def scheme_from_msp(msp: MSP) -> ClassicalScheme:
 # the exact square-root criterion
 
 
-def _sqrt_decompose(n: int) -> tuple[int, int]:
-    """n = a*a*k with k squarefree; returns (a, k). Trial division."""
-    a, k, d = 1, 1, 2
-    while d * d <= n:
-        while n % (d * d) == 0:
-            n //= d * d
-            a *= d
-        if n % d == 0:
-            n //= d
-            k *= d
-        d += 1
-    return (a, k * n) if n > 1 else (a, k)
+def _square_classes(numbers: Iterable[int]) -> dict[int, tuple[int, int]]:
+    """{n: (a, k)} with n = a*a*k for each positive n, k a product of
+    distinct elements of one base of pairwise coprime non-squares, so that
+    distinct k lie in distinct square classes. The base comes by gcd
+    refinement, each element replaced by its root while a perfect square
+    (math.isqrt): nothing is factored."""
+    numbers, base = set(numbers), set()
+    pending = numbers - {1}
+    while pending:
+        x = pending.pop()
+        b = next((b for b in base if math.gcd(x, b) > 1), None)
+        if b is None:
+            while math.isqrt(x) ** 2 == x:  # a root is coprime wherever x is
+                x = math.isqrt(x)
+            base.add(x)
+        else:
+            g = math.gcd(x, b)
+            base.remove(b)
+            pending |= {g, b // g, x // g} - {1}
+    classes = {}
+    for n in numbers:
+        rest, k = n, 1
+        for b in base:
+            while rest % (b * b) == 0:
+                rest //= b * b
+            if rest % b == 0:
+                rest //= b
+                k *= b
+        classes[n] = (math.isqrt(n // k), k)
+    return classes
 
 
 def _split_preconditions(sch: ClassicalScheme, u_mask: int) -> None:
@@ -286,19 +304,19 @@ def eq1_check(sch: ClassicalScheme, u_mask: int) -> bool:
     Secret s has the Gram table G_s[yu1, yu2], the sum over Q-words yq
     reconstructing to s of sqrt(P(yu1, yq | s)) * sqrt(P(yu2, yq | s));
     the criterion holds iff every secret has the same table. Each entry
-    is kept in canonical form, a map {squarefree k: rational c} for the
-    sum of c * sqrt(k): square roots of distinct squarefree integers
-    are linearly independent over the rationals, so two sums are equal
-    iff their maps are, and the comparison is exact. Two U-words meet
-    in a term only inside one Q-word's column, so all tables are summed
-    in one pass over the rows sorted by secret, Q-word and U-word. Each
-    weight is decomposed once, n = a*a*k with k squarefree; a term is then
-    sqrt(n1 n2) = a1 a2 g sqrt((k1/g)(k2/g)) with g = gcd(k1, k2), whose
-    root is squarefree again, so no product is ever factored. Every
-    term is positive, so no form cancels to empty and a pair that shares
-    no Q-word, the empty (zero) sum, is simply absent. The diagonal is left out:
-    G_s[yu, yu] = P(yu | s) is the U-marginal, which the secrecy
-    precondition already found equal for every secret.
+    is kept in canonical form, a map {k: rational c} for the sum of
+    c * sqrt(k) with no two k in one square class: such roots are linearly
+    independent over the rationals, so two sums are equal iff their maps
+    are. Two U-words meet in a term only inside one Q-word's column, so
+    all tables are summed in one pass over the rows sorted by secret,
+    Q-word and U-word. Each weight is written once as n = a*a*k
+    (``_square_classes``, which factors nothing); a term is then
+    sqrt(n1 n2) = a1 a2 g sqrt((k1/g)(k2/g)) with g = gcd(k1, k2), whose k
+    is of the same kind. Every term is positive, so no form cancels to
+    empty and a pair that shares no Q-word, the empty (zero) sum, is simply
+    absent. The diagonal is left out: G_s[yu, yu] = P(yu | s) is the
+    U-marginal, which the secrecy precondition already found equal for
+    every secret.
     """
     _split_preconditions(sch, u_mask)
     q_mask = complement(u_mask, sch.n)
@@ -307,7 +325,7 @@ def eq1_check(sch: ClassicalScheme, u_mask: int) -> bool:
     rows = zip(*(a[order].tolist() for a in (sq, sch.secrets, u, sch.numerators)))
     # every term sqrt(n1 n2) / denominator shares the denominator: forms keep integer coefficients
     grams: list[dict[tuple[int, int], dict[int, int]]] = [{} for _ in range(sch.secret_count)]
-    roots = {n: _sqrt_decompose(n) for n in set(sch.numerators.tolist())}
+    roots = _square_classes(sch.numerators.tolist())
     for _, column in itertools.groupby(rows, key=lambda row: row[0]):
         column = list(column)
         for i, (_, s, u1, n1) in enumerate(column):

@@ -8,7 +8,10 @@ rank), so the simulation stays sparse and exact. Erasure of a
 tolerable set B with qualified complement A is corrected by relabeling
 the A coordinates through the classical reconstruction plan's
 invertible matrix U, after which the first A coordinate factors out
-as the secret.
+as the secret. ``QuantumScheme`` holds the pure scheme of a self-dual
+MSP (``qss_pure``), the mixed one, which is the pure scheme of the
+self-dual extension with the extra share discarded (``qss_mixed``), and
+the pure scheme on one erased set (``verify_erasure``).
 
 States are sparse: an N x k int64 array of distinct basis labels and
 their N complex amplitudes. An encoded state is rows of the MSP's cached
@@ -32,7 +35,7 @@ import numpy as np
 from .classical import ReconstructionPlan, build_reconstruction_plan
 from .galois import rank
 from .msp import MSP, extend_msp, msp_structure
-from .structures import format_players
+from .structures import AdversaryStructure, format_players
 
 NORM_ATOL = 1e-12
 RECOVERY_TOL = 1e-9
@@ -360,11 +363,14 @@ class CheckLine:
     passed: bool
 
     def machine(self) -> str:
-        value = f"{self.value:.12f}" if self.metric == "fidelity" else f"{self.value:.3e}"
         return (
             f"check={self.check} set={self.subset} input={self.label} "
-            f"{self.metric}={value} pass={'true' if self.passed else 'false'}"
+            f"{self.metric}={_value_text(self)} pass={'true' if self.passed else 'false'}"
         )
+
+
+def _value_text(line: CheckLine) -> str:
+    return f"{line.value:.12f}" if line.metric == "fidelity" else f"{line.value:.3e}"
 
 
 @dataclass
@@ -384,9 +390,7 @@ class VerificationReport:
 
     @property
     def status(self) -> str:
-        if not self.applicable:
-            return "NOT_APPLICABLE"
-        return "PASS" if self.passed else "FAIL"
+        return "PASS" if self.passed else "FAIL" if self.applicable else "NOT_APPLICABLE"
 
     def add(self, check: str, subset: int, label: str, metric: str, value: float, passed: bool) -> None:
         self.lines.append(CheckLine(check, format_players(subset), label, metric, value, passed))
@@ -395,18 +399,19 @@ class VerificationReport:
         header = f"{self.kind} verification: {self.descriptor} seed={self.seed}"
         if not self.applicable:
             return f"{header}\nresult: NOT_APPLICABLE ({self.reason})\n"
-        rows = []
-        worst: dict[tuple[str, str], CheckLine] = {}
+        # per (check, set), in first-seen order: its worst line and whether all passed
+        rows: dict[tuple[str, str], tuple[CheckLine, bool]] = {}
         for line in self.lines:
-            current = worst.setdefault((line.check, line.subset), line)
-            if line.value < current.value if line.metric == "fidelity" else line.value > current.value:
-                worst[line.check, line.subset] = line
-        for (check, subset), line in worst.items():
-            value = f"{line.value:.12f}" if line.metric == "fidelity" else f"{line.value:.3e}"
-            word = "min" if line.metric == "fidelity" else "max"
-            ok = "pass" if all(l.passed for l in self.lines if (l.check, l.subset) == (check, subset)) else "FAIL"
-            rows.append(f"  {check} set={{{subset}}}: {word} {line.metric} {value}: {ok}")
-        return "\n".join([header, *rows, f"result: {self.status}"]) + "\n"
+            worst, ok = rows.get((line.check, line.subset), (line, True))
+            if line.value < worst.value if line.metric == "fidelity" else line.value > worst.value:
+                worst = line
+            rows[line.check, line.subset] = worst, ok and line.passed
+        text = [
+            f"  {check} set={{{subset}}}: {'min' if line.metric == 'fidelity' else 'max'} "
+            f"{line.metric} {_value_text(line)}: {'pass' if ok else 'FAIL'}"
+            for (check, subset), (line, ok) in rows.items()
+        ]
+        return "\n".join([header, *text, f"result: {self.status}"]) + "\n"
 
     def to_machine(self) -> str:
         head = f"report kind={self.kind} seed={self.seed}"
@@ -440,164 +445,117 @@ def _check_budget(msp: MSP, coalitions: Iterable[int] = ()) -> None:
             )
 
 
-def _sweep(
-    report: VerificationReport,
-    msp: MSP,
-    family: list[tuple[str, QuantumState]],
-    blocks: Iterable[tuple[Iterable[tuple[int, ReconstructionPlan]], Iterable[int]]],
-) -> VerificationReport:
-    """Encode every probe with msp, then check each block: recovery of
-    every probe by each (mask, plan) pair, then pairwise secrecy of
-    the probes on each coalition."""
-    encoded = [(name, state, qencode(msp, state)) for name, state in family]
-    for recoveries, coalitions in blocks:
-        for mask, plan in recoveries:
-            for name, state, enc in encoded:
-                reduced = partial_trace(apply_plan(enc, plan), (plan.a_rows[0],))
-                fide = fidelity(reduced, state)
-                report.add("recovery", mask, name, "fidelity", fide, fide >= 1 - RECOVERY_TOL)
-        for b in coalitions:
-            rows = msp.row_indices(b)
-            views = [(name, partial_trace(enc.state, rows)) for name, _, enc in encoded]
-            for (name1, rho1), (name2, rho2) in itertools.combinations(views, 2):
-                ok, value = trace_distance_within(rho1, rho2, SECRECY_TOL)
-                report.add("secrecy", b, f"{name1}|{name2}", "distance", value, ok)
-    return report
-
-
-def verify_erasure(
-    msp: MSP,
-    b_mask: int,
-    inputs: list[tuple[str, QuantumState]] | None = None,
-    seed: int = 0,
-) -> VerificationReport:
-    """Erasure correction and secrecy for one erased set.
-
-    Returns a NOT_APPLICABLE report (distinct from failure) when the
-    set is outside the intersection of the structure and its dual.
-    """
-    _check_budget(msp)
-    structure = msp_structure(msp)
-    dual = structure.dual()
-    descriptor = f"field={msp.field.p} d={msp.d} e={msp.e} n={msp.n} B={{{format_players(b_mask)}}}"
-    report = VerificationReport("erasure", descriptor, seed)
-    for members, name in ((structure, "adversary"), (dual, "dual")):
-        if not members.is_member(b_mask):
-            report.applicable, report.reason = False, f"set is not in the {name} structure"
-            return report
-    _check_budget(msp, [b_mask])
-    family = inputs if inputs is not None else probe_family(msp.field.p, seed)
-    blocks = [([(b_mask, build_reconstruction_plan(msp, b_mask))], [b_mask])]
-    return _sweep(report, msp, family, blocks)
-
-
 # ---------------------------------------------------------------------------
-# scheme handles
+# schemes
 
 
-class PureScheme:
-    """Pure-state quantum secret sharing from a self-dual MSP.
+@dataclass(frozen=True, eq=False)
+class QuantumScheme:
+    """Quantum secret sharing: the encoding MSP, one reconstruction plan
+    per set the caller names, and the blocks that verify it, each a list of
+    plans to check recovery with and a list of coalitions to check secrecy on.
 
-    Bundles the encoder with a reconstruction plan for every
-    tolerable set; every qualified set can recover the secret and no
-    tolerable coalition's reduced state depends on it.
+    A mixed scheme is the pure scheme of the self-dual extension with the
+    extra player tau's share discarded: tau is ``hidden`` from coalition
+    views, and its plans, keyed by qualified set, never touch tau's rows.
     """
 
-    def __init__(self, msp: MSP):
-        _check_budget(msp)
-        structure = msp_structure(msp)
-        if not structure.is_selfdual():
-            raise ValueError(
-                "structure is not self-dual; no pure-state scheme exists "
-                "(use qss_mixed for a Q2* structure)"
-            )
-        _check_budget(msp, structure.members())
-        self.msp = msp
-        self.structure = structure
-        self.plans = {b: build_reconstruction_plan(msp, b) for b in structure.members()}
+    kind: str
+    descriptor: str
+    msp: MSP
+    structure: AdversaryStructure
+    plans: dict[int, ReconstructionPlan]
+    blocks: list[tuple[list[int], list[int]]]
+    hidden: int = 0
 
     def encode(self, state: QuantumState) -> EncodedState:
         return qencode(self.msp, state)
 
-    def recover(self, b_mask: int, enc: EncodedState) -> tuple[QuantumState, int]:
-        """Undo erasure of B; returns (state, secret coordinate index)."""
-        plan = self.plans.get(b_mask)
+    def recover(self, mask: int, enc: EncodedState) -> tuple[QuantumState, int]:
+        """Recovery by the plan for mask; returns (state, secret coordinate index)."""
+        plan = self.plans.get(mask)
         if plan is None:
-            raise ValueError(f"set {{{format_players(b_mask)}}} is not erasable in this scheme")
+            word = "qualified" if self.hidden else "erasable"
+            raise ValueError(f"set {{{format_players(mask)}}} is not {word} in this scheme")
         return apply_plan(enc, plan), plan.a_rows[0]
 
     def coalition_density(self, b_mask: int, enc: EncodedState) -> DensityMatrix:
+        if b_mask & self.hidden:
+            raise ValueError("the extra share is discarded and cannot be inspected")
         return partial_trace(enc.state, self.msp.row_indices(b_mask))
 
     def verify_all(
         self, inputs: list[tuple[str, QuantumState]] | None = None, seed: int = 0
     ) -> VerificationReport:
-        descriptor = f"field={self.msp.field.p} d={self.msp.d} e={self.msp.e} n={self.msp.n}"
-        report = VerificationReport("pure-qss", descriptor, seed)
+        """Encode every probe, then per block: every probe's recovery by each
+        plan, then pairwise secrecy of the probes on each coalition."""
+        report = VerificationReport(self.kind, self.descriptor, seed)
         family = inputs if inputs is not None else probe_family(self.msp.field.p, seed)
-        blocks = [([(b, plan)], [b]) for b, plan in self.plans.items()]
-        return _sweep(report, self.msp, family, blocks)
+        encoded = [(name, state, self.encode(state)) for name, state in family]
+        for recoveries, coalitions in self.blocks:
+            for mask in recoveries:
+                for name, state, enc in encoded:
+                    recovered, coord = self.recover(mask, enc)
+                    fide = fidelity(partial_trace(recovered, (coord,)), state)
+                    report.add("recovery", mask, name, "fidelity", fide, fide >= 1 - RECOVERY_TOL)
+            for b in coalitions:
+                views = [(name, self.coalition_density(b, enc)) for name, _, enc in encoded]
+                for (name1, rho1), (name2, rho2) in itertools.combinations(views, 2):
+                    ok, value = trace_distance_within(rho1, rho2, SECRECY_TOL)
+                    report.add("secrecy", b, f"{name1}|{name2}", "distance", value, ok)
+        return report
 
 
-class MixedScheme:
-    """Mixed-state quantum secret sharing for a Q2* structure.
-
-    Encodes with the self-dual extension's MSP; the coordinates of
-    the extra player are discarded (traced out, which models both a
-    destroyed and a dealer-kept extra share). Recovery by a qualified
-    set only ever touches that set's own coordinates.
-    """
-
-    def __init__(self, msp: MSP):
-        structure = msp_structure(msp)
-        if not structure.is_q2star():
-            raise ValueError("structure is not Q2*; no-cloning forbids QSS")
-        self.base_msp = msp
-        self.structure = structure
-        self.extended = extend_msp(msp)
-        self.extended_structure = msp_structure(self.extended)
-        _check_budget(self.extended, structure.members())
-        self.tau = self.extended.n
-        self.qualified = [q for q in range(1 << msp.n) if not structure.is_member(q)]
-        full_ext = (1 << self.extended.n) - 1
-        self.plans = {
-            q: build_reconstruction_plan(self.extended, full_ext & ~q) for q in self.qualified
-        }
-
-    def encode(self, state: QuantumState) -> EncodedState:
-        return qencode(self.extended, state)
-
-    def recover(self, q_mask: int, enc: EncodedState) -> tuple[QuantumState, int]:
-        """Recover by a qualified set of the base structure."""
-        plan = self.plans.get(q_mask)
-        if plan is None:
-            raise ValueError(f"set {{{format_players(q_mask)}}} is not qualified")
-        return apply_plan(enc, plan), plan.a_rows[0]
-
-    def coalition_density(self, b_mask: int, enc: EncodedState) -> DensityMatrix:
-        """Reduced state of a coalition of base players (tau excluded)."""
-        if b_mask >> (self.tau - 1) & 1:
-            raise ValueError("the extra share is discarded and cannot be inspected")
-        return partial_trace(enc.state, self.extended.row_indices(b_mask))
-
-    def verify_all(
-        self, inputs: list[tuple[str, QuantumState]] | None = None, seed: int = 0
-    ) -> VerificationReport:
-        descriptor = (
-            f"field={self.base_msp.field.p} d={self.base_msp.d}->{self.extended.d} "
-            f"e={self.extended.e} n={self.base_msp.n}+tau"
-        )
-        report = VerificationReport("mixed-qss", descriptor, seed)
-        family = inputs if inputs is not None else probe_family(self.base_msp.field.p, seed)
-        blocks = [(self.plans.items(), self.structure.members())]
-        return _sweep(report, self.extended, family, blocks)
+def _pure(
+    kind: str, descriptor: str, msp: MSP, structure: AdversaryStructure, sets: Iterable[int]
+) -> QuantumScheme:
+    """The pure scheme on msp with one block per erasable set: recovery, then secrecy."""
+    plans = {b: build_reconstruction_plan(msp, b) for b in sets}
+    return QuantumScheme(kind, descriptor, msp, structure, plans, [([b], [b]) for b in plans])
 
 
-def qss_pure(msp: MSP) -> PureScheme:
+def qss_pure(msp: MSP) -> QuantumScheme:
     """Pure-state scheme; requires a self-dual structure."""
-    return PureScheme(msp)
+    _check_budget(msp)
+    structure = msp_structure(msp)
+    if not structure.is_selfdual():
+        raise ValueError(
+            "structure is not self-dual; no pure-state scheme exists "
+            "(use qss_mixed for a Q2* structure)"
+        )
+    _check_budget(msp, structure.members())
+    descriptor = f"field={msp.field.p} d={msp.d} e={msp.e} n={msp.n}"
+    return _pure("pure-qss", descriptor, msp, structure, structure.members())
 
 
-def qss_mixed(msp: MSP) -> MixedScheme:
+def qss_mixed(msp: MSP) -> QuantumScheme:
     """Mixed-state scheme via the self-dual extension; requires Q2*."""
-    return MixedScheme(msp)
+    structure = msp_structure(msp)
+    if not structure.is_q2star():
+        raise ValueError("structure is not Q2*; no-cloning forbids QSS")
+    extended = extend_msp(msp)
+    _check_budget(extended, structure.members())
+    tau = 1 << msp.n
+    qualified = [q for q in range(tau) if not structure.is_member(q)]
+    # q recovers from the extension with the complement of q, tau included, erased
+    plans = {q: build_reconstruction_plan(extended, (2 * tau - 1) & ~q) for q in qualified}
+    descriptor = f"field={msp.field.p} d={msp.d}->{extended.d} e={extended.e} n={msp.n}+tau"
+    blocks = [(qualified, list(structure.members()))]
+    return QuantumScheme("mixed-qss", descriptor, extended, structure, plans, blocks, hidden=tau)
+
+
+def verify_erasure(
+    msp: MSP, b_mask: int, inputs: list[tuple[str, QuantumState]] | None = None, seed: int = 0
+) -> VerificationReport:
+    """Erasure correction and secrecy for one erased set: the pure scheme's
+    block for it. Returns a NOT_APPLICABLE report (distinct from failure)
+    when the set is outside the intersection of the structure and its dual."""
+    _check_budget(msp)
+    structure = msp_structure(msp)
+    descriptor = f"field={msp.field.p} d={msp.d} e={msp.e} n={msp.n} B={{{format_players(b_mask)}}}"
+    for members, name in ((structure, "adversary"), (structure.dual(), "dual")):
+        if not members.is_member(b_mask):
+            reason = f"set is not in the {name} structure"
+            return VerificationReport("erasure", descriptor, seed, applicable=False, reason=reason)
+    _check_budget(msp, [b_mask])
+    return _pure("erasure", descriptor, msp, structure, [b_mask]).verify_all(inputs, seed)

@@ -233,8 +233,8 @@ def threshold_structure(n: int, t: int) -> AdversaryStructure:
 
 def _read_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, fields) of every line that keeps a field once
-    its ``#`` comment is cut."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    its ``#`` comment is cut; lines end at ``\n`` only, as in a file read as text."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         fields = raw.split("#", 1)[0].split()
         if fields:
             yield lineno, fields

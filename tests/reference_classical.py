@@ -10,7 +10,10 @@ items, so the table-backed paths can be compared with them exactly.
 ``ref_eq1_check`` and ``ref_homomorphic_dichotomy_check`` are the
 all-pairs-of-U-words loops that ``eq1_check`` and
 ``homomorphic_dichotomy_check`` ran before both summed the table once
-over Q-words; ``_sqrt_sum`` is the canonical form the first sums in.
+over Q-words; ``_sqrt_sum`` is the canonical form the first sums in,
+over the squarefree parts that ``_sqrt_decompose`` finds by trial
+division, as ``eq1_check`` did before it wrote weights over a coprime
+base instead.
 ``ref_lift_report`` is ``lift_report`` as it ran before it sliced
 arrays of the table: one dict of lifted amplitudes per probe, and one
 ``trace_distance`` call per pair of probes.
@@ -30,7 +33,7 @@ from collections import Counter
 from fractions import Fraction
 
 from spanshare.classical import ENUMERATION_GUARD
-from spanshare.condition import LiftReport, _split_preconditions, _sqrt_decompose
+from spanshare.condition import LiftReport, _split_preconditions
 from spanshare.galois import solve_left
 from spanshare.msp import rows_of
 from spanshare.quantum import SECRECY_TOL, QuantumState, partial_trace, probe_family
@@ -170,6 +173,20 @@ def ref_homomorphic_table(spec):
             key = (s, y)
             table[key] = table.get(key, Fraction(0)) + weight
     return (order,) * len(spec.matrix), list(table.items())
+
+
+def _sqrt_decompose(n):
+    """n = a*a*k with k squarefree; returns (a, k). Trial division."""
+    a, k, d = 1, 1, 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+            a *= d
+        if n % d == 0:
+            n //= d
+            k *= d
+        d += 1
+    return (a, k * n) if n > 1 else (a, k)
 
 
 def _sqrt_sum(terms):

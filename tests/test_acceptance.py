@@ -102,7 +102,7 @@ def test_criterion_03_mixed_state_qss():
         base = orand_msp()
         assert not msp_structure(base).is_selfdual()
         scheme = qss_mixed(base)
-        assert sorted(scheme.qualified) == sorted(
+        assert sorted(scheme.plans) == sorted(
             [mask(1, 3, n=3), mask(2, 3, n=3), mask(1, 2, 3, n=3)]
         )
         assert sorted(scheme.structure.members()) == sorted(

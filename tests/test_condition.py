@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +26,6 @@ from spanshare.condition import (
     parse_scheme,
     scheme_from_msp,
     search_counterexample,
-    _sqrt_decompose,
 )
 from spanshare.msp import MSP, compile_formula, extend_msp, msp_structure, shamir_msp
 from spanshare.structures import (
@@ -38,6 +38,7 @@ from spanshare.structures import (
 
 from conftest import random_msps
 from reference_classical import (
+    _sqrt_decompose,
     _sqrt_sum,
     reconstruction_map,
     ref_eq1_check,
@@ -178,23 +179,53 @@ def test_sqrt_canonical_forms():
     assert _sqrt_sum([]) == {}
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
 def test_eq1_decomposes_each_weight_once(monkeypatch):
     # eq1 pairs 1000000007 with 998244353 in one Q-word's column: factoring
     # their product by trial division would take about 10**9 steps
-    decompose, seen = condition._sqrt_decompose, []
+    classes, seen = condition._square_classes, []
 
-    def recording(n):
-        assert n <= sch.denominator, n  # before the slow factoring starts
-        seen.append(n)
-        return decompose(n)
+    def recording(numbers):
+        numbers = list(numbers)
+        seen.append(sorted(numbers))
+        return classes(numbers)
 
-    monkeypatch.setattr(condition, "_sqrt_decompose", recording)
-    sch = parse_scheme((Path(__file__).parent / "fixtures" / "large_primes.scheme").read_text())
+    monkeypatch.setattr(condition, "_square_classes", recording)
+    sch = parse_scheme((FIXTURES / "large_primes.scheme").read_text())
     assert eq1_check(sch, U1) and lift_and_test(sch, U1)
-    assert sorted(seen) == [998244353, 1000000007]
+    assert seen == [[998244353, 998244353, 1000000007, 1000000007]]
+    assert classes(seen[0]) == {998244353: (1, 998244353), 1000000007: (1, 1000000007)}
     for sch in generate_valid_schemes(20, 0, max_denominator=24):
         eq1_check(sch, U1)
-    assert len(seen) > 20
+    assert len(seen) == 21
+
+
+def test_eq1_on_large_composite_weights():
+    # 1000000007 * 998244353 has no factor below 998244353: trial division
+    # would take about 10**9 steps, the coprime base none
+    sch = parse_scheme((FIXTURES / "large_composite.scheme").read_text())
+    n1, n2 = 1000000007 * 998244353, 1000000007 * 998244353 + 1
+    assert condition._square_classes(sch.numerators.tolist()) == {n1: (1, n1), n2: (1, n2)}
+    assert eq1_check(sch, U1) and lift_and_test(sch, U1)
+
+
+def test_square_classes_match_trial_division(shamir_table, counterexample):
+    # equal keys exactly where the squarefree parts are equal, on the
+    # committed tables and the generated ones the reference checks read
+    tables = [shamir_table, counterexample, parse_scheme((FIXTURES / "large_primes.scheme").read_text())]
+    for seed in (0, 1, 2):
+        tables += generate_valid_schemes(200, seed, max_secrets=4, max_share_size=6, max_denominator=24)
+    for sch in tables:
+        numbers = sorted(set(sch.numerators.tolist()))
+        classes = condition._square_classes(numbers)
+        assert all(a * a * k == n for n, (a, k) in classes.items()) and len(classes) == len(numbers)
+        squarefree = {n: _sqrt_decompose(n)[1] for n in numbers}
+        for n1, n2 in itertools.combinations(numbers, 2):
+            assert (classes[n1][1] == classes[n2][1]) == (squarefree[n1] == squarefree[n2]), (n1, n2)
+    # a base element that is a square reduces to its root: 12 = 2*2*3, 8 = 2*2*2
+    assert condition._square_classes([12, 8, 3]) == {12: (2, 3), 8: (2, 2), 3: (1, 3)}
 
 
 def test_compositions_match_the_recursion():

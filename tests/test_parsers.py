@@ -117,6 +117,7 @@ REFUSED = [
     (parse_scheme, "scheme n=1 secrets=1 x=3\nspace 1 1\np 0 0 1\n", "line 1: unknown header key 'x'"),
     (parse_structure, "# c\nplayers 3\nmaximal 1 x\n", "line 3: bad maximal line: expected integers"),
     (parse_structure, "players 3\nminimal 1\n", "line 2: unknown directive 'minimal'"),
+    (parse_structure, "players 3\r\nminimal 1\r\n", "line 2: unknown directive 'minimal'"),
     (parse_msp, "\nmsp field=5 d=1 e=1\nrow 1 1\n", "line 2: header missing n="),
     (parse_msp, "msp field=5 d=1 e=x n=1\nrow 1 1\n",
      "line 1: bad header value e=: expected nonnegative decimals"),
@@ -172,3 +173,17 @@ def test_cli_read_refuses_unreadable_files(tmp_path):
     binary.write_bytes(b"msp field=5 \xff\n")
     with pytest.raises(FormatError, match="^cannot read .*binary.msp: 'utf-8' codec can't decode"):
         _read(str(binary))
+
+
+@pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_lines_are_numbered_by_newline_only(brk):
+    # str.splitlines would also break here and report line 4
+    with pytest.raises(StructureFormatError, match="^line 3: unknown directive 'bogus'$"):
+        parse_structure(f"players 3\n{brk}maximal 1 2\nbogus\n")
+    assert parse_structure(f"players 3{brk}\nmaximal 1 2{brk}\n") == parse_structure("players 3\nmaximal 1 2\n")
+
+
+@pytest.mark.parametrize("parse, text, plain", COMMENTED, ids=[p.__name__ for p, _, _ in COMMENTED])
+def test_crlf_text_still_parses(parse, text, plain):
+    canonical = format_scheme if parse is parse_scheme else (lambda parsed: parsed)
+    assert canonical(parse(text.replace("\n", "\r\n"))) == canonical(parse(plain))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,11 +7,12 @@ import pytest
 
 from spanshare.galois import Field
 from spanshare.classical import build_reconstruction_plan
-from spanshare.msp import compile_formula, extend_msp, shamir_msp
+from spanshare.msp import compile_formula, extend_msp, msp_structure, shamir_msp
 from spanshare.quantum import (
     AmplitudeBudgetError,
     DensityMatrix,
     QuantumState,
+    VerificationReport,
     apply_plan,
     fidelity,
     partial_trace,
@@ -21,7 +23,7 @@ from spanshare.quantum import (
     trace_distance_within,
     verify_erasure,
 )
-from spanshare.structures import build_structure, mask_from_players, parse_formula
+from spanshare.structures import build_structure, format_players, mask_from_players, parse_formula
 
 from reference_quantum import (
     dense_dm,
@@ -266,6 +268,16 @@ def test_verify_erasure_examples(shamir13, orand):
     assert "dual" in na2.reason
 
 
+def test_verify_erasure_is_the_pure_schemes_block(shamir13, orand):
+    family = small_family(5)
+    for msp in (shamir13, extend_msp(orand)):
+        scheme = qss_pure(msp)
+        report = scheme.verify_all(inputs=family)
+        for b in scheme.structure.members():
+            block = [line for line in report.lines if line.subset == format_players(b)]
+            assert block and verify_erasure(msp, b, inputs=family).lines == block
+
+
 def test_report_formats(shamir13):
     report = verify_erasure(shamir13, mask(1, n=3), inputs=small_family(5))
     text = report.to_text()
@@ -273,6 +285,45 @@ def test_report_formats(shamir13):
     machine = report.to_machine()
     assert "check=recovery" in machine and "pass=true" in machine
     assert "result=pass" in machine
+
+
+def test_failing_report_text(shamir13):
+    # one row per (check, set) in first-seen order, with its worst value and
+    # FAIL when any of its lines failed, even one that is not the worst
+    report = VerificationReport("mixed-qss", "field=5 d=3->8 e=5 n=3+tau", 4)
+    for check, b, label, metric, value, passed in [
+        ("recovery", 0b101, "basis:0", "fidelity", 1.0, True),
+        ("recovery", 0b101, "uniform", "fidelity", 0.25, False),
+        ("recovery", 0b101, "random:0", "fidelity", 0.25, False),
+        ("recovery", 0b011, "basis:0", "fidelity", 0.5, True),
+        ("recovery", 0b011, "uniform", "fidelity", 0.9, False),
+        ("secrecy", 0b001, "basis:0|uniform", "distance", 2e-10, True),
+        ("secrecy", 0b001, "basis:0|random:0", "distance", 5e-10, False),
+        ("secrecy", 0b001, "uniform|random:0", "distance", 1e-10, True),
+        ("secrecy", 0, "basis:0|uniform", "distance", 0.0, True),
+        ("secrecy", 0b110, "basis:0|uniform", "distance", 0.5, False),
+        ("recovery", 0b101, "random:1", "fidelity", 0.999999999999, True),
+    ]:
+        report.add(check, b, label, metric, value, passed)
+    assert report.to_text() == (
+        "mixed-qss verification: field=5 d=3->8 e=5 n=3+tau seed=4\n"
+        "  recovery set={1,3}: min fidelity 0.250000000000: FAIL\n"
+        "  recovery set={1,2}: min fidelity 0.500000000000: FAIL\n"
+        "  secrecy set={1}: max distance 5.000e-10: FAIL\n"
+        "  secrecy set={-}: max distance 0.000e+00: pass\n"
+        "  secrecy set={2,3}: max distance 5.000e-01: FAIL\n"
+        "result: FAIL\n"
+    )
+    # a sweep that checks secrecy on the qualified set {1,2}
+    scheme = qss_pure(shamir13)
+    plan = build_reconstruction_plan(shamir13, mask(3, n=3))
+    leaky = dataclasses.replace(scheme, plans={mask(1, 2, n=3): plan}, blocks=[([0b011], [0b011])])
+    assert leaky.verify_all(inputs=small_family(5)).to_text() == (
+        "pure-qss verification: field=5 d=3 e=2 n=3 seed=0\n"
+        "  recovery set={1,2}: min fidelity 1.000000000000: pass\n"
+        "  secrecy set={1,2}: max distance 1.000e+00: FAIL\n"
+        "result: FAIL\n"
+    )
 
 
 def test_qss_pure_shamir(shamir13):
@@ -307,11 +358,11 @@ def test_qss_pure_on_extension(orand):
 
 def test_qss_mixed_example(orand):
     scheme = qss_mixed(orand)
-    assert scheme.extended_structure == build_structure(4, [{1, 2}, {3}, {1, 4}, {2, 4}])
+    assert msp_structure(scheme.msp) == build_structure(4, [{1, 2}, {3}, {1, 4}, {2, 4}])
     family = small_family(5)
     report = scheme.verify_all(inputs=family)
     assert report.passed
-    assert sorted(scheme.qualified) == [
+    assert sorted(scheme.plans) == [
         mask(1, 3, n=3),
         mask(2, 3, n=3),
         mask(1, 2, 3, n=3),
@@ -348,7 +399,7 @@ def test_qss_mixed_rejects_non_q2star():
 
 def test_recovery_never_touches_tau_coordinates(orand):
     scheme = qss_mixed(orand)
-    tau_rows = set(scheme.extended.row_indices(1 << (scheme.tau - 1)))
+    tau_rows = set(scheme.msp.row_indices(1 << (scheme.msp.n - 1)))
     for plan in scheme.plans.values():
         assert tau_rows.isdisjoint(plan.a_rows)
 
