@@ -5,10 +5,12 @@ Layers, bottom up:
 - ``galois``: exact GF(p) matrices and linear solves.
 - ``structures``: adversary structures, duals, Q2/Q2*/self-dual tests,
   monotone threshold formulas and the input-file reader.
-- ``msp``: monotone span programs, the Shamir instance, formula
-  compilation, dualization and the self-dual extension.
+- ``msp``: monotone span programs (each checks its player count and
+  column rank when built), the Shamir instance, formula compilation,
+  dualization, the self-dual extension and the one linear dealer,
+  whose (secret, randomness, share) table carries the size guard.
 - ``classical``: dealing, reconstruction, share-space transformations
-  and exhaustive classical verification.
+  and exhaustive classical verification over the dealt table.
 - ``quantum``: exact simulation of the quantum lifting; pure and
   mixed quantum secret-sharing schemes with erasure and secrecy checks.
 - ``condition``: probability-table schemes, the square-root criterion

@@ -152,9 +152,6 @@ class ClassicalVerifyReport:
         return "\n".join(lines)
 
 
-ENUMERATION_GUARD = 10**7
-
-
 def verify_classical(
     msp: MSP, structure: AdversaryStructure | None = None
 ) -> ClassicalVerifyReport:
@@ -163,18 +160,17 @@ def verify_classical(
     (i) every qualified set of the structure reconstructs the dealt
     secret; (ii) for every tolerable set B, the multiset of B-share
     tuples over the randomness is identical for all secrets. The
-    structure defaults to the MSP's own; passing a different one turns
-    this into a check that the MSP actually tolerates it.
+    structure defaults to the MSP's own; passing a different one over
+    the same players turns this into a check that the MSP actually
+    tolerates it. The dealt table (and its guard) comes before any solve.
     """
-    p = msp.field.p
-    total = p**msp.e
-    if total > ENUMERATION_GUARD:
-        raise ValueError(
-            f"{total} deals exceed the enumeration guard ({ENUMERATION_GUARD}); use a smaller field"
-        )
+    if structure is not None and structure.n != msp.n:
+        raise ValueError(f"structure over {structure.n} players for an MSP of {msp.n} players")
+    table = msp._label_table  # entry (s, r) is the deal M (s, a) of secret s
+    p, block, _ = table.shape
     if structure is None:
         structure = msp_structure(msp)
-    report = ClassicalVerifyReport(msp, deals=total)
+    report = ClassicalVerifyReport(msp, deals=p * block)
 
     members = list(structure.members())
     member_set = set(members)
@@ -185,15 +181,12 @@ def verify_classical(
             report.record(f"qualified set {{{format_players(q)}}} cannot reconstruct at all")
             return report
 
-    # every deal M (s, a) is one row of the label table, s in blocks of p**(e-1)
-    table = msp._label_table
-    secrets = np.arange(total) // p ** (msp.e - 1)
     first: tuple[int, int, int] | None = None  # (deal, set, reconstructed value)
     for q, u1 in recombinators.items():
-        got = table[:, msp.row_indices(q)] @ np.array(u1, dtype=np.int64) % p
-        wrong = np.flatnonzero(got != secrets)
+        got = table[:, :, msp.row_indices(q)] @ np.array(u1, dtype=np.int64) % p
+        wrong = np.flatnonzero(got != np.arange(p)[:, None])
         if wrong.size and (first is None or wrong[0] < first[0]):
-            first = (int(wrong[0]), q, int(got[wrong[0]]))
+            first = (int(wrong[0]), q, int(got.flat[wrong[0]]))
     if first is not None:
         deal, q, got = first
         s, *a = (int(x) for x in np.unravel_index(deal, (p,) * msp.e))
@@ -203,8 +196,7 @@ def verify_classical(
         return report
 
     for b in members:
-        rows = msp.row_indices(b)
-        views = table[:, rows].reshape(p, total // p, len(rows))
+        views = table[:, :, msp.row_indices(b)]
         # the multiset of B's share tuples for each secret: distinct tuples and counts
         tallies = [np.unique(view, axis=0, return_counts=True) for view in views]
         for s in range(1, p):

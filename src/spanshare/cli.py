@@ -192,6 +192,12 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     p, entries = parse_share_file(_read(args.shares))
     if p != msp.field.p:
         raise ShareFormatError(f"share file field {p} does not match MSP field {msp.field.p}")
+    for i, (player, _) in entries.items():
+        if i >= msp.d:
+            raise ShareFormatError(f"share file row {i + 1} is past the MSP's {msp.d} rows")
+        if player != msp.psi[i]:
+            raise ShareFormatError(f"share file row {i + 1} is labelled player {player}, "
+                                   f"but the MSP gives it to player {msp.psi[i]}")
     q = _parse_set(args.set, msp.n)
     wanted = msp.row_indices(q)
     missing = [i + 1 for i in wanted if i not in entries]

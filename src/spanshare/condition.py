@@ -35,11 +35,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .classical import ENUMERATION_GUARD
-from .msp import MSP, _linear_deals, msp_structure
+from .msp import ENUMERATION_GUARD, MSP, _linear_deals, msp_structure
 from .quantum import SECRECY_TOL, QuantumState, _row_keys, partial_trace, probe_family
-from .structures import MAX_PLAYERS, AdversaryStructure, FormatError, complement, format_players, full_mask
-from .structures import _read_header, _read_ints, _read_lines
+from .structures import AdversaryStructure, FormatError, complement, format_players, full_mask
+from .structures import _check_player_count, _read_header, _read_ints, _read_lines
 
 
 class SchemeFormatError(FormatError):
@@ -95,8 +94,7 @@ class ClassicalScheme:
     def __post_init__(self, shares: Sequence[Sequence[int]]) -> None:
         if self.n < 1 or len(self.share_sizes) != self.n:
             raise ValueError("share_sizes must list one space per player")
-        if self.n > MAX_PLAYERS:  # before _derive_structure's secrecy checks
-            raise ValueError(f"player count must lie in 1..{MAX_PLAYERS}, got {self.n}")
+        _check_player_count(self.n)  # before _derive_structure's secrecy checks
         if self.structure is not None and self.structure.n != self.n:
             raise ValueError(
                 f"structure over {self.structure.n} players for a scheme of {self.n} players"
@@ -215,11 +213,13 @@ def _derive_structure(sch: ClassicalScheme) -> AdversaryStructure:
     return AdversaryStructure.from_predicate(sch.n, lambda b: check_secrecy(sch, b))
 
 
-def _tally(share_sizes: tuple[int, ...], secret_count: int, columns, block: int,
+def _tally(share_sizes: tuple[int, ...], columns,
            structure: AdversaryStructure | None = None) -> ClassicalScheme:
-    """The table of a linear dealer: deal i, player j's share columns[j][i],
-    is dealt for secret i // block with weight 1/block."""
-    secrets = np.arange(len(columns[0])) // block
+    """The table of a linear dealer: columns[j][s, r] is player j's share
+    of secret s under randomness r, and every r has equal weight."""
+    secret_count, block = np.shape(columns[0])
+    secrets = np.arange(secret_count).repeat(block)
+    columns = [np.ravel(col) for col in columns]
     return ClassicalScheme(len(share_sizes), secret_count, share_sizes, secrets, columns,
                            np.ones_like(secrets), block, structure)
 
@@ -230,18 +230,16 @@ def scheme_from_msp(msp: MSP) -> ClassicalScheme:
     Player i's share (the tuple of their row values) is packed into a
     single label by mixed radix, so share space i has size p**rows_i.
     """
+    table = msp._label_table
     p = msp.field.p
-    total = p**msp.e
-    if total > ENUMERATION_GUARD:
-        raise ValueError(f"{total} deals exceed the enumeration guard ({ENUMERATION_GUARD})")
     per_player = [msp.row_indices(1 << i) for i in range(msp.n)]
     sizes = tuple(p ** len(rows) for rows in per_player)
     shares = []
     for rows in per_player:
         # an object radix packs in Python ints: many rows pass 2**63
         radix = np.array([p**j for j in reversed(range(len(rows)))], dtype=object)
-        shares.append((msp._label_table[:, list(rows)] @ radix).tolist())
-    return _tally(sizes, p, shares, p ** (msp.e - 1), msp_structure(msp))
+        shares.append((table[:, :, list(rows)] @ radix).tolist())
+    return _tally(sizes, shares, msp_structure(msp))
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +448,11 @@ def homomorphic_scheme(spec: HomomorphicSpec) -> ClassicalScheme:
     Raises if h is not injective (a nontrivial kernel would make two
     different (s, v) collide and reconstruction ill-defined).
     """
-    order = spec.group_order
-    total = order ** (spec.m + 1)
-    if total > ENUMERATION_GUARD:
-        raise ValueError(f"{total} group inputs exceed the enumeration guard ({ENUMERATION_GUARD})")
     deals = _linear_deals(spec.matrix, spec.moduli)
-    kernel = int(np.count_nonzero(~deals.any(axis=1)))
+    kernel = int(np.count_nonzero(~deals.any(axis=2)))
     if kernel != 1:
         raise ValueError(f"homomorphism is not injective (kernel size {kernel})")
-    return _tally((order,) * len(spec.matrix), order, deals.T, order**spec.m)
+    return _tally((spec.group_order,) * len(spec.matrix), np.moveaxis(deals, 2, 0))
 
 
 def homomorphic_dichotomy_check(sch: ClassicalScheme, u_mask: int) -> bool:

@@ -17,11 +17,14 @@ vectors then (1, -1, ..., -1) for and, a Vandermonde row for
 threshold), a generic dualizer, the one-extra-player self-dual
 extension, and ``_linear_deals``, the one dealer of every linear
 scheme: the MSP label table and ``condition``'s group-homomorphic
-schemes both read its array of h (s, r) over every input.
+schemes both read its array of h (s, r), indexed (secret, randomness,
+share), and it alone enforces ``ENUMERATION_GUARD``. ``MSP`` alone
+checks its player count (1..16) and full column rank.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,13 +32,13 @@ import numpy as np
 
 from .galois import Field, Matrix, kernel_witness, rank, solve_left, span_table
 from .structures import (
-    MAX_PLAYERS,
     AdversaryStructure,
     And,
     FormatError,
     Formula,
     Or,
     Var,
+    _check_player_count,
     _read_header,
     _read_ints,
     _read_lines,
@@ -57,10 +60,11 @@ class MSP:
     """Monotone span program (field, matrix, row labeling) over n players.
 
     ``psi[i]`` is the 1-based player owning row i. Column 0 is the
-    secret coordinate; full column rank is enforced at construction
-    (silently dropping dependent columns would move the secret
-    coordinate, and the quantum encoding needs the dealt labels
-    M (s, a) to be a bijection of the (s, a)).
+    secret coordinate. Construction enforces the player count 1..16,
+    before any linear algebra, then full column rank (silently dropping
+    dependent columns would move the secret coordinate, and the quantum
+    encoding needs the dealt labels M (s, a) to be a bijection of the
+    (s, a)).
     """
 
     field: Field
@@ -73,8 +77,7 @@ class MSP:
             raise ValueError("an MSP needs at least one column")
         if len(self.psi) != self.matrix.rows:
             raise ValueError("row labeling length does not match the matrix")
-        if self.n < 1:
-            raise ValueError("player count must be positive")
+        _check_player_count(self.n)
         if any(not 1 <= lbl <= self.n for lbl in self.psi):
             raise ValueError("row label out of range")
         if rank(self.matrix) != self.matrix.cols:
@@ -104,18 +107,13 @@ class MSP:
 
     @cached_property
     def _label_table(self) -> np.ndarray:
-        """Every dealt share vector M (s, a) as one read-only int64 row.
-
-        Rows run over (s, a) in itertools.product order, so the p**(e-1)
-        rows of secret s are the contiguous block starting at s * p**(e-1).
-        """
-        table = _linear_deals(self.matrix.data, (self.field.p,))
-        table.flags.writeable = False
-        return table
+        """Every dealt share vector: entry (s, r) is M (s, a) for the r-th
+        randomness a in itertools.product order (``_linear_deals``)."""
+        return _linear_deals(self.matrix.data, (self.field.p,))
 
     @cached_property
     def _structure(self) -> AdversaryStructure:
-        """f^-1(0) from the all-subsets table; msp_structure caps n first."""
+        """f^-1(0) from the all-subsets table."""
         matrix = np.array(self.matrix.data, dtype=np.int64).reshape(self.d, self.e)
         table = span_table(self.field, matrix, self.psi, self.n)
         return AdversaryStructure.from_table(self.n, (1 - table).tobytes())
@@ -125,20 +123,30 @@ class MSP:
         return tuple(i for i, lbl in enumerate(self.psi) if mask >> (lbl - 1) & 1)
 
 
-def _linear_deals(h: tuple[tuple[int, ...], ...], moduli: tuple[int, ...]) -> np.ndarray:
-    """h (x_0, ..., x_m) for every input over G = Z_moduli[0] x ..., as int64.
+ENUMERATION_GUARD = 10**7
 
-    Rows run over the inputs in itertools.product order (x_0 = s first,
-    each x_j in G's product order); entry (i, r) is share r of input i,
-    its components packed by mixed radix, first modulus most significant.
+
+def _linear_deals(h: tuple[tuple[int, ...], ...], moduli: tuple[int, ...]) -> np.ndarray:
+    """h (x_0, ..., x_m) for every input over G = Z_moduli[0] x ..., as one
+    read-only int64 array indexed (secret, randomness, share).
+
+    Secret x_0 and randomness (x_1, ..., x_m) run in itertools.product
+    order, each x_j in G's product order; a share packs its components by
+    mixed radix, first modulus most significant. More than
+    ENUMERATION_GUARD inputs are refused before anything is allocated.
     """
-    k, arity = len(moduli), len(h[0])
+    k, arity, order = len(moduli), len(h[0]), math.prod(moduli)
+    total = order**arity
+    if total > ENUMERATION_GUARD:
+        raise ValueError(f"{total} deals exceed the enumeration guard ({ENUMERATION_GUARD})")
     inputs = np.indices(moduli * arity).reshape(arity * k, -1)
     deals = 0
     for j, md in enumerate(moduli):
         # entries may be any Python ints: reduce before the int64 product
         h_j = np.array([[c % md for c in row] for row in h], dtype=np.int64)
         deals = deals * md + inputs[j::k].T @ h_j.T % md
+    deals = deals.reshape(order, -1, len(h))
+    deals.flags.writeable = False
     return deals
 
 
@@ -174,8 +182,6 @@ def msp_structure(msp: MSP) -> AdversaryStructure:
     on each subset. The result is cached on the MSP object, so the
     constructions that check themselves and their callers derive it once.
     """
-    if msp.n > MAX_PLAYERS:
-        raise ValueError(f"structure enumeration capped at {MAX_PLAYERS} players")
     return msp._structure
 
 
@@ -298,16 +304,15 @@ def extend_msp(msp: MSP, dualizer=dual_msp) -> MSP:
     """An MSP for the self-dual extension of this MSP's structure.
 
     Player n+1 plays the extra role; the program computes
-    f or (f* and f_tau) via the or/and compositions. Requires the
-    structure to be Q2* (otherwise no quantum scheme exists at all).
+    f or (f* and f_tau) via the or/and compositions. ``extend_selfdual``
+    refuses, before the dualizer runs, a structure that is not Q2* (no
+    quantum scheme exists at all) or that has 16 players already.
 
     ``dualizer`` builds the f* component; the default is the generic
     one, and a size-preserving dualizer can be passed in to keep the
     extension within a constant factor of the input.
     """
-    structure = msp_structure(msp)
-    if not structure.is_q2star():
-        raise ValueError("structure is not Q2*; no-cloning forbids QSS")
+    expected = msp_structure(msp).extend_selfdual()
     n2 = msp.n + 1
     base = MSP(msp.field, msp.matrix, msp.psi, n2)
     dual_part = dualizer(msp)
@@ -315,7 +320,6 @@ def extend_msp(msp: MSP, dualizer=dual_msp) -> MSP:
     tau = _var_msp(msp.field, n2, n2)
     dual_and_tau = _compose(msp.field, _and_heads(2), [dual_lifted, tau], n2)
     out = _compose(msp.field, [(1,), (1,)], [base, dual_and_tau], n2)
-    expected = structure.extend_selfdual()
     if msp_structure(out) != expected:
         raise RuntimeError("extended MSP does not compute the extended structure")
     return out

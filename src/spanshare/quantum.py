@@ -3,22 +3,22 @@
 A secret qudit is encoded by padding it with a uniform superposition
 over the dealer randomness and relabeling basis states through the
 MSP matrix: the state dealt for secret s is the uniform superposition
-over the labels M (s, a). The map is injective (M has full column
-rank), so the simulation stays sparse and exact. Erasure of a
-tolerable set B with qualified complement A is corrected by relabeling
-the A coordinates through the classical reconstruction plan's
-invertible matrix U, after which the first A coordinate factors out
-as the secret. ``QuantumScheme`` holds the pure scheme of a self-dual
+over the labels M (s, a). The map is injective (``MSP`` checks full
+column rank when it is built), so the simulation stays sparse and
+exact. Erasure of a tolerable set B with qualified complement A is
+corrected by relabeling the A coordinates through the classical
+reconstruction plan's invertible matrix U, after which the first A
+coordinate factors out as the secret. ``QuantumScheme`` holds the pure scheme of a self-dual
 MSP (``qss_pure``), the mixed one, which is the pure scheme of the
 self-dual extension with the extra share discarded (``qss_mixed``), and
 the pure scheme on one erased set (``verify_erasure``).
 
 States are sparse: an N x k int64 array of distinct basis labels and
-their N complex amplitudes. An encoded state is rows of the MSP's cached
-table of every M (s, a), and a plan multiplies the A columns by U mod p.
-Partial traces group the amplitudes by their traced-out labels with
-numpy sorts, and reduced states keep only the entries on their support,
-where secrecy checks compare them. Only fidelity and exact trace
+their N complex amplitudes. An encoded state is the secrets' blocks of
+the MSP's cached table of every M (s, a), and a plan multiplies the A
+columns by U mod p. Partial traces group the amplitudes by their
+traced-out labels with numpy sorts, and reduced states keep only the
+entries on their support, where secrecy checks compare them. Only fidelity and exact trace
 distances build dense matrices, where numpy does the eigenvalue work.
 """
 
@@ -33,7 +33,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .classical import ReconstructionPlan, build_reconstruction_plan
-from .galois import rank
 from .msp import MSP, extend_msp, msp_structure
 from .structures import AdversaryStructure, format_players
 
@@ -223,18 +222,15 @@ def qencode(msp: MSP, state: QuantumState) -> EncodedState:
     p = msp.field.p
     if state.dims != (p,):
         raise ValueError(f"input state must be a single GF({p}) coordinate")
-    if rank(msp.matrix) != msp.e:
-        raise ValueError("MSP matrix lacks full column rank")
-    block = p ** (msp.e - 1)
-    scale = 1.0 / math.sqrt(block)
-    table = msp._label_table
+    table = msp._label_table  # entry (s, r) is the label M (s, a)
+    block = table.shape[1]
     secrets = state.labels[:, 0].tolist()
     if secrets == list(range(secrets[0], secrets[0] + len(secrets))):
         # ascending consecutive secrets (basis and full-support probes): a view
-        labels = table[secrets[0] * block : (secrets[-1] + 1) * block]
+        labels = table[secrets[0] : secrets[-1] + 1].reshape(-1, msp.d)
     else:
-        labels = np.concatenate([table[s * block : (s + 1) * block] for s in secrets])
-    values = np.repeat(state.values * scale, block)
+        labels = table[secrets].reshape(-1, msp.d)
+    values = np.repeat(state.values * (1.0 / math.sqrt(block)), block)
     return EncodedState(QuantumState((p,) * msp.d, labels, values), msp)
 
 
@@ -529,10 +525,9 @@ def qss_pure(msp: MSP) -> QuantumScheme:
 
 
 def qss_mixed(msp: MSP) -> QuantumScheme:
-    """Mixed-state scheme via the self-dual extension; requires Q2*."""
+    """Mixed-state scheme via the self-dual extension; requires Q2*, which
+    ``extend_msp`` checks first."""
     structure = msp_structure(msp)
-    if not structure.is_q2star():
-        raise ValueError("structure is not Q2*; no-cloning forbids QSS")
     extended = extend_msp(msp)
     _check_budget(extended, structure.members())
     tau = 1 << msp.n

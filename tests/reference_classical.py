@@ -32,7 +32,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from spanshare.classical import ENUMERATION_GUARD
+from spanshare.msp import ENUMERATION_GUARD
 from spanshare.condition import LiftReport, _split_preconditions
 from spanshare.galois import solve_left
 from spanshare.msp import rows_of
@@ -153,9 +153,7 @@ def ref_homomorphic_table(spec):
     order = spec.group_order
     total = order ** (spec.m + 1)
     if total > ENUMERATION_GUARD:
-        raise ValueError(
-            f"{total} group inputs exceed the enumeration guard ({ENUMERATION_GUARD})"
-        )
+        raise ValueError(f"{total} deals exceed the enumeration guard ({ENUMERATION_GUARD})")
     elements = list(itertools.product(*(range(md) for md in spec.moduli)))
     zero = tuple(0 for _ in spec.moduli)
     kernel = sum(

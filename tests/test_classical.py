@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from spanshare.galois import Field, Matrix
-from spanshare import classical
+from spanshare import classical, msp as msp_module
 from spanshare.classical import (
     ReconstructionError,
     ShareFormatError,
@@ -181,9 +181,15 @@ def test_verify_classical_passes(shamir13):
 
 
 def test_verify_classical_guard(shamir13, monkeypatch):
-    monkeypatch.setattr(classical, "ENUMERATION_GUARD", 10)
+    monkeypatch.setattr(msp_module, "ENUMERATION_GUARD", 10)
     with pytest.raises(ValueError, match="guard"):
         verify_classical(shamir13)
+
+
+def test_verify_classical_refuses_a_structure_over_other_players(shamir13):
+    # players 4 and 5 own no rows, so the sets holding them would pass vacuously
+    with pytest.raises(ValueError, match="^structure over 5 players for an MSP of 3 players$"):
+        verify_classical(shamir13, threshold_structure(5, 1))
 
 
 def test_verify_classical_detects_corruption(shamir13):

@@ -144,6 +144,21 @@ def test_share_and_reconstruct(shamir_msp_file, tmp_path, capsys):
     assert "cannot reconstruct" in capsys.readouterr().err
 
 
+def test_reconstruct_refuses_a_relabelled_row(orand_msp_file, tmp_path, capsys):
+    shares = tmp_path / "shares.txt"
+    assert main(["share", str(orand_msp_file), "--secret", "3", "--seed", "7", "--out", str(shares)]) == 0
+    text = shares.read_text()
+    assert "share 3 2 1\n" in text
+    shares.write_text(text.replace("share 3 2 1\n", "share 1 2 1\n"))
+    assert main(["reconstruct", str(orand_msp_file), str(shares), "--set", "1,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: share file row 2 is labelled player 1, but the MSP gives it to player 3\n"
+    shares.write_text(text + "share 3 5 0\n")
+    assert main(["reconstruct", str(orand_msp_file), str(shares), "--set", "1,3"]) == 2
+    assert capsys.readouterr().err == "error: share file row 5 is past the MSP's 4 rows\n"
+
+
 def test_share_determinism(shamir_msp_file, tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for out in (a, b):
@@ -178,11 +193,22 @@ def test_qss_verify_pure_player_cap_refusal_has_no_hint(tmp_path, capsys):
     # verify-mixed refuses a 17-player MSP the same way, so the hint would mislead
     path = tmp_path / "p17.msp"
     path.write_text("msp field=2 d=17 e=1 n=17\n" + "".join(f"row {i} 1\n" for i in range(1, 18)))
-    assert main(["qss", "verify-pure", str(path)]) == 1
+    assert main(["qss", "verify-pure", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: structure enumeration capped at 16 players\n"
-    assert main(["qss", "verify-mixed", str(path)]) == 1
+    assert err == "error: player count must lie in 1..16, got 17\n"
+    assert main(["qss", "verify-mixed", str(path)]) == 2
     assert capsys.readouterr().err == err
+
+
+def test_msp_past_the_player_cap_is_refused_as_input(tmp_path, capsys):
+    path = tmp_path / "huge.msp"
+    path.write_text("msp field=5 d=1 e=1 n=100000000\nrow 1 1\n")
+    for argv in (["msp", "eval", str(path), "--set", "1"], ["qss", "verify-pure", str(path)],
+                 ["qss", "verify-mixed", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: player count must lie in 1..16, got 100000000\n"
 
 
 def test_qss_verify_mixed(orand_msp_file, capsys):

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spanshare import condition
+from spanshare import classical, condition, msp as msp_module
+from spanshare.classical import verify_classical
 from spanshare.cli import main
 from spanshare.galois import Field, Matrix
 from spanshare.condition import (
@@ -412,6 +413,22 @@ def _product_and_wide_specs():
     yield HomomorphicSpec((10,), 7, ((1,) * 8,))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: verify_classical(shamir_msp(3, 1, Field(5))),
+    lambda: scheme_from_msp(shamir_msp(3, 1, Field(5))),
+    lambda: homomorphic_scheme(HomomorphicSpec((5,), 1, ((1, 0), (1, 1)))),
+], ids=["verify_classical", "scheme_from_msp", "homomorphic_scheme"])
+def test_dealt_tables_are_refused_past_the_guard_before_any_work(monkeypatch, build):
+    calls = []
+    monkeypatch.setattr(msp_module, "ENUMERATION_GUARD", 10)
+    for module, name in ((classical, "solve_left"), (classical, "msp_structure"),
+                         (condition, "msp_structure")):
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"^25 deals exceed the enumeration guard \(10\)$"):
+        build()
+    assert calls == []
+
+
 def test_homomorphic_scheme_matches_reference_on_product_groups():
     outcomes = []
     for spec in _product_and_wide_specs():
@@ -420,7 +437,7 @@ def test_homomorphic_scheme_matches_reference_on_product_groups():
         outcomes.append(outcome)
     assert sum(not isinstance(o, str) for o in outcomes) >= 10
     assert any("injective" in o for o in outcomes if isinstance(o, str))
-    assert outcomes[-1] == "100000000 group inputs exceed the enumeration guard (10000000)"
+    assert outcomes[-1] == "100000000 deals exceed the enumeration guard (10000000)"
 
 
 def test_scheme_player_cap_refused_before_structure(monkeypatch):

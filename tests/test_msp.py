@@ -333,10 +333,48 @@ def test_structure_derived_once_per_msp(monkeypatch):
     assert len(calls) == 2
 
 
-def test_msp_structure_refuses_17_players_before_the_table(monkeypatch):
+def test_msp_refuses_17_players_before_any_linear_algebra(monkeypatch):
     calls = []
+    monkeypatch.setattr(msp_module, "rank", lambda *args: calls.append(args))
     monkeypatch.setattr(msp_module, "span_table", lambda *args: calls.append(args))
-    wide = MSP._unchecked(GF5, Matrix.from_rows(GF5, [(1,)], 1), (1,), 17)
-    with pytest.raises(ValueError, match="capped at 16 players"):
-        msp_structure(wide)
+    with pytest.raises(ValueError, match=r"^player count must lie in 1\.\.16, got 17$"):
+        MSP(GF5, Matrix.from_rows(GF5, [(1,)], 1), (1,), 17)
+    with pytest.raises(MspFormatError, match=r"^player count must lie in 1\.\.16, got 100000000$"):
+        parse_msp("msp field=5 d=1 e=1 n=100000000\nrow 1 1\n")
+    assert calls == []
+
+
+def _or_heads(arity):
+    return [(1,)] * arity
+
+
+def test_compile_formula_refuses_a_wrong_program(monkeypatch):
+    monkeypatch.setattr(msp_module, "_and_heads", _or_heads)
+    with pytest.raises(RuntimeError, match=r"^compiled MSP disagrees with formula on 1$"):
+        compile_formula(parse_formula("and(1,2)"), GF5)
+
+
+def test_dual_msp_refuses_a_wrong_program(monkeypatch):
+    # the maximal sets themselves, not their complements, become the minimal qualified sets
+    monkeypatch.setattr(msp_module, "complement", lambda mask, n: mask)
+    with pytest.raises(RuntimeError, match="^dual MSP does not compute the dual structure$"):
+        dual_msp(shamir_msp(3, 1, GF5))
+
+
+def test_extend_msp_refuses_a_wrong_program(monkeypatch):
+    # the dual of and(1,2) is or(1,2), compiled without an and gate, so
+    # only the extension's own gate (f* and tau) becomes an or
+    monkeypatch.setattr(msp_module, "_and_heads", _or_heads)
+    with pytest.raises(RuntimeError, match="^extended MSP does not compute the extended structure$"):
+        extend_msp(shamir_msp(2, 1, GF5))
+
+
+def test_extend_msp_refuses_before_the_dualizer(monkeypatch):
+    calls = []
+    monkeypatch.setattr(extend_msp, "__defaults__", (calls.append,))
+    with pytest.raises(ValueError, match="^structure is not Q2\\*; no-cloning forbids QSS$"):
+        extend_msp(compile_formula(parse_formula("or(1,2)"), GF5))
+    # threshold 8 of 16 is Q2*, but its extension would have 17 players
+    with pytest.raises(ValueError, match=r"^player count must lie in 1\.\.16, got 17$"):
+        extend_msp(shamir_msp(16, 8, Field(17)))
     assert calls == []

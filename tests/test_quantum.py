@@ -397,6 +397,14 @@ def test_qss_mixed_rejects_non_q2star():
         qss_mixed(not_q2star)
 
 
+def test_qss_mixed_refuses_non_q2star_before_the_dualizer(monkeypatch):
+    calls = []
+    monkeypatch.setattr(extend_msp, "__defaults__", (calls.append,))
+    with pytest.raises(ValueError, match="^structure is not Q2\\*; no-cloning forbids QSS$"):
+        qss_mixed(compile_formula(parse_formula("or(1,2)"), GF5))
+    assert calls == []
+
+
 def test_recovery_never_touches_tau_coordinates(orand):
     scheme = qss_mixed(orand)
     tau_rows = set(scheme.msp.row_indices(1 << (scheme.msp.n - 1)))
