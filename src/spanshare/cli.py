@@ -7,10 +7,11 @@ extend, evaluate), ``share``/``reconstruct`` (classical dealing),
 (the square-root criterion, its oracle, and the counterexample
 search).
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage or file
-format error. Dealing randomness comes from SplitMix64 (frozen here,
-seeded via --seed, recorded in every output) so share files and
-reports are byte-reproducible.
+Exit codes: 0 all checks passed, 1 a check failed (including the
+verdict that no quantum scheme exists), 2 usage or file format error or
+an input past a size guard. Dealing randomness comes from SplitMix64
+(frozen here, seeded via --seed, recorded in every output) so share
+files and reports are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .msp import (
 from .quantum import probe_family, qss_mixed, qss_pure
 from .structures import (
     FormatError,
+    NoSchemeError,
     format_structure,
     full_mask,
     mask_from_players,
@@ -132,7 +134,7 @@ def _cmd_structure_extend(args: argparse.Namespace) -> int:
     structure = parse_structure(_read(args.file))
     try:
         extended = structure.extend_selfdual()
-    except ValueError as exc:
+    except NoSchemeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(format_structure(extended), args.out)
@@ -162,7 +164,7 @@ def _cmd_msp_extend(args: argparse.Namespace) -> int:
     msp = parse_msp(_read(args.file))
     try:
         extended = extend_msp(msp)
-    except ValueError as exc:
+    except NoSchemeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(dump_msp(extended), args.out)
@@ -218,14 +220,14 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def _cmd_qss_verify(args: argparse.Namespace) -> int:
     msp = parse_msp(_read(args.file))
+    family = probe_family(msp.field.p, seed=args.seed, n_random=args.random)
     try:
         scheme = args.builder(msp)
-    except ValueError as exc:
+    except NoSchemeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if "not self-dual" in str(exc):  # the one refusal verify-mixed gets past
+        if args.builder is qss_pure:  # verify-mixed gets past a structure that is not self-dual
             print("hint: use verify-mixed", file=sys.stderr)
         return 1
-    family = probe_family(msp.field.p, seed=args.seed, n_random=args.random)
     report = scheme.verify_all(inputs=family, seed=args.seed)
     print(report.to_machine() if args.format == "machine" else report.to_text(), end="")
     return 0 if report.passed else 1

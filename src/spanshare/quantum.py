@@ -17,8 +17,11 @@ States are sparse: an N x k int64 array of distinct basis labels and
 their N complex amplitudes. An encoded state is the secrets' blocks of
 the MSP's cached table of every M (s, a), and a plan multiplies the A
 columns by U mod p. Partial traces group the amplitudes by their
-traced-out labels with numpy sorts, and reduced states keep only the
-entries on their support, where secrecy checks compare them. Only fidelity and exact trace
+traced-out labels with numpy sorts. That grouping depends on the labels
+alone, so a trace reuses the last one when its labels, dims and kept
+coordinates are those of the previous trace: the full-support probes of
+a sweep all share one support. Reduced states keep only the entries on
+their support, where secrecy checks compare them. Only fidelity and exact trace
 distances build dense matrices, where numpy does the eigenvalue work.
 """
 
@@ -34,7 +37,7 @@ import numpy as np
 
 from .classical import ReconstructionPlan, build_reconstruction_plan
 from .msp import MSP, extend_msp, msp_structure
-from .structures import AdversaryStructure, format_players
+from .structures import AdversaryStructure, NoSchemeError, format_players
 
 NORM_ATOL = 1e-12
 RECOVERY_TOL = 1e-9
@@ -250,25 +253,21 @@ def apply_plan(enc: EncodedState, plan: ReconstructionPlan) -> QuantumState:
     return QuantumState(enc.state.dims, out, enc.state.values)
 
 
-def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
-    """Exact reduction to the given coordinates (ascending order)."""
-    keep = tuple(sorted(keep))
-    if len(set(keep)) != len(keep):
-        raise ValueError("duplicate coordinates in keep")
-    if any(not 0 <= c < len(state.dims) for c in keep):
-        raise ValueError("keep refers to a coordinate that does not exist")
-    rest = tuple(c for c in range(len(state.dims)) if c not in set(keep))
-    kdims = tuple(state.dims[c] for c in keep)
-    dim = math.prod(kdims)
-    if dim > REDUCTION_DIM_GUARD:
-        raise ValueError(
-            f"reduced dimension {dim} exceeds the exact-simulation guard ({REDUCTION_DIM_GUARD})"
-        )
-    labels, values = state.labels, state.values
-    kidx = _row_keys(labels, keep, state.dims)
+# The label plan of the last partial trace whose pairs fit in one chunk:
+# (dims, keep, _PAIR_CHUNK), the plan's own copy of the labels, and the chunk.
+# It is replaced whole, so at most one plan is held.
+_last_plan: tuple | None = None
+
+
+def _pair_chunks(labels: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...], dim: int):
+    """The label work of a partial trace, a chunk of at most about _PAIR_CHUNK
+    amplitude pairs at a time: rows i, j of each pair's term a_i conj(a_j), the
+    support so far, and where the earlier sums then this chunk's terms fall in it.
+    """
+    kidx = _row_keys(labels, keep, dims)
     # A group is the amplitudes sharing one traced-out label. Groups are
     # numbered by first appearance and members kept in row order.
-    rest_keys = _row_keys(labels, rest, state.dims)
+    rest_keys = _row_keys(labels, [c for c in range(len(dims)) if c not in keep], dims)
     _, first, where = np.unique(rest_keys, return_index=True, return_inverse=True)
     gid = first.argsort().argsort()[where]
     order = gid.argsort(kind="stable")
@@ -279,7 +278,7 @@ def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
     width = sizes.repeat(sizes)
     row_start = (sizes.cumsum() - sizes).repeat(sizes)
     ends = width.cumsum()
-    index, real, imag = np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
+    index = np.empty(0, dtype=np.int64)
     lo = 0
     while lo < len(order):
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - width[lo] + _PAIR_CHUNK, "right")))
@@ -287,11 +286,44 @@ def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
         offsets = np.arange(int(w.sum())) - (w.cumsum() - w).repeat(w)
         i = order[lo:hi].repeat(w)
         j = order[row_start[lo:hi].repeat(w) + offsets]
-        terms = values[i] * values[j].conj()
         index, where = np.unique(np.concatenate([index, kidx[i] * dim + kidx[j]]), return_inverse=True)
+        yield i, j, index, where
+        lo = hi
+
+
+def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
+    """Exact reduction to the given coordinates (ascending order).
+
+    The label work is reused from the previous call when that call traced
+    the same labels to the same coordinates in one chunk.
+    """
+    global _last_plan
+    keep = tuple(sorted(keep))
+    if len(set(keep)) != len(keep):
+        raise ValueError("duplicate coordinates in keep")
+    if any(not 0 <= c < len(state.dims) for c in keep):
+        raise ValueError("keep refers to a coordinate that does not exist")
+    kdims = tuple(state.dims[c] for c in keep)
+    dim = math.prod(kdims)
+    if dim > REDUCTION_DIM_GUARD:
+        raise ValueError(
+            f"reduced dimension {dim} exceeds the exact-simulation guard ({REDUCTION_DIM_GUARD})"
+        )
+    labels, values = state.labels, state.values
+    key = (state.dims, keep, _PAIR_CHUNK)
+    last = _last_plan
+    if last is not None and last[0] == key and np.array_equal(last[1], labels):
+        chunks = [last[2]]
+    else:
+        _last_plan = last = None  # the old plan goes before a new one is built
+        chunks = _pair_chunks(labels, state.dims, keep, dim)
+    real = imag = np.empty(0)
+    for count, (i, j, index, where) in enumerate(chunks, 1):
+        terms = values[i] * values[j].conj()
         real = np.bincount(where, np.concatenate([real, terms.real]))
         imag = np.bincount(where, np.concatenate([imag, terms.imag]))
-        lo = hi
+    if last is None and count == 1:
+        _last_plan = key, labels.copy(), (i, j, index, where)
     entries = real.astype(complex)
     entries.imag = imag
     return DensityMatrix(kdims, index, entries)
@@ -314,7 +346,8 @@ def trace_distance_within(r1: DensityMatrix, r2: DensityMatrix, tol: float) -> t
     """
     if r1.dim != r2.dim:
         raise ValueError("trace distance of density matrices with different dimensions")
-    if np.array_equal(r1.index, r2.index):
+    # views traced by one reused plan share their index array
+    if r1.index is r2.index or np.array_equal(r1.index, r2.index):
         index, delta = r1.index, r1.values - r2.values
     else:
         index, where = np.unique(np.concatenate([r1.index, r2.index]), return_inverse=True)
@@ -336,6 +369,8 @@ def probe_family(dim: int, seed: int = 0, n_random: int = 20) -> list[tuple[str,
     Basis states alone would not detect phase damage on coalition
     views, hence the superpositions.
     """
+    if n_random < 0:
+        raise ValueError(f"random probe count must be nonnegative, got {n_random}")
     family: list[tuple[str, QuantumState]] = [
         (f"basis:{s}", QuantumState.basis((dim,), (s,))) for s in range(dim)
     ]
@@ -388,8 +423,9 @@ class VerificationReport:
     def status(self) -> str:
         return "PASS" if self.passed else "FAIL" if self.applicable else "NOT_APPLICABLE"
 
-    def add(self, check: str, subset: int, label: str, metric: str, value: float, passed: bool) -> None:
-        self.lines.append(CheckLine(check, format_players(subset), label, metric, value, passed))
+    def add(self, check: str, subset: str, label: str, metric: str, value: float, passed: bool) -> None:
+        """Record one line; subset is the set as ``format_players`` writes it."""
+        self.lines.append(CheckLine(check, subset, label, metric, value, passed))
 
     def to_text(self) -> str:
         header = f"{self.kind} verification: {self.descriptor} seed={self.seed}"
@@ -490,15 +526,17 @@ class QuantumScheme:
         encoded = [(name, state, self.encode(state)) for name, state in family]
         for recoveries, coalitions in self.blocks:
             for mask in recoveries:
+                subset = format_players(mask)
                 for name, state, enc in encoded:
                     recovered, coord = self.recover(mask, enc)
                     fide = fidelity(partial_trace(recovered, (coord,)), state)
-                    report.add("recovery", mask, name, "fidelity", fide, fide >= 1 - RECOVERY_TOL)
+                    report.add("recovery", subset, name, "fidelity", fide, fide >= 1 - RECOVERY_TOL)
             for b in coalitions:
+                subset = format_players(b)
                 views = [(name, self.coalition_density(b, enc)) for name, _, enc in encoded]
                 for (name1, rho1), (name2, rho2) in itertools.combinations(views, 2):
                     ok, value = trace_distance_within(rho1, rho2, SECRECY_TOL)
-                    report.add("secrecy", b, f"{name1}|{name2}", "distance", value, ok)
+                    report.add("secrecy", subset, f"{name1}|{name2}", "distance", value, ok)
         return report
 
 
@@ -515,7 +553,7 @@ def qss_pure(msp: MSP) -> QuantumScheme:
     _check_budget(msp)
     structure = msp_structure(msp)
     if not structure.is_selfdual():
-        raise ValueError(
+        raise NoSchemeError(
             "structure is not self-dual; no pure-state scheme exists "
             "(use qss_mixed for a Q2* structure)"
         )

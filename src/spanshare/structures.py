@@ -25,6 +25,11 @@ class StructureFormatError(FormatError):
     """Raised for malformed structure files."""
 
 
+class NoSchemeError(ValueError):
+    """The verdict that a structure admits no quantum scheme of the kind
+    asked for: it is not Q2*, or not self-dual for a pure scheme."""
+
+
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -199,7 +204,7 @@ class AdversaryStructure:
         rules out any quantum scheme for it.
         """
         if not self.is_q2star():
-            raise ValueError("structure is not Q2*; no-cloning forbids QSS")
+            raise NoSchemeError("structure is not Q2*; no-cloning forbids QSS")
         # the upper half of the new set: B + {n+1} for every member B of the dual
         out = AdversaryStructure._from_bits(self.n + 1, self._bits | self.dual()._bits << (1 << self.n))
         if not out.is_selfdual():

@@ -183,10 +183,49 @@ def test_qss_verify_pure_budget_refusal_has_no_hint(tmp_path, capsys):
     # Shamir(5,2) over GF(127) is self-dual but needs 127**3 > 2e6 amplitudes
     path = tmp_path / "big.msp"
     assert main(["msp", "from-formula", "thr3(1,2,3,4,5)", "--field", "127", "--out", str(path)]) == 0
-    assert main(["qss", "verify-pure", str(path)]) == 1
+    assert main(["qss", "verify-pure", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "amplitudes" in err
-    assert "hint" not in err
+    assert err == "error: encoding needs 2048383 amplitudes, beyond the simulation guard (2000000)\n"
+
+
+def test_qss_verify_mixed_budget_refusal_is_exit_2(tmp_path, capsys):
+    # or-and over GF(127) is Q2*, but its extension needs 127**5 amplitudes
+    path = tmp_path / "orand127.msp"
+    assert main(["msp", "from-formula", ORAND, "--field", "127", "--out", str(path)]) == 0
+    assert main(["qss", "verify-mixed", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: encoding needs 33038369407 amplitudes, beyond the simulation guard (2000000)\n"
+
+
+def test_extension_past_the_player_cap_is_exit_2(tmp_path, capsys):
+    # thr8 of 16 and thr9 of 16 are Q2*, but their extensions need 17 players
+    adv = tmp_path / "thr16_8.adv"
+    adv.write_text(format_structure(threshold_structure(16, 8)))
+    msp = tmp_path / "thr9.msp"
+    players = ",".join(map(str, range(1, 17)))
+    assert main(["msp", "from-formula", f"thr9({players})", "--field", "17", "--out", str(msp)]) == 0
+    for argv in (["structure", "extend", str(adv)], ["msp", "extend", str(msp)],
+                 ["qss", "verify-mixed", str(msp)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: player count must lie in 1..16, got 17\n"
+
+
+def test_verify_mixed_not_q2star_is_a_failed_check(tmp_path, capsys):
+    path = tmp_path / "or12.msp"
+    assert main(["msp", "from-formula", "or(1,2)", "--field", "5", "--out", str(path)]) == 0
+    assert main(["qss", "verify-mixed", str(path)]) == 1
+    assert capsys.readouterr().err == "error: structure is not Q2*; no-cloning forbids QSS\n"
+
+
+def test_qss_refuses_a_negative_random_count(shamir_msp_file, capsys):
+    for command in ("verify-pure", "verify-mixed"):
+        assert main(["qss", command, str(shamir_msp_file), "--random", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: random probe count must be nonnegative, got -3\n"
 
 
 def test_qss_verify_pure_player_cap_refusal_has_no_hint(tmp_path, capsys):

@@ -304,7 +304,7 @@ def test_failing_report_text(shamir13):
         ("secrecy", 0b110, "basis:0|uniform", "distance", 0.5, False),
         ("recovery", 0b101, "random:1", "fidelity", 0.999999999999, True),
     ]:
-        report.add(check, b, label, metric, value, passed)
+        report.add(check, format_players(b), label, metric, value, passed)
     assert report.to_text() == (
         "mixed-qss verification: field=5 d=3->8 e=5 n=3+tau seed=4\n"
         "  recovery set={1,3}: min fidelity 0.250000000000: FAIL\n"
@@ -419,6 +419,9 @@ def test_probe_family_is_deterministic():
     for (_, s1), (_, s2) in zip(fam1, fam2):
         assert s1.amps == s2.amps
     assert len(fam1) == 5 + 1 + 4
+    assert len(probe_family(5, n_random=0)) == 5 + 1
+    with pytest.raises(ValueError, match="^random probe count must be nonnegative, got -1$"):
+        probe_family(5, n_random=-1)
 
 
 def test_probe_builders_match_from_amplitudes():

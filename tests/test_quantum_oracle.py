@@ -4,6 +4,7 @@ entry, plus the coalition part of the simulation budget."""
 
 import itertools
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from reference_quantum import (
     ref_qencode,
     ref_trace_distance_within,
 )
+from spanshare import condition
 from spanshare.cli import main
+from spanshare.condition import lift_report, parse_scheme
 from spanshare.galois import Field, Matrix
 from spanshare.msp import compile_formula, dump_msp, extend_msp, shamir_msp
 from spanshare import quantum
@@ -156,6 +159,116 @@ def test_partial_trace_in_small_chunks(monkeypatch):
         assert rho.values.tobytes() == unchunked.values.tobytes()
 
 
+# ---------------------------------------------------------------------------
+# the label plan reused across partial traces of equal labels
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """Start with no plan held; record every partial trace that builds one."""
+    monkeypatch.setattr(quantum, "_last_plan", None)
+    builds = []
+    build = quantum._pair_chunks
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(quantum, "_pair_chunks", counted)
+    return builds
+
+
+def cold_trace(state, keep):
+    quantum._last_plan = None
+    return partial_trace(state, keep)
+
+
+def assert_same_bytes(rho, cold):
+    assert rho.index.tobytes() == cold.index.tobytes()
+    assert rho.values.tobytes() == cold.values.tobytes()
+
+
+def test_reused_plans_match_cold_traces_bit_for_bit(plan_builds):
+    # the recovery and secrecy views of three blocks of the pure Shamir sweep
+    scheme = qss_pure(shamir_msp(5, 2, GF7))
+    encoded = [scheme.encode(state) for _, state in probe_family(7, seed=3)]
+    cases = []
+    for b in (0b00001, 0b00011, 0b10100):
+        for enc in encoded:
+            recovered, coord = scheme.recover(b, enc)
+            cases.append((recovered, (coord,)))
+        cases += [(enc.state, scheme.msp.row_indices(b)) for enc in encoded]
+    warm = [partial_trace(state, keep) for state, keep in cases]
+    # the basis probes and the uniform one build; the random probes reuse its plan
+    assert len(plan_builds) == 3 * 2 * 8
+    for (state, keep), rho in zip(cases, warm):
+        assert_same_bytes(rho, cold_trace(state, keep))
+
+
+def test_lift_report_reuses_plans_bit_for_bit(monkeypatch, plan_builds):
+    sch = parse_scheme((Path(__file__).parent / "fixtures" / "counterexample.scheme").read_text())
+    traced, reports = {}, {}
+    for trace in (partial_trace, cold_trace):
+        views = traced[trace] = []
+
+        def recorded(state, keep, trace=trace, views=views):
+            views.append(trace(state, keep))
+            return views[-1]
+
+        monkeypatch.setattr(condition, "partial_trace", recorded)
+        reports[trace] = lift_report(sch, 0b01, seed=5)
+    assert reports[partial_trace] == reports[cold_trace]
+    assert not reports[partial_trace].passed
+    # two basis probes and the uniform one build; ten random probes reuse its plan
+    assert len(traced[partial_trace]) == 13 and len(plan_builds) == 3 + 13
+    for rho, cold in zip(traced[partial_trace], traced[cold_trace]):
+        assert_same_bytes(rho, cold)
+
+
+def test_equal_labels_under_other_dims_or_keep_build_their_own_plan(plan_builds):
+    state = random_sparse_state(np.random.default_rng(9), (3, 3, 2, 5), 0.5)
+    wider = QuantumState((4, 3, 2, 5), state.labels, state.values)
+    # each case shares its labels with the one before but not its dims or keep
+    cases = [(state, (0,)), (wider, (0,)), (wider, (1,)), (wider, (1, 3)), (state, (1, 3))]
+    for s, keep in cases:
+        rho = partial_trace(s, keep)
+        assert_same_matrix(rho.mat, ref_partial_trace(s, keep))
+        assert_same_bytes(rho, cold_trace(s, keep))
+    assert len(plan_builds) == 2 * len(cases)
+
+
+def test_writing_to_a_writeable_base_cannot_serve_a_stale_plan(plan_builds):
+    state = random_sparse_state(np.random.default_rng(10), (3, 4, 2), 0.6)
+    base = state.labels.copy()
+    view = QuantumState(state.dims, base[:], state.values)
+    assert base.flags.writeable and not view.labels.flags.writeable
+    before = partial_trace(view, (0,))
+    # swap two rows that differ on the kept coordinate: the view's labels
+    # change in place, and it stays a valid state
+    other = int(np.argmax(base[:, 0] != base[0, 0]))
+    base[[0, other]] = base[[other, 0]]
+    rho = partial_trace(view, (0,))
+    assert len(plan_builds) == 2
+    assert rho.values.tobytes() != before.values.tobytes()
+    assert_same_matrix(rho.mat, ref_partial_trace(view, (0,)))
+    assert_same_bytes(rho, cold_trace(view, (0,)))
+
+
+def test_a_plan_is_held_only_under_its_chunk_bound(monkeypatch, plan_builds):
+    state = random_sparse_state(np.random.default_rng(8), (3, 4, 2, 5), 0.5)
+    whole = partial_trace(state, ())
+    assert quantum._last_plan is not None
+    partial_trace(state, ())
+    assert len(plan_builds) == 1
+    monkeypatch.setattr(quantum, "_PAIR_CHUNK", 7)
+    for _ in range(2):
+        # streamed in chunks each time, and the chunks are not held
+        rho = partial_trace(state, ())
+        assert quantum._last_plan is None
+        assert rho.values.tobytes() == whole.values.tobytes()
+    assert len(plan_builds) == 3
+
+
 def assert_same_distance(rho1, rho2):
     fast = trace_distance_within(rho1, rho2, quantum.SECRECY_TOL)
     ref = ref_trace_distance_within(rho1, rho2, quantum.SECRECY_TOL)
@@ -235,7 +348,7 @@ def test_coalition_budget_refuses_fast():
 def test_cli_coalition_budget_refusal(tmp_path, capsys):
     path = tmp_path / "shamir73.msp"
     path.write_text(dump_msp(SHAMIR_7_3_GF17), encoding="utf-8")
-    assert main(["qss", "verify-pure", str(path)]) == 1
+    assert main(["qss", "verify-pure", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "4913" in err[0]
     assert not any("hint" in line for line in err)
