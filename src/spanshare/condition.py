@@ -385,11 +385,13 @@ def lift_report(
     words = np.column_stack([v[c] for v, c in zip(values, sch.codes.T)])
     roots = np.array([(w / sch.denominator) ** 0.5 for w in sch.numerators.tolist()])
     u_coords = [i for i in range(sch.n) if u_mask >> i & 1]
+    # Every probe's state is on all rows, zero amplitudes kept, so every trace
+    # has one support and partial_trace builds its plan once per table. Q is
+    # correct, so each traced-out group holds the rows of one secret, and a
+    # zero amplitude only adds exact zeros to the entries.
     mats = []
     for _, alpha in family:
-        amp = alpha[sch.secrets]
-        keep = amp != 0
-        state = QuantumState(sch.share_sizes, words[keep], (amp * roots)[keep])
+        state = QuantumState(sch.share_sizes, words, alpha[sch.secrets] * roots)
         mats.append(partial_trace(state, u_coords).mat)
     mats = np.array(mats)
     names = [name for name, _ in family]
@@ -555,9 +557,13 @@ def _table_candidates(
 
 def _homomorphic_candidates(max_modulus: int) -> Iterator[ClassicalScheme]:
     """Every injective two-share homomorphic scheme over Z_m, m up to
-    max_modulus, with randomness arity 1 or 2."""
+    max_modulus, with randomness arity 1 or 2. No spec whose |G|**(arity + 1)
+    inputs outnumber its |G|**2 share pairs is injective, so none is dealt:
+    that rules out arity 2."""
     for modulus in range(2, max_modulus + 1):
         for arity in (1, 2):
+            if modulus ** (arity + 1) > modulus**2:
+                continue
             entry_space = itertools.product(range(modulus), repeat=arity + 1)
             for rows in itertools.product(list(entry_space), repeat=2):
                 spec = HomomorphicSpec((modulus,), arity, rows)
@@ -585,10 +591,12 @@ def search_counterexample(
     Single-valued U-spaces are skipped: with |Y_1| = 1 the criterion
     reduces to total probability and can never fail.
 
-    family='homomorphic' searches two-share homomorphic schemes over
-    Z_m (m up to max_share_size, randomness arity up to 2) instead of
-    raw tables; those provably satisfy the criterion, so it exhausts
-    its bounds and returns None.
+    family='homomorphic' searches the injective two-share homomorphic
+    schemes over Z_m (m up to max_share_size) instead of raw tables. Of
+    randomness arities 1 and 2, counting rules out arity 2 (m**3 inputs,
+    m**2 share pairs), so only arity-1 specs are dealt. Those schemes
+    provably satisfy the criterion, so it exhausts its bounds and
+    returns None.
     """
     if family not in ("all", "function", "homomorphic"):
         raise ValueError(f"unknown search family {family!r}")

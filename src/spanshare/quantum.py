@@ -21,8 +21,11 @@ traced-out labels with numpy sorts. That grouping depends on the labels
 alone, so a trace reuses the last one when its labels, dims and kept
 coordinates are those of the previous trace: the full-support probes of
 a sweep all share one support. Reduced states keep only the entries on
-their support, where secrecy checks compare them. Only fidelity and exact trace
-distances build dense matrices, where numpy does the eigenvalue work.
+their support, where secrecy checks compare them. A support's transpose
+order and diagonal are derived once and reused while the next reduced
+state has an equal support; its entries are checked every time. Only
+fidelity and exact trace distances build dense matrices, where numpy does
+the eigenvalue work.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ SECRECY_TOL = 1e-9
 # share vectors per basis secret), so that is what the guard bounds
 AMPLITUDE_GUARD = 2_000_000
 REDUCTION_DIM_GUARD = 4096
+# a sweep compares every pair of probes on each coalition: one trace
+# distance and one report line per pair
+PROBE_PAIR_GUARD = 100_000
 # row-major keys stay exact below this bound; past it they are
 # compressed to dense group ids so int64 never overflows
 _KEY_LIMIT = 2**40
@@ -155,6 +161,12 @@ class QuantumState:
         return _scatter(math.prod(self.dims), keys, self.values)
 
 
+# The last support a density matrix was checked on: its dim, an own copy of
+# the index, the transpose order and the diagonal mask. It is replaced whole,
+# so at most one support is held.
+_last_support: tuple | None = None
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Reduced state on its support: ``index`` holds sorted, distinct row-major
@@ -167,22 +179,30 @@ class DensityMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        global _last_support
         dim = self.dim
         index = np.asarray(self.index, dtype=np.int64)
         values = np.asarray(self.values, dtype=complex)
         if index.ndim != 1 or values.shape != index.shape:
             raise ValueError("density matrix index and values differ in shape")
-        if len(index) and (index[0] < 0 or index[-1] >= dim * dim):
-            raise ValueError(f"density matrix index out of range for dims {self.dims}")
-        # values[order[k]] is the transpose of entry k: np.isclose(mat, mat^H) on the support
-        rows, cols = np.divmod(index, dim)
-        transposed = cols * dim + rows
-        order = transposed.argsort()
-        if (index[1:] <= index[:-1]).any() or (transposed[order] != index).any():
-            raise ValueError("density matrix is not Hermitian: support unsorted or not symmetric")
+        last = _last_support
+        if last is not None and last[0] == dim and np.array_equal(last[1], index):
+            order, diagonal = last[2], last[3]
+        else:
+            _last_support = None
+            if len(index) and (index[0] < 0 or index[-1] >= dim * dim):
+                raise ValueError(f"density matrix index out of range for dims {self.dims}")
+            # values[order[k]] is the transpose of entry k: np.isclose(mat, mat^H) on the support
+            rows, cols = np.divmod(index, dim)
+            transposed = cols * dim + rows
+            order = transposed.argsort()
+            if (index[1:] <= index[:-1]).any() or (transposed[order] != index).any():
+                raise ValueError("density matrix is not Hermitian: support unsorted or not symmetric")
+            diagonal = rows == cols
+            _last_support = dim, index.copy(), order, diagonal
         if not (abs(values[order] - values.conj()) <= NORM_ATOL + 1e-5 * abs(values)).all():
             raise ValueError("density matrix is not Hermitian")
-        if abs(values[rows == cols].sum() - 1.0) > NORM_ATOL:
+        if abs(values[diagonal].sum() - 1.0) > NORM_ATOL:
             raise ValueError("density matrix trace is not 1")
         index.flags.writeable = values.flags.writeable = False
         object.__setattr__(self, "index", index)
@@ -367,10 +387,17 @@ def probe_family(dim: int, seed: int = 0, n_random: int = 20) -> list[tuple[str,
     superposition, and seeded random states.
 
     Basis states alone would not detect phase damage on coalition
-    views, hence the superpositions.
+    views, hence the superpositions. A negative count, or a family whose
+    pairs would pass PROBE_PAIR_GUARD, is refused before any state is built.
     """
     if n_random < 0:
         raise ValueError(f"random probe count must be nonnegative, got {n_random}")
+    pairs = (dim + 1 + n_random) * (dim + n_random) // 2
+    if pairs > PROBE_PAIR_GUARD:
+        raise ValueError(
+            f"{dim + 1 + n_random} probes make {pairs} pairs per coalition, "
+            f"beyond the probe-pair guard ({PROBE_PAIR_GUARD})"
+        )
     family: list[tuple[str, QuantumState]] = [
         (f"basis:{s}", QuantumState.basis((dim,), (s,))) for s in range(dim)
     ]

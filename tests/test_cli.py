@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spanshare.cli import SplitMix64, main
+from spanshare.quantum import PROBE_PAIR_GUARD, QuantumState, probe_family
 from spanshare.structures import format_structure, threshold_structure
 
 ORAND = "or(and(1,3),and(2,3))"
@@ -228,6 +230,30 @@ def test_qss_refuses_a_negative_random_count(shamir_msp_file, capsys):
         assert captured.err == "error: random probe count must be nonnegative, got -3\n"
 
 
+def test_qss_refuses_a_random_count_past_the_pair_guard(shamir_msp_file, capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a probe state was built before the refusal")
+
+    for name in ("basis", "uniform", "random"):
+        monkeypatch.setattr(QuantumState, name, staticmethod(forbidden))
+    # GF(5): 5 + 1 + N probes make (6 + N)(5 + N)/2 pairs per coalition;
+    # the largest N inside the guard is the one whose N + 1 passes it
+    largest = next(n for n in itertools.count() if (7 + n) * (6 + n) // 2 > PROBE_PAIR_GUARD)
+    for command in ("verify-pure", "verify-mixed"):
+        for n in (largest + 1, 10**30):
+            assert main(["qss", command, str(shamir_msp_file), "--random", str(n)]) == 2
+            captured = capsys.readouterr()
+            probes = 6 + n
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {probes} probes make {probes * (probes - 1) // 2} pairs per coalition, "
+                f"beyond the probe-pair guard ({PROBE_PAIR_GUARD})\n"
+            )
+    monkeypatch.undo()
+    family = probe_family(5, n_random=largest)
+    assert len(family) * (len(family) - 1) // 2 <= PROBE_PAIR_GUARD
+
+
 def test_qss_verify_pure_player_cap_refusal_has_no_hint(tmp_path, capsys):
     # verify-mixed refuses a 17-player MSP the same way, so the hint would mislead
     path = tmp_path / "p17.msp"
@@ -417,3 +443,100 @@ def test_condition_check_exit_codes(tmp_path_factory, case):
     else:
         assert re.fullmatch(r"eq1=(true|false) oracle=(true|false) agree=true\n", out)
         assert err == ""
+
+
+@st.composite
+def structure_texts(draw):
+    n = draw(st.integers(1, 5))
+    ids = st.lists(st.integers(1, n), max_size=n, unique=True)
+    lines = [f"players {n}"] + [
+        " ".join(["maximal", *map(str, s)]) for s in draw(st.lists(ids, max_size=4))
+    ]
+    return lines
+
+
+@st.composite
+def msp_texts(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n, e = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    d = draw(st.integers(n, n + 2))
+    players = list(range(1, n + 1)) + [draw(st.integers(1, n)) for _ in range(d - n)]
+    lines = [f"msp field={p} d={d} e={e} n={n}"]
+    for player in draw(st.permutations(players)):
+        lines.append(" ".join(map(str, ["row", player, *draw(st.lists(st.integers(0, p - 1),
+                                                                           min_size=e, max_size=e))])))
+    return lines
+
+
+FORMULAS = ["1", "and(1,2)", "or(1,2)", ORAND, "thr2(1,2,3)", "thr3(1,2,3,4,5)",
+            "and(or(1,2),or(3,4))", "thr0(1)", "and(1,", "or()", "thr9(1,2)", "5"]
+JUNK = ["x", "-1", "0", "17", "1,1", "-", "", "2**70", "1" * 5000, "--set", "--field",
+        "--out", "--require", "--players", "-h", "maximal", "row"]
+
+
+@st.composite
+def structure_and_msp_argvs(draw, directory):
+    """An argv of a structure or msp subcommand with a file to read: the
+    file is mostly of the subcommand's own kind, else a structure, an MSP
+    or any text, then at most one malformation; the arguments are the
+    subcommand's own, drawn from valid and junk values, then at most two
+    extra tokens."""
+    command = draw(st.sampled_from(["structure check", "structure dual", "structure extend",
+                                    "msp from-formula", "msp dual", "msp extend", "msp eval"]))
+    own = "structure" if command.startswith("structure") else "msp"
+    kind = draw(st.sampled_from([own] * 3 + ["structure", "msp", "text"]))
+    if kind == "text":
+        lines = draw(st.text(max_size=80)).split("\n")
+    else:
+        lines = draw(structure_texts() if kind == "structure" else msp_texts())
+        junk = st.sampled_from(["x", "-1", "0", "17", str(2**70), "1" * 5000, "maximal", "row",
+                                "players", "field=5"])
+        mutation = draw(st.sampled_from(["none"] * 3 + ["drop", "token", "append", "repeat"]))
+        at = draw(st.integers(0, len(lines) - 1))
+        if mutation == "drop":
+            del lines[at]
+        elif mutation == "token":
+            tokens = lines[at].split()
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(junk)
+            lines[at] = " ".join(tokens)
+        elif mutation == "append":
+            lines.append(" ".join(draw(st.lists(junk, min_size=1, max_size=4))))
+        elif mutation == "repeat":
+            lines.append(lines[at])
+    path = directory / "generated.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = command.split()
+    if command == "msp from-formula":
+        argv.append(draw(st.sampled_from(FORMULAS) | st.text(max_size=12)))
+        argv += ["--field", draw(st.sampled_from(["2", "5", "7", "4", "0", "257", "263", "x"]))]
+        if draw(st.booleans()):
+            argv += ["--players", draw(st.sampled_from(["1", "3", "5", "16", "17", "0", "-2"]))]
+    else:
+        argv.append(str(path))
+    if command == "structure check" and draw(st.booleans()):
+        argv += ["--require", draw(st.sampled_from(["q2", "q2star", "selfdual", "q3"]))]
+    if command == "msp eval":
+        argv += ["--set", draw(st.sampled_from(["1", "1,2", "2,3,4", "-", "0", "9", "x", "1,1"]))]
+    if command.split()[1] in ("dual", "extend", "from-formula") and draw(st.booleans()):
+        argv += ["--out", str(directory / "out.txt")]
+    extra = draw(st.sampled_from([0, 0, 0, 1, 2]))
+    return argv + [draw(st.sampled_from(JUNK) | st.text(max_size=6)) for _ in range(extra)]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_structure_and_msp_commands_exit_codes(tmp_path_factory, data):
+    argv = data.draw(structure_and_msp_argvs(tmp_path_factory.getbasetemp()))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the arguments (or prints -h)
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err
+    if code == 2:
+        # the handlers write "error: ...", argparse "usage: ..." then "prog: error: ..."
+        assert sum("error: " in line for line in err.splitlines()) == 1
+        assert err.startswith(("error: ", "usage: "))

@@ -29,6 +29,7 @@ from spanshare.condition import (
     search_counterexample,
 )
 from spanshare.msp import MSP, compile_formula, extend_msp, msp_structure, shamir_msp
+from spanshare.quantum import QuantumState
 from spanshare.structures import (
     AdversaryStructure,
     build_structure,
@@ -308,6 +309,20 @@ def test_lift_single_secret_scheme():
     assert eq1_check(sch, U1)
 
 
+def test_lift_report_refuses_a_family_past_the_probe_pair_guard(monkeypatch):
+    def labelled(count):
+        # player 2's share names the secret, player 1 always holds 0
+        return ClassicalScheme(2, count, (1, count), range(count), [[0] * count, range(count)],
+                               [1] * count, 1)
+
+    # the basis probes, the uniform one and ten random ones: 447 probes make
+    # 99,681 pairs, inside the guard of 100,000, and 448 pass it
+    assert lift_report(labelled(436), U1).passed
+    monkeypatch.setattr(QuantumState, "basis", staticmethod(lambda *args: pytest.fail("built")))
+    with pytest.raises(ValueError, match=r"^448 probes make 100128 pairs per coalition"):
+        lift_report(labelled(437), U1)
+
+
 def test_lift_requires_superposition_probes(shamir_table):
     basis_only = [
         ("basis:0", np.array([1, 0, 0, 0, 0], dtype=complex)),
@@ -378,18 +393,36 @@ def _homomorphic_outcome(build, spec):
 
 
 def test_homomorphic_scheme_matches_reference_on_search_specs(monkeypatch):
+    # every two-share spec of arity 1 or 2 over Z_2..Z_4, the arity-2 ones
+    # (never injective) included, so the kernel-size refusal keeps its oracle
+    specs = [
+        HomomorphicSpec((modulus,), arity, rows)
+        for modulus in range(2, 5)
+        for arity in (1, 2)
+        for rows in itertools.product(
+            list(itertools.product(range(modulus), repeat=arity + 1)), repeat=2
+        )
+    ]
+    assert len(specs) == 5242
+    outcomes = [_homomorphic_outcome(homomorphic_scheme, spec) for spec in specs]
+    for spec, outcome in zip(specs, outcomes):
+        assert outcome == _homomorphic_outcome(ref_homomorphic_table, spec), spec
+    injective = [(spec, out) for spec, out in zip(specs, outcomes) if not isinstance(out, str)]
+    assert len(injective) == 150 and all(spec.m == 1 for spec, _ in injective)
+    # the search deals only the 353 arity-1 specs and yields those 150, in order
     seen = []
     build = condition.homomorphic_scheme
 
     def recording(spec):
-        seen.append((spec, _homomorphic_outcome(build, spec)))
+        seen.append(spec)
         return build(spec)
 
     monkeypatch.setattr(condition, "homomorphic_scheme", recording)
     found = list(condition._homomorphic_candidates(4))
-    assert len(seen) == 5242 and len(found) == 150
-    for spec, outcome in seen:
-        assert outcome == _homomorphic_outcome(ref_homomorphic_table, spec), spec
+    assert seen == [spec for spec in specs if spec.m == 1] and len(seen) == 353
+    assert [(sch.share_sizes, list(sch.table.items())) for sch in found] == [
+        out for _, out in injective
+    ]
 
 
 def _product_and_wide_specs():

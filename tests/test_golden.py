@@ -154,7 +154,7 @@ def search_calls(monkeypatch):
         ({"max_denominator": 4, "family": "function"}, None,
          {"eq1": 390, "precondition": 0, "oracle": 0, "specs": 0, "non_injective": 0}),
         ({"max_share_size": 3, "family": "homomorphic"}, None,
-         {"eq1": 54, "precondition": 40, "oracle": 0, "specs": 890, "non_injective": 836}),
+         {"eq1": 54, "precondition": 40, "oracle": 0, "specs": 97, "non_injective": 43}),
     ],
 )
 def test_search_candidate_stream_golden(search_calls, kwargs, found, counts):

@@ -219,10 +219,94 @@ def test_lift_report_reuses_plans_bit_for_bit(monkeypatch, plan_builds):
         reports[trace] = lift_report(sch, 0b01, seed=5)
     assert reports[partial_trace] == reports[cold_trace]
     assert not reports[partial_trace].passed
-    # two basis probes and the uniform one build; ten random probes reuse its plan
-    assert len(traced[partial_trace]) == 13 and len(plan_builds) == 3 + 13
+    # every probe traces all rows of the table: the first builds, twelve reuse
+    assert len(traced[partial_trace]) == 13 and len(plan_builds) == 1 + 13
     for rho, cold in zip(traced[partial_trace], traced[cold_trace]):
         assert_same_bytes(rho, cold)
+
+
+def lifted_states(sch, alpha):
+    """One probe's lifted state as lift_report builds it, on all rows of the
+    table, and on only the rows its amplitudes reach."""
+    values = [np.array(v, dtype=np.int64) for v in sch.share_values]
+    words = np.column_stack([v[c] for v, c in zip(values, sch.codes.T)])
+    roots = np.array([(w / sch.denominator) ** 0.5 for w in sch.numerators.tolist()])
+    amps = alpha[sch.secrets] * roots
+    reached = alpha[sch.secrets] != 0
+    return (QuantumState(sch.share_sizes, words, amps),
+            QuantumState(sch.share_sizes, words[reached], amps[reached]))
+
+
+@pytest.mark.parametrize("case", ["counterexample", "shamir"])
+def test_full_row_traces_match_rows_reached_bit_for_bit(case):
+    if case == "counterexample":
+        fixture = Path(__file__).parent / "fixtures" / "counterexample.scheme"
+        sch, splits = parse_scheme(fixture.read_text()), [0b01]
+    else:
+        sch = condition.scheme_from_msp(shamir_msp(5, 2, GF7))
+        splits = [b for b in range(32) if bin(b).count("1") <= 2]
+    family = condition._default_inputs(sch.secret_count, 0)
+    zeros = 0
+    for u in splits:
+        keep = [i for i in range(sch.n) if u >> i & 1]
+        for _, alpha in family[: sch.secret_count + 1]:  # the basis probes, then the uniform one
+            full, reached = lifted_states(sch, alpha)
+            zeros += len(full.labels) - len(reached.labels)
+            rho = cold_trace(full, keep)
+            assert rho.mat.tobytes() == cold_trace(reached, keep).mat.tobytes()
+    assert zeros > 0
+
+
+# ---------------------------------------------------------------------------
+# the support check reused across density matrices of equal supports
+
+
+def test_an_equal_support_is_checked_once():
+    values = np.array([0.5, 0.1 + 0.2j, 0.1 - 0.2j, 0.5])
+    quantum.DensityMatrix((2,), np.array([0, 1, 2, 3]), values)
+    held = quantum._last_support
+    rho = quantum.DensityMatrix((2,), np.array([0, 1, 2, 3]), values[[0, 2, 1, 3]])
+    assert quantum._last_support is held
+    assert rho.mat.tobytes() == np.array([[0.5, 0.1 - 0.2j], [0.1 + 0.2j, 0.5]]).tobytes()
+
+
+def test_bad_supports_of_the_same_length_are_refused_after_a_valid_one():
+    block = np.array([0.5, 0.1 + 0.2j, 0.1 - 0.2j, 0.5])
+    # the 2 x 2 block of a 3 x 3 matrix on coordinates 0 and 1
+    cases = [
+        ((3,), [0, 3, 1, 4], "unsorted"),  # the valid index, unsorted
+        ((3,), [0, 1, 4, 5], "not symmetric"),  # (1, 2) without (2, 1)
+        ((4,), [0, 1, 3, 4], "not symmetric"),  # the same index read over another dim
+        ((3,), [0, 1, 3, 9], "out of range"),
+    ]
+    for dims, index, message in cases:
+        quantum.DensityMatrix((3,), np.array([0, 1, 3, 4]), block)
+        with pytest.raises(ValueError, match=message):
+            quantum.DensityMatrix(dims, np.array(index), block)
+    # a held support still checks every matrix's values
+    quantum.DensityMatrix((3,), np.array([0, 1, 3, 4]), block)
+    with pytest.raises(ValueError, match="Hermitian"):
+        quantum.DensityMatrix((3,), np.array([0, 1, 3, 4]), np.array([0.5, 0.1 + 0.2j, 0.3, 0.5]))
+    with pytest.raises(ValueError, match="trace"):
+        quantum.DensityMatrix((3,), np.array([0, 1, 3, 4]), 2 * block)
+
+
+def test_writing_to_a_writeable_base_cannot_serve_a_stale_support():
+    base = np.array([0, 1, 3, 4])
+    view = base[:]
+    quantum.DensityMatrix((3,), view, np.array([0.5, 0.1 + 0.2j, 0.1 - 0.2j, 0.5]))
+    assert base.flags.writeable and not view.flags.writeable
+    # the block moves to coordinates 1 and 2: another transpose order and diagonal
+    base[:] = [0, 4, 5, 7]
+    values = np.array([0.5, 0.5, 0.1 + 0.2j, 0.1 - 0.2j])
+    rho = quantum.DensityMatrix((3,), view, values)
+    expected = np.zeros((3, 3), dtype=complex)
+    expected[0, 0] = expected[1, 1] = 0.5
+    expected[1, 2], expected[2, 1] = 0.1 + 0.2j, 0.1 - 0.2j
+    assert rho.mat.tobytes() == expected.tobytes()
+    base[:] = [0, 1, 4, 5]
+    with pytest.raises(ValueError, match="not symmetric"):
+        quantum.DensityMatrix((3,), view, values)
 
 
 def test_equal_labels_under_other_dims_or_keep_build_their_own_plan(plan_builds):
