@@ -371,7 +371,10 @@ def lift_report(
     This is the ground truth that validates eq1_check; it never shares
     code with it beyond the table itself. The input family must probe
     superpositions: reduced states that agree on basis secrets alone
-    do not establish erasure correction.
+    do not establish erasure correction. Every trace distance is exact:
+    the eigenvalues of each difference, from ``eigvalsh``, or, when the
+    views are diagonal (Q determines U's shares, as on linear tables),
+    the sorted difference of the diagonals, the same floats.
     """
     _split_preconditions(sch, u_mask)
     dim = math.prod(sch.share_sizes)
@@ -388,18 +391,34 @@ def lift_report(
     # Every probe's state is on all rows, zero amplitudes kept, so every trace
     # has one support and partial_trace builds its plan once per table. Q is
     # correct, so each traced-out group holds the rows of one secret, and a
-    # zero amplitude only adds exact zeros to the entries.
-    mats = []
+    # zero amplitude only adds exact zeros to the entries. The labels are
+    # checked once, with the first probe's state.
+    views = []
     for _, alpha in family:
-        state = QuantumState(sch.share_sizes, words, alpha[sch.secrets] * roots)
-        mats.append(partial_trace(state, u_coords).mat)
-    mats = np.array(mats)
+        amplitudes = alpha[sch.secrets] * roots
+        state = state.with_values(amplitudes) if views else QuantumState(sch.share_sizes, words, amplitudes)
+        views.append(partial_trace(state, u_coords))
+    index = views[0].index if views else np.empty(0, dtype=np.int64)
+    u_dim = math.prod(sch.share_sizes[i] for i in u_coords)
+    # The views share the index of the plan's one chunk, and a diagonal
+    # support (one row per traced-out group) never needs a second chunk.
+    if all(view.index is index for view in views) and not (index % (u_dim + 1)).any():
+        # Diagonal views: eigvalsh (LAPACK zheevd) finds the tridiagonal form
+        # of a diagonal matrix with exact zeros off it and returns its real
+        # diagonal sorted, so sorting the diagonals, exact zeros off the
+        # support included, gives the same floats without a dense matrix.
+        diagonals = np.zeros((len(views), u_dim))
+        diagonals[:, index // (u_dim + 1)] = [view.values.real for view in views]
+        spectra = (np.sort(diagonals[a] - diagonals[a + 1 :], axis=1) for a in range(len(views) - 1))
+    else:
+        mats = np.array([view.mat for view in views])
+        spectra = (np.linalg.eigvalsh(mats[a] - mats[a + 1 :]) for a in range(len(mats) - 1))
     names = [name for name, _ in family]
     worst = 0.0
     witness: tuple[str, str] | None = None
-    for a in range(len(mats) - 1):
-        # the exact trace distances from probe a to every later probe, in one call
-        dists = 0.5 * np.abs(np.linalg.eigvalsh(mats[a] - mats[a + 1 :])).sum(axis=1)
+    for a, spectrum in enumerate(spectra):
+        # the exact trace distances from probe a to every later probe
+        dists = 0.5 * np.abs(spectrum).sum(axis=1)
         b = int(dists.argmax())
         if dists[b] > worst:
             worst, witness = float(dists[b]), (names[a], names[a + 1 + b])

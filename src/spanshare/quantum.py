@@ -104,14 +104,28 @@ class QuantumState:
         keys = np.sort(_row_keys(labels, range(len(self.dims)), self.dims))
         if np.count_nonzero(keys[1:] == keys[:-1]):
             raise ValueError("duplicate basis labels")
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != (len(labels),):
-            raise ValueError("labels and values differ in length")
-        labels.flags.writeable = values.flags.writeable = False
+        labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
+        self._set_values(self.values)
+
+    def _set_values(self, values) -> None:
+        values = np.asarray(values, dtype=complex)
+        if values.shape != (len(self.labels),):
+            raise ValueError("labels and values differ in length")
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if abs(self.norm() - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm {self.norm()} is not 1 within {NORM_ATOL}")
+
+    def with_values(self, values) -> "QuantumState":
+        """A state on this state's dims and label array, which were checked
+        when it was built, with new amplitudes: only their length and norm
+        are checked."""
+        state = object.__new__(QuantumState)
+        object.__setattr__(state, "dims", self.dims)
+        object.__setattr__(state, "labels", self.labels)
+        state._set_values(values)
+        return state
 
     @cached_property
     def amps(self) -> dict[tuple[int, ...], complex]:
@@ -161,6 +175,24 @@ class QuantumState:
         return _scatter(math.prod(self.dims), keys, self.values)
 
 
+def _trace_atol(terms: int) -> float:
+    """How far from 1 the trace of a partial trace of a state with this many
+    amplitudes may lie; NORM_ATOL for a matrix given entry by entry (0 terms).
+
+    The state's fsum norm is within NORM_ATOL of 1, so the exact sum E of its
+    N squared magnitudes is within 2 NORM_ATOL + NORM_ATOL**2 + 6u of 1 (u =
+    eps / 2, eps = ulp(1.0); hypot, squaring and fsum round). The trace adds the same terms,
+    each rounded twice, through sequential bincount sums per diagonal entry
+    and one sum over the entries: at most N - 1 additions per term. A fused
+    multiply may leave each term an imaginary part of u / 2 of it. To first
+    order that is (1.5 N + 7) u E, which (N + 8) eps bounds with room for the
+    second-order terms.
+    """
+    if not terms:
+        return NORM_ATOL
+    return 2 * NORM_ATOL + (terms + 8) * math.ulp(1.0)
+
+
 # The last support a density matrix was checked on: its dim, an own copy of
 # the index, the transpose order and the diagonal mask. It is replaced whole,
 # so at most one support is held.
@@ -171,12 +203,15 @@ _last_support: tuple | None = None
 class DensityMatrix:
     """Reduced state on its support: ``index`` holds sorted, distinct row-major
     flat indices closed under transpose, ``values`` the complex entries there
-    (both read-only); all other entries are exact zeros.
+    (both read-only); all other entries are exact zeros. ``terms`` is the
+    amplitude count of the state it was traced from, 0 for a matrix given
+    entry by entry; the trace check's tolerance grows with it.
     """
 
     dims: tuple[int, ...]
     index: np.ndarray
     values: np.ndarray
+    terms: int = 0
 
     def __post_init__(self) -> None:
         global _last_support
@@ -202,7 +237,7 @@ class DensityMatrix:
             _last_support = dim, index.copy(), order, diagonal
         if not (abs(values[order] - values.conj()) <= NORM_ATOL + 1e-5 * abs(values)).all():
             raise ValueError("density matrix is not Hermitian")
-        if abs(values[diagonal].sum() - 1.0) > NORM_ATOL:
+        if abs(values[diagonal].sum() - 1.0) > _trace_atol(self.terms):
             raise ValueError("density matrix trace is not 1")
         index.flags.writeable = values.flags.writeable = False
         object.__setattr__(self, "index", index)
@@ -346,7 +381,7 @@ def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
         _last_plan = key, labels.copy(), (i, j, index, where)
     entries = real.astype(complex)
     entries.imag = imag
-    return DensityMatrix(kdims, index, entries)
+    return DensityMatrix(kdims, index, entries, len(values))
 
 
 def fidelity(rho: DensityMatrix, psi: QuantumState) -> float:

@@ -16,7 +16,11 @@ division, as ``eq1_check`` did before it wrote weights over a coprime
 base instead.
 ``ref_lift_report`` is ``lift_report`` as it ran before it sliced
 arrays of the table: one dict of lifted amplitudes per probe, and one
-``trace_distance`` call per pair of probes.
+``trace_distance`` call per pair of probes. ``ref_eigvalsh_lift_report``
+is ``lift_report`` as it ran before it read diagonal views' distances
+off their sorted diagonals: a fully checked state and a dense view per
+probe, and one stacked ``eigvalsh`` call per probe against every later
+probe.
 
 ``check_secrecy``, ``reconstruction_map`` and ``ref_derive_structure``
 are the dict walks ``condition`` ran before a scheme stored arrays:
@@ -32,8 +36,10 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
 from spanshare.msp import ENUMERATION_GUARD
-from spanshare.condition import LiftReport, _split_preconditions
+from spanshare.condition import LiftReport, _default_inputs, _split_preconditions
 from spanshare.galois import solve_left
 from spanshare.msp import rows_of
 from spanshare.quantum import SECRECY_TOL, QuantumState, partial_trace, probe_family
@@ -275,6 +281,28 @@ def ref_lift_report(sch, u_mask, seed=0):
         if dist > worst:
             worst, witness = dist, (name1, name2)
     return LiftReport(worst <= SECRECY_TOL, worst, witness, [n for n, _ in family], seed)
+
+
+def ref_eigvalsh_lift_report(sch, u_mask, seed=0):
+    """lift_report on the default probes, every distance from eigvalsh."""
+    _split_preconditions(sch, u_mask)
+    family = _default_inputs(sch.secret_count, seed)
+    values = [np.array(v, dtype=np.int64) for v in sch.share_values]
+    words = np.column_stack([v[c] for v, c in zip(values, sch.codes.T)])
+    roots = np.array([(w / sch.denominator) ** 0.5 for w in sch.numerators.tolist()])
+    mats = []
+    for _, alpha in family:
+        state = QuantumState(sch.share_sizes, words, alpha[sch.secrets] * roots)
+        mats.append(partial_trace(state, coords(sch.n, u_mask)).mat)
+    mats = np.array(mats)
+    names = [name for name, _ in family]
+    worst, witness = 0.0, None
+    for a in range(len(mats) - 1):
+        dists = 0.5 * np.abs(np.linalg.eigvalsh(mats[a] - mats[a + 1 :])).sum(axis=1)
+        b = int(dists.argmax())
+        if dists[b] > worst:
+            worst, witness = float(dists[b]), (names[a], names[a + 1 + b])
+    return LiftReport(worst <= SECRECY_TOL, worst, witness, names, seed)
 
 
 def ref_compositions(total, parts):

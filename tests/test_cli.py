@@ -10,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spanshare.cli import SplitMix64, main
+from spanshare.galois import Field
+from spanshare.msp import compile_formula, dump_msp
 from spanshare.quantum import PROBE_PAIR_GUARD, QuantumState, probe_family
-from spanshare.structures import format_structure, threshold_structure
+from spanshare.structures import format_structure, parse_formula, threshold_structure
 
 ORAND = "or(and(1,3),and(2,3))"
 
@@ -474,6 +476,26 @@ JUNK = ["x", "-1", "0", "17", "1,1", "-", "", "2**70", "1" * 5000, "--set", "--f
         "--out", "--require", "--players", "-h", "maximal", "row"]
 
 
+def _mutated(draw, lines, words):
+    """The lines with at most one malformation: a line dropped, a token
+    replaced by junk or one of the format's words, a junk line appended or
+    a line repeated."""
+    junk = st.sampled_from(["x", "-1", "0", "17", str(2**70), "1" * 5000, *words])
+    mutation = draw(st.sampled_from(["none"] * 3 + ["drop", "token", "append", "repeat"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    if mutation == "drop":
+        del lines[at]
+    elif mutation == "token":
+        tokens = lines[at].split()
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(junk)
+        lines[at] = " ".join(tokens)
+    elif mutation == "append":
+        lines.append(" ".join(draw(st.lists(junk, min_size=1, max_size=4))))
+    elif mutation == "repeat":
+        lines.append(lines[at])
+    return lines
+
+
 @st.composite
 def structure_and_msp_argvs(draw, directory):
     """An argv of a structure or msp subcommand with a file to read: the
@@ -489,20 +511,7 @@ def structure_and_msp_argvs(draw, directory):
         lines = draw(st.text(max_size=80)).split("\n")
     else:
         lines = draw(structure_texts() if kind == "structure" else msp_texts())
-        junk = st.sampled_from(["x", "-1", "0", "17", str(2**70), "1" * 5000, "maximal", "row",
-                                "players", "field=5"])
-        mutation = draw(st.sampled_from(["none"] * 3 + ["drop", "token", "append", "repeat"]))
-        at = draw(st.integers(0, len(lines) - 1))
-        if mutation == "drop":
-            del lines[at]
-        elif mutation == "token":
-            tokens = lines[at].split()
-            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(junk)
-            lines[at] = " ".join(tokens)
-        elif mutation == "append":
-            lines.append(" ".join(draw(st.lists(junk, min_size=1, max_size=4))))
-        elif mutation == "repeat":
-            lines.append(lines[at])
+        lines = _mutated(draw, lines, ["maximal", "row", "players", "field=5"])
     path = directory / "generated.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     argv = command.split()
@@ -526,7 +535,11 @@ def structure_and_msp_argvs(draw, directory):
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_structure_and_msp_commands_exit_codes(tmp_path_factory, data):
-    argv = data.draw(structure_and_msp_argvs(tmp_path_factory.getbasetemp()))
+    _check_exit_contract(data.draw(structure_and_msp_argvs(tmp_path_factory.getbasetemp())))
+
+
+def _check_exit_contract(argv):
+    """main exits 0, 1 or 2 and never with a traceback; exit 2 prints one error line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -540,3 +553,64 @@ def test_structure_and_msp_commands_exit_codes(tmp_path_factory, data):
         # the handlers write "error: ...", argparse "usage: ..." then "prog: error: ..."
         assert sum("error: " in line for line in err.splitlines()) == 1
         assert err.startswith(("error: ", "usage: "))
+
+
+SETS = ["1", "1,2", "2,3,4", "1,2,3", "-", "0", "9", "x", "1,1"]
+
+
+@st.composite
+def dealing_and_qss_argvs(draw, directory):
+    """An argv of share, reconstruct or qss verify-* with an MSP file, mostly
+    an MSP, else any text, then at most one malformation; reconstruct also
+    reads a share file of that MSP's rows with random values, malformed the
+    same way; the arguments are drawn from valid and junk values, then at most
+    two extra tokens."""
+    command = draw(st.sampled_from(["share", "reconstruct", "qss verify-pure", "qss verify-mixed"]))
+    kind = draw(st.sampled_from(["formula"] * 3 + ["msp"] * 2 + ["text"]))
+    if kind == "text":
+        lines = draw(st.text(max_size=80)).split("\n")
+    else:
+        if kind == "formula":  # a valid MSP; the fields keep every mixed sweep short
+            formula = draw(st.sampled_from(["1", "and(1,2)", "or(1,2)", ORAND, "thr2(1,2,3)",
+                                            "and(or(1,2),or(3,4))"]))
+            field = Field(draw(st.sampled_from([2, 3, 5] if formula != "thr2(1,2,3)" else [5])))
+            lines = dump_msp(compile_formula(parse_formula(formula), field)).splitlines()
+        else:
+            lines = draw(msp_texts())
+        lines = _mutated(draw, lines, ["row", "field=5", "e=0", "n=17"])
+    msp_path = directory / "generated.msp"
+    msp_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = command.split() + [str(msp_path)]
+    if command == "share":
+        argv += ["--secret", draw(st.sampled_from(["0", "1", "4", "-3", str(2**70), "x"]))]
+        if draw(st.booleans()):
+            argv += ["--seed", draw(st.sampled_from(["0", "7", "-1", str(2**70), "x"]))]
+        if draw(st.booleans()):
+            argv += ["--out", str(directory / "out.shares")]
+    elif command == "reconstruct":
+        header = re.search(r"field=(\d+)", lines[0] if lines else "")
+        p = int(header.group(1)) if header and draw(st.integers(0, 4)) else draw(st.sampled_from([2, 7]))
+        rows = [fields for fields in map(str.split, lines) if fields[:1] == ["row"]]
+        players = [fields[1] for fields in rows if len(fields) > 1] or ["1"]
+        shares = [f"field {p}"] + [
+            f"share {player} {row} {draw(st.integers(0, p - 1))}"
+            for row, player in enumerate(players, 1) if draw(st.integers(0, 5))
+        ]
+        shares_path = directory / "generated.shares"
+        shares_path.write_text("\n".join(_mutated(draw, shares, ["share", "field"])) + "\n")
+        argv += [str(shares_path), "--set", draw(st.sampled_from(SETS))]
+    else:
+        # few random probes keep each sweep short
+        argv += ["--random", draw(st.sampled_from(["0", "1", "2", "-1", "1000000000", "x"]))]
+        if draw(st.booleans()):
+            argv += ["--seed", draw(st.sampled_from(["0", "3", "-1", "x"]))]
+        if draw(st.booleans()):
+            argv += ["--format", draw(st.sampled_from(["text", "machine", "json"]))]
+    extra = draw(st.sampled_from([0, 0, 0, 1, 2]))
+    return argv + [draw(st.sampled_from(JUNK) | st.text(max_size=6)) for _ in range(extra)]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_dealing_and_qss_commands_exit_codes(tmp_path_factory, data):
+    _check_exit_contract(data.draw(dealing_and_qss_argvs(tmp_path_factory.getbasetemp())))

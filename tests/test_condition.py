@@ -48,6 +48,7 @@ from reference_classical import (
     ref_homomorphic_table,
     ref_compositions,
     ref_derive_structure,
+    ref_eigvalsh_lift_report,
     ref_lift_report,
     ref_scheme_table,
 )
@@ -351,6 +352,76 @@ def test_lift_report_matches_dict_reference(shamir_table):
         assert outcome == _check_outcome(ref_lift_report, sch, u), (format_scheme(sch), u)
         verdicts.add(getattr(outcome, "passed", None))
     assert verdicts == {True, False, None}
+
+
+def _count_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_diagonal_views_match_eigvalsh_reference_without_eigvalsh(monkeypatch):
+    # every split of Shamir(5,2) over GF(7) in the structure and its dual:
+    # Q determines U's shares, so every view is diagonal
+    sch = scheme_from_msp(shamir_msp(5, 2, Field(7)))
+    splits = [u for u in range(32) if bin(u).count("1") <= 2]
+    assert len(splits) == 16
+    # the same table with player 1's share space widened from 7 to 9 values:
+    # the diagonal entries of values 7 and 8 are off the support, exact zeros
+    columns = [np.array(v)[c] for v, c in zip(sch.share_values, sch.codes.T)]
+    wide = ClassicalScheme(5, 7, (9, 7, 7, 7, 7), sch.secrets, columns, sch.numerators, sch.denominator)
+    cases = [(sch, u, seed) for u in splits for seed in (0, 4)]
+    cases += [(wide, u, 1) for u in splits if u & 1]
+    expected = [ref_eigvalsh_lift_report(sch, u, seed) for sch, u, seed in cases]
+    calls = _count_eigvalsh(monkeypatch)
+    # the labels are checked once per report, by the first probe's state
+    checks = []
+    post_init = QuantumState.__post_init__
+    monkeypatch.setattr(QuantumState, "__post_init__", lambda state: post_init(state) or checks.append(1))
+    assert [lift_report(sch, u, seed=seed) for sch, u, seed in cases] == expected
+    assert calls == [] and len(checks) == len(cases)
+    assert {report.passed for report in expected} == {True}
+    assert any(report.max_distance > 0 for report in expected)
+
+
+def test_dense_views_still_call_eigvalsh(monkeypatch, counterexample):
+    fixture = Path(__file__).parent / "fixtures" / "counterexample.scheme"
+    cases = [(parse_scheme(fixture.read_text()), 0), (counterexample, 5)]
+    expected = [ref_eigvalsh_lift_report(sch, U1, seed) for sch, seed in cases]
+    calls = _count_eigvalsh(monkeypatch)
+    assert [lift_report(sch, U1, seed=seed) for sch, seed in cases] == expected
+    # one stacked call per probe but the last
+    assert len(calls) == sum(len(report.inputs) - 1 for report in expected)
+    assert not any(report.passed for report in expected)
+
+
+def test_eigvalsh_of_diagonal_matrices_is_the_sorted_diagonal():
+    # the identity lift_report's diagonal read-off rests on, for stacks of
+    # diagonals of mixed magnitudes with exact zeros; eigvalsh reads only the
+    # real part of a Hermitian diagonal
+    rng = np.random.default_rng(2026)
+    zeros_change_the_sum = 0
+    for _ in range(200):
+        k, dim = int(rng.integers(1, 5)), int(rng.integers(1, 64))
+        diagonals = rng.standard_normal((k, dim)) * 10.0 ** rng.integers(-18, 1, (k, dim))
+        diagonals[rng.random((k, dim)) < 0.3] = 0.0
+        mats = np.zeros((k, dim, dim), dtype=complex)
+        mats[:, range(dim), range(dim)] = diagonals + 1e-17j * rng.standard_normal((k, dim))
+        spectra = np.sort(diagonals, axis=1)
+        assert np.linalg.eigvalsh(mats).tobytes() == spectra.tobytes()
+        sums = np.abs(spectra).sum(axis=1)
+        assert np.abs(np.linalg.eigvalsh(mats)).sum(axis=1).tobytes() == sums.tobytes()
+        zeros_change_the_sum += sum(
+            np.abs(np.sort(row[row != 0])).sum() != total for row, total in zip(diagonals, sums)
+        )
+    # so the zeros off the support are kept, not dropped
+    assert zeros_change_the_sum > 0
 
 
 def test_homomorphic_one_time_pad(one_time_pad):

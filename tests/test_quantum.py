@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from spanshare import quantum
 from spanshare.galois import Field
 from spanshare.classical import build_reconstruction_plan
 from spanshare.msp import compile_formula, extend_msp, msp_structure, shamir_msp
 from spanshare.quantum import (
+    NORM_ATOL,
     AmplitudeBudgetError,
     DensityMatrix,
     QuantumState,
@@ -231,6 +233,58 @@ def test_norm_is_compensated_at_large_sizes():
     # e=6 MSP over GF(7); a naive float sum of the squares drifts ~1.3e-12
     psi = QuantumState.uniform(7**6)
     assert abs(psi.norm() - 1.0) < 1e-15
+
+
+def test_trace_check_allows_the_rounding_of_long_sums():
+    # every label of GF(5)**8, uniform; each diagonal entry of the view on
+    # coordinate 0 sums 78,125 squares in sequence
+    labels = np.indices((5,) * 8).reshape(8, -1).T
+    rho = partial_trace(QuantumState((5,) * 8, labels, np.full(5**8, 1 / 625, complex)), (0,))
+    # the state's 5**7 labels with coordinate 0 fixed: one entry sums them all
+    fixed = labels[labels[:, 0] == 0]
+    one = partial_trace(QuantumState((5,) * 8, fixed, np.full(5**7, 5**-3.5, complex)), (0,))
+    for view, terms in ((rho, 5**8), (one, 5**7)):
+        assert view.terms == terms
+        # past the NORM_ATOL that a matrix given entry by entry is held to
+        assert abs(np.trace(view.mat) - 1) > NORM_ATOL
+    # the uniform state is |+> on every coordinate
+    assert np.allclose(rho.mat, np.full((5, 5), 0.2), rtol=0, atol=1e-12)
+    assert np.allclose(one.mat, np.diag([1.0, 0, 0, 0, 0]), rtol=0, atol=1e-11)
+
+
+def test_trace_bound_grows_with_the_term_count():
+    # 2 NORM_ATOL + (terms + 8) eps: 2.24e-10 for 10**6 terms
+    DensityMatrix((2,), [0, 3], [0.5, 0.5 + 2e-10], terms=10**6)
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix((2,), [0, 3], [0.5, 0.5 + 2.5e-10], terms=10**6)
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix((2,), [0, 3], [0.5, 0.5 + 2e-10])
+    DensityMatrix((2,), [0, 3], [0.5, 0.5 + 0.9e-12])
+
+
+def test_with_values_checks_only_the_values(monkeypatch):
+    labels = np.array(list(itertools.product(range(3), range(2))))
+    amps = np.full(6, 6**-0.5, complex)
+    built = QuantumState((3, 2), labels, amps)
+    rng = np.random.default_rng(7)
+    raw = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    other = raw / np.linalg.norm(raw)
+    direct = QuantumState((3, 2), labels, other)
+    # the labels were checked when built was: no range check or duplicate sort
+    monkeypatch.setattr(quantum, "_row_keys", lambda *args: pytest.fail("labels checked again"))
+    new = built.with_values(other)
+    assert new.labels is built.labels and new.dims == built.dims
+    assert not new.values.flags.writeable and np.array_equal(new.values, other)
+    with pytest.raises(ValueError, match="differ in length"):
+        built.with_values(amps[:5])
+    with pytest.raises(ValueError, match="norm"):
+        built.with_values(amps * (1 + 3 * NORM_ATOL))
+    built.with_values(amps * (1 + NORM_ATOL / 2))
+    monkeypatch.undo()
+    for keep in [(0,), (1,), (0, 1)]:
+        a, b = partial_trace(new, keep), partial_trace(direct, keep)
+        assert a.index.tobytes() == b.index.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_amplitude_budget_refuses_every_sweep(orand):
