@@ -9,7 +9,9 @@ search).
 
 Exit codes: 0 all checks passed, 1 a check failed (including the
 verdict that no quantum scheme exists), 2 usage or file format error or
-an input past a size guard. Dealing randomness comes from SplitMix64
+an input past a size guard. Handlers raise and ``main`` alone maps the
+exceptions: ``NoSchemeError`` and ``ReconstructionError`` give 1, any
+other ``ValueError`` gives 2. Dealing randomness comes from SplitMix64
 (frozen here, seeded via --seed, recorded in every output) so share
 files and reports are byte-reproducible.
 """
@@ -29,7 +31,6 @@ from .classical import (
     share,
 )
 from .condition import (
-    PreconditionError,
     check_correctness,
     eq1_check,
     format_scheme,
@@ -47,6 +48,7 @@ from .msp import (
 )
 from .quantum import probe_family, qss_mixed, qss_pure
 from .structures import (
+    AdversaryStructure,
     FormatError,
     NoSchemeError,
     format_structure,
@@ -90,7 +92,10 @@ def _read(path: str) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from None
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
@@ -103,6 +108,13 @@ def _parse_set(text: str, n: int) -> int:
     except ValueError:
         raise ValueError(f"--set must be comma-separated player ids, got {text!r}") from None
     return mask_from_players(ids, n)
+
+
+def _cmd_transform(args: argparse.Namespace) -> int:
+    """Read a file, transform what it holds and write the result: the
+    dual and extend subcommands of ``structure`` and ``msp``."""
+    _emit(args.dump(args.transform(args.parse(_read(args.file)))), args.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -124,23 +136,6 @@ def _cmd_structure_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_structure_dual(args: argparse.Namespace) -> int:
-    structure = parse_structure(_read(args.file))
-    _emit(format_structure(structure.dual()), args.out)
-    return 0
-
-
-def _cmd_structure_extend(args: argparse.Namespace) -> int:
-    structure = parse_structure(_read(args.file))
-    try:
-        extended = structure.extend_selfdual()
-    except NoSchemeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _emit(format_structure(extended), args.out)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # msp
 
@@ -151,23 +146,6 @@ def _cmd_msp_from_formula(args: argparse.Namespace) -> int:
 
     msp = compile_formula(formula, Field(args.field), n=args.players)
     _emit(dump_msp(msp), args.out)
-    return 0
-
-
-def _cmd_msp_dual(args: argparse.Namespace) -> int:
-    msp = parse_msp(_read(args.file))
-    _emit(dump_msp(dual_msp(msp)), args.out)
-    return 0
-
-
-def _cmd_msp_extend(args: argparse.Namespace) -> int:
-    msp = parse_msp(_read(args.file))
-    try:
-        extended = extend_msp(msp)
-    except NoSchemeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _emit(dump_msp(extended), args.out)
     return 0
 
 
@@ -205,12 +183,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     missing = [i + 1 for i in wanted if i not in entries]
     if missing:
         raise ShareFormatError(f"share file lacks rows {missing} needed by the set")
-    try:
-        secret = reconstruct(msp, q, {i: entries[i][1] for i in wanted})
-    except ReconstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(secret)
+    print(reconstruct(msp, q, {i: entries[i][1] for i in wanted}))
     return 0
 
 
@@ -240,15 +213,10 @@ def _cmd_qss_verify(args: argparse.Namespace) -> int:
 def _cmd_condition_check(args: argparse.Namespace) -> int:
     scheme = parse_scheme(_read(args.file))
     if not check_correctness(scheme, full_mask(scheme.n)):
-        print("error: not a valid secret-sharing table", file=sys.stderr)
-        return 2
+        raise ValueError("not a valid secret-sharing table")
     u = _parse_set(args.set, scheme.n)
-    try:
-        eq1 = eq1_check(scheme, u)
-        oracle = lift_report(scheme, u, seed=args.seed)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    eq1 = eq1_check(scheme, u)
+    oracle = lift_report(scheme, u, seed=args.seed)
     agree = eq1 == oracle.passed
     print(
         f"eq1={'true' if eq1 else 'false'} "
@@ -298,14 +266,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--require", choices=["q2", "q2star", "selfdual"])
     p.set_defaults(handler=_cmd_structure_check)
-    p = s_sub.add_parser("dual", help="compute the dual structure")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_structure_dual)
-    p = s_sub.add_parser("extend", help="one-extra-player self-dual extension")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_structure_extend)
+    for name, text, transform in [("dual", "compute the dual structure", AdversaryStructure.dual),
+                                  ("extend", "one-extra-player self-dual extension",
+                                   AdversaryStructure.extend_selfdual)]:
+        p = s_sub.add_parser(name, help=text)
+        p.add_argument("file")
+        p.add_argument("--out")
+        p.set_defaults(handler=_cmd_transform, parse=parse_structure, transform=transform,
+                       dump=format_structure)
 
     p_msp = sub.add_parser("msp", help="monotone span program operations")
     m_sub = p_msp.add_subparsers(dest="subcommand", required=True)
@@ -315,14 +283,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--players", type=int)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_msp_from_formula)
-    p = m_sub.add_parser("dual", help="MSP for the dual structure")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_msp_dual)
-    p = m_sub.add_parser("extend", help="MSP for the self-dual extension")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_msp_extend)
+    for name, text, transform in [("dual", "MSP for the dual structure", dual_msp),
+                                  ("extend", "MSP for the self-dual extension", extend_msp)]:
+        p = m_sub.add_parser(name, help=text)
+        p.add_argument("file")
+        p.add_argument("--out")
+        p.set_defaults(handler=_cmd_transform, parse=parse_msp, transform=transform, dump=dump_msp)
     p = m_sub.add_parser("eval", help="evaluate f(B) for a player set")
     p.add_argument("file")
     p.add_argument("--set", required=True)
@@ -376,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except ValueError as exc:  # every format error subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (NoSchemeError, ReconstructionError)) else 2
 
 
 if __name__ == "__main__":

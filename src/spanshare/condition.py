@@ -576,21 +576,16 @@ def _table_candidates(
 
 def _homomorphic_candidates(max_modulus: int) -> Iterator[ClassicalScheme]:
     """Every injective two-share homomorphic scheme over Z_m, m up to
-    max_modulus, with randomness arity 1 or 2. No spec whose |G|**(arity + 1)
-    inputs outnumber its |G|**2 share pairs is injective, so none is dealt:
-    that rules out arity 2."""
+    max_modulus. Only randomness arity 1 can be injective: a spec of arity
+    a has m**(a + 1) inputs and m**2 share pairs."""
     for modulus in range(2, max_modulus + 1):
-        for arity in (1, 2):
-            if modulus ** (arity + 1) > modulus**2:
-                continue
-            entry_space = itertools.product(range(modulus), repeat=arity + 1)
-            for rows in itertools.product(list(entry_space), repeat=2):
-                spec = HomomorphicSpec((modulus,), arity, rows)
-                try:
-                    sch = homomorphic_scheme(spec)
-                except ValueError:
-                    continue  # not injective
-                yield sch
+        entry_space = itertools.product(range(modulus), repeat=2)
+        for rows in itertools.product(list(entry_space), repeat=2):
+            try:
+                sch = homomorphic_scheme(HomomorphicSpec((modulus,), 1, rows))
+            except ValueError:
+                continue  # not injective
+            yield sch
 
 
 def search_counterexample(
@@ -611,11 +606,10 @@ def search_counterexample(
     reduces to total probability and can never fail.
 
     family='homomorphic' searches the injective two-share homomorphic
-    schemes over Z_m (m up to max_share_size) instead of raw tables. Of
-    randomness arities 1 and 2, counting rules out arity 2 (m**3 inputs,
-    m**2 share pairs), so only arity-1 specs are dealt. Those schemes
-    provably satisfy the criterion, so it exhausts its bounds and
-    returns None.
+    schemes over Z_m (m up to max_share_size) instead of raw tables;
+    only randomness arity 1 can be injective, so only those specs are
+    dealt. Those schemes provably satisfy the criterion, so it exhausts
+    its bounds and returns None.
     """
     if family not in ("all", "function", "homomorphic"):
         raise ValueError(f"unknown search family {family!r}")

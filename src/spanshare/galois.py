@@ -112,9 +112,6 @@ class Matrix:
         p = self.field.p
         return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.data)
 
-    def __str__(self) -> str:
-        return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.data) + "]"
-
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form of m and its pivot columns."""

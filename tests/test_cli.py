@@ -347,6 +347,23 @@ def test_missing_file_is_exit_2(capsys):
     assert main(["msp", "eval", "/nonexistent.msp", "--set", "1"]) == 2
 
 
+@pytest.mark.parametrize("target, reason", [("missing/out.txt", "No such file or directory"),
+                                            (".", "Is a directory")])
+def test_unwritable_out_is_exit_2(structure_file, orand_msp_file, tmp_path, capsys, target, reason):
+    out = tmp_path / target
+    for argv in (
+        ["structure", "dual", str(structure_file)],
+        ["structure", "extend", str(structure_file)],
+        ["msp", "from-formula", "or(1,2)", "--field", "5"],
+        ["msp", "dual", str(orand_msp_file)],
+        ["msp", "extend", str(orand_msp_file)],
+        ["share", str(orand_msp_file), "--secret", "3"],
+        ["condition", "search"],
+    ):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
+
+
 @pytest.mark.parametrize(
     "content",
     ["\x00\x01garbage\xff", "msp field=banana", "players 99\nmaximal 1\n",
@@ -472,6 +489,7 @@ def msp_texts(draw):
 
 FORMULAS = ["1", "and(1,2)", "or(1,2)", ORAND, "thr2(1,2,3)", "thr3(1,2,3,4,5)",
             "and(or(1,2),or(3,4))", "thr0(1)", "and(1,", "or()", "thr9(1,2)", "5"]
+OUTS = ["out.txt", "out.txt", "missing/out.txt", "."]  # a writable path, or one that is not
 JUNK = ["x", "-1", "0", "17", "1,1", "-", "", "2**70", "1" * 5000, "--set", "--field",
         "--out", "--require", "--players", "-h", "maximal", "row"]
 
@@ -527,7 +545,7 @@ def structure_and_msp_argvs(draw, directory):
     if command == "msp eval":
         argv += ["--set", draw(st.sampled_from(["1", "1,2", "2,3,4", "-", "0", "9", "x", "1,1"]))]
     if command.split()[1] in ("dual", "extend", "from-formula") and draw(st.booleans()):
-        argv += ["--out", str(directory / "out.txt")]
+        argv += ["--out", str(directory / draw(st.sampled_from(OUTS)))]
     extra = draw(st.sampled_from([0, 0, 0, 1, 2]))
     return argv + [draw(st.sampled_from(JUNK) | st.text(max_size=6)) for _ in range(extra)]
 
@@ -586,7 +604,7 @@ def dealing_and_qss_argvs(draw, directory):
         if draw(st.booleans()):
             argv += ["--seed", draw(st.sampled_from(["0", "7", "-1", str(2**70), "x"]))]
         if draw(st.booleans()):
-            argv += ["--out", str(directory / "out.shares")]
+            argv += ["--out", str(directory / draw(st.sampled_from(OUTS)))]
     elif command == "reconstruct":
         header = re.search(r"field=(\d+)", lines[0] if lines else "")
         p = int(header.group(1)) if header and draw(st.integers(0, 4)) else draw(st.sampled_from([2, 7]))

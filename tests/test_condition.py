@@ -324,6 +324,26 @@ def test_lift_report_refuses_a_family_past_the_probe_pair_guard(monkeypatch):
         lift_report(labelled(437), U1)
 
 
+def _diagonal_views_text(size_q):
+    """Player 1 holds a uniform bit u; player 2's share 2u + s names both
+    it and the secret s, so U = {1} has diagonal views."""
+    return (f"scheme n=2 secrets=2\nspace 1 1000\nspace 2 {size_q}\n"
+            "p 0 0 0 1/2\np 0 1 2 1/2\np 1 0 1 1/2\np 1 1 3 1/2\n")
+
+
+def test_lift_report_at_and_past_the_oracle_dimension_guard(monkeypatch, tmp_path, capsys):
+    # share spaces 1000 x 1000 lift to the guard's 10**6 dimensions; 1000 x 1001 pass it
+    at_edge = parse_scheme(_diagonal_views_text(1000))
+    assert eq1_check(at_edge, U1) and lift_report(at_edge, U1).passed
+    monkeypatch.setattr(condition, "QuantumState", lambda *args: pytest.fail("built"))
+    with pytest.raises(ValueError, match=r"^lifted state dimension 1001000 exceeds the oracle guard$"):
+        lift_report(parse_scheme(_diagonal_views_text(1001)), U1)
+    path = tmp_path / "past.scheme"
+    path.write_text(_diagonal_views_text(1001))
+    assert main(["condition", "check", str(path), "--set", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: lifted state dimension 1001000 exceeds the oracle guard\n")
+
+
 def test_lift_requires_superposition_probes(shamir_table):
     basis_only = [
         ("basis:0", np.array([1, 0, 0, 0, 0], dtype=complex)),

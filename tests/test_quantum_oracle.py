@@ -429,6 +429,22 @@ def test_coalition_budget_refuses_fast():
         qss_mixed(compile_formula(parse_formula("or(and(1,3),and(2,3))"), Field(17)))
 
 
+def test_partial_trace_at_and_past_the_reduction_guard(monkeypatch):
+    def state(dim, flip):
+        # two labels whose kept coordinates are the first and last of dim
+        labels = np.array([[0, flip], [dim - 1, 1 - flip]], dtype=np.int64)
+        return QuantumState((dim, 2), labels, np.array([0.6, 0.8], dtype=complex))
+
+    # the kept coordinate spans exactly the guard's 4096 dimensions; both views are equal
+    r1, r2 = (partial_trace(state(4096, flip), (0,)) for flip in (0, 1))
+    assert r1.dim == 4096 and r1.index.tolist() == [0, 4096**2 - 1]
+    assert np.allclose(r1.values, [0.36, 0.64], rtol=0, atol=ATOL)
+    assert trace_distance_within(r1, r2, quantum.SECRECY_TOL) == (True, 0.0)
+    monkeypatch.setattr(quantum, "_pair_chunks", lambda *args: pytest.fail("expanded"))
+    with pytest.raises(ValueError, match=r"^reduced dimension 4097 exceeds the exact-simulation guard \(4096\)$"):
+        partial_trace(state(4097, 0), (0,))
+
+
 def test_cli_coalition_budget_refusal(tmp_path, capsys):
     path = tmp_path / "shamir73.msp"
     path.write_text(dump_msp(SHAMIR_7_3_GF17), encoding="utf-8")
