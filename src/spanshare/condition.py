@@ -29,14 +29,14 @@ import math
 import random
 from dataclasses import InitVar, dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .msp import ENUMERATION_GUARD, MSP, _linear_deals, msp_structure
-from .quantum import SECRECY_TOL, QuantumState, _row_keys, partial_trace, probe_family
+from .quantum import SECRECY_TOL, QuantumState, _require_superposition, _row_keys, partial_trace, probe_family
 from .structures import AdversaryStructure, FormatError, complement, format_players, full_mask
 from .structures import _check_player_count, _read_header, _read_ints, _read_lines
 
@@ -352,18 +352,8 @@ class LiftReport:
     seed: int
 
 
-@lru_cache(maxsize=64)
-def _default_inputs(secret_count: int, seed: int) -> tuple[tuple[str, np.ndarray], ...]:
-    """lift_report's default probes as read-only amplitude vectors,
-    built once per secret count and seed."""
-    family = tuple((name, psi.dense()) for name, psi in probe_family(secret_count, seed, n_random=10))
-    for _, alpha in family:
-        alpha.flags.writeable = False
-    return family
-
-
 def lift_report(
-    sch: ClassicalScheme, u_mask: int, inputs: list[tuple[str, np.ndarray]] | None = None, seed: int = 0
+    sch: ClassicalScheme, u_mask: int, inputs: Sequence[tuple[str, np.ndarray]] | None = None, seed: int = 0
 ) -> LiftReport:
     """Build the lifted state for each amplitude assignment and compare
     the exact reduced density matrices on U.
@@ -380,9 +370,8 @@ def lift_report(
     dim = math.prod(sch.share_sizes)
     if dim > ORACLE_DIMENSION_GUARD:
         raise ValueError(f"lifted state dimension {dim} exceeds the oracle guard")
-    family = inputs if inputs is not None else _default_inputs(sch.secret_count, seed)
-    if sch.secret_count > 1 and all(int(np.count_nonzero(alpha)) < 2 for _, alpha in family):
-        raise ValueError("oracle inputs must include non-basis amplitude assignments")
+    family = inputs if inputs is not None else probe_family(sch.secret_count, seed, n_random=10)
+    _require_superposition(family, sch.secret_count)
     # every share lies below its space size, so past the guard it fits int64
     values = [np.array(v, dtype=np.int64) for v in sch.share_values]
     words = np.column_stack([v[c] for v, c in zip(values, sch.codes.T)])
@@ -426,7 +415,7 @@ def lift_report(
 
 
 def lift_and_test(
-    sch: ClassicalScheme, u_mask: int, inputs: list[tuple[str, np.ndarray]] | None = None, seed: int = 0
+    sch: ClassicalScheme, u_mask: int, inputs: Sequence[tuple[str, np.ndarray]] | None = None, seed: int = 0
 ) -> bool:
     return lift_report(sch, u_mask, inputs=inputs, seed=seed).passed
 

@@ -13,19 +13,20 @@ MSP (``qss_pure``), the mixed one, which is the pure scheme of the
 self-dual extension with the extra share discarded (``qss_mixed``), and
 the pure scheme on one erased set (``verify_erasure``).
 
-States are sparse: an N x k int64 array of distinct basis labels and
-their N complex amplitudes. An encoded state is the secrets' blocks of
-the MSP's cached table of every M (s, a), and a plan multiplies the A
-columns by U mod p. Partial traces group the amplitudes by their
-traced-out labels with numpy sorts. That grouping depends on the labels
-alone, so a trace reuses the last one when its labels, dims and kept
-coordinates are those of the previous trace: the full-support probes of
-a sweep all share one support. Reduced states keep only the entries on
-their support, where secrecy checks compare them. A support's transpose
-order and diagonal are derived once and reused while the next reduced
-state has an equal support; its entries are checked every time. Only
-fidelity and exact trace distances build dense matrices, where numpy does
-the eigenvalue work.
+A secret qudit state, such as a sweep's probe, is a read-only vector of
+its p amplitudes. The shares' states are sparse: an N x k int64 array of
+distinct basis labels and their N complex amplitudes. An encoded state
+is the secrets' blocks of the MSP's cached table of every M (s, a), and
+a plan multiplies the A columns by U mod p. Partial traces group the
+amplitudes by their traced-out labels with numpy sorts. That grouping
+depends on the labels alone, so a trace reuses the last one when its
+labels, dims and kept coordinates are those of the previous trace: the
+full-support probes of a sweep all share one support. Reduced states
+keep only the entries on their support, where secrecy checks compare
+them. A support's transpose order and diagonal are derived once and
+reused while the next reduced state has an equal support; its entries
+are checked every time. Only fidelity and exact trace distances build
+dense matrices, where numpy does the eigenvalue work.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -133,16 +134,9 @@ class QuantumState:
         return dict(zip(map(tuple, self.labels.tolist()), self.values.tolist()))
 
     @staticmethod
-    def from_amplitudes(
-        dims: Sequence[int], amps: Mapping[Sequence[int], complex], normalize: bool = False
-    ) -> "QuantumState":
+    def from_amplitudes(dims: Sequence[int], amps: Mapping[Sequence[int], complex]) -> "QuantumState":
         """State from a dict of label tuples to amplitudes; zeros are dropped."""
         cleaned = {tuple(k): complex(v) for k, v in amps.items() if v != 0}
-        if normalize:
-            norm = math.sqrt(sum(abs(a) ** 2 for a in cleaned.values()))
-            if norm == 0:
-                raise ValueError("cannot normalize the zero vector")
-            cleaned = {k: v / norm for k, v in cleaned.items()}
         dims = tuple(dims)
         if any(len(label) != len(dims) for label in cleaned):
             raise ValueError("basis label arity does not match coordinate count")
@@ -159,20 +153,9 @@ class QuantumState:
         amp = 1.0 / math.sqrt(dim)
         return QuantumState((dim,), np.arange(dim).reshape(dim, 1), np.full(dim, complex(amp)))
 
-    @staticmethod
-    def random(dim: int, rng: np.random.Generator) -> "QuantumState":
-        raw = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)).tolist()
-        # normalized in Python, in label order, as from_amplitudes does
-        norm = math.sqrt(sum(abs(a) ** 2 for a in raw))
-        return QuantumState((dim,), np.arange(dim).reshape(dim, 1), [a / norm for a in raw])
-
     def norm(self) -> float:
         # compensated: a naive sum of ~10**6 squares drifts past NORM_ATOL
         return math.sqrt(math.fsum((np.abs(self.values) ** 2).tolist()))
-
-    def dense(self) -> np.ndarray:
-        keys = _row_keys(self.labels, range(len(self.dims)), self.dims)
-        return _scatter(math.prod(self.dims), keys, self.values)
 
 
 def _trace_atol(terms: int) -> float:
@@ -269,26 +252,27 @@ class EncodedState:
     msp: MSP
 
 
-def qencode(msp: MSP, state: QuantumState) -> EncodedState:
-    """Encode a single-qudit state into one coordinate per MSP row.
+def qencode(msp: MSP, alpha: np.ndarray) -> EncodedState:
+    """Encode the single-qudit state of amplitudes alpha into one
+    coordinate per MSP row.
 
     A basis secret becomes the uniform superposition of its dealt
     share vectors over all randomness; general states extend by
-    linearity. Because the padded map is a bijection on labels this
-    is unitary by construction.
+    linearity, over alpha's nonzero entries in ascending order. Because
+    the padded map is a bijection on labels this is unitary by construction.
     """
     p = msp.field.p
-    if state.dims != (p,):
+    if alpha.shape != (p,):
         raise ValueError(f"input state must be a single GF({p}) coordinate")
+    secrets = np.flatnonzero(alpha).tolist()  # none for the zero vector, refused by the norm check
     table = msp._label_table  # entry (s, r) is the label M (s, a)
     block = table.shape[1]
-    secrets = state.labels[:, 0].tolist()
-    if secrets == list(range(secrets[0], secrets[0] + len(secrets))):
-        # ascending consecutive secrets (basis and full-support probes): a view
+    if secrets and secrets[-1] - secrets[0] == len(secrets) - 1:
+        # consecutive secrets (basis and full-support probes): a view
         labels = table[secrets[0] : secrets[-1] + 1].reshape(-1, msp.d)
     else:
         labels = table[secrets].reshape(-1, msp.d)
-    values = np.repeat(state.values * (1.0 / math.sqrt(block)), block)
+    values = np.repeat(alpha[secrets] * (1.0 / math.sqrt(block)), block)
     return EncodedState(QuantumState((p,) * msp.d, labels, values), msp)
 
 
@@ -384,12 +368,11 @@ def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(kdims, index, entries, len(values))
 
 
-def fidelity(rho: DensityMatrix, psi: QuantumState) -> float:
-    """<psi| rho |psi> for a pure reference state."""
-    if math.prod(psi.dims) != rho.dim:
+def fidelity(rho: DensityMatrix, psi: np.ndarray) -> float:
+    """<psi| rho |psi> for a pure reference state's amplitude vector."""
+    if psi.shape != (rho.dim,):
         raise ValueError("state and density matrix dimensions do not match")
-    v = psi.dense()
-    return float(np.real(np.vdot(v, rho.mat @ v)))
+    return float(np.real(np.vdot(psi, rho.mat @ psi)))
 
 
 def trace_distance_within(r1: DensityMatrix, r2: DensityMatrix, tol: float) -> tuple[bool, float]:
@@ -417,13 +400,15 @@ def trace_distance_within(r1: DensityMatrix, r2: DensityMatrix, tol: float) -> t
     return value <= tol, value
 
 
-def probe_family(dim: int, seed: int = 0, n_random: int = 20) -> list[tuple[str, QuantumState]]:
-    """The standard probe family: all basis states, the uniform
-    superposition, and seeded random states.
+@lru_cache(maxsize=64)
+def probe_family(dim: int, seed: int = 0, n_random: int = 20) -> tuple[tuple[str, np.ndarray], ...]:
+    """The standard probe family as read-only amplitude vectors of length
+    dim: all basis states, the uniform superposition, and seeded random
+    states; built once per arguments.
 
     Basis states alone would not detect phase damage on coalition
     views, hence the superpositions. A negative count, or a family whose
-    pairs would pass PROBE_PAIR_GUARD, is refused before any state is built.
+    pairs would pass PROBE_PAIR_GUARD, is refused before any vector is built.
     """
     if n_random < 0:
         raise ValueError(f"random probe count must be nonnegative, got {n_random}")
@@ -433,13 +418,22 @@ def probe_family(dim: int, seed: int = 0, n_random: int = 20) -> list[tuple[str,
             f"{dim + 1 + n_random} probes make {pairs} pairs per coalition, "
             f"beyond the probe-pair guard ({PROBE_PAIR_GUARD})"
         )
-    family: list[tuple[str, QuantumState]] = [
-        (f"basis:{s}", QuantumState.basis((dim,), (s,))) for s in range(dim)
-    ]
-    family.append(("uniform", QuantumState.uniform(dim)))
+    vectors = [*np.eye(dim, dtype=complex), np.full(dim, complex(1.0 / math.sqrt(dim)))]
     rng = np.random.default_rng(seed)
-    family += [(f"random:{i}", QuantumState.random(dim, rng)) for i in range(n_random)]
-    return family
+    for _ in range(n_random):
+        raw = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)).tolist()
+        norm = math.sqrt(sum(abs(a) ** 2 for a in raw))  # in Python, in index order
+        vectors.append(np.array([a / norm for a in raw]))
+    vectors = np.array(vectors)  # its rows are read-only views
+    vectors.flags.writeable = False
+    names = [f"basis:{s}" for s in range(dim)] + ["uniform"] + [f"random:{i}" for i in range(n_random)]
+    return tuple(zip(names, vectors))
+
+
+def _require_superposition(family: Sequence[tuple[str, np.ndarray]], dim: int) -> None:
+    """Refuse probes of dim > 1 values that are all basis states: they cannot see phase damage."""
+    if dim > 1 and all(np.count_nonzero(alpha) < 2 for _, alpha in family):
+        raise ValueError("probes must include non-basis amplitude assignments")
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +556,8 @@ class QuantumScheme:
     blocks: list[tuple[list[int], list[int]]]
     hidden: int = 0
 
-    def encode(self, state: QuantumState) -> EncodedState:
-        return qencode(self.msp, state)
+    def encode(self, alpha: np.ndarray) -> EncodedState:
+        return qencode(self.msp, alpha)
 
     def recover(self, mask: int, enc: EncodedState) -> tuple[QuantumState, int]:
         """Recovery by the plan for mask; returns (state, secret coordinate index)."""
@@ -579,19 +573,20 @@ class QuantumScheme:
         return partial_trace(enc.state, self.msp.row_indices(b_mask))
 
     def verify_all(
-        self, inputs: list[tuple[str, QuantumState]] | None = None, seed: int = 0
+        self, inputs: Sequence[tuple[str, np.ndarray]] | None = None, seed: int = 0
     ) -> VerificationReport:
         """Encode every probe, then per block: every probe's recovery by each
         plan, then pairwise secrecy of the probes on each coalition."""
         report = VerificationReport(self.kind, self.descriptor, seed)
         family = inputs if inputs is not None else probe_family(self.msp.field.p, seed)
-        encoded = [(name, state, self.encode(state)) for name, state in family]
+        _require_superposition(family, self.msp.field.p)
+        encoded = [(name, alpha, self.encode(alpha)) for name, alpha in family]
         for recoveries, coalitions in self.blocks:
             for mask in recoveries:
                 subset = format_players(mask)
-                for name, state, enc in encoded:
+                for name, alpha, enc in encoded:
                     recovered, coord = self.recover(mask, enc)
-                    fide = fidelity(partial_trace(recovered, (coord,)), state)
+                    fide = fidelity(partial_trace(recovered, (coord,)), alpha)
                     report.add("recovery", subset, name, "fidelity", fide, fide >= 1 - RECOVERY_TOL)
             for b in coalitions:
                 subset = format_players(b)
@@ -640,7 +635,7 @@ def qss_mixed(msp: MSP) -> QuantumScheme:
 
 
 def verify_erasure(
-    msp: MSP, b_mask: int, inputs: list[tuple[str, QuantumState]] | None = None, seed: int = 0
+    msp: MSP, b_mask: int, inputs: Sequence[tuple[str, np.ndarray]] | None = None, seed: int = 0
 ) -> VerificationReport:
     """Erasure correction and secrecy for one erased set: the pure scheme's
     block for it. Returns a NOT_APPLICABLE report (distinct from failure)

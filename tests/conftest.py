@@ -2,6 +2,8 @@
 
 import random
 
+import numpy as np
+
 from spanshare.galois import Field, Matrix
 from spanshare.msp import MSP, compile_formula, shamir_msp
 from spanshare.structures import mask_from_players, parse_formula
@@ -31,6 +33,20 @@ def all_antichains(n):
 
     rec(0, [])
     return out
+
+
+class NumpyWithout:
+    """numpy with the named functions failing: set as a module's ``np``,
+    it lets a test assert that the module refuses an input before it
+    calls them."""
+
+    def __init__(self, *names):
+        self.names = names
+
+    def __getattr__(self, name):
+        if name in self.names:
+            raise AssertionError(f"numpy.{name} was called before the refusal")
+        return getattr(np, name)
 
 
 def lagrange_at_zero(field, points):

@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from spanshare.msp import ENUMERATION_GUARD
-from spanshare.condition import LiftReport, _default_inputs, _split_preconditions
+from spanshare.condition import LiftReport, _split_preconditions
 from spanshare.galois import solve_left
 from spanshare.msp import rows_of
 from spanshare.quantum import SECRECY_TOL, QuantumState, partial_trace, probe_family
@@ -264,9 +264,7 @@ def ref_homomorphic_dichotomy_check(sch, u_mask):
 def ref_lift_report(sch, u_mask, seed=0):
     """lift_report on the default probes, walking the table once per probe."""
     _split_preconditions(sch, u_mask)
-    family = [
-        (name, psi.dense()) for name, psi in probe_family(sch.secret_count, seed, n_random=10)
-    ]
+    family = probe_family(sch.secret_count, seed, n_random=10)
     reduced = []
     for name, alpha in family:
         amps = {}
@@ -286,7 +284,7 @@ def ref_lift_report(sch, u_mask, seed=0):
 def ref_eigvalsh_lift_report(sch, u_mask, seed=0):
     """lift_report on the default probes, every distance from eigvalsh."""
     _split_preconditions(sch, u_mask)
-    family = _default_inputs(sch.secret_count, seed)
+    family = probe_family(sch.secret_count, seed, n_random=10)
     values = [np.array(v, dtype=np.int64) for v in sch.share_values]
     words = np.column_stack([v[c] for v, c in zip(values, sch.codes.T)])
     roots = np.array([(w / sch.denominator) ** 0.5 for w in sch.numerators.tolist()])

@@ -13,7 +13,9 @@ spanshare.quantum used before density matrices were stored on their
 support, and ``dense_dm`` builds such a matrix from a dense array.
 ``trace_distance``, one dense ``eigvalsh`` per pair of states, is what
 ``condition.lift_report`` called before it took one probe's distances
-to every later probe in one call.
+to every later probe in one call. ``normalized`` and ``probe`` build
+normalized test states, the norm summed in Python in key order, as
+``probe_family`` sums the norms of its random probes.
 """
 
 import itertools
@@ -32,14 +34,30 @@ def ravel(label, dims):
     return index
 
 
-def ref_qencode(msp, state):
+def normalized(amps):
+    """{label: amplitude / norm}, the norm summed in Python in key order."""
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return {label: a / norm for label, a in amps.items()}
+
+
+def probe(dim, amps):
+    """The amplitude vector of length dim of {secret: amplitude}, normalized."""
+    alpha = np.zeros(dim, dtype=complex)
+    for s, a in normalized(amps).items():
+        alpha[s] = a
+    return alpha
+
+
+def ref_qencode(msp, alpha):
     """{label: amplitude} of the encoding, in the fast path's order."""
     p = msp.field.p
     scale = 1.0 / (p ** (msp.e - 1)) ** 0.5
     amps = {}
-    for (s,), alpha in state.amps.items():
+    for s, alpha_s in enumerate(alpha.tolist()):
+        if alpha_s == 0:
+            continue
         for a in itertools.product(range(p), repeat=msp.e - 1):
-            amps[msp.matrix.matvec((s,) + a)] = alpha * scale
+            amps[msp.matrix.matvec((s,) + a)] = alpha_s * scale
     return amps
 
 
@@ -109,8 +127,8 @@ def validate_psd(dm, atol=1e-9):
 
 
 def projector(psi):
-    v = psi.dense()
-    return dense_dm(psi.dims, np.outer(v, v.conj()))
+    """|psi><psi| of an amplitude vector."""
+    return dense_dm((len(psi),), np.outer(psi, psi.conj()))
 
 
 def schmidt_rank(state, first, tol=1e-9):

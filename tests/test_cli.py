@@ -1,6 +1,7 @@
 import contextlib
 import io
 import itertools
+import os
 import re
 import subprocess
 import sys
@@ -12,8 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 from spanshare.cli import SplitMix64, main
 from spanshare.galois import Field
 from spanshare.msp import compile_formula, dump_msp
-from spanshare.quantum import PROBE_PAIR_GUARD, QuantumState, probe_family
+from spanshare import quantum
+from spanshare.quantum import PROBE_PAIR_GUARD, probe_family
 from spanshare.structures import format_structure, parse_formula, threshold_structure
+
+from conftest import NumpyWithout
 
 ORAND = "or(and(1,3),and(2,3))"
 
@@ -233,11 +237,8 @@ def test_qss_refuses_a_negative_random_count(shamir_msp_file, capsys):
 
 
 def test_qss_refuses_a_random_count_past_the_pair_guard(shamir_msp_file, capsys, monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("a probe state was built before the refusal")
-
-    for name in ("basis", "uniform", "random"):
-        monkeypatch.setattr(QuantumState, name, staticmethod(forbidden))
+    # the numpy calls that build probe vectors fail: none may run before the refusal
+    monkeypatch.setattr(quantum, "np", NumpyWithout("eye", "full", "random"))
     # GF(5): 5 + 1 + N probes make (6 + N)(5 + N)/2 pairs per coalition;
     # the largest N inside the guard is the one whose N + 1 passes it
     largest = next(n for n in itertools.count() if (7 + n) * (6 + n) // 2 > PROBE_PAIR_GUARD)
@@ -553,17 +554,23 @@ def structure_and_msp_argvs(draw, directory):
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_structure_and_msp_commands_exit_codes(tmp_path_factory, data):
-    _check_exit_contract(data.draw(structure_and_msp_argvs(tmp_path_factory.getbasetemp())))
+    directory = tmp_path_factory.getbasetemp()
+    _check_exit_contract(data.draw(structure_and_msp_argvs(directory)), directory)
 
 
-def _check_exit_contract(argv):
-    """main exits 0, 1 or 2 and never with a traceback; exit 2 prints one error line."""
+def _check_exit_contract(argv, directory):
+    """main, run in directory, exits 0, 1 or 2 and never with a traceback;
+    exit 2 prints one error line."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
+    home = os.getcwd()
+    os.chdir(directory)  # an extra "--out" token writes its junk path here
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        except SystemExit as exc:  # argparse refuses the arguments (or prints -h)
-            code = exc.code
+    except SystemExit as exc:  # argparse refuses the arguments (or prints -h)
+        code = exc.code
+    finally:
+        os.chdir(home)
     err = err.getvalue()
     assert code in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err
@@ -631,4 +638,31 @@ def dealing_and_qss_argvs(draw, directory):
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_dealing_and_qss_commands_exit_codes(tmp_path_factory, data):
-    _check_exit_contract(data.draw(dealing_and_qss_argvs(tmp_path_factory.getbasetemp())))
+    directory = tmp_path_factory.getbasetemp()
+    _check_exit_contract(data.draw(dealing_and_qss_argvs(directory)), directory)
+
+
+@st.composite
+def condition_search_argvs(draw, directory):
+    """An argv of condition search whose search ends in well under a second:
+    at most 3 secrets, shares of at most 3 values and denominators up to 6,
+    or homomorphic schemes over Z_m with m up to 5, each bound drawn from
+    junk too; then at most two extra tokens."""
+    family = draw(st.sampled_from(["all", "function", "homomorphic", "none"]))
+    argv = ["condition", "search", "--family", family]
+    for flag, top in (("--secrets", 3), ("--share-size", 5 if family == "homomorphic" else 3),
+                      ("--den", 6)):
+        argv += [flag, draw(st.sampled_from([str(v) for v in range(-1, top + 1)] + ["x", "2.5"]))]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(st.sampled_from(["0", "3", "-1", str(2**70), "x"]))]
+    if draw(st.booleans()):
+        argv += ["--out", str(directory / draw(st.sampled_from(OUTS)))]
+    extra = draw(st.sampled_from([0, 0, 0, 1, 2]))
+    return argv + [draw(st.sampled_from(JUNK) | st.text(max_size=6)) for _ in range(extra)]
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_condition_search_exit_codes(tmp_path_factory, data):
+    directory = tmp_path_factory.getbasetemp()
+    _check_exit_contract(data.draw(condition_search_argvs(directory)), directory)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spanshare import classical, condition, msp as msp_module
+from spanshare import classical, condition, msp as msp_module, quantum
 from spanshare.classical import verify_classical
 from spanshare.cli import main
 from spanshare.galois import Field, Matrix
@@ -38,7 +38,7 @@ from spanshare.structures import (
     threshold_structure,
 )
 
-from conftest import random_msps
+from conftest import NumpyWithout, random_msps
 from reference_classical import (
     _sqrt_decompose,
     _sqrt_sum,
@@ -319,9 +319,11 @@ def test_lift_report_refuses_a_family_past_the_probe_pair_guard(monkeypatch):
     # the basis probes, the uniform one and ten random ones: 447 probes make
     # 99,681 pairs, inside the guard of 100,000, and 448 pass it
     assert lift_report(labelled(436), U1).passed
-    monkeypatch.setattr(QuantumState, "basis", staticmethod(lambda *args: pytest.fail("built")))
+    past = labelled(437)
+    # the numpy calls that build probe vectors fail: none may run before the refusal
+    monkeypatch.setattr(quantum, "np", NumpyWithout("eye", "full", "random"))
     with pytest.raises(ValueError, match=r"^448 probes make 100128 pairs per coalition"):
-        lift_report(labelled(437), U1)
+        lift_report(past, U1)
 
 
 def _diagonal_views_text(size_q):

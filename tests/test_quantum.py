@@ -29,6 +29,8 @@ from spanshare.structures import build_structure, format_players, mask_from_play
 
 from reference_quantum import (
     dense_dm,
+    normalized,
+    probe,
     projector,
     schmidt_rank,
     support_in_image,
@@ -62,8 +64,8 @@ def test_state_construction_and_norm():
         QuantumState.from_amplitudes((2,), {(0, 1): 1.0})
     with pytest.raises(ValueError, match="range"):
         QuantumState.from_amplitudes((2,), {(3,): 1.0})
-    normalized = QuantumState.from_amplitudes((2,), {(0,): 1, (1,): 1}, normalize=True)
-    assert normalized.amps[(0,)] == pytest.approx(1 / math.sqrt(2))
+    plus = QuantumState.from_amplitudes((2,), normalized({(0,): 1, (1,): 1}))
+    assert plus.amps[(0,)] == pytest.approx(1 / math.sqrt(2))
 
 
 def test_state_arrays_are_the_only_storage():
@@ -79,7 +81,7 @@ def test_state_arrays_are_the_only_storage():
 
 
 def test_qencode_basis_zero(shamir13):
-    enc = qencode(shamir13, QuantumState.basis((5,), (0,)))
+    enc = qencode(shamir13, probe(5, {0: 1}))
     expected = {(a % 5, 2 * a % 5, 3 * a % 5) for a in range(5)}
     assert set(enc.state.amps) == expected
     for amp in enc.state.amps.values():
@@ -88,16 +90,16 @@ def test_qencode_basis_zero(shamir13):
 
 
 def test_qencode_basis_three(shamir13):
-    enc = qencode(shamir13, QuantumState.basis((5,), (3,)))
+    enc = qencode(shamir13, probe(5, {3: 1}))
     expected = {((3 + a) % 5, (3 + 2 * a) % 5, (3 + 3 * a) % 5) for a in range(5)}
     assert set(enc.state.amps) == expected
 
 
 def test_qencode_superposition_is_linear(shamir13):
-    plus = QuantumState.from_amplitudes((5,), {(0,): 1, (1,): 1}, normalize=True)
+    plus = probe(5, {0: 1, 1: 1})
     enc = qencode(shamir13, plus)
-    enc0 = qencode(shamir13, QuantumState.basis((5,), (0,)))
-    enc1 = qencode(shamir13, QuantumState.basis((5,), (1,)))
+    enc0 = qencode(shamir13, probe(5, {0: 1}))
+    enc1 = qencode(shamir13, probe(5, {1: 1}))
     for label, amp in enc.state.amps.items():
         expected = (enc0.state.amps.get(label, 0) + enc1.state.amps.get(label, 0)) / math.sqrt(2)
         assert amp == pytest.approx(expected)
@@ -108,15 +110,49 @@ def test_qencode_is_label_bijection(shamir13):
     # all basis encodings together hit p**e distinct labels
     seen = set()
     for s in range(5):
-        enc = qencode(shamir13, QuantumState.basis((5,), (s,)))
+        enc = qencode(shamir13, probe(5, {s: 1}))
         assert len(enc.state.amps) == 5
         seen |= set(enc.state.amps)
     assert len(seen) == 25
 
 
+def test_qencode_takes_one_amplitude_vector(shamir13):
+    with pytest.raises(ValueError, match=r"single GF\(5\) coordinate"):
+        qencode(shamir13, np.full(4, 0.5, dtype=complex))
+    with pytest.raises(ValueError, match=r"single GF\(5\) coordinate"):
+        qencode(shamir13, np.eye(5, dtype=complex))
+    # the zero vector and an unnormalized one fail the encoded state's norm check
+    with pytest.raises(ValueError, match="^state norm 0.0 is not 1"):
+        qencode(shamir13, np.zeros(5, dtype=complex))
+    with pytest.raises(ValueError, match="norm"):
+        qencode(shamir13, np.full(5, 0.5, dtype=complex))
+    # the secrets are the nonzero entries, ascending, in blocks of 5 labels
+    enc = qencode(shamir13, probe(5, {4: 1j, 1: -2}))
+    assert [label[0] for label in list(enc.state.amps)[::5]] == [1, 4]
+    assert list(enc.state.amps.values())[::5] == pytest.approx([-0.4, 0.2j])
+    # a real vector encodes as its complex copy
+    real = qencode(shamir13, np.array([0, 1.0, 0, 0, 0]))
+    assert real.state.amps == qencode(shamir13, probe(5, {1: 1})).state.amps
+
+
+def test_verify_all_refuses_probes_without_a_superposition(shamir13, monkeypatch):
+    # basis probes alone cannot see phase damage, and no probes pass vacuously
+    scheme = qss_pure(shamir13)
+    basis_only = probe_family(5, n_random=0)[:5]
+    assert all(name.startswith("basis:") for name, _ in basis_only)
+    monkeypatch.setattr(quantum, "qencode", lambda *args: pytest.fail("encoded"))
+    for family in ([], basis_only):
+        with pytest.raises(ValueError, match="^probes must include non-basis amplitude assignments$"):
+            scheme.verify_all(inputs=family)
+        with pytest.raises(ValueError, match="non-basis"):
+            verify_erasure(shamir13, mask(1, n=3), inputs=family)
+        with pytest.raises(ValueError, match="non-basis"):
+            qss_mixed(shamir13).verify_all(inputs=family)
+
+
 def test_apply_plan_extracts_basis_secret(shamir13):
     plan = build_reconstruction_plan(shamir13, mask(1, n=3))
-    enc = qencode(shamir13, QuantumState.basis((5,), (3,)))
+    enc = qencode(shamir13, probe(5, {3: 1}))
     after = apply_plan(enc, plan)
     # the first A coordinate (row index 1) must read 3 on every label
     for label in after.amps:
@@ -126,7 +162,7 @@ def test_apply_plan_extracts_basis_secret(shamir13):
 
 def test_apply_plan_recovers_superposition(shamir13):
     plan = build_reconstruction_plan(shamir13, mask(1, n=3))
-    plus = QuantumState.from_amplitudes((5,), {(0,): 1, (1,): 1}, normalize=True)
+    plus = probe(5, {0: 1, 1: 1})
     after = apply_plan(qencode(shamir13, plus), plan)
     rho = partial_trace(after, (plan.a_rows[0],))
     assert fidelity(rho, plus) == pytest.approx(1.0, abs=1e-12)
@@ -136,20 +172,20 @@ def test_apply_plan_recovers_superposition(shamir13):
 def test_apply_plan_trivial_msp():
     trivial = shamir_msp(1, 0, GF5)
     plan = build_reconstruction_plan(trivial, 0)
-    state = QuantumState.from_amplitudes((5,), {(2,): 1, (4,): 1j}, normalize=True)
+    state = probe(5, {2: 1, 4: 1j})
     after = apply_plan(qencode(trivial, state), plan)
     assert fidelity(partial_trace(after, (0,)), state) == pytest.approx(1.0)
 
 
 def test_apply_plan_rejects_foreign_plan(shamir13, orand):
     plan = build_reconstruction_plan(orand, mask(1, n=3))
-    enc = qencode(shamir13, QuantumState.basis((5,), (0,)))
+    enc = qencode(shamir13, probe(5, {0: 1}))
     with pytest.raises(ValueError, match="different MSP"):
         apply_plan(enc, plan)
 
 
 def test_partial_trace_examples(shamir13):
-    enc = qencode(shamir13, QuantumState.basis((5,), (2,)))
+    enc = qencode(shamir13, probe(5, {2: 1}))
     rho = partial_trace(enc.state, (0,))
     assert np.allclose(rho.mat, np.eye(5) / 5)
 
@@ -165,7 +201,7 @@ def test_partial_trace_examples(shamir13):
 
 
 def test_partial_trace_validation(shamir13):
-    enc = qencode(shamir13, QuantumState.basis((5,), (0,)))
+    enc = qencode(shamir13, probe(5, {0: 1}))
     with pytest.raises(ValueError):
         partial_trace(enc.state, (0, 0))
     with pytest.raises(ValueError):
@@ -173,13 +209,13 @@ def test_partial_trace_validation(shamir13):
 
 
 def test_fidelity_and_trace_distance_examples():
-    psi = QuantumState.from_amplitudes((5,), {(0,): 1, (2,): 1j}, normalize=True)
+    psi = probe(5, {0: 1, 2: 1j})
     proj = projector(psi)
     assert fidelity(proj, psi) == pytest.approx(1.0)
     assert trace_distance(proj, proj) == pytest.approx(0.0, abs=1e-12)
 
     maximally_mixed = dense_dm((5,), np.eye(5) / 5)
-    zero = projector(QuantumState.basis((5,), (0,)))
+    zero = projector(probe(5, {0: 1}))
     assert trace_distance(maximally_mixed, zero) == pytest.approx(4 / 5)
 
     within, value = trace_distance_within(maximally_mixed, zero, 1e-9)
@@ -188,7 +224,7 @@ def test_fidelity_and_trace_distance_examples():
     with pytest.raises(ValueError):
         trace_distance(maximally_mixed, dense_dm((2,), np.eye(2) / 2))
     with pytest.raises(ValueError):
-        fidelity(maximally_mixed, QuantumState.basis((2,), (0,)))
+        fidelity(maximally_mixed, probe(2, {0: 1}))
 
 
 def test_density_matrix_validation():
@@ -385,7 +421,7 @@ def test_qss_pure_shamir(shamir13):
     report = scheme.verify_all(inputs=small_family(5))
     assert report.passed
 
-    state = QuantumState.from_amplitudes((5,), {(1,): 1, (4,): -1}, normalize=True)
+    state = probe(5, {1: 1, 4: -1})
     enc = scheme.encode(state)
     recovered, coord = scheme.recover(mask(2, n=3), enc)
     assert fidelity(partial_trace(recovered, (coord,)), state) == pytest.approx(1.0)
@@ -405,7 +441,7 @@ def test_qss_pure_on_extension(orand):
     assert report.passed
 
     # the recovered coordinate factors out exactly, even at 8 coordinates
-    state = QuantumState.from_amplitudes((5,), {(0,): 1, (2,): -1j}, normalize=True)
+    state = probe(5, {0: 1, 2: -1j})
     after, coord = scheme.recover(mask(1, 2, n=4), scheme.encode(state))
     assert schmidt_rank(after, (coord,)) == 1
 
@@ -422,14 +458,14 @@ def test_qss_mixed_example(orand):
         mask(1, 2, 3, n=3),
     ]
 
-    state = QuantumState.from_amplitudes((5,), {(0,): 1, (3,): 1j}, normalize=True)
+    state = probe(5, {0: 1, 3: 1j})
     enc = scheme.encode(state)
     recovered, coord = scheme.recover(mask(1, 3, n=3), enc)
     assert fidelity(partial_trace(recovered, (coord,)), state) == pytest.approx(1.0)
 
     rho1 = scheme.coalition_density(mask(1, 2, n=3), enc)
     rho2 = scheme.coalition_density(
-        mask(1, 2, n=3), scheme.encode(QuantumState.basis((5,), (0,)))
+        mask(1, 2, n=3), scheme.encode(probe(5, {0: 1}))
     )
     assert trace_distance(rho1, rho2) < 1e-9
 
@@ -468,10 +504,14 @@ def test_recovery_never_touches_tau_coordinates(orand):
 
 def test_probe_family_is_deterministic():
     fam1 = probe_family(5, seed=3, n_random=4)
+    probe_family.cache_clear()
     fam2 = probe_family(5, seed=3, n_random=4)
+    # rebuilt after the cache is cleared, then served from it
+    assert fam2 is not fam1 and probe_family(5, seed=3, n_random=4) is fam2
     assert [n for n, _ in fam1] == [n for n, _ in fam2]
     for (_, s1), (_, s2) in zip(fam1, fam2):
-        assert s1.amps == s2.amps
+        assert s1.tobytes() == s2.tobytes()
+        assert s1.shape == (5,) and not s1.flags.writeable
     assert len(fam1) == 5 + 1 + 4
     assert len(probe_family(5, n_random=0)) == 5 + 1
     with pytest.raises(ValueError, match="^random probe count must be nonnegative, got -1$"):
@@ -479,7 +519,7 @@ def test_probe_family_is_deterministic():
 
 
 def test_probe_builders_match_from_amplitudes():
-    # the array-built probes keep the dict path's values bit for bit
+    # the array-built states and the probe vectors keep the dict path's values bit for bit
     def same(a, b):
         assert a.dims == b.dims and np.array_equal(a.labels, b.labels)
         assert a.values.tobytes() == b.values.tobytes()
@@ -492,9 +532,11 @@ def test_probe_builders_match_from_amplitudes():
         for seed in range(20):
             rng = np.random.default_rng(seed)
             raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            amps = {(s,): a for s, a in enumerate(raw.tolist())}
-            expected = QuantumState.from_amplitudes((dim,), amps, normalize=True)
-            same(QuantumState.random(dim, np.random.default_rng(seed)), expected)
+            family = dict(probe_family(dim, seed, n_random=1))
+            assert family["random:0"].tobytes() == probe(dim, dict(enumerate(raw.tolist()))).tobytes()
+        for s in range(dim):
+            assert family[f"basis:{s}"].tobytes() == probe(dim, {s: 1.0}).tobytes()
+        assert family["uniform"].tobytes() == QuantumState.uniform(dim).values.tobytes()
     same(QuantumState.basis([5, 5], [2, 3]), QuantumState.from_amplitudes((5, 5), {(2, 3): 1.0}))
 
 

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from reference_quantum import (
+    normalized,
+    probe,
     ref_apply_plan,
     ref_partial_trace,
     ref_qencode,
@@ -55,13 +57,11 @@ def assert_same_matrix(fast, ref):
 
 
 def inputs(p):
-    """Probe states plus sparse ones whose secrets are out of order or
-    not consecutive, so the encoder cannot take a single table slice."""
-    family = probe_family(p, seed=3, n_random=2)
-    family.append(("descending", QuantumState.from_amplitudes(
-        (p,), {(p - 1,): 0.6, (0,): 0.8j})))
-    family.append(("gapped", QuantumState.from_amplitudes(
-        (p,), {(1,): 1, (3,): -2, (4,): 1j}, normalize=True)))
+    """Probe vectors plus sparse ones whose secrets are not consecutive,
+    so the encoder cannot take a single table slice."""
+    family = list(probe_family(p, seed=3, n_random=2))
+    family.append(("ends", probe(p, {p - 1: 0.6, 0: 0.8j})))
+    family.append(("gapped", probe(p, {1: 1, 3: -2, 4: 1j})))
     return family
 
 
@@ -70,7 +70,7 @@ def random_sparse_state(rng, dims, fraction):
     chosen = rng.choice(len(labels), size=max(1, int(fraction * len(labels))), replace=False)
     raw = rng.standard_normal(len(chosen)) + 1j * rng.standard_normal(len(chosen))
     return QuantumState.from_amplitudes(
-        dims, {labels[i]: a for i, a in zip(chosen.tolist(), raw)}, normalize=True
+        dims, normalized({labels[i]: a for i, a in zip(chosen.tolist(), raw)})
     )
 
 
@@ -132,7 +132,7 @@ def test_partial_trace_compresses_wide_keys():
     for i, base in enumerate(rests.tolist()):
         for v in range(i % 4 + 1):
             amps[tuple([v * 61 % 257] + base[1:])] = complex(rng.standard_normal(), rng.standard_normal())
-    state = QuantumState.from_amplitudes(dims, amps, normalize=True)
+    state = QuantumState.from_amplitudes(dims, normalized(amps))
     for keep in [(), (0,), (4,)]:
         assert_same_matrix(partial_trace(state, keep).mat, ref_partial_trace(state, keep))
     labels = state.labels
@@ -245,7 +245,7 @@ def test_full_row_traces_match_rows_reached_bit_for_bit(case):
     else:
         sch = condition.scheme_from_msp(shamir_msp(5, 2, GF7))
         splits = [b for b in range(32) if bin(b).count("1") <= 2]
-    family = condition._default_inputs(sch.secret_count, 0)
+    family = probe_family(sch.secret_count, 0, n_random=10)
     zeros = 0
     for u in splits:
         keep = [i for i in range(sch.n) if u >> i & 1]
@@ -397,7 +397,7 @@ def test_fast_paths_make_no_matvec_calls(monkeypatch):
         raise AssertionError("per-label matvec in a fast path")
 
     monkeypatch.setattr(Matrix, "matvec", forbidden)
-    after = apply_plan(qencode(msp, QuantumState.uniform(7)), plan)
+    after = apply_plan(qencode(msp, np.full(7, 7**-0.5, dtype=complex)), plan)
     partial_trace(after, (plan.a_rows[0],))
 
 
