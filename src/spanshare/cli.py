@@ -191,7 +191,15 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 # quantum verification
 
 
+def _require_probe_seed(args: argparse.Namespace) -> None:
+    """Refuse a negative --seed of a command that draws probes, before any
+    other work: the probes' generator takes no negative seed."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+
+
 def _cmd_qss_verify(args: argparse.Namespace) -> int:
+    _require_probe_seed(args)
     msp = parse_msp(_read(args.file))
     family = probe_family(msp.field.p, seed=args.seed, n_random=args.random)
     try:
@@ -211,6 +219,7 @@ def _cmd_qss_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_condition_check(args: argparse.Namespace) -> int:
+    _require_probe_seed(args)
     scheme = parse_scheme(_read(args.file))
     if not check_correctness(scheme, full_mask(scheme.n)):
         raise ValueError("not a valid secret-sharing table")
@@ -230,6 +239,7 @@ def _cmd_condition_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_condition_search(args: argparse.Namespace) -> int:
+    _require_probe_seed(args)
     found = search_counterexample(
         max_secrets=args.secrets,
         max_share_size=args.share_size,

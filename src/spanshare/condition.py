@@ -36,6 +36,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .msp import ENUMERATION_GUARD, MSP, _linear_deals, msp_structure
+from . import quantum
 from .quantum import SECRECY_TOL, QuantumState, _require_superposition, _row_keys, partial_trace, probe_family
 from .structures import AdversaryStructure, FormatError, complement, format_players, full_mask
 from .structures import _check_player_count, _read_header, _read_ints, _read_lines
@@ -377,40 +378,40 @@ def lift_report(
     words = np.column_stack([v[c] for v, c in zip(values, sch.codes.T)])
     roots = np.array([(w / sch.denominator) ** 0.5 for w in sch.numerators.tolist()])
     u_coords = [i for i in range(sch.n) if u_mask >> i & 1]
-    # Every probe's state is on all rows, zero amplitudes kept, so every trace
-    # has one support and partial_trace builds its plan once per table. Q is
-    # correct, so each traced-out group holds the rows of one secret, and a
-    # zero amplitude only adds exact zeros to the entries. The labels are
-    # checked once, with the first probe's state.
-    views = []
-    for _, alpha in family:
-        amplitudes = alpha[sch.secrets] * roots
-        state = state.with_values(amplitudes) if views else QuantumState(sch.share_sizes, words, amplitudes)
-        views.append(partial_trace(state, u_coords))
-    index = views[0].index if views else np.empty(0, dtype=np.int64)
-    u_dim = math.prod(sch.share_sizes[i] for i in u_coords)
-    # The views share the index of the plan's one chunk, and a diagonal
-    # support (one row per traced-out group) never needs a second chunk.
-    if all(view.index is index for view in views) and not (index % (u_dim + 1)).any():
+    # The probes' states are one stack on all rows of the table, zero
+    # amplitudes kept, so one trace has one support for them all and the
+    # labels are checked once. Q is correct, so each traced-out group holds
+    # the rows of one secret, and a zero amplitude only adds exact zeros.
+    amplitudes = np.array([alpha[sch.secrets] * roots for _, alpha in family])
+    views = partial_trace(QuantumState(sch.share_sizes, words, amplitudes), u_coords)
+    u_dim = views.dim
+    # each probe's view: its diagonal when the support is diagonal, else its dense matrix
+    diagonal = not (views.index % (u_dim + 1)).any()
+    if diagonal:
+        reduced = np.zeros((len(family), u_dim))
+        reduced[:, views.index // (u_dim + 1)] = views.values.real
+    else:
+        reduced = views.mat
+    # every pair a < b of probes, a-major, at most max(a pair's entries,
+    # _PAIR_CHUNK) entries at a time
+    first, second = np.triu_indices(len(family), 1)
+    step = max(quantum._PAIR_CHUNK // math.prod(reduced.shape[1:]), 1)
+    dists = [np.empty(0)]
+    for lo in range(0, len(first), step):
+        diffs = reduced[first[lo : lo + step]] - reduced[second[lo : lo + step]]
         # Diagonal views: eigvalsh (LAPACK zheevd) finds the tridiagonal form
         # of a diagonal matrix with exact zeros off it and returns its real
         # diagonal sorted, so sorting the diagonals, exact zeros off the
         # support included, gives the same floats without a dense matrix.
-        diagonals = np.zeros((len(views), u_dim))
-        diagonals[:, index // (u_dim + 1)] = [view.values.real for view in views]
-        spectra = (np.sort(diagonals[a] - diagonals[a + 1 :], axis=1) for a in range(len(views) - 1))
-    else:
-        mats = np.array([view.mat for view in views])
-        spectra = (np.linalg.eigvalsh(mats[a] - mats[a + 1 :]) for a in range(len(mats) - 1))
+        spectra = np.sort(diffs, axis=1) if diagonal else np.linalg.eigvalsh(diffs)
+        dists.append(0.5 * np.abs(spectra).sum(axis=1))
+    dists = np.concatenate(dists)
     names = [name for name, _ in family]
-    worst = 0.0
-    witness: tuple[str, str] | None = None
-    for a, spectrum in enumerate(spectra):
-        # the exact trace distances from probe a to every later probe
-        dists = 0.5 * np.abs(spectrum).sum(axis=1)
-        b = int(dists.argmax())
-        if dists[b] > worst:
-            worst, witness = float(dists[b]), (names[a], names[a + 1 + b])
+    # the first pair in that order at the largest distance, if it is above 0
+    worst, witness = 0.0, None
+    if len(dists) and dists.max() > 0:
+        k = int(dists.argmax())
+        worst, witness = float(dists[k]), (names[first[k]], names[second[k]])
     return LiftReport(worst <= SECRECY_TOL, worst, witness, names, seed)
 
 

@@ -15,7 +15,9 @@ the pure scheme on one erased set (``verify_erasure``).
 
 A secret qudit state, such as a sweep's probe, is a read-only vector of
 its p amplitudes. The shares' states are sparse: an N x k int64 array of
-distinct basis labels and their N complex amplitudes. An encoded state
+distinct basis labels and their N complex amplitudes, or a P x N stack of
+P states' amplitudes on one label array, which one partial trace reduces
+all at once. An encoded state
 is the secrets' blocks of the MSP's cached table of every M (s, a), and
 a plan multiplies the A columns by U mod p. Partial traces group the
 amplitudes by their traced-out labels with numpy sorts. That grouping
@@ -79,12 +81,14 @@ def _row_keys(labels: np.ndarray, cols: Sequence[int], dims: Sequence[int]) -> n
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Sparse state over a tuple of qudit coordinates.
+    """Sparse state over a tuple of qudit coordinates, or a stack of states
+    on one label array.
 
     Row i of ``labels`` (N x k int64, distinct rows) is a basis label,
-    one entry per coordinate, with amplitude ``values[i]``; both arrays
-    are read-only. States are normalized to unit norm within 1e-12 at
-    construction. Compare states through their arrays, not ==.
+    one entry per coordinate, with amplitude ``values[i]``, or ``values[:, i]``
+    in each of the P rows of a P x N stack; both arrays are read-only. The
+    labels are checked once, and every state is normalized to unit norm
+    within 1e-12 at construction. Compare states through their arrays, not ==.
     """
 
     dims: tuple[int, ...]
@@ -105,32 +109,21 @@ class QuantumState:
         keys = np.sort(_row_keys(labels, range(len(self.dims)), self.dims))
         if np.count_nonzero(keys[1:] == keys[:-1]):
             raise ValueError("duplicate basis labels")
-        labels.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-        self._set_values(self.values)
-
-    def _set_values(self, values) -> None:
-        values = np.asarray(values, dtype=complex)
-        if values.shape != (len(self.labels),):
+        values = np.asarray(self.values, dtype=complex)
+        if values.ndim not in (1, 2) or values.shape[-1] != len(labels):
             raise ValueError("labels and values differ in length")
-        values.flags.writeable = False
+        labels.flags.writeable = values.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", values)
-        if abs(self.norm() - 1.0) > NORM_ATOL:
-            raise ValueError(f"state norm {self.norm()} is not 1 within {NORM_ATOL}")
-
-    def with_values(self, values) -> "QuantumState":
-        """A state on this state's dims and label array, which were checked
-        when it was built, with new amplitudes: only their length and norm
-        are checked."""
-        state = object.__new__(QuantumState)
-        object.__setattr__(state, "dims", self.dims)
-        object.__setattr__(state, "labels", self.labels)
-        state._set_values(values)
-        return state
+        for norm in _norms(values):
+            if abs(norm - 1.0) > NORM_ATOL:
+                raise ValueError(f"state norm {norm} is not 1 within {NORM_ATOL}")
 
     @cached_property
     def amps(self) -> dict[tuple[int, ...], complex]:
-        """The amplitudes as a dict from label tuples, in row order."""
+        """A single state's amplitudes as a dict from label tuples, in row order."""
+        if self.values.ndim != 1:
+            raise ValueError("a stack of states has no single amplitude dict")
         return dict(zip(map(tuple, self.labels.tolist()), self.values.tolist()))
 
     @staticmethod
@@ -153,9 +146,17 @@ class QuantumState:
         amp = 1.0 / math.sqrt(dim)
         return QuantumState((dim,), np.arange(dim).reshape(dim, 1), np.full(dim, complex(amp)))
 
-    def norm(self) -> float:
-        # compensated: a naive sum of ~10**6 squares drifts past NORM_ATOL
-        return math.sqrt(math.fsum((np.abs(self.values) ** 2).tolist()))
+    def norm(self) -> float | list[float]:
+        """The norm of the state, or a list of each stacked state's norm."""
+        norms = _norms(self.values)
+        return norms if self.values.ndim == 2 else norms[0]
+
+
+def _norms(values: np.ndarray) -> list[float]:
+    """The norm of each state of a stack of amplitude vectors, or of one vector."""
+    squares = (np.abs(values) ** 2).tolist()
+    # compensated: a naive sum of ~10**6 squares drifts past NORM_ATOL
+    return [math.sqrt(math.fsum(row)) for row in (squares if values.ndim == 2 else [squares])]
 
 
 def _trace_atol(terms: int) -> float:
@@ -177,18 +178,20 @@ def _trace_atol(terms: int) -> float:
 
 
 # The last support a density matrix was checked on: its dim, an own copy of
-# the index, the transpose order and the diagonal mask. It is replaced whole,
-# so at most one support is held.
+# the index, the transpose order and the positions of the diagonal entries.
+# It is replaced whole, so at most one support is held.
 _last_support: tuple | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Reduced state on its support: ``index`` holds sorted, distinct row-major
-    flat indices closed under transpose, ``values`` the complex entries there
-    (both read-only); all other entries are exact zeros. ``terms`` is the
-    amplitude count of the state it was traced from, 0 for a matrix given
-    entry by entry; the trace check's tolerance grows with it.
+    flat indices closed under transpose, ``values`` the complex entries there,
+    or a P x K stack of P reduced states' entries on the one support (both
+    read-only); all other entries are exact zeros. ``terms`` is the amplitude
+    count of the state it was traced from, 0 for a matrix given entry by
+    entry; the trace check's tolerance grows with it. The support is checked
+    once, every state's entries each time.
     """
 
     dims: tuple[int, ...]
@@ -201,7 +204,7 @@ class DensityMatrix:
         dim = self.dim
         index = np.asarray(self.index, dtype=np.int64)
         values = np.asarray(self.values, dtype=complex)
-        if index.ndim != 1 or values.shape != index.shape:
+        if index.ndim != 1 or values.ndim not in (1, 2) or values.shape[-1:] != index.shape:
             raise ValueError("density matrix index and values differ in shape")
         last = _last_support
         if last is not None and last[0] == dim and np.array_equal(last[1], index):
@@ -216,11 +219,13 @@ class DensityMatrix:
             order = transposed.argsort()
             if (index[1:] <= index[:-1]).any() or (transposed[order] != index).any():
                 raise ValueError("density matrix is not Hermitian: support unsorted or not symmetric")
-            diagonal = rows == cols
+            diagonal = np.flatnonzero(rows == cols)
             _last_support = dim, index.copy(), order, diagonal
-        if not (abs(values[order] - values.conj()) <= NORM_ATOL + 1e-5 * abs(values)).all():
+        if not (abs(values.take(order, axis=-1) - values.conj()) <= NORM_ATOL + 1e-5 * abs(values)).all():
             raise ValueError("density matrix is not Hermitian")
-        if abs(values[diagonal].sum() - 1.0) > _trace_atol(self.terms):
+        traces = (values if values.ndim == 2 else values[None]).take(diagonal, axis=1).sum(axis=1).tolist()
+        tol = _trace_atol(self.terms)
+        if any(abs(trace - 1.0) > tol for trace in traces):
             raise ValueError("density matrix trace is not 1")
         index.flags.writeable = values.flags.writeable = False
         object.__setattr__(self, "index", index)
@@ -232,15 +237,17 @@ class DensityMatrix:
 
     @cached_property
     def mat(self) -> np.ndarray:
-        """The dense, read-only dim x dim matrix, built on first read."""
-        mat = _scatter(self.dim**2, self.index, self.values).reshape(self.dim, self.dim)
+        """The dense, read-only dim x dim matrix, or P x dim x dim for a stack,
+        built on first read."""
+        mat = _scatter(self.dim**2, self.index, self.values)
+        mat = mat.reshape(*self.values.shape[:-1], self.dim, self.dim)
         mat.flags.writeable = False
         return mat
 
 
 def _scatter(size: int, index: np.ndarray, values: np.ndarray) -> np.ndarray:
-    out = np.zeros(size, dtype=complex)
-    out[index] = values
+    out = np.zeros((*values.shape[:-1], size), dtype=complex)
+    out.T[index] = values.T
     return out
 
 
@@ -293,15 +300,22 @@ def apply_plan(enc: EncodedState, plan: ReconstructionPlan) -> QuantumState:
 
 
 # The label plan of the last partial trace whose pairs fit in one chunk:
-# (dims, keep, _PAIR_CHUNK), the plan's own copy of the labels, and the chunk.
-# It is replaced whole, so at most one plan is held.
+# (dims, keep, stacked states, _PAIR_CHUNK), the plan's own copy of the
+# labels, and the chunk with its work buffers. It is replaced whole, so at
+# most one plan is held.
 _last_plan: tuple | None = None
 
 
-def _pair_chunks(labels: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...], dim: int):
-    """The label work of a partial trace, a chunk of at most about _PAIR_CHUNK
-    amplitude pairs at a time: rows i, j of each pair's term a_i conj(a_j), the
-    support so far, and where the earlier sums then this chunk's terms fall in it.
+def _pair_chunks(
+    labels: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...], dim: int, states: int
+):
+    """The label work of a partial trace of a stack of states, a chunk of at
+    most max(states, _PAIR_CHUNK) terms at a time: rows i, j of each amplitude
+    pair's term a_i conj(a_j), the support so far, and the bins where each
+    state's earlier sums then its terms of the chunk fall, as float pairs:
+    entry k of state r takes its real part in bin 2 (r len(index) + k) and its
+    imaginary part in the next; then three work buffers for the chunk's terms,
+    so a trace that reuses a held plan allocates no array of its pairs' size.
     """
     kidx = _row_keys(labels, keep, dims)
     # A group is the amplitudes sharing one traced-out label. Groups are
@@ -312,29 +326,39 @@ def _pair_chunks(labels: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...
     order = gid.argsort(kind="stable")
     sizes = np.bincount(gid)
     # Row i of a group adds a_i conj(a_j) into entry (kidx_i, kidx_j) for every
-    # member j. np.bincount sums in sequence, with each chunk's terms after the
-    # sums so far, so entries sum their terms as a label-at-a-time loop does.
+    # member j: pair t, of the member at position r of order, pairs it with the
+    # member at position t + shift[r]. np.bincount sums in sequence, with each
+    # chunk's terms after the sums so far, so entries sum their terms as a
+    # label-at-a-time loop does, wherever the chunks cut a group.
     width = sizes.repeat(sizes)
-    row_start = (sizes.cumsum() - sizes).repeat(sizes)
     ends = width.cumsum()
+    shift = (sizes.cumsum() - sizes).repeat(sizes) - (ends - width)
+    total = int(ends[-1]) if len(ends) else 0
+    chunk = max(_PAIR_CHUNK // max(states, 1), 1)
     index = np.empty(0, dtype=np.int64)
-    lo = 0
-    while lo < len(order):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - width[lo] + _PAIR_CHUNK, "right")))
-        w = width[lo:hi]
-        offsets = np.arange(int(w.sum())) - (w.cumsum() - w).repeat(w)
-        i = order[lo:hi].repeat(w)
-        j = order[row_start[lo:hi].repeat(w) + offsets]
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        # the members r0 .. r1 whose pairs lo .. hi - 1 are: all their pairs,
+        # cut to those, so a chunk expands at most two members' pairs beyond it
+        r0, r1 = np.searchsorted(ends, [lo, hi - 1], "right").tolist()
+        w = width[r0 : r1 + 1]
+        first = int(ends[r0] - w[0])
+        i = order[r0 : r1 + 1].repeat(w)[lo - first : hi - first]
+        j = order[np.arange(lo, hi) + shift[r0 : r1 + 1].repeat(w)[lo - first : hi - first]]
         index, where = np.unique(np.concatenate([index, kidx[i] * dim + kidx[j]]), return_inverse=True)
-        yield i, j, index, where
-        lo = hi
+        bins = np.empty((states, len(where), 2), dtype=np.int64)
+        np.multiply(where, 2, out=bins[..., 0])
+        bins[..., 0] += np.arange(0, 2 * len(index) * states, 2 * len(index))[:, None]
+        np.add(bins[..., 0], 1, out=bins[..., 1])
+        yield i, j, index, bins.ravel(), np.empty((3, states, hi - lo), dtype=complex)
 
 
 def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
-    """Exact reduction to the given coordinates (ascending order).
+    """Exact reduction to the given coordinates (ascending order), of every
+    state of a stack at once: each one's entries are those of its own trace.
 
     The label work is reused from the previous call when that call traced
-    the same labels to the same coordinates in one chunk.
+    as many states on the same labels to the same coordinates in one chunk.
     """
     global _last_plan
     keep = tuple(sorted(keep))
@@ -348,28 +372,38 @@ def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
         raise ValueError(
             f"reduced dimension {dim} exceeds the exact-simulation guard ({REDUCTION_DIM_GUARD})"
         )
-    labels, values = state.labels, state.values
-    key = (state.dims, keep, _PAIR_CHUNK)
+    labels = state.labels
+    values = state.values if state.values.ndim == 2 else state.values[None]
+    key = (state.dims, keep, len(values), _PAIR_CHUNK)
     last = _last_plan
     if last is not None and last[0] == key and np.array_equal(last[1], labels):
         chunks = [last[2]]
     else:
         _last_plan = last = None  # the old plan goes before a new one is built
-        chunks = _pair_chunks(labels, state.dims, keep, dim)
-    real = imag = np.empty(0)
-    for count, (i, j, index, where) in enumerate(chunks, 1):
-        terms = values[i] * values[j].conj()
-        real = np.bincount(where, np.concatenate([real, terms.real]))
-        imag = np.bincount(where, np.concatenate([imag, terms.imag]))
+        chunks = _pair_chunks(labels, state.dims, keep, dim, len(values))
+    # every state's entries as (real, imaginary) float pairs, one bincount per chunk
+    sums = np.empty((len(values), 0))
+    count, index = 0, np.empty(0, dtype=np.int64)
+    for count, (i, j, index, bins, buffers) in enumerate(chunks, 1):
+        a, c, terms = buffers
+        values.take(i, axis=1, out=a)
+        values.conj().take(j, axis=1, out=c)
+        # into a third buffer: numpy's in-place complex multiply may round differently
+        np.multiply(a, c, out=terms)
+        # the first chunk has no sums before its terms
+        parts = np.concatenate([sums, terms.view(float)], axis=1) if sums.size else terms.view(float)
+        sums = np.bincount(bins, parts.ravel(), 2 * len(values) * len(index))
+        sums = sums.reshape(len(values), 2 * len(index))
     if last is None and count == 1:
-        _last_plan = key, labels.copy(), (i, j, index, where)
-    entries = real.astype(complex)
-    entries.imag = imag
-    return DensityMatrix(kdims, index, entries, len(values))
+        _last_plan = key, labels.copy(), (i, j, index, bins, buffers)
+    entries = sums.view(complex)
+    return DensityMatrix(kdims, index, entries if state.values.ndim == 2 else entries[0], len(labels))
 
 
 def fidelity(rho: DensityMatrix, psi: np.ndarray) -> float:
     """<psi| rho |psi> for a pure reference state's amplitude vector."""
+    if rho.values.ndim != 1:
+        raise ValueError("fidelity of a stack of density matrices")
     if psi.shape != (rho.dim,):
         raise ValueError("state and density matrix dimensions do not match")
     return float(np.real(np.vdot(psi, rho.mat @ psi)))
@@ -382,6 +416,8 @@ def trace_distance_within(r1: DensityMatrix, r2: DensityMatrix, tol: float) -> t
     union of the supports; the returned value is that upper bound when it
     certifies the tolerance, else the exact trace distance.
     """
+    if r1.values.ndim != 1 or r2.values.ndim != 1:
+        raise ValueError("trace distance of a stack of density matrices")
     if r1.dim != r2.dim:
         raise ValueError("trace distance of density matrices with different dimensions")
     # views traced by one reused plan share their index array
@@ -407,9 +443,12 @@ def probe_family(dim: int, seed: int = 0, n_random: int = 20) -> tuple[tuple[str
     states; built once per arguments.
 
     Basis states alone would not detect phase damage on coalition
-    views, hence the superpositions. A negative count, or a family whose
-    pairs would pass PROBE_PAIR_GUARD, is refused before any vector is built.
+    views, hence the superpositions. A negative seed or count, or a family
+    whose pairs would pass PROBE_PAIR_GUARD, is refused before any vector is
+    built.
     """
+    if seed < 0:
+        raise ValueError(f"probe seed must be nonnegative, got {seed}")
     if n_random < 0:
         raise ValueError(f"random probe count must be nonnegative, got {n_random}")
     pairs = (dim + 1 + n_random) * (dim + n_random) // 2

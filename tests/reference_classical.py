@@ -303,6 +303,40 @@ def ref_eigvalsh_lift_report(sch, u_mask, seed=0):
     return LiftReport(worst <= SECRECY_TOL, worst, witness, names, seed)
 
 
+def ref_per_probe_lift_report(sch, u_mask, seed=0):
+    """lift_report on the default probes, one state and one partial trace per
+    probe: the diagonal read-off when every view shares the reused plan's
+    index array and it is diagonal, else one eigvalsh stack per probe but the
+    last, and the witness kept by a loop over the probes."""
+    _split_preconditions(sch, u_mask)
+    family = probe_family(sch.secret_count, seed, n_random=10)
+    values = [np.array(v, dtype=np.int64) for v in sch.share_values]
+    words = np.column_stack([v[c] for v, c in zip(values, sch.codes.T)])
+    roots = np.array([(w / sch.denominator) ** 0.5 for w in sch.numerators.tolist()])
+    u_coords = coords(sch.n, u_mask)
+    views = [
+        partial_trace(QuantumState(sch.share_sizes, words, alpha[sch.secrets] * roots), u_coords)
+        for _, alpha in family
+    ]
+    index = views[0].index
+    u_dim = views[0].dim
+    if all(view.index is index for view in views) and not (index % (u_dim + 1)).any():
+        diagonals = np.zeros((len(views), u_dim))
+        diagonals[:, index // (u_dim + 1)] = [view.values.real for view in views]
+        spectra = (np.sort(diagonals[a] - diagonals[a + 1 :], axis=1) for a in range(len(views) - 1))
+    else:
+        mats = np.array([view.mat for view in views])
+        spectra = (np.linalg.eigvalsh(mats[a] - mats[a + 1 :]) for a in range(len(mats) - 1))
+    names = [name for name, _ in family]
+    worst, witness = 0.0, None
+    for a, spectrum in enumerate(spectra):
+        dists = 0.5 * np.abs(spectrum).sum(axis=1)
+        b = int(dists.argmax())
+        if dists[b] > worst:
+            worst, witness = float(dists[b]), (names[a], names[a + 1 + b])
+    return LiftReport(worst <= SECRECY_TOL, worst, witness, names, seed)
+
+
 def ref_compositions(total, parts):
     """All nonnegative tuples of the given length summing to total,
     lexicographically ascending, by recursion on the first part."""

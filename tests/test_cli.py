@@ -236,6 +236,26 @@ def test_qss_refuses_a_negative_random_count(shamir_msp_file, capsys):
         assert captured.err == "error: random probe count must be nonnegative, got -3\n"
 
 
+def test_probe_commands_refuse_a_negative_seed_before_other_work(shamir_msp_file, tmp_path, capsys, monkeypatch):
+    # the files do not exist and the search must not run: the seed is refused first
+    monkeypatch.setattr("spanshare.cli.search_counterexample", lambda **kwargs: pytest.fail("searched"))
+    missing = str(tmp_path / "missing")
+    for argv in (["qss", "verify-pure", missing], ["qss", "verify-mixed", missing],
+                 ["condition", "check", missing, "--set", "1"], ["condition", "search"]):
+        assert main(argv + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be nonnegative, got -1\n"
+    # the library refuses it too, before any vector is built
+    monkeypatch.setattr(quantum, "np", NumpyWithout("eye", "full", "random"))
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        probe_family(5, seed=-1)
+    # share keeps its SplitMix64 seed, taken mod 2**64
+    monkeypatch.undo()
+    assert main(["share", str(shamir_msp_file), "--secret", "1", "--seed", "-1"]) == 0
+    assert "# seed -1\n" in capsys.readouterr().out
+
+
 def test_qss_refuses_a_random_count_past_the_pair_guard(shamir_msp_file, capsys, monkeypatch):
     # the numpy calls that build probe vectors fail: none may run before the refusal
     monkeypatch.setattr(quantum, "np", NumpyWithout("eye", "full", "random"))
@@ -439,21 +459,26 @@ def scheme_texts(draw):
     return "\n".join(lines) + "\n", players
 
 
-@given(case=scheme_texts())
+COUNTEREXAMPLE_CASE = ("scheme n=2 secrets=2\nspace 1 2\nspace 2 3\n"
+                       "p 0 0 1 1/2\np 0 1 0 1/2\np 1 0 2 1/2\np 1 1 2 1/2\n", "1")
+
+
+@given(case=scheme_texts(), seed=st.sampled_from([None, "0", "5", "-1", str(2**70)]))
 @settings(max_examples=200, deadline=None)
-@example(case=("scheme n=2 secrets=2\nspace 1 2\nspace 2 3\n"
-               "p 0 0 1 1/2\np 0 1 0 1/2\np 1 0 2 1/2\np 1 1 2 1/2\n", "1"))
-@example(case=(f"scheme n=1 secrets=1\nspace 1 {2**70}\np 0 {2**70 - 1} {10**30}/{10**30}\n", "1"))
+@example(case=COUNTEREXAMPLE_CASE, seed=None)
+@example(case=COUNTEREXAMPLE_CASE, seed="-1")
+@example(case=(f"scheme n=1 secrets=1\nspace 1 {2**70}\np 0 {2**70 - 1} {10**30}/{10**30}\n", "1"), seed=None)
 @example(case=(  # a reduced denominator past int64; eq1 factors 2**70 - 1
     f"scheme n=2 secrets=2\nspace 1 2\nspace 2 2\np 0 0 0 1/{2**70}\np 0 1 0 {2**70 - 1}/{2**70}\n"
-    f"p 1 0 1 1/{2**70}\np 1 1 1 {2**70 - 1}/{2**70}\n", "1"))
-def test_condition_check_exit_codes(tmp_path_factory, case):
+    f"p 1 0 1 1/{2**70}\np 1 1 1 {2**70 - 1}/{2**70}\n", "1"), seed=None)
+def test_condition_check_exit_codes(tmp_path_factory, case, seed):
     text, players = case
     path = tmp_path_factory.getbasetemp() / "generated.scheme"
     path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
+    argv = ["condition", "check", str(path), "--set", players] + (["--seed", seed] if seed else [])
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["condition", "check", str(path), "--set", players])
+        code = main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2)
     assert "Traceback" not in out + err

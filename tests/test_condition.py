@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -50,6 +51,7 @@ from reference_classical import (
     ref_derive_structure,
     ref_eigvalsh_lift_report,
     ref_lift_report,
+    ref_per_probe_lift_report,
     ref_scheme_table,
 )
 
@@ -417,10 +419,69 @@ def test_dense_views_still_call_eigvalsh(monkeypatch, counterexample):
     cases = [(parse_scheme(fixture.read_text()), 0), (counterexample, 5)]
     expected = [ref_eigvalsh_lift_report(sch, U1, seed) for sch, seed in cases]
     calls = _count_eigvalsh(monkeypatch)
-    assert [lift_report(sch, U1, seed=seed) for sch, seed in cases] == expected
-    # one stacked call per probe but the last
-    assert len(calls) == sum(len(report.inputs) - 1 for report in expected)
+    for chunk in (quantum._PAIR_CHUNK, 7):
+        monkeypatch.setattr(quantum, "_PAIR_CHUNK", chunk)
+        for (sch, seed), report in zip(cases, expected):
+            calls.clear()
+            assert lift_report(sch, U1, seed=seed) == report
+            # one call per slice of the pairs a < b, each slice of at most
+            # max(one pair's entries, _PAIR_CHUNK) entries
+            entries = sch.share_sizes[0] ** 2
+            pairs = len(report.inputs) * (len(report.inputs) - 1) // 2
+            assert len(calls) == -(-pairs // max(chunk // entries, 1))
+            assert max(math.prod(shape) for shape in calls) <= max(entries, chunk)
+    assert len(calls) > 1
     assert not any(report.passed for report in expected)
+
+
+def report_bits(report):
+    """The report's fields, its distance as the float's exact bits."""
+    return report.passed, report.max_distance.hex(), report.witness, report.inputs
+
+
+def test_stacked_lift_report_matches_the_per_probe_reference_bit_for_bit(monkeypatch):
+    # the convert benchmark's random tables, every Shamir(5,2) GF(7) split and
+    # the committed counterexample
+    cases = [
+        (sch, U1, seed)
+        for seed in (1, 2, 3)
+        for sch in generate_valid_schemes(200, seed, max_secrets=4, max_share_size=6, max_denominator=24)
+    ]
+    shamir = scheme_from_msp(shamir_msp(5, 2, Field(7)))
+    cases += [(shamir, u, 1) for u in range(32) if bin(u).count("1") <= 2]
+    fixture = Path(__file__).parent / "fixtures" / "counterexample.scheme"
+    cases.append((parse_scheme(fixture.read_text()), U1, 1))
+    expected = [report_bits(ref_per_probe_lift_report(sch, u, seed)) for sch, u, seed in cases]
+    assert {passed for passed, *_ in expected} == {True, False}
+    assert [report_bits(lift_report(sch, u, seed=seed)) for sch, u, seed in cases] == expected
+    # again with chunks so small that every trace and many eigvalsh stacks split
+    monkeypatch.setattr(quantum, "_PAIR_CHUNK", 7)
+    assert [report_bits(ref_per_probe_lift_report(sch, u, seed)) for sch, u, seed in cases] == expected
+    sums = []
+    bincount = np.bincount
+
+    def counted(x, weights=None, minlength=0):
+        out = bincount(x, weights, minlength)
+        if weights is not None:
+            sums.append((len(weights), len(out)))
+        return out
+
+    monkeypatch.setattr(np, "bincount", counted)
+    eigvalsh_calls = _count_eigvalsh(monkeypatch)
+    slices = []
+    for (sch, u, seed), bits in zip(cases, expected):
+        sums.clear()
+        before = len(eigvalsh_calls)
+        report = lift_report(sch, u, seed=seed)
+        assert report_bits(report) == bits
+        slices.append(len(eigvalsh_calls) - before)
+        # one trace in chunks, each adding at most max(probes, _PAIR_CHUNK)
+        # complex terms, as real and imaginary parts, to the sums so far
+        probes = len(report.inputs)
+        prior = [0] + [size for _, size in sums[:-1]]
+        assert len(sums) > 1
+        assert all(weights - size <= 2 * max(probes, 7) for (weights, _), size in zip(sums, prior))
+    assert max(slices) > 1
 
 
 def test_eigvalsh_of_diagonal_matrices_is_the_sorted_diagonal():

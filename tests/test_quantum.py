@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -298,29 +299,61 @@ def test_trace_bound_grows_with_the_term_count():
     DensityMatrix((2,), [0, 3], [0.5, 0.5 + 0.9e-12])
 
 
-def test_with_values_checks_only_the_values(monkeypatch):
+def test_a_stack_checks_its_labels_once_and_every_state(monkeypatch):
     labels = np.array(list(itertools.product(range(3), range(2))))
-    amps = np.full(6, 6**-0.5, complex)
-    built = QuantumState((3, 2), labels, amps)
     rng = np.random.default_rng(7)
-    raw = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    other = raw / np.linalg.norm(raw)
-    direct = QuantumState((3, 2), labels, other)
-    # the labels were checked when built was: no range check or duplicate sort
-    monkeypatch.setattr(quantum, "_row_keys", lambda *args: pytest.fail("labels checked again"))
-    new = built.with_values(other)
-    assert new.labels is built.labels and new.dims == built.dims
-    assert not new.values.flags.writeable and np.array_equal(new.values, other)
-    with pytest.raises(ValueError, match="differ in length"):
-        built.with_values(amps[:5])
-    with pytest.raises(ValueError, match="norm"):
-        built.with_values(amps * (1 + 3 * NORM_ATOL))
-    built.with_values(amps * (1 + NORM_ATOL / 2))
+    raw = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    amps = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    # the range check and duplicate sort run once for the four states
+    checks = []
+    row_keys = quantum._row_keys
+    monkeypatch.setattr(quantum, "_row_keys", lambda *args: checks.append(1) or row_keys(*args))
+    stack = QuantumState((3, 2), labels, amps)
+    assert len(checks) == 1
+    assert not stack.values.flags.writeable and stack.values.tobytes() == amps.tobytes()
+    assert len(stack.norm()) == 4
     monkeypatch.undo()
+    with pytest.raises(ValueError, match="differ in length"):
+        QuantumState((3, 2), labels, amps[:, :5])
+    with pytest.raises(ValueError, match="differ in length"):
+        QuantumState((3, 2), labels, amps.reshape(2, 2, 6))
+    # every state's norm is checked, not only the first one's
+    for factor, refused in ((1 + 3 * NORM_ATOL, True), (1 + NORM_ATOL / 2, False)):
+        off = amps.copy()
+        off[2] *= factor
+        with pytest.raises(ValueError, match="norm") if refused else contextlib.nullcontext():
+            QuantumState((3, 2), labels, off)
+    with pytest.raises(ValueError, match="stack"):
+        stack.amps
+    # each state's reduced entries are the bits of its own trace
     for keep in [(0,), (1,), (0, 1)]:
-        a, b = partial_trace(new, keep), partial_trace(direct, keep)
-        assert a.index.tobytes() == b.index.tobytes()
-        assert a.values.tobytes() == b.values.tobytes()
+        rho = partial_trace(stack, keep)
+        assert rho.values.shape == (4, len(rho.index)) and rho.mat.shape == (4, rho.dim, rho.dim)
+        for row, mat, alpha in zip(rho.values, rho.mat, amps):
+            single = partial_trace(QuantumState((3, 2), labels, alpha), keep)
+            assert single.index.tobytes() == rho.index.tobytes()
+            assert single.values.tobytes() == row.tobytes() and single.mat.tobytes() == mat.tobytes()
+
+
+def test_a_stacked_density_matrix_checks_every_state():
+    half = np.array([0.5, 0.5, 0.5, 0.5])
+    mixed = np.array([0.5, 0.0, 0.0, 0.5])
+    stack = DensityMatrix((2,), np.arange(4), [half, mixed])
+    assert stack.dim == 2 and stack.mat.shape == (2, 2, 2)
+    assert stack.mat[1].tobytes() == np.diag([0.5, 0.5]).astype(complex).tobytes()
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix((2,), np.arange(4), [half, [0.5, 0.5j, 0.5j, 0.5]])
+    with pytest.raises(ValueError, match="trace is not 1"):
+        DensityMatrix((2,), np.arange(4), [half, [0.5, 0.0, 0.0, 0.25]])
+    with pytest.raises(ValueError, match="differ in shape"):
+        DensityMatrix((2,), np.arange(4), [[half]])
+    # a stack is no single state to measure or compare
+    single = DensityMatrix((2,), np.arange(4), half)
+    with pytest.raises(ValueError, match="stack"):
+        fidelity(stack, np.array([1.0, 0.0]))
+    for pair in ((stack, single), (single, stack)):
+        with pytest.raises(ValueError, match="stack"):
+            trace_distance_within(*pair, 1e-9)
 
 
 def test_amplitude_budget_refuses_every_sweep(orand):

@@ -205,24 +205,30 @@ def test_reused_plans_match_cold_traces_bit_for_bit(plan_builds):
         assert_same_bytes(rho, cold_trace(state, keep))
 
 
-def test_lift_report_reuses_plans_bit_for_bit(monkeypatch, plan_builds):
+def test_lift_report_traces_all_probes_at_once_bit_for_bit(monkeypatch, plan_builds):
     sch = parse_scheme((Path(__file__).parent / "fixtures" / "counterexample.scheme").read_text())
     traced, reports = {}, {}
     for trace in (partial_trace, cold_trace):
-        views = traced[trace] = []
+        calls = traced[trace] = []
 
-        def recorded(state, keep, trace=trace, views=views):
-            views.append(trace(state, keep))
-            return views[-1]
+        def recorded(state, keep, trace=trace, calls=calls):
+            calls.append((state, keep, trace(state, keep)))
+            return calls[-1][2]
 
         monkeypatch.setattr(condition, "partial_trace", recorded)
         reports[trace] = lift_report(sch, 0b01, seed=5)
     assert reports[partial_trace] == reports[cold_trace]
     assert not reports[partial_trace].passed
-    # every probe traces all rows of the table: the first builds, twelve reuse
-    assert len(traced[partial_trace]) == 13 and len(plan_builds) == 1 + 13
-    for rho, cold in zip(traced[partial_trace], traced[cold_trace]):
-        assert_same_bytes(rho, cold)
+    # one trace of a stack of the 13 probes' states per report, each building its plan
+    assert [len(calls) for calls in traced.values()] == [1, 1] and len(plan_builds) == 2
+    (state, keep, rho), = traced[partial_trace]
+    assert rho.values.shape == (13, len(rho.index))
+    assert rho.values.tobytes() == traced[cold_trace][0][2].values.tobytes()
+    # and each state's entries are those of its own trace, bit for bit
+    for alpha, row in zip(state.values, rho.values):
+        cold = cold_trace(QuantumState(state.dims, state.labels, alpha), keep)
+        assert cold.index.tobytes() == rho.index.tobytes()
+        assert cold.values.tobytes() == row.tobytes()
 
 
 def lifted_states(sch, alpha):
