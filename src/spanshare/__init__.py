@@ -37,7 +37,7 @@ from .condition import (
     HomomorphicSpec,
     eq1_check,
     homomorphic_scheme,
-    lift_and_test,
+    lift_report,
     scheme_from_msp,
     search_counterexample,
 )
@@ -58,7 +58,7 @@ __all__ = [
     "eq1_check",
     "extend_msp",
     "homomorphic_scheme",
-    "lift_and_test",
+    "lift_report",
     "msp_structure",
     "parse_formula",
     "parse_structure",

@@ -43,14 +43,6 @@ class ShareVector:
         if len(self.entries) != self.msp.d:
             raise ValueError("share vector length does not match the MSP")
 
-    def for_player(self, player: int) -> tuple[tuple[int, int], ...]:
-        """(row index, value) pairs owned by one player."""
-        return tuple((i, self.entries[i]) for i, lbl in enumerate(self.msp.psi) if lbl == player)
-
-    def for_set(self, mask: int) -> dict[int, int]:
-        """row index -> value for every row owned by the player set."""
-        return {i: self.entries[i] for i in self.msp.row_indices(mask)}
-
 
 def share(msp: MSP, secret: int, randomness: Sequence[int]) -> ShareVector:
     """Deal: extend the secret by the given e-1 field elements and
@@ -92,15 +84,10 @@ class ReconstructionPlan:
     """
 
     msp: MSP
-    b: int
     a_rows: tuple[int, ...]
     u: Matrix
     u1: tuple[int, ...]
     v: tuple[int, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.a_rows)
 
 
 def build_reconstruction_plan(msp: MSP, b_mask: int) -> ReconstructionPlan:
@@ -129,14 +116,13 @@ def build_reconstruction_plan(msp: MSP, b_mask: int) -> ReconstructionPlan:
     u = Matrix.from_rows(msp.field, [u1] + [list(r) for r in basis.data], len(w))
     if rank(u) != u.rows or u.rows != u.cols:
         raise RuntimeError("reconstruction plan transformation is not invertible")
-    return ReconstructionPlan(msp, b_mask, msp.row_indices(a_mask), u, u1, v)
+    return ReconstructionPlan(msp, msp.row_indices(a_mask), u, u1, v)
 
 
 @dataclass
 class ClassicalVerifyReport:
     """Outcome of the exhaustive dealing sweep."""
 
-    msp: MSP
     deals: int
     passed: bool = True
     failures: list[str] = dc_field(default_factory=list)
@@ -170,7 +156,7 @@ def verify_classical(
     p, block, _ = table.shape
     if structure is None:
         structure = msp_structure(msp)
-    report = ClassicalVerifyReport(msp, deals=p * block)
+    report = ClassicalVerifyReport(deals=p * block)
 
     members = list(structure.members())
     member_set = set(members)

@@ -10,7 +10,7 @@ the sum over reconstructing Q-words of the square-root products is
 independent of the secret. ``eq1_check`` evaluates that criterion in
 exact arithmetic (sums of rationals times square roots of integers
 have canonical forms, so equality is decidable);
-``lift_and_test`` is the independent brute-force oracle that builds
+``lift_report`` is the independent brute-force oracle that builds
 the lifted states and compares the reduced density matrices.
 
 ``scheme_from_msp`` and ``homomorphic_scheme`` both tally the array of
@@ -37,7 +37,7 @@ import numpy as np
 
 from .msp import ENUMERATION_GUARD, MSP, _linear_deals, msp_structure
 from . import quantum
-from .quantum import SECRECY_TOL, QuantumState, _require_superposition, _row_keys, partial_trace, probe_family
+from .quantum import SECRECY_TOL, QuantumState, _row_keys, partial_trace, probe_family
 from .structures import AdversaryStructure, FormatError, complement, format_players, full_mask
 from .structures import _check_player_count, _read_header, _read_ints, _read_lines
 
@@ -353,16 +353,15 @@ class LiftReport:
     seed: int
 
 
-def lift_report(
-    sch: ClassicalScheme, u_mask: int, inputs: Sequence[tuple[str, np.ndarray]] | None = None, seed: int = 0
-) -> LiftReport:
-    """Build the lifted state for each amplitude assignment and compare
-    the exact reduced density matrices on U.
+def lift_report(sch: ClassicalScheme, u_mask: int, seed: int = 0) -> LiftReport:
+    """Build the lifted state for each probe and compare the exact
+    reduced density matrices on U.
 
     This is the ground truth that validates eq1_check; it never shares
-    code with it beyond the table itself. The input family must probe
-    superpositions: reduced states that agree on basis secrets alone
-    do not establish erasure correction. Every trace distance is exact:
+    code with it beyond the table itself. The probes are
+    ``probe_family(secret_count, seed, n_random=10)``, which always holds
+    the uniform superposition: reduced states that agree on basis secrets
+    alone do not establish erasure correction. Every trace distance is exact:
     the eigenvalues of each difference, from ``eigvalsh``, or, when the
     views are diagonal (Q determines U's shares, as on linear tables),
     the sorted difference of the diagonals, the same floats.
@@ -371,8 +370,7 @@ def lift_report(
     dim = math.prod(sch.share_sizes)
     if dim > ORACLE_DIMENSION_GUARD:
         raise ValueError(f"lifted state dimension {dim} exceeds the oracle guard")
-    family = inputs if inputs is not None else probe_family(sch.secret_count, seed, n_random=10)
-    _require_superposition(family, sch.secret_count)
+    family = probe_family(sch.secret_count, seed, n_random=10)
     # every share lies below its space size, so past the guard it fits int64
     values = [np.array(v, dtype=np.int64) for v in sch.share_values]
     words = np.column_stack([v[c] for v, c in zip(values, sch.codes.T)])
@@ -413,12 +411,6 @@ def lift_report(
         k = int(dists.argmax())
         worst, witness = float(dists[k]), (names[first[k]], names[second[k]])
     return LiftReport(worst <= SECRECY_TOL, worst, witness, names, seed)
-
-
-def lift_and_test(
-    sch: ClassicalScheme, u_mask: int, inputs: Sequence[tuple[str, np.ndarray]] | None = None, seed: int = 0
-) -> bool:
-    return lift_report(sch, u_mask, inputs=inputs, seed=seed).passed
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -86,9 +86,12 @@ class QuantumState:
 
     Row i of ``labels`` (N x k int64, distinct rows) is a basis label,
     one entry per coordinate, with amplitude ``values[i]``, or ``values[:, i]``
-    in each of the P rows of a P x N stack; both arrays are read-only. The
-    labels are checked once, and every state is normalized to unit norm
-    within 1e-12 at construction. Compare states through their arrays, not ==.
+    in each of the P rows of a P x N stack; both arrays are read-only. An
+    array that already has the stored dtype (int64 labels, complex values)
+    is kept, not copied, and made read-only in place, so a caller who wants
+    to keep writing it passes a copy. The labels are checked once, and every
+    state is normalized to unit norm within 1e-12 at construction. Compare
+    states through their arrays, not ==.
     """
 
     dims: tuple[int, ...]
@@ -125,31 +128,6 @@ class QuantumState:
         if self.values.ndim != 1:
             raise ValueError("a stack of states has no single amplitude dict")
         return dict(zip(map(tuple, self.labels.tolist()), self.values.tolist()))
-
-    @staticmethod
-    def from_amplitudes(dims: Sequence[int], amps: Mapping[Sequence[int], complex]) -> "QuantumState":
-        """State from a dict of label tuples to amplitudes; zeros are dropped."""
-        cleaned = {tuple(k): complex(v) for k, v in amps.items() if v != 0}
-        dims = tuple(dims)
-        if any(len(label) != len(dims) for label in cleaned):
-            raise ValueError("basis label arity does not match coordinate count")
-        labels = np.array(list(cleaned)).reshape(len(cleaned), len(dims))
-        values = np.fromiter(cleaned.values(), dtype=complex, count=len(cleaned))
-        return QuantumState(dims, labels, values)
-
-    @staticmethod
-    def basis(dims: Sequence[int], label: Sequence[int]) -> "QuantumState":
-        return QuantumState(tuple(dims), np.array([tuple(label)]), np.ones(1, dtype=complex))
-
-    @staticmethod
-    def uniform(dim: int) -> "QuantumState":
-        amp = 1.0 / math.sqrt(dim)
-        return QuantumState((dim,), np.arange(dim).reshape(dim, 1), np.full(dim, complex(amp)))
-
-    def norm(self) -> float | list[float]:
-        """The norm of the state, or a list of each stacked state's norm."""
-        norms = _norms(self.values)
-        return norms if self.values.ndim == 2 else norms[0]
 
 
 def _norms(values: np.ndarray) -> list[float]:
@@ -188,10 +166,13 @@ class DensityMatrix:
     """Reduced state on its support: ``index`` holds sorted, distinct row-major
     flat indices closed under transpose, ``values`` the complex entries there,
     or a P x K stack of P reduced states' entries on the one support (both
-    read-only); all other entries are exact zeros. ``terms`` is the amplitude
-    count of the state it was traced from, 0 for a matrix given entry by
-    entry; the trace check's tolerance grows with it. The support is checked
-    once, every state's entries each time.
+    read-only); all other entries are exact zeros. An array that already has
+    the stored dtype (int64 index, complex values) is kept, not copied, and
+    made read-only in place, so a caller who wants to keep writing it passes
+    a copy. ``terms`` is the amplitude count of the state it was traced
+    from, 0 for a matrix given entry by entry; the trace check's tolerance
+    grows with it. The support is checked once, every state's entries each
+    time.
     """
 
     dims: tuple[int, ...]
@@ -595,9 +576,6 @@ class QuantumScheme:
     blocks: list[tuple[list[int], list[int]]]
     hidden: int = 0
 
-    def encode(self, alpha: np.ndarray) -> EncodedState:
-        return qencode(self.msp, alpha)
-
     def recover(self, mask: int, enc: EncodedState) -> tuple[QuantumState, int]:
         """Recovery by the plan for mask; returns (state, secret coordinate index)."""
         plan = self.plans.get(mask)
@@ -619,7 +597,7 @@ class QuantumScheme:
         report = VerificationReport(self.kind, self.descriptor, seed)
         family = inputs if inputs is not None else probe_family(self.msp.field.p, seed)
         _require_superposition(family, self.msp.field.p)
-        encoded = [(name, alpha, self.encode(alpha)) for name, alpha in family]
+        encoded = [(name, alpha, qencode(self.msp, alpha)) for name, alpha in family]
         for recoveries, coalitions in self.blocks:
             for mask in recoveries:
                 subset = format_players(mask)

@@ -62,6 +62,11 @@ def lagrange_at_zero(field, points):
     return total
 
 
+def shares_of(sv, q_mask):
+    """{row index: share} for every row of a dealt share vector owned by the set."""
+    return {i: sv.entries[i] for i in sv.msp.row_indices(q_mask)}
+
+
 def random_msps(count, seed):
     """Small MSPs with arbitrary matrices, rank-deficient ones included."""
     rng = random.Random(seed)

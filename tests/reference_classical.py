@@ -45,7 +45,7 @@ from spanshare.msp import rows_of
 from spanshare.quantum import SECRECY_TOL, QuantumState, partial_trace, probe_family
 from spanshare.structures import AdversaryStructure, complement, format_players
 
-from reference_quantum import trace_distance
+from reference_quantum import state_of, trace_distance
 
 
 def coords(n, mask):
@@ -271,7 +271,7 @@ def ref_lift_report(sch, u_mask, seed=0):
         for (s, y), pr in sch.table.items():
             if alpha[s] != 0:
                 amps[y] = alpha[s] * float(pr) ** 0.5
-        state = QuantumState.from_amplitudes(sch.share_sizes, amps)
+        state = state_of(sch.share_sizes, amps)
         reduced.append((name, partial_trace(state, coords(sch.n, u_mask))))
     worst, witness = 0.0, None
     for (name1, rho1), (name2, rho2) in itertools.combinations(reduced, 2):

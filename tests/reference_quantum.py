@@ -15,7 +15,8 @@ support, and ``dense_dm`` builds such a matrix from a dense array.
 ``condition.lift_report`` called before it took one probe's distances
 to every later probe in one call. ``normalized`` and ``probe`` build
 normalized test states, the norm summed in Python in key order, as
-``probe_family`` sums the norms of its random probes.
+``probe_family`` sums the norms of its random probes, and ``state_of``
+builds a ``QuantumState`` from a dict of label tuples.
 """
 
 import itertools
@@ -24,7 +25,7 @@ import math
 import numpy as np
 
 from spanshare.galois import solve_left
-from spanshare.quantum import DensityMatrix, _row_keys
+from spanshare.quantum import DensityMatrix, QuantumState, _row_keys
 
 
 def ravel(label, dims):
@@ -46,6 +47,14 @@ def probe(dim, amps):
     for s, a in normalized(amps).items():
         alpha[s] = a
     return alpha
+
+
+def state_of(dims, amps):
+    """The QuantumState of {label tuple: amplitude}, in key order; zero
+    amplitudes are dropped."""
+    cleaned = {tuple(k): complex(v) for k, v in amps.items() if v != 0}
+    values = np.array(list(cleaned.values()), dtype=complex)
+    return QuantumState(tuple(dims), np.array(list(cleaned)), values)
 
 
 def ref_qencode(msp, alpha):

@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from conftest import all_antichains, lagrange_at_zero, mask, msp_corpus
+from conftest import all_antichains, lagrange_at_zero, mask, msp_corpus, shares_of
 
 from spanshare.galois import Field
 from spanshare.classical import reconstruct, share, verify_classical
@@ -23,7 +23,6 @@ from spanshare.condition import (
     generate_valid_schemes,
     homomorphic_dichotomy_check,
     homomorphic_scheme,
-    lift_and_test,
     lift_report,
     scheme_from_msp,
     search_counterexample,
@@ -147,7 +146,7 @@ def test_criterion_05_classical_exhaustive():
                         q = mask(*q_players, n=n)
                         points = [(i, sv.entries[i - 1]) for i in q_players]
                         assert lagrange_at_zero(GF7, points) == s
-                        assert reconstruct(m, q, sv.for_set(q)) == s
+                        assert reconstruct(m, q, shares_of(sv, q)) == s
 
 
 def test_criterion_06_oracle_equivalence():
@@ -159,7 +158,7 @@ def test_criterion_06_oracle_equivalence():
         failing = 0
         for sch in schemes:
             verdict = eq1_check(sch, 0b01)
-            oracle = lift_and_test(sch, 0b01, seed=SEED)
+            oracle = lift_report(sch, 0b01, seed=SEED).passed
             disagreements += verdict != oracle
             failing += not verdict
         assert disagreements == 0

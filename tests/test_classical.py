@@ -7,6 +7,7 @@ from spanshare import classical, msp as msp_module
 from spanshare.classical import (
     ReconstructionError,
     ShareFormatError,
+    ShareVector,
     build_reconstruction_plan,
     format_share_file,
     parse_share_file,
@@ -18,7 +19,7 @@ from spanshare.msp import MSP, compile_formula, msp_structure, shamir_msp
 from spanshare.structures import mask_from_players, parse_formula, threshold_structure
 
 import reference_classical
-from conftest import random_msps
+from conftest import random_msps, shares_of
 from reference_classical import ref_verify_classical
 from reference_galois import det, left_mul
 
@@ -42,17 +43,16 @@ def test_share_examples(shamir13):
         share(shamir13, 1, (1, 2))
 
 
-def test_share_vector_views(shamir13):
-    sv = share(shamir13, 3, (2,))
-    assert sv.for_player(2) == ((1, 2),)
-    assert sv.for_set(mask(2, 3, n=3)) == {1: 2, 2: 4}
+def test_share_vector_refuses_a_length_other_than_d(shamir13):
+    with pytest.raises(ValueError, match="^share vector length does not match the MSP$"):
+        ShareVector(shamir13, (0, 2))
 
 
 def test_reconstruct_examples(shamir13):
     assert reconstruct(shamir13, mask(2, 3, n=3), {1: 2, 2: 4}) == 3
 
     sv = share(shamir13, 0, (0,))
-    assert reconstruct(shamir13, mask(1, 2, 3, n=3), sv.for_set(0b111)) == 0
+    assert reconstruct(shamir13, mask(1, 2, 3, n=3), shares_of(sv, 0b111)) == 0
 
     with pytest.raises(ReconstructionError, match="cannot reconstruct"):
         reconstruct(shamir13, mask(1, n=3), {0: 0})
@@ -69,7 +69,7 @@ def test_round_trip_all_qualified_sets(shamir13):
             sv = share(shamir13, s, a)
             for q in range(1 << shamir13.n):
                 if not structure.is_member(q):
-                    assert reconstruct(shamir13, q, sv.for_set(q)) == s
+                    assert reconstruct(shamir13, q, shares_of(sv, q)) == s
 
 
 from conftest import lagrange_at_zero
@@ -87,7 +87,7 @@ def test_reconstruct_matches_lagrange(n, k, p):
             points = [(i, sv.entries[i - 1]) for i in q_players]
             expected = lagrange_at_zero(field, points)
             assert expected == s
-            assert reconstruct(msp, q, sv.for_set(q)) == expected
+            assert reconstruct(msp, q, shares_of(sv, q)) == expected
 
 
 def test_build_plan_example(shamir13):
@@ -118,7 +118,7 @@ def test_build_plan_refusal_texts(shamir13):
 
 def test_build_plan_empty_set(shamir13):
     plan = build_reconstruction_plan(shamir13, 0)
-    assert plan.m == shamir13.d
+    assert len(plan.a_rows) == shamir13.d
     assert plan.u.rows == plan.u.cols == 3
     assert det(plan.u) != 0
     assert left_mul(shamir13.matrix.take_rows(plan.a_rows), plan.u1) == shamir13.eps

@@ -6,10 +6,12 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from spanshare import cli
 from spanshare.cli import SplitMix64, main
 from spanshare.galois import Field
 from spanshare.msp import compile_formula, dump_msp
@@ -324,6 +326,16 @@ def test_condition_check_and_search(tmp_path, capsys):
 
     assert main(["condition", "check", str(fixture), "--set", "1"]) == 1
     assert "eq1=false oracle=false agree=true" in capsys.readouterr().out
+
+
+def test_condition_check_reports_a_disagreement(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "eq1_check", lambda *args: True)
+    fixture = Path(__file__).parent / "fixtures" / "counterexample.scheme"
+    assert main(["condition", "check", str(fixture), "--set", "1"]) == 1
+    assert capsys.readouterr() == (
+        "eq1=true oracle=false agree=false\n",
+        "error: criterion and oracle disagree; please report this\n",
+    )
 
 
 def test_condition_check_shamir(tmp_path, capsys):

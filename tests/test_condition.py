@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from spanshare.condition import (
     generate_valid_schemes,
     homomorphic_dichotomy_check,
     homomorphic_scheme,
-    lift_and_test,
     lift_report,
     parse_scheme,
     scheme_from_msp,
@@ -199,7 +199,7 @@ def test_eq1_decomposes_each_weight_once(monkeypatch):
 
     monkeypatch.setattr(condition, "_square_classes", recording)
     sch = parse_scheme((FIXTURES / "large_primes.scheme").read_text())
-    assert eq1_check(sch, U1) and lift_and_test(sch, U1)
+    assert eq1_check(sch, U1) and lift_report(sch, U1).passed
     assert seen == [[998244353, 998244353, 1000000007, 1000000007]]
     assert classes(seen[0]) == {998244353: (1, 998244353), 1000000007: (1, 1000000007)}
     for sch in generate_valid_schemes(20, 0, max_denominator=24):
@@ -213,7 +213,7 @@ def test_eq1_on_large_composite_weights():
     sch = parse_scheme((FIXTURES / "large_composite.scheme").read_text())
     n1, n2 = 1000000007 * 998244353, 1000000007 * 998244353 + 1
     assert condition._square_classes(sch.numerators.tolist()) == {n1: (1, n1), n2: (1, n2)}
-    assert eq1_check(sch, U1) and lift_and_test(sch, U1)
+    assert eq1_check(sch, U1) and lift_report(sch, U1).passed
 
 
 def test_square_classes_match_trial_division(shamir_table, counterexample):
@@ -282,11 +282,11 @@ def test_eq1_intersection_precondition():
         eq1_check(declared, U1)
 
 
-def test_lift_and_test_shamir(shamir_table):
-    assert lift_and_test(shamir_table, mask(1, n=3), seed=5)
+def test_lift_report_shamir(shamir_table):
+    assert lift_report(shamir_table, mask(1, n=3), seed=5).passed
 
 
-def test_lift_and_test_counterexample(counterexample):
+def test_lift_report_counterexample(counterexample):
     report = lift_report(counterexample, U1, seed=5)
     assert not report.passed
     assert report.max_distance > 1e-6
@@ -308,7 +308,7 @@ def test_lift_single_secret_scheme():
     sch = ClassicalScheme.from_table(
         2, 1, (2, 1), table, structure=AdversaryStructure(2, (0b01,))
     )
-    assert lift_and_test(sch, U1)
+    assert lift_report(sch, U1).passed
     assert eq1_check(sch, U1)
 
 
@@ -346,15 +346,6 @@ def test_lift_report_at_and_past_the_oracle_dimension_guard(monkeypatch, tmp_pat
     path.write_text(_diagonal_views_text(1001))
     assert main(["condition", "check", str(path), "--set", "1"]) == 2
     assert capsys.readouterr() == ("", "error: lifted state dimension 1001000 exceeds the oracle guard\n")
-
-
-def test_lift_requires_superposition_probes(shamir_table):
-    basis_only = [
-        ("basis:0", np.array([1, 0, 0, 0, 0], dtype=complex)),
-        ("basis:1", np.array([0, 1, 0, 0, 0], dtype=complex)),
-    ]
-    with pytest.raises(ValueError, match="non-basis"):
-        lift_and_test(shamir_table, mask(1, n=3), inputs=basis_only)
 
 
 def test_lift_report_matches_dict_reference(shamir_table):
@@ -883,3 +874,19 @@ def test_msp_scheme_consistency_with_classical_module(shamir_table):
             assert check_secrecy(shamir_table, b)
         else:
             assert check_correctness(shamir_table, b)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ClassicalScheme(2, 1, (2,), [0], [[0], [0]], [1], 1), "share_sizes must list one space per player"),
+    (lambda: ClassicalScheme(1, 0, (2,), [], [[]], [], 1), "need at least one secret"),
+    (lambda: ClassicalScheme.from_table(2, 1, (2, 2), {(0, (0,)): 1}), "share word (0,) out of range"),
+    (lambda: HomomorphicSpec((), 1, ((1, 0),)), "group moduli must all be at least 2"),
+    (lambda: HomomorphicSpec((5, 1), 1, ((1, 0),)), "group moduli must all be at least 2"),
+    (lambda: HomomorphicSpec((5,), -1, ((),)), "negative randomness arity"),
+    (lambda: HomomorphicSpec((5,), 1, ((1,),)), "matrix rows must have m+1 entries"),
+    (lambda: HomomorphicSpec((5,), 1, ()), "need at least one share"),
+], ids=["share-sizes", "no-secret", "word-length", "no-moduli", "modulus-1", "negative-arity",
+        "row-length", "no-share"])
+def test_refusals_name_the_mismatch(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

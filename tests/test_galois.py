@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,6 +32,17 @@ def test_field_rejects_composite_and_out_of_range():
         Field(263)
     Field(257)
     Field(2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GF5.dot((1,), (1, 2)), "dot product of vectors with lengths 1 and 2"),
+    (lambda: Matrix(GF5, (), -1), "negative column count"),
+    (lambda: M(GF5, [[1, 2]]).matvec((1,)), "matvec of 1x2 matrix with length-1 vector"),
+    (lambda: kernel_witness(M(GF5, [[1, 2]]), (1,)), "eps length 1 does not match column count 2"),
+], ids=["dot", "negative-cols", "matvec", "kernel-witness-eps"])
+def test_refusals_name_the_mismatch(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_field_arithmetic():

@@ -1,4 +1,5 @@
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -378,3 +379,12 @@ def test_extend_msp_refuses_before_the_dualizer(monkeypatch):
     with pytest.raises(ValueError, match=r"^player count must lie in 1\.\.16, got 17$"):
         extend_msp(shamir_msp(16, 8, Field(17)))
     assert calls == []
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MSP(GF5, Matrix(GF5, ((),), 0), (1,), 1), "an MSP needs at least one column"),
+    (lambda: shamir_msp(3, 3, GF5), "degree must satisfy 0 <= k < n, got k=3, n=3"),
+], ids=["no-columns", "shamir-degree"])
+def test_refusals_name_the_mismatch(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

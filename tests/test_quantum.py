@@ -34,6 +34,7 @@ from reference_quantum import (
     probe,
     projector,
     schmidt_rank,
+    state_of,
     support_in_image,
     trace_distance,
     validate_psd,
@@ -57,20 +58,20 @@ def orand():
 
 
 def test_state_construction_and_norm():
-    s = QuantumState.basis((5,), (3,))
-    assert s.norm() == pytest.approx(1.0)
+    s = state_of((5,), {(3,): 1.0})
+    assert quantum._norms(s.values) == [pytest.approx(1.0)]
     with pytest.raises(ValueError, match="norm"):
-        QuantumState.from_amplitudes((2,), {(0,): 0.5})
-    with pytest.raises(ValueError, match="arity"):
-        QuantumState.from_amplitudes((2,), {(0, 1): 1.0})
+        state_of((2,), {(0,): 0.5})
+    with pytest.raises(ValueError, match="^basis label arity does not match coordinate count$"):
+        state_of((2,), {(0, 1): 1.0})
     with pytest.raises(ValueError, match="range"):
-        QuantumState.from_amplitudes((2,), {(3,): 1.0})
-    plus = QuantumState.from_amplitudes((2,), normalized({(0,): 1, (1,): 1}))
+        state_of((2,), {(3,): 1.0})
+    plus = state_of((2,), normalized({(0,): 1, (1,): 1}))
     assert plus.amps[(0,)] == pytest.approx(1 / math.sqrt(2))
 
 
 def test_state_arrays_are_the_only_storage():
-    state = QuantumState.from_amplitudes((3, 2), {(2, 1): 0.6, (0, 1): 0.8j})
+    state = state_of((3, 2), {(2, 1): 0.6, (0, 1): 0.8j})
     assert state.amps == dict(zip(map(tuple, state.labels.tolist()), state.values.tolist()))
     assert list(state.amps) == [(2, 1), (0, 1)]
     with pytest.raises(ValueError, match="read-only"):
@@ -79,6 +80,15 @@ def test_state_arrays_are_the_only_storage():
         state.values[0] = 0.6j
     with pytest.raises(ValueError, match="length"):
         QuantumState((3, 2), state.labels, np.array([1.0, 0.0, 0.0], dtype=complex))
+
+
+def test_state_keeps_the_callers_arrays():
+    # arrays of the stored dtypes are taken over, not copied, and frozen in place
+    labels = np.array([[0], [1]], dtype=np.int64)
+    amps = np.array([0.6, 0.8j])
+    state = QuantumState((2,), labels, amps)
+    assert state.labels is labels and state.values is amps
+    assert not labels.flags.writeable and not amps.flags.writeable
 
 
 def test_qencode_basis_zero(shamir13):
@@ -104,7 +114,7 @@ def test_qencode_superposition_is_linear(shamir13):
     for label, amp in enc.state.amps.items():
         expected = (enc0.state.amps.get(label, 0) + enc1.state.amps.get(label, 0)) / math.sqrt(2)
         assert amp == pytest.approx(expected)
-    assert enc.state.norm() == pytest.approx(1.0)
+    assert quantum._norms(enc.state.values) == [pytest.approx(1.0)]
 
 
 def test_qencode_is_label_bijection(shamir13):
@@ -190,7 +200,7 @@ def test_partial_trace_examples(shamir13):
     rho = partial_trace(enc.state, (0,))
     assert np.allclose(rho.mat, np.eye(5) / 5)
 
-    product = QuantumState.basis((5, 5), (2, 3))
+    product = state_of((5, 5), {(2, 3): 1.0})
     rho1 = partial_trace(product, (0,))
     expected = np.zeros((5, 5))
     expected[2, 2] = 1
@@ -224,6 +234,8 @@ def test_fidelity_and_trace_distance_examples():
 
     with pytest.raises(ValueError):
         trace_distance(maximally_mixed, dense_dm((2,), np.eye(2) / 2))
+    with pytest.raises(ValueError, match="^trace distance of density matrices with different dimensions$"):
+        trace_distance_within(maximally_mixed, dense_dm((2,), np.eye(2) / 2), 1e-9)
     with pytest.raises(ValueError):
         fidelity(maximally_mixed, probe(2, {0: 1}))
 
@@ -268,8 +280,10 @@ def test_sparse_density_matrix_validation():
 def test_norm_is_compensated_at_large_sizes():
     # 7**6 amplitudes of 7**-3, as in the uniform secret's encoding under an
     # e=6 MSP over GF(7); a naive float sum of the squares drifts ~1.3e-12
-    psi = QuantumState.uniform(7**6)
-    assert abs(psi.norm() - 1.0) < 1e-15
+    dim = 7**6
+    psi = QuantumState((dim,), np.arange(dim).reshape(dim, 1), np.full(dim, complex(1.0 / math.sqrt(dim))))
+    (norm,) = quantum._norms(psi.values)
+    assert abs(norm - 1.0) < 1e-15
 
 
 def test_trace_check_allows_the_rounding_of_long_sums():
@@ -311,7 +325,7 @@ def test_a_stack_checks_its_labels_once_and_every_state(monkeypatch):
     stack = QuantumState((3, 2), labels, amps)
     assert len(checks) == 1
     assert not stack.values.flags.writeable and stack.values.tobytes() == amps.tobytes()
-    assert len(stack.norm()) == 4
+    assert len(quantum._norms(stack.values)) == 4
     monkeypatch.undo()
     with pytest.raises(ValueError, match="differ in length"):
         QuantumState((3, 2), labels, amps[:, :5])
@@ -382,6 +396,13 @@ def test_verify_erasure_examples(shamir13, orand):
     assert not na.applicable
     assert na.status == "NOT_APPLICABLE"
     assert "adversary" in na.reason
+    assert na.to_text() == (
+        "erasure verification: field=5 d=3 e=2 n=3 B={1,2} seed=0\n"
+        "result: NOT_APPLICABLE (set is not in the adversary structure)\n"
+    )
+    assert na.to_machine() == (
+        "report kind=erasure seed=0\nresult=not_applicable reason='set is not in the adversary structure'\n"
+    )
 
     ok = verify_erasure(orand, mask(1, n=3), inputs=family)
     assert ok.applicable and ok.passed
@@ -455,7 +476,7 @@ def test_qss_pure_shamir(shamir13):
     assert report.passed
 
     state = probe(5, {1: 1, 4: -1})
-    enc = scheme.encode(state)
+    enc = qencode(scheme.msp, state)
     recovered, coord = scheme.recover(mask(2, n=3), enc)
     assert fidelity(partial_trace(recovered, (coord,)), state) == pytest.approx(1.0)
 
@@ -475,7 +496,7 @@ def test_qss_pure_on_extension(orand):
 
     # the recovered coordinate factors out exactly, even at 8 coordinates
     state = probe(5, {0: 1, 2: -1j})
-    after, coord = scheme.recover(mask(1, 2, n=4), scheme.encode(state))
+    after, coord = scheme.recover(mask(1, 2, n=4), qencode(scheme.msp, state))
     assert schmidt_rank(after, (coord,)) == 1
 
 
@@ -492,13 +513,13 @@ def test_qss_mixed_example(orand):
     ]
 
     state = probe(5, {0: 1, 3: 1j})
-    enc = scheme.encode(state)
+    enc = qencode(scheme.msp, state)
     recovered, coord = scheme.recover(mask(1, 3, n=3), enc)
     assert fidelity(partial_trace(recovered, (coord,)), state) == pytest.approx(1.0)
 
     rho1 = scheme.coalition_density(mask(1, 2, n=3), enc)
     rho2 = scheme.coalition_density(
-        mask(1, 2, n=3), scheme.encode(probe(5, {0: 1}))
+        mask(1, 2, n=3), qencode(scheme.msp, probe(5, {0: 1}))
     )
     assert trace_distance(rho1, rho2) < 1e-9
 
@@ -551,17 +572,11 @@ def test_probe_family_is_deterministic():
         probe_family(5, n_random=-1)
 
 
-def test_probe_builders_match_from_amplitudes():
-    # the array-built states and the probe vectors keep the dict path's values bit for bit
-    def same(a, b):
-        assert a.dims == b.dims and np.array_equal(a.labels, b.labels)
-        assert a.values.tobytes() == b.values.tobytes()
-
+def test_probe_vectors_match_the_dict_path():
+    # the probe vectors keep the dict path's values bit for bit
     for dim in (2, 3, 5, 7):
-        for s in range(dim):
-            same(QuantumState.basis((dim,), (s,)), QuantumState.from_amplitudes((dim,), {(s,): 1.0}))
         amp = 1.0 / math.sqrt(dim)
-        same(QuantumState.uniform(dim), QuantumState.from_amplitudes((dim,), {(s,): amp for s in range(dim)}))
+        uniform = state_of((dim,), {(s,): amp for s in range(dim)})
         for seed in range(20):
             rng = np.random.default_rng(seed)
             raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -569,8 +584,7 @@ def test_probe_builders_match_from_amplitudes():
             assert family["random:0"].tobytes() == probe(dim, dict(enumerate(raw.tolist()))).tobytes()
         for s in range(dim):
             assert family[f"basis:{s}"].tobytes() == probe(dim, {s: 1.0}).tobytes()
-        assert family["uniform"].tobytes() == QuantumState.uniform(dim).values.tobytes()
-    same(QuantumState.basis([5, 5], [2, 3]), QuantumState.from_amplitudes((5, 5), {(2, 3): 1.0}))
+        assert family["uniform"].tobytes() == uniform.values.tobytes()
 
 
 def sweep_keys(recovery_sets, secrecy_sets, names):

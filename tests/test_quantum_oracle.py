@@ -16,6 +16,7 @@ from reference_quantum import (
     ref_partial_trace,
     ref_qencode,
     ref_trace_distance_within,
+    state_of,
 )
 from spanshare import condition
 from spanshare.cli import main
@@ -69,9 +70,7 @@ def random_sparse_state(rng, dims, fraction):
     labels = list(itertools.product(*(range(d) for d in dims)))
     chosen = rng.choice(len(labels), size=max(1, int(fraction * len(labels))), replace=False)
     raw = rng.standard_normal(len(chosen)) + 1j * rng.standard_normal(len(chosen))
-    return QuantumState.from_amplitudes(
-        dims, normalized({labels[i]: a for i, a in zip(chosen.tolist(), raw)})
-    )
+    return state_of(dims, normalized({labels[i]: a for i, a in zip(chosen.tolist(), raw)}))
 
 
 @pytest.mark.parametrize("msp", [shamir_msp(5, 2, GF7), orand_extension()], ids=["shamir", "orand-ext"])
@@ -132,7 +131,7 @@ def test_partial_trace_compresses_wide_keys():
     for i, base in enumerate(rests.tolist()):
         for v in range(i % 4 + 1):
             amps[tuple([v * 61 % 257] + base[1:])] = complex(rng.standard_normal(), rng.standard_normal())
-    state = QuantumState.from_amplitudes(dims, normalized(amps))
+    state = state_of(dims, normalized(amps))
     for keep in [(), (0,), (4,)]:
         assert_same_matrix(partial_trace(state, keep).mat, ref_partial_trace(state, keep))
     labels = state.labels
@@ -191,7 +190,7 @@ def assert_same_bytes(rho, cold):
 def test_reused_plans_match_cold_traces_bit_for_bit(plan_builds):
     # the recovery and secrecy views of three blocks of the pure Shamir sweep
     scheme = qss_pure(shamir_msp(5, 2, GF7))
-    encoded = [scheme.encode(state) for _, state in probe_family(7, seed=3)]
+    encoded = [qencode(scheme.msp, state) for _, state in probe_family(7, seed=3)]
     cases = []
     for b in (0b00001, 0b00011, 0b10100):
         for enc in encoded:
@@ -416,7 +415,7 @@ def test_array_built_states_keep_every_check():
     with pytest.raises(ValueError, match="norm"):
         QuantumState((2, 2), np.array([[0, 1]]), np.array([0.5], dtype=complex))
     with pytest.raises(ValueError, match="int"):
-        QuantumState.from_amplitudes((2,), {(0.5,): 1.0})
+        QuantumState((2,), np.array([[0.5]]), np.array([1.0], dtype=complex))
 
 
 SHAMIR_7_3_GF17 = shamir_msp(7, 3, Field(17))

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -294,3 +295,18 @@ def test_threshold_structure_refuses_before_enumerating(monkeypatch):
     monkeypatch.undo()
     assert threshold_structure(4, 0).maximal == (0,)
     assert threshold_structure(4, 4).maximal == (0b1111,)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: AdversaryStructure(2, (0b100,)), "maximal set contains a player id out of range"),
+    (lambda: threshold_structure(2, 1).is_member(0b100), "subset contains a player id out of range"),
+    (lambda: threshold_structure(2, 1).restrict(3), "restriction cannot grow the player set"),
+    (lambda: And((Var(1),)), "and() needs at least two children"),
+    (lambda: Or((Var(1),)), "or() needs at least two children"),
+    (lambda: Threshold(1, (Var(1),)), "thr() needs at least two children"),
+    (lambda: parse_formula("thr(1,2)"), "expected an integer at position 3"),
+], ids=["maximal-range", "member-range", "restrict-grows", "and-arity", "or-arity", "thr-arity",
+        "thr-without-k"])
+def test_refusals_name_the_mismatch(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
