@@ -14,7 +14,7 @@ golden tests control it fully; seeded generation lives in the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,25 +32,13 @@ class ShareFormatError(FormatError):
     """Raised for malformed share files."""
 
 
-@dataclass(frozen=True)
-class ShareVector:
-    """All d dealt share components, labeled through the MSP's psi."""
-
-    msp: MSP
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.msp.d:
-            raise ValueError("share vector length does not match the MSP")
-
-
-def share(msp: MSP, secret: int, randomness: Sequence[int]) -> ShareVector:
+def share(msp: MSP, secret: int, randomness: Sequence[int]) -> tuple[int, ...]:
     """Deal: extend the secret by the given e-1 field elements and
-    multiply by the MSP matrix."""
+    multiply by the MSP matrix; entry i is the share of player psi[i]."""
     if len(randomness) != msp.e - 1:
         raise ValueError(f"need {msp.e - 1} random elements, got {len(randomness)}")
     vec = (secret % msp.field.p,) + tuple(a % msp.field.p for a in randomness)
-    return ShareVector(msp, msp.matrix.matvec(vec))
+    return msp.matrix.matvec(vec)
 
 
 def reconstruct(msp: MSP, q_mask: int, shares_q: Mapping[int, int]) -> int:
@@ -78,16 +66,14 @@ class ReconstructionPlan:
     """The invertible transformation U on the shares of A = P - B.
 
     After applying U, the first A-share carries the secret and the
-    joint distribution of everything else is independent of it. Rows
-    after the first are the reduced echelon basis of
-    W = {u : u . (M_A v) = 0}.
+    joint distribution of everything else is independent of it. The
+    first row u1 solves u1^T M_A = eps^T; the rest are the reduced
+    echelon basis of W = {u : u . (M_A v) = 0}.
     """
 
     msp: MSP
     a_rows: tuple[int, ...]
     u: Matrix
-    u1: tuple[int, ...]
-    v: tuple[int, ...]
 
 
 def build_reconstruction_plan(msp: MSP, b_mask: int) -> ReconstructionPlan:
@@ -116,26 +102,24 @@ def build_reconstruction_plan(msp: MSP, b_mask: int) -> ReconstructionPlan:
     u = Matrix.from_rows(msp.field, [u1] + [list(r) for r in basis.data], len(w))
     if rank(u) != u.rows or u.rows != u.cols:
         raise RuntimeError("reconstruction plan transformation is not invertible")
-    return ReconstructionPlan(msp, msp.row_indices(a_mask), u, u1, v)
+    return ReconstructionPlan(msp, msp.row_indices(a_mask), u)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassicalVerifyReport:
-    """Outcome of the exhaustive dealing sweep."""
+    """Outcome of the exhaustive dealing sweep: its first counterexample, if any."""
 
     deals: int
-    passed: bool = True
-    failures: list[str] = dc_field(default_factory=list)
+    failure: str | None = None
 
-    def record(self, message: str) -> None:
-        self.passed = False
-        self.failures.append(message)
+    @property
+    def passed(self) -> bool:
+        return self.failure is None
 
     def __str__(self) -> str:
         status = "pass" if self.passed else "fail"
-        lines = [f"classical verification: {status} ({self.deals} deals)"]
-        lines += [f"  counterexample: {f}" for f in self.failures[:5]]
-        return "\n".join(lines)
+        line = f"classical verification: {status} ({self.deals} deals)"
+        return line if self.passed else f"{line}\n  counterexample: {self.failure}"
 
 
 def verify_classical(
@@ -156,7 +140,7 @@ def verify_classical(
     p, block, _ = table.shape
     if structure is None:
         structure = msp_structure(msp)
-    report = ClassicalVerifyReport(deals=p * block)
+    deals = p * block
 
     members = list(structure.members())
     member_set = set(members)
@@ -164,8 +148,9 @@ def verify_classical(
     recombinators = {q: solve_left(rows_of(msp, q), msp.eps) for q in qualified}
     for q, u1 in recombinators.items():
         if u1 is None:
-            report.record(f"qualified set {{{format_players(q)}}} cannot reconstruct at all")
-            return report
+            return ClassicalVerifyReport(
+                deals, f"qualified set {{{format_players(q)}}} cannot reconstruct at all"
+            )
 
     first: tuple[int, int, int] | None = None  # (deal, set, reconstructed value)
     for q, u1 in recombinators.items():
@@ -176,10 +161,9 @@ def verify_classical(
     if first is not None:
         deal, q, got = first
         s, *a = (int(x) for x in np.unravel_index(deal, (p,) * msp.e))
-        report.record(
-            f"set {{{format_players(q)}}} reconstructed {got} for secret {s}, a={tuple(a)}"
+        return ClassicalVerifyReport(
+            deals, f"set {{{format_players(q)}}} reconstructed {got} for secret {s}, a={tuple(a)}"
         )
-        return report
 
     for b in members:
         views = table[:, :, msp.row_indices(b)]
@@ -187,26 +171,27 @@ def verify_classical(
         tallies = [np.unique(view, axis=0, return_counts=True) for view in views]
         for s in range(1, p):
             if not all(np.array_equal(x, y) for x, y in zip(tallies[s], tallies[0])):
-                report.record(
-                    f"B={{{format_players(b)}}} share distribution differs between secrets 0 and {s}"
+                return ClassicalVerifyReport(
+                    deals, f"B={{{format_players(b)}}} share distribution differs between secrets 0 and {s}"
                 )
-                return report
-    return report
+    return ClassicalVerifyReport(deals)
 
 
 # ---------------------------------------------------------------------------
 # share files
 
 
-def format_share_file(sv: ShareVector, comment: str | None = None) -> str:
-    """Serialize: ``field <p>`` header then ``share <player> <row> <value>``
-    lines; rows are 1-based in the file."""
+def format_share_file(msp: MSP, entries: Sequence[int], comment: str | None = None) -> str:
+    """Serialize the d dealt entries: ``field <p>`` header then
+    ``share <player> <row> <value>`` lines; rows are 1-based in the file."""
+    if len(entries) != msp.d:
+        raise ValueError("share vector length does not match the MSP")
     lines = []
     if comment:
         lines.append(f"# {comment}")
-    lines.append(f"field {sv.msp.field.p}")
-    for i, value in enumerate(sv.entries):
-        lines.append(f"share {sv.msp.psi[i]} {i + 1} {value}")
+    lines.append(f"field {msp.field.p}")
+    for i, value in enumerate(entries):
+        lines.append(f"share {msp.psi[i]} {i + 1} {value}")
     return "\n".join(lines) + "\n"
 
 

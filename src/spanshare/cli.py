@@ -162,8 +162,8 @@ def _cmd_msp_eval(args: argparse.Namespace) -> int:
 def _cmd_share(args: argparse.Namespace) -> int:
     msp = parse_msp(_read(args.msp))
     randomness = SplitMix64(args.seed).elements(msp.field.p, msp.e - 1)
-    sv = share(msp, args.secret, randomness)
-    _emit(format_share_file(sv, comment=f"seed {args.seed}"), args.out)
+    entries = share(msp, args.secret, randomness)
+    _emit(format_share_file(msp, entries, comment=f"seed {args.seed}"), args.out)
     return 0
 
 

@@ -349,8 +349,6 @@ class LiftReport:
     passed: bool
     max_distance: float
     witness: tuple[str, str] | None
-    inputs: list[str]
-    seed: int
 
 
 def lift_report(sch: ClassicalScheme, u_mask: int, seed: int = 0) -> LiftReport:
@@ -404,13 +402,12 @@ def lift_report(sch: ClassicalScheme, u_mask: int, seed: int = 0) -> LiftReport:
         spectra = np.sort(diffs, axis=1) if diagonal else np.linalg.eigvalsh(diffs)
         dists.append(0.5 * np.abs(spectra).sum(axis=1))
     dists = np.concatenate(dists)
-    names = [name for name, _ in family]
     # the first pair in that order at the largest distance, if it is above 0
     worst, witness = 0.0, None
     if len(dists) and dists.max() > 0:
         k = int(dists.argmax())
-        worst, witness = float(dists[k]), (names[first[k]], names[second[k]])
-    return LiftReport(worst <= SECRECY_TOL, worst, witness, names, seed)
+        worst, witness = float(dists[k]), (family[first[k]][0], family[second[k]][0])
+    return LiftReport(worst <= SECRECY_TOL, worst, witness)
 
 
 # ---------------------------------------------------------------------------

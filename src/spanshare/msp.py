@@ -83,16 +83,6 @@ class MSP:
         if rank(self.matrix) != self.matrix.cols:
             raise ValueError("MSP matrix lacks full column rank")
 
-    @classmethod
-    def _unchecked(cls, field: Field, matrix: Matrix, psi: tuple[int, ...], n: int) -> "MSP":
-        """Bypass validation; only for tests that need a broken MSP."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "field", field)
-        object.__setattr__(obj, "matrix", matrix)
-        object.__setattr__(obj, "psi", psi)
-        object.__setattr__(obj, "n", n)
-        return obj
-
     @property
     def d(self) -> int:
         return self.matrix.rows

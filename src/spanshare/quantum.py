@@ -390,8 +390,8 @@ def fidelity(rho: DensityMatrix, psi: np.ndarray) -> float:
     return float(np.real(np.vdot(psi, rho.mat @ psi)))
 
 
-def trace_distance_within(r1: DensityMatrix, r2: DensityMatrix, tol: float) -> tuple[bool, float]:
-    """Certified (within_tol, value) check, cheap when the states agree.
+def trace_distance_within(r1: DensityMatrix, r2: DensityMatrix) -> tuple[bool, float]:
+    """Certified (within SECRECY_TOL, value) check, cheap when the states agree.
 
     Uses the bound trace_norm <= sqrt(dim) * frobenius_norm first, on the
     union of the supports; the returned value is that upper bound when it
@@ -410,11 +410,11 @@ def trace_distance_within(r1: DensityMatrix, r2: DensityMatrix, tol: float) -> t
         delta[where[: len(r1.index)]] = r1.values
         delta[where[len(r1.index) :]] -= r2.values
     bound = 0.5 * math.sqrt(r1.dim) * float(np.linalg.norm(delta))
-    if bound <= tol:
+    if bound <= SECRECY_TOL:
         return True, bound
     dense = _scatter(r1.dim**2, index, delta).reshape(r1.dim, r1.dim)
     value = float(0.5 * np.abs(np.linalg.eigvalsh(dense)).sum())
-    return value <= tol, value
+    return value <= SECRECY_TOL, value
 
 
 @lru_cache(maxsize=64)
@@ -609,7 +609,7 @@ class QuantumScheme:
                 subset = format_players(b)
                 views = [(name, self.coalition_density(b, enc)) for name, _, enc in encoded]
                 for (name1, rho1), (name2, rho2) in itertools.combinations(views, 2):
-                    ok, value = trace_distance_within(rho1, rho2, SECRECY_TOL)
+                    ok, value = trace_distance_within(rho1, rho2)
                     report.add("secrecy", subset, f"{name1}|{name2}", "distance", value, ok)
         return report
 

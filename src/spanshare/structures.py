@@ -393,17 +393,6 @@ def max_player(f: Formula) -> int:
     return max(max_player(c) for c in f.children)
 
 
-def format_formula(f: Formula) -> str:
-    if isinstance(f, Var):
-        return str(f.player)
-    inner = ",".join(format_formula(c) for c in f.children)
-    if isinstance(f, And):
-        return f"and({inner})"
-    if isinstance(f, Or):
-        return f"or({inner})"
-    return f"thr{f.k}({inner})"
-
-
 class FormulaError(FormatError):
     """Syntax error in a formula, with a 0-based character position."""
 

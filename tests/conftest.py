@@ -62,9 +62,17 @@ def lagrange_at_zero(field, points):
     return total
 
 
-def shares_of(sv, q_mask):
+def shares_of(msp, entries, q_mask):
     """{row index: share} for every row of a dealt share vector owned by the set."""
-    return {i: sv.entries[i] for i in sv.msp.row_indices(q_mask)}
+    return {i: entries[i] for i in msp.row_indices(q_mask)}
+
+
+def unchecked_msp(field, matrix, psi, n):
+    """An MSP built without its validation, for tests that need a broken one."""
+    obj = object.__new__(MSP)
+    for name, value in (("field", field), ("matrix", matrix), ("psi", psi), ("n", n)):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def random_msps(count, seed):
@@ -75,7 +83,7 @@ def random_msps(count, seed):
         n, e, d = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 5)
         rows = [[rng.randrange(field.p) for _ in range(e)] for _ in range(d)]
         psi = tuple(rng.randint(1, n) for _ in range(d))
-        yield MSP._unchecked(field, Matrix.from_rows(field, rows, e), psi, n)
+        yield unchecked_msp(field, Matrix.from_rows(field, rows, e), psi, n)
 
 
 def msp_corpus():

@@ -89,7 +89,7 @@ def _deals(msp):
 
 
 def ref_verify_classical(msp, structure):
-    """(passed, failures) of the exhaustive classical check."""
+    """(passed, first counterexample or None) of the exhaustive classical check."""
     p = msp.field.p
     members = list(structure.members())
     qualified = [q for q in range(1 << msp.n) if q not in set(members)]
@@ -99,22 +99,20 @@ def ref_verify_classical(msp, structure):
         for q in qualified:
             u1 = recombinators[q]
             if u1 is None:
-                return False, [f"qualified set {{{format_players(q)}}} cannot reconstruct at all"]
+                return False, f"qualified set {{{format_players(q)}}} cannot reconstruct at all"
             got = sum(c * dealt[i] for c, i in zip(u1, msp.row_indices(q))) % p
             if got != s:
-                return False, [
-                    f"set {{{format_players(q)}}} reconstructed {got} for secret {s}, a={a}"
-                ]
+                return False, f"set {{{format_players(q)}}} reconstructed {got} for secret {s}, a={a}"
         for b in members:
             view = tuple(dealt[i] for i in msp.row_indices(b))
             tallies[b].setdefault(s, Counter())[view] += 1
     for b in members:
         for s, counter in tallies[b].items():
             if counter != tallies[b][0]:
-                return False, [
+                return False, (
                     f"B={{{format_players(b)}}} share distribution differs between secrets 0 and {s}"
-                ]
-    return True, []
+                )
+    return True, None
 
 
 def ref_scheme_table(msp):
@@ -278,7 +276,7 @@ def ref_lift_report(sch, u_mask, seed=0):
         dist = trace_distance(rho1, rho2)
         if dist > worst:
             worst, witness = dist, (name1, name2)
-    return LiftReport(worst <= SECRECY_TOL, worst, witness, [n for n, _ in family], seed)
+    return LiftReport(worst <= SECRECY_TOL, worst, witness)
 
 
 def ref_eigvalsh_lift_report(sch, u_mask, seed=0):
@@ -300,7 +298,7 @@ def ref_eigvalsh_lift_report(sch, u_mask, seed=0):
         b = int(dists.argmax())
         if dists[b] > worst:
             worst, witness = float(dists[b]), (names[a], names[a + 1 + b])
-    return LiftReport(worst <= SECRECY_TOL, worst, witness, names, seed)
+    return LiftReport(worst <= SECRECY_TOL, worst, witness)
 
 
 def ref_per_probe_lift_report(sch, u_mask, seed=0):
@@ -334,7 +332,7 @@ def ref_per_probe_lift_report(sch, u_mask, seed=0):
         b = int(dists.argmax())
         if dists[b] > worst:
             worst, witness = float(dists[b]), (names[a], names[a + 1 + b])
-    return LiftReport(worst <= SECRECY_TOL, worst, witness, names, seed)
+    return LiftReport(worst <= SECRECY_TOL, worst, witness)
 
 
 def ref_compositions(total, parts):

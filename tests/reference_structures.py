@@ -6,7 +6,12 @@ family of bitmasks. The maximal sets come from a size-ordered antichain
 filter or from a per-subset scan of a byte table, the byte table from a
 per-subset closure loop, and Q2 and Q2* from loops over pairs of
 maximal sets.
+
+``format_formula`` prints a formula in the syntax ``parse_formula``
+reads, for the parser's round-trip tests.
 """
+
+from spanshare.structures import And, Or, Var
 
 
 def is_subset(a, b):
@@ -75,3 +80,14 @@ def ref_restrict(n, maximal, k):
 def ref_extend_selfdual(n, maximal):
     """The members, plus B + {n+1} for every maximal set B of the dual."""
     return ref_antichain(list(maximal) + [m | 1 << n for m in ref_dual(n, maximal)])
+
+
+def format_formula(f):
+    if isinstance(f, Var):
+        return str(f.player)
+    inner = ",".join(format_formula(c) for c in f.children)
+    if isinstance(f, And):
+        return f"and({inner})"
+    if isinstance(f, Or):
+        return f"or({inner})"
+    return f"thr{f.k}({inner})"

@@ -141,12 +141,12 @@ def test_criterion_05_classical_exhaustive():
                 m = shamir_msp(n, k, GF7)
                 for s in range(7):
                     a = tuple((3 * s + i + 1) % 7 for i in range(k))
-                    sv = share(m, s, a)
+                    entries = share(m, s, a)
                     for q_players in itertools.combinations(range(1, n + 1), k + 1):
                         q = mask(*q_players, n=n)
-                        points = [(i, sv.entries[i - 1]) for i in q_players]
+                        points = [(i, entries[i - 1]) for i in q_players]
                         assert lagrange_at_zero(GF7, points) == s
-                        assert reconstruct(m, q, shares_of(sv, q)) == s
+                        assert reconstruct(m, q, shares_of(m, entries, q)) == s
 
 
 def test_criterion_06_oracle_equivalence():

@@ -7,7 +7,6 @@ from spanshare import classical, msp as msp_module
 from spanshare.classical import (
     ReconstructionError,
     ShareFormatError,
-    ShareVector,
     build_reconstruction_plan,
     format_share_file,
     parse_share_file,
@@ -15,11 +14,11 @@ from spanshare.classical import (
     share,
     verify_classical,
 )
-from spanshare.msp import MSP, compile_formula, msp_structure, shamir_msp
+from spanshare.msp import compile_formula, msp_structure, shamir_msp
 from spanshare.structures import mask_from_players, parse_formula, threshold_structure
 
 import reference_classical
-from conftest import random_msps, shares_of
+from conftest import random_msps, shares_of, unchecked_msp
 from reference_classical import ref_verify_classical
 from reference_galois import det, left_mul
 
@@ -37,22 +36,22 @@ def shamir13():
 
 
 def test_share_examples(shamir13):
-    assert share(shamir13, 3, (2,)).entries == (0, 2, 4)
-    assert share(shamir13, 0, (0,)).entries == (0, 0, 0)
+    assert share(shamir13, 3, (2,)) == (0, 2, 4)
+    assert share(shamir13, 0, (0,)) == (0, 0, 0)
     with pytest.raises(ValueError):
         share(shamir13, 1, (1, 2))
 
 
 def test_share_vector_refuses_a_length_other_than_d(shamir13):
     with pytest.raises(ValueError, match="^share vector length does not match the MSP$"):
-        ShareVector(shamir13, (0, 2))
+        format_share_file(shamir13, (0, 2))
 
 
 def test_reconstruct_examples(shamir13):
     assert reconstruct(shamir13, mask(2, 3, n=3), {1: 2, 2: 4}) == 3
 
-    sv = share(shamir13, 0, (0,))
-    assert reconstruct(shamir13, mask(1, 2, 3, n=3), shares_of(sv, 0b111)) == 0
+    entries = share(shamir13, 0, (0,))
+    assert reconstruct(shamir13, mask(1, 2, 3, n=3), shares_of(shamir13, entries, 0b111)) == 0
 
     with pytest.raises(ReconstructionError, match="cannot reconstruct"):
         reconstruct(shamir13, mask(1, n=3), {0: 0})
@@ -66,10 +65,10 @@ def test_round_trip_all_qualified_sets(shamir13):
     p = GF5.p
     for s in range(p):
         for a in itertools.product(range(p), repeat=shamir13.e - 1):
-            sv = share(shamir13, s, a)
+            entries = share(shamir13, s, a)
             for q in range(1 << shamir13.n):
                 if not structure.is_member(q):
-                    assert reconstruct(shamir13, q, shares_of(sv, q)) == s
+                    assert reconstruct(shamir13, q, shares_of(shamir13, entries, q)) == s
 
 
 from conftest import lagrange_at_zero
@@ -81,19 +80,21 @@ def test_reconstruct_matches_lagrange(n, k, p):
     msp = shamir_msp(n, k, field)
     for s in range(0, p, 2):
         a = tuple((s + 1 + i) % p for i in range(k))
-        sv = share(msp, s, a)
+        entries = share(msp, s, a)
         for q_players in itertools.combinations(range(1, n + 1), k + 1):
             q = mask(*q_players, n=n)
-            points = [(i, sv.entries[i - 1]) for i in q_players]
+            points = [(i, entries[i - 1]) for i in q_players]
             expected = lagrange_at_zero(field, points)
             assert expected == s
-            assert reconstruct(msp, q, shares_of(sv, q)) == expected
+            assert reconstruct(msp, q, shares_of(msp, entries, q)) == expected
 
 
 def test_build_plan_example(shamir13):
     plan = build_reconstruction_plan(shamir13, mask(1, n=3))
-    assert plan.v == (1, 4)
-    assert plan.u1 == (3, 3)
+    # the rows after the first annihilate M_A v for v = (1, 4), a kernel witness of M_B
+    assert shamir13.matrix.take_rows((0,)).matvec((1, 4)) == (0,)
+    w = shamir13.matrix.take_rows(plan.a_rows).matvec((1, 4))
+    assert all(GF5.dot(row, w) == 0 for row in plan.u.data[1:])
     assert plan.u.data == ((3, 3), (1, 2))
     assert det(plan.u) != 0
     assert plan.a_rows == (1, 2)
@@ -121,7 +122,7 @@ def test_build_plan_empty_set(shamir13):
     assert len(plan.a_rows) == shamir13.d
     assert plan.u.rows == plan.u.cols == 3
     assert det(plan.u) != 0
-    assert left_mul(shamir13.matrix.take_rows(plan.a_rows), plan.u1) == shamir13.eps
+    assert left_mul(shamir13.matrix.take_rows(plan.a_rows), plan.u.data[0]) == shamir13.eps
 
 
 def plan_extracts_secret(msp, b_mask):
@@ -195,10 +196,10 @@ def test_verify_classical_refuses_a_structure_over_other_players(shamir13):
 def test_verify_classical_detects_corruption(shamir13):
     # zero out the secret column; dealt shares no longer depend on s
     corrupted_matrix = Matrix.from_rows(GF5, [(0, r[1]) for r in shamir13.matrix.data], 2)
-    corrupted = MSP._unchecked(GF5, corrupted_matrix, shamir13.psi, 3)
+    corrupted = unchecked_msp(GF5, corrupted_matrix, shamir13.psi, 3)
     report = verify_classical(corrupted, structure=threshold_structure(3, 1))
     assert not report.passed
-    assert report.failures
+    assert report.failure
 
 
 @pytest.mark.parametrize("shift", [0, 1])
@@ -220,14 +221,13 @@ def test_verify_classical_matches_deal_loop(monkeypatch, shift):
     for i, msp in enumerate(random_msps(200, 11)):
         for structure in (msp_structure(msp), threshold_structure(msp.n, i % msp.n)):
             report = verify_classical(msp, structure=structure)
-            assert (report.passed, report.failures) == ref_verify_classical(msp, structure)
-            seen.add(report.failures[0].split()[0].partition("=")[0] if report.failures else "pass")
+            assert (report.passed, report.failure) == ref_verify_classical(msp, structure)
+            seen.add(report.failure.split()[0].partition("=")[0] if report.failure else "pass")
     assert seen == {"pass", "qualified", "B"} | ({"set"} if shift else set())
 
 
 def test_share_file_round_trip(shamir13):
-    sv = share(shamir13, 3, (2,))
-    text = format_share_file(sv, comment="seed 7")
+    text = format_share_file(shamir13, share(shamir13, 3, (2,)), comment="seed 7")
     p, shares = parse_share_file(text)
     assert p == 5
     assert shares == {0: (1, 0), 1: (2, 2), 2: (3, 4)}

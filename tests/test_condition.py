@@ -293,10 +293,19 @@ def test_lift_report_counterexample(counterexample):
     assert report.witness is not None
 
 
-def test_lift_report_default_probes(shamir_table):
-    report = lift_report(shamir_table, mask(1, n=3), seed=5)
+def test_lift_report_default_probes(shamir_table, monkeypatch):
+    families = []
+    probe_family = condition.probe_family
+
+    def recorded(*args, **kwargs):
+        families.append(probe_family(*args, **kwargs))
+        return families[-1]
+
+    monkeypatch.setattr(condition, "probe_family", recorded)
+    lift_report(shamir_table, mask(1, n=3), seed=5)
+    (family,) = families
     basis = [f"basis:{s}" for s in range(5)]
-    assert report.inputs == basis + ["uniform"] + [f"random:{i}" for i in range(10)]
+    assert [name for name, _ in family] == basis + ["uniform"] + [f"random:{i}" for i in range(10)]
 
 
 def test_lift_single_secret_scheme():
@@ -418,7 +427,8 @@ def test_dense_views_still_call_eigvalsh(monkeypatch, counterexample):
             # one call per slice of the pairs a < b, each slice of at most
             # max(one pair's entries, _PAIR_CHUNK) entries
             entries = sch.share_sizes[0] ** 2
-            pairs = len(report.inputs) * (len(report.inputs) - 1) // 2
+            probes = len(quantum.probe_family(sch.secret_count, seed, n_random=10))
+            pairs = probes * (probes - 1) // 2
             assert len(calls) == -(-pairs // max(chunk // entries, 1))
             assert max(math.prod(shape) for shape in calls) <= max(entries, chunk)
     assert len(calls) > 1
@@ -427,7 +437,7 @@ def test_dense_views_still_call_eigvalsh(monkeypatch, counterexample):
 
 def report_bits(report):
     """The report's fields, its distance as the float's exact bits."""
-    return report.passed, report.max_distance.hex(), report.witness, report.inputs
+    return report.passed, report.max_distance.hex(), report.witness
 
 
 def test_stacked_lift_report_matches_the_per_probe_reference_bit_for_bit(monkeypatch):
@@ -468,7 +478,7 @@ def test_stacked_lift_report_matches_the_per_probe_reference_bit_for_bit(monkeyp
         slices.append(len(eigvalsh_calls) - before)
         # one trace in chunks, each adding at most max(probes, _PAIR_CHUNK)
         # complex terms, as real and imaginary parts, to the sums so far
-        probes = len(report.inputs)
+        probes = len(quantum.probe_family(sch.secret_count, seed, n_random=10))
         prior = [0] + [size for _, size in sums[:-1]]
         assert len(sums) > 1
         assert all(weights - size <= 2 * max(probes, 7) for (weights, _), size in zip(sums, prior))

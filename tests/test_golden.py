@@ -17,9 +17,11 @@ from spanshare.classical import verify_classical
 from spanshare.cli import main
 from spanshare.condition import format_scheme, generate_valid_schemes, scheme_from_msp
 from spanshare.galois import Field, Matrix
-from spanshare.msp import MSP, compile_formula, dual_msp, dump_msp, extend_msp, msp_structure, shamir_msp
+from spanshare.msp import compile_formula, dual_msp, dump_msp, extend_msp, msp_structure, shamir_msp
 from spanshare.quantum import qss_pure
 from spanshare.structures import parse_formula, threshold_structure
+
+from conftest import unchecked_msp
 
 GF5 = Field(5)
 
@@ -93,7 +95,7 @@ def test_scheme_from_msp_tables_golden():
 
 def _corrupted(rows):
     shamir = shamir_msp(3, 1, GF5)
-    return MSP._unchecked(GF5, Matrix.from_rows(GF5, rows, 2), shamir.psi, 3)
+    return unchecked_msp(GF5, Matrix.from_rows(GF5, rows, 2), shamir.psi, 3)
 
 
 def test_verify_classical_failure_messages_golden():

@@ -29,7 +29,8 @@ from spanshare.structures import (
     threshold_structure,
 )
 
-from conftest import msp_corpus
+from conftest import msp_corpus, unchecked_msp
+from reference_structures import format_formula
 
 GF2 = Field(2)
 GF5 = Field(5)
@@ -216,17 +217,11 @@ def small_formulas(draw, n=4):
         st.recursive(
             st.integers(1, n).map(lambda i: parse_formula(str(i))),
             lambda kids: st.tuples(st.sampled_from(["and", "or"]), st.lists(kids, min_size=2, max_size=3)).map(
-                lambda t: parse_formula(f"{t[0]}({','.join(map(lambda c: c_text(c), t[1]))})")
+                lambda t: parse_formula(f"{t[0]}({','.join(map(format_formula, t[1]))})")
             ),
             max_leaves=6,
         )
     )
-
-
-def c_text(f):
-    from spanshare.structures import format_formula
-
-    return format_formula(f)
 
 
 @given(small_formulas())
@@ -269,7 +264,7 @@ def labeled_msps(draw):
             for player in range(1, n + 1) for _ in range(draw(st.integers(0, 3)))]
     rows = draw(st.permutations(rows))
     matrix = Matrix.from_rows(field, [r for _, r in rows], e)
-    return MSP._unchecked(field, matrix, tuple(player for player, _ in rows), n)
+    return unchecked_msp(field, matrix, tuple(player for player, _ in rows), n)
 
 
 @given(labeled_msps())

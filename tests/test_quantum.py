@@ -229,13 +229,13 @@ def test_fidelity_and_trace_distance_examples():
     zero = projector(probe(5, {0: 1}))
     assert trace_distance(maximally_mixed, zero) == pytest.approx(4 / 5)
 
-    within, value = trace_distance_within(maximally_mixed, zero, 1e-9)
+    within, value = trace_distance_within(maximally_mixed, zero)
     assert not within and value == pytest.approx(4 / 5)
 
     with pytest.raises(ValueError):
         trace_distance(maximally_mixed, dense_dm((2,), np.eye(2) / 2))
     with pytest.raises(ValueError, match="^trace distance of density matrices with different dimensions$"):
-        trace_distance_within(maximally_mixed, dense_dm((2,), np.eye(2) / 2), 1e-9)
+        trace_distance_within(maximally_mixed, dense_dm((2,), np.eye(2) / 2))
     with pytest.raises(ValueError):
         fidelity(maximally_mixed, probe(2, {0: 1}))
 
@@ -367,7 +367,7 @@ def test_a_stacked_density_matrix_checks_every_state():
         fidelity(stack, np.array([1.0, 0.0]))
     for pair in ((stack, single), (single, stack)):
         with pytest.raises(ValueError, match="stack"):
-            trace_distance_within(*pair, 1e-9)
+            trace_distance_within(*pair)
 
 
 def test_amplitude_budget_refuses_every_sweep(orand):

@@ -359,7 +359,7 @@ def test_a_plan_is_held_only_under_its_chunk_bound(monkeypatch, plan_builds):
 
 
 def assert_same_distance(rho1, rho2):
-    fast = trace_distance_within(rho1, rho2, quantum.SECRECY_TOL)
+    fast = trace_distance_within(rho1, rho2)
     ref = ref_trace_distance_within(rho1, rho2, quantum.SECRECY_TOL)
     assert fast[0] == ref[0] and abs(fast[1] - ref[1]) <= ATOL
     return fast[0]
@@ -391,7 +391,7 @@ def test_leaking_pairs_on_equal_supports_take_the_exact_path():
         assert not assert_same_distance(r1, r2)
         # the Frobenius bound did not certify, so the value is the exact distance
         exact = 0.5 * np.abs(np.linalg.eigvalsh(r1.mat - r2.mat)).sum()
-        assert abs(trace_distance_within(r1, r2, quantum.SECRECY_TOL)[1] - exact) <= ATOL
+        assert abs(trace_distance_within(r1, r2)[1] - exact) <= ATOL
 
 
 def test_fast_paths_make_no_matvec_calls(monkeypatch):
@@ -444,7 +444,7 @@ def test_partial_trace_at_and_past_the_reduction_guard(monkeypatch):
     r1, r2 = (partial_trace(state(4096, flip), (0,)) for flip in (0, 1))
     assert r1.dim == 4096 and r1.index.tolist() == [0, 4096**2 - 1]
     assert np.allclose(r1.values, [0.36, 0.64], rtol=0, atol=ATOL)
-    assert trace_distance_within(r1, r2, quantum.SECRECY_TOL) == (True, 0.0)
+    assert trace_distance_within(r1, r2) == (True, 0.0)
     monkeypatch.setattr(quantum, "_pair_chunks", lambda *args: pytest.fail("expanded"))
     with pytest.raises(ValueError, match=r"^reduced dimension 4097 exceeds the exact-simulation guard \(4096\)$"):
         partial_trace(state(4097, 0), (0,))

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_structures import is_subset
+from reference_structures import format_formula, is_subset
 from spanshare import structures as structures_module
 from spanshare.structures import (
     AdversaryStructure,
@@ -18,7 +18,6 @@ from spanshare.structures import (
     build_structure,
     complement,
     eval_formula,
-    format_formula,
     format_structure,
     full_mask,
     mask_from_players,
