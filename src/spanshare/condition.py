@@ -352,8 +352,8 @@ class LiftReport:
 
 
 def lift_report(sch: ClassicalScheme, u_mask: int, seed: int = 0) -> LiftReport:
-    """Build the lifted state for each probe and compare the exact
-    reduced density matrices on U.
+    """Build the lifted state for each probe on the table's codes and
+    compare the exact reduced density matrices on U.
 
     This is the ground truth that validates eq1_check; it never shares
     code with it beyond the table itself. The probes are
@@ -369,17 +369,17 @@ def lift_report(sch: ClassicalScheme, u_mask: int, seed: int = 0) -> LiftReport:
     if dim > ORACLE_DIMENSION_GUARD:
         raise ValueError(f"lifted state dimension {dim} exceeds the oracle guard")
     family = probe_family(sch.secret_count, seed, n_random=10)
-    # every share lies below its space size, so past the guard it fits int64
-    values = [np.array(v, dtype=np.int64) for v in sch.share_values]
-    words = np.column_stack([v[c] for v, c in zip(values, sch.codes.T)])
     roots = np.array([(w / sch.denominator) ** 0.5 for w in sch.numerators.tolist()])
     u_coords = [i for i in range(sch.n) if u_mask >> i & 1]
     # The probes' states are one stack on all rows of the table, zero
     # amplitudes kept, so one trace has one support for them all and the
     # labels are checked once. Q is correct, so each traced-out group holds
     # the rows of one secret, and a zero amplitude only adds exact zeros.
+    # Each share is labelled by its rank among its player's values (the
+    # table's codes, ranks as dims): that relabelling is a local isometry,
+    # so every view keeps its nonzero spectrum, on no more dims than used.
     amplitudes = np.array([alpha[sch.secrets] * roots for _, alpha in family])
-    views = partial_trace(QuantumState(sch.share_sizes, words, amplitudes), u_coords)
+    views = partial_trace(QuantumState(tuple(sch._dims[1:]), sch.codes, amplitudes), u_coords)
     u_dim = views.dim
     # each probe's view: its diagonal when the support is diagonal, else its dense matrix
     diagonal = not (views.index % (u_dim + 1)).any()

@@ -14,12 +14,13 @@ Constructions here: the Shamir/Vandermonde instance, compilation of
 monotone threshold formulas by one block-insertion composer (each
 child's secret entry times a head row of the gate: (1) for or, unit
 vectors then (1, -1, ..., -1) for and, a Vandermonde row for
-threshold), a generic dualizer, the one-extra-player self-dual
-extension, and ``_linear_deals``, the one dealer of every linear
-scheme: the MSP label table and ``condition``'s group-homomorphic
-schemes both read its array of h (s, r), indexed (secret, randomness,
-share), and it alone enforces ``ENUMERATION_GUARD``. ``MSP`` alone
-checks its player count (1..16) and full column rank.
+threshold) on plain (rows, psi) lists, a generic dualizer, the
+one-extra-player self-dual extension, and ``_linear_deals``, the one
+dealer of every linear scheme: the MSP label table and ``condition``'s
+group-homomorphic schemes both read its array of h (s, r), indexed
+(secret, randomness, share), and it alone enforces
+``ENUMERATION_GUARD``. ``MSP`` alone checks its player count (1..16)
+and full column rank; each constructor builds one, the one it returns.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ from .structures import (
     _read_lines,
     complement,
     eval_formula,
-    make_and,
-    make_or,
     max_player,
     players_from_mask,
 )
@@ -194,31 +193,26 @@ def shamir_msp(n: int, k: int, field: Field) -> MSP:
 # composition
 
 
-def _var_msp(field: Field, player: int, n: int) -> MSP:
-    return MSP(field, Matrix.from_rows(field, [(1,)], 1), (player,), n)
+def _compose(p: int, heads: list[tuple[int, ...]], parts: list[tuple[list, list]]) -> tuple[list, list]:
+    """The (rows, psi) of one gate of k = len(heads[i]) secret columns
+    over the parts, each a (rows, psi) pair.
 
-
-def _compose(field: Field, heads: list[tuple[int, ...]], parts: list[MSP], n: int) -> MSP:
-    """Insert the parts into one gate of k = len(heads[i]) secret columns.
-
-    Part i's secret entry a becomes a * heads[i] on the first k
+    Part i's secret entry a becomes a * heads[i] mod p on the first k
     columns, and its randomness columns go to fresh columns at the
     running offset, so the parts' randomness stays independent.
     """
     k = len(heads[0])
-    cols = k + sum(part.e - 1 for part in parts)
-    rows: list[list[int]] = []
-    psi: list[int] = []
+    cols = k + sum(len(rows[0]) - 1 for rows, _ in parts)
+    out_rows, out_psi = [], []
     offset = k
-    for head, part in zip(heads, parts):
-        for r in range(part.d):
-            a, *rest = part.matrix.row(r)
-            row = [a * h for h in head] + [0] * (cols - k)
-            row[offset : offset + part.e - 1] = rest
-            rows.append(row)
-            psi.append(part.psi[r])
-        offset += part.e - 1
-    return MSP(field, Matrix.from_rows(field, rows, cols), tuple(psi), n)
+    for head, (rows, psi) in zip(heads, parts):
+        for a, *rest in rows:
+            row = [a * h % p for h in head] + [0] * (cols - k)
+            row[offset : offset + len(rest)] = rest
+            out_rows.append(row)
+        out_psi += psi
+        offset += len(rows[0]) - 1
+    return out_rows, out_psi
 
 
 def _and_heads(arity: int) -> list[tuple[int, ...]]:
@@ -231,22 +225,20 @@ def _and_heads(arity: int) -> list[tuple[int, ...]]:
 _VERIFY_LIMIT = 12
 
 
-def _compile(f: Formula, field: Field, n: int) -> MSP:
+def _compile(f: Formula, p: int) -> tuple[list, list]:
     if isinstance(f, Var):
-        return _var_msp(field, f.player, n)
-    parts = [_compile(c, field, n) for c in f.children]
+        return [[1]], [f.player]
+    parts = [_compile(c, p) for c in f.children]
     arity = len(parts)
     if isinstance(f, Or):
-        return _compose(field, [(1,)] * arity, parts, n)
+        return _compose(p, [(1,)] * arity, parts)
     if isinstance(f, And):
-        return _compose(field, _and_heads(arity), parts, n)
-    if field.p <= arity:
-        raise ValueError(
-            f"field GF({field.p}) too small for a threshold gate of arity {arity}"
-        )
+        return _compose(p, _and_heads(arity), parts)
+    if p <= arity:
+        raise ValueError(f"field GF({p}) too small for a threshold gate of arity {arity}")
     # one row of an arity x k Vandermonde block per part
-    heads = [tuple(pow(x, j, field.p) for j in range(f.k)) for x in range(1, arity + 1)]
-    return _compose(field, heads, parts, n)
+    heads = [tuple(pow(x, j, p) for j in range(f.k)) for x in range(1, arity + 1)]
+    return _compose(p, heads, parts)
 
 
 def compile_formula(f: Formula, field: Field, n: int | None = None) -> MSP:
@@ -260,7 +252,9 @@ def compile_formula(f: Formula, field: Field, n: int | None = None) -> MSP:
         n = needed
     if n < needed:
         raise ValueError(f"formula references player {needed} but n={n}")
-    out = _compile(f, field, n)
+    _check_player_count(n)
+    rows, psi = _compile(f, field.p)
+    out = MSP(field, Matrix.from_rows(field, rows), tuple(psi), n)
     if n <= _VERIFY_LIMIT:
         structure = msp_structure(out)
         for b in range(1 << n):
@@ -274,18 +268,20 @@ def dual_msp(msp: MSP) -> MSP:
 
     Generic construction: the minimal qualified sets of the dual
     structure are exactly the complements of the maximal sets of this
-    MSP's structure, so compile their or-of-ands formula. Correct but
-    not size-preserving; a size-optimal dualizer can be swapped in
-    here without changing any caller.
+    MSP's structure, so compose the or of their ands, complements in
+    ascending mask order, and check it once against the dual structure.
+    Correct but not size-preserving; a size-optimal dualizer can be
+    swapped in here without changing any caller.
     """
     structure = msp_structure(msp)
-    dual_structure = structure.dual()
-    min_qualified = sorted(complement(m, msp.n) for m in structure.maximal)
-    conjuncts = [
-        make_and([Var(i) for i in players_from_mask(mq)]) for mq in min_qualified
-    ]
-    out = compile_formula(make_or(conjuncts), msp.field, msp.n)
-    if msp.n <= _VERIFY_LIMIT and msp_structure(out) != dual_structure:
+    p = msp.field.p
+    conjuncts = []
+    for mq in sorted(complement(m, msp.n) for m in structure.maximal):
+        players = players_from_mask(mq)
+        conjuncts.append(_compose(p, _and_heads(len(players)), [([[1]], [i]) for i in players]))
+    rows, psi = _compose(p, [(1,)] * len(conjuncts), conjuncts)
+    out = MSP(msp.field, Matrix.from_rows(msp.field, rows), tuple(psi), msp.n)
+    if msp.n <= _VERIFY_LIMIT and msp_structure(out) != structure.dual():
         raise RuntimeError("dual MSP does not compute the dual structure")
     return out
 
@@ -303,13 +299,11 @@ def extend_msp(msp: MSP, dualizer=dual_msp) -> MSP:
     extension within a constant factor of the input.
     """
     expected = msp_structure(msp).extend_selfdual()
-    n2 = msp.n + 1
-    base = MSP(msp.field, msp.matrix, msp.psi, n2)
-    dual_part = dualizer(msp)
-    dual_lifted = MSP(msp.field, dual_part.matrix, dual_part.psi, n2)
-    tau = _var_msp(msp.field, n2, n2)
-    dual_and_tau = _compose(msp.field, _and_heads(2), [dual_lifted, tau], n2)
-    out = _compose(msp.field, [(1,), (1,)], [base, dual_and_tau], n2)
+    n2, p = msp.n + 1, msp.field.p
+    dual = dualizer(msp)
+    dual_and_tau = _compose(p, _and_heads(2), [(dual.matrix.data, dual.psi), ([[1]], [n2])])
+    rows, psi = _compose(p, [(1,), (1,)], [(msp.matrix.data, msp.psi), dual_and_tau])
+    out = MSP(msp.field, Matrix.from_rows(msp.field, rows), tuple(psi), n2)
     if msp_structure(out) != expected:
         raise RuntimeError("extended MSP does not compute the extended structure")
     return out

@@ -366,15 +366,6 @@ class Threshold:
 Formula = Union[Var, And, Or, Threshold]
 
 
-def make_and(children: Sequence[Formula]) -> Formula:
-    """And over children, collapsing the single-child case."""
-    return children[0] if len(children) == 1 else And(tuple(children))
-
-
-def make_or(children: Sequence[Formula]) -> Formula:
-    return children[0] if len(children) == 1 else Or(tuple(children))
-
-
 def eval_formula(f: Formula, mask: int) -> int:
     """Evaluate on the player set given as a bitmask; returns 0 or 1."""
     if isinstance(f, Var):

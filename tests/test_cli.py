@@ -421,10 +421,14 @@ def test_malformed_files_never_traceback(tmp_path, capsys, content):
 
 
 def test_console_entry_point():
+    # the subprocess imports the package this suite imported, installed or not
+    package_root = str(Path(cli.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "spanshare.cli", "msp", "from-formula", "or(1,2)", "--field", "5"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert result.stdout.startswith("msp field=5 d=2 e=1 n=2")

@@ -216,6 +216,42 @@ def test_eq1_on_large_composite_weights():
     assert eq1_check(sch, U1) and lift_report(sch, U1).passed
 
 
+class _Traced(Exception):
+    pass
+
+
+def test_lift_report_traces_the_table_codes(monkeypatch):
+    # player 1 declares 4096 shares and deals two of them: its view of the
+    # lifted state has two dimensions, not a 4096 x 4096 dense matrix
+    sch = parse_scheme((FIXTURES / "wide_space.scheme").read_text())
+    dims = []
+
+    def recording(state, keep):
+        dims.append(quantum.partial_trace(state, keep).dim)
+        raise _Traced
+
+    monkeypatch.setattr(condition, "partial_trace", recording)
+    with pytest.raises(_Traced):
+        lift_report(sch, U1)
+    assert dims == [2]
+    monkeypatch.undo()
+    assert eq1_check(sch, U1) and lift_report(sch, U1).passed
+
+
+def test_lift_report_on_codes_matches_share_words_within_round_off():
+    # every share v dealt as 3v + 1 in a space of 3 size + 1: on the codes the
+    # spectra lose the declared but undealt dims, so a distance may move in
+    # its last bits (and a witness among tied pairs with it), never a verdict
+    for sch in generate_valid_schemes(60, 1, max_secrets=4, max_share_size=6, max_denominator=24):
+        columns = [np.array(v)[c] * 3 + 1 for v, c in zip(sch.share_values, sch.codes.T)]
+        sizes = tuple(3 * size + 1 for size in sch.share_sizes)
+        wide = ClassicalScheme(sch.n, sch.secret_count, sizes, sch.secrets, columns,
+                               sch.numerators, sch.denominator)
+        report, words = lift_report(wide, U1, seed=1), ref_per_probe_lift_report(wide, U1, 1)
+        assert report.passed == words.passed
+        assert report.max_distance == pytest.approx(words.max_distance, rel=1e-14, abs=1e-14)
+
+
 def test_square_classes_match_trial_division(shamir_table, counterexample):
     # equal keys exactly where the squarefree parts are equal, on the
     # committed tables and the generated ones the reference checks read

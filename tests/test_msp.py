@@ -30,6 +30,7 @@ from spanshare.structures import (
 )
 
 from conftest import msp_corpus, unchecked_msp
+from reference_msp import ref_compile_formula, ref_dual_msp, ref_extend_msp
 from reference_structures import format_formula
 
 GF2 = Field(2)
@@ -211,12 +212,18 @@ def test_parse_msp_errors():
         parse_msp("msp field=5 d=1 e=1 n=1\nrow 1 x\n")
 
 
+def _fits(gate_kids):
+    """A thrk gate needs at least k children."""
+    gate, kids = gate_kids
+    return not gate.startswith("thr") or int(gate[3:]) <= len(kids)
+
+
 @st.composite
-def small_formulas(draw, n=4):
+def small_formulas(draw, n=4, gates=("and", "or")):
     return draw(
         st.recursive(
             st.integers(1, n).map(lambda i: parse_formula(str(i))),
-            lambda kids: st.tuples(st.sampled_from(["and", "or"]), st.lists(kids, min_size=2, max_size=3)).map(
+            lambda kids: st.tuples(st.sampled_from(gates), st.lists(kids, min_size=2, max_size=3)).filter(_fits).map(
                 lambda t: parse_formula(f"{t[0]}({','.join(map(format_formula, t[1]))})")
             ),
             max_leaves=6,
@@ -229,6 +236,41 @@ def small_formulas(draw, n=4):
 def test_compiled_msp_full_column_rank(f):
     msp = compile_formula(f, GF5)
     assert rank(msp.matrix) == msp.e
+
+
+# ---------------------------------------------------------------------------
+# the plain-row composer against the per-node MSP composer
+
+
+def outcome(build):
+    """The dump of the MSP built, or the refusal's type and message."""
+    try:
+        return dump_msp(build())
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@given(
+    small_formulas(n=6, gates=("and", "or", "thr1", "thr2", "thr3")),
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.sampled_from([None, 6]),
+)
+@settings(max_examples=100, deadline=None)
+def test_constructions_match_the_per_node_composer(f, p, n):
+    field = Field(p)
+    compiled = outcome(lambda: compile_formula(f, field, n))
+    assert compiled == outcome(lambda: ref_compile_formula(f, field, n))
+    if compiled.startswith("msp "):
+        m = compile_formula(f, field, n)
+        assert outcome(lambda: dual_msp(m)) == outcome(lambda: ref_dual_msp(m))
+        assert outcome(lambda: extend_msp(m)) == outcome(lambda: ref_extend_msp(m))
+
+
+@pytest.mark.parametrize("text, n", [("thr2(17,1,2)", None), ("thr2(1,2,3)", 17)])
+def test_compile_formula_names_the_player_count_before_a_small_field(text, n):
+    for compile_ in (compile_formula, ref_compile_formula):
+        with pytest.raises(ValueError, match=r"^player count must lie in 1\.\.16, got 17$"):
+            compile_(parse_formula(text), GF2, n)
 
 
 # ---------------------------------------------------------------------------
