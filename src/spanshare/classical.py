@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .galois import Matrix, kernel_basis, kernel_witness, rank, solve_left
-from .msp import MSP, msp_structure, rows_of
+from .msp import MSP, _row_keys, msp_structure, rows_of
 from .structures import AdversaryStructure, FormatError, _read_ints, _read_lines, complement, format_players
 
 
@@ -166,11 +166,12 @@ def verify_classical(
         )
 
     for b in members:
-        views = table[:, :, msp.row_indices(b)]
-        # the multiset of B's share tuples for each secret: distinct tuples and counts
-        tallies = [np.unique(view, axis=0, return_counts=True) for view in views]
+        rows = msp.row_indices(b)
+        # one int64 key per deal for B's share tuple; each secret's sorted keys are its multiset
+        keys = _row_keys(table[:, :, rows].reshape(deals, -1), range(len(rows)), (p,) * len(rows))
+        keys = np.sort(keys.reshape(p, block), axis=1)
         for s in range(1, p):
-            if not all(np.array_equal(x, y) for x, y in zip(tallies[s], tallies[0])):
+            if not np.array_equal(keys[s], keys[0]):
                 return ClassicalVerifyReport(
                     deals, f"B={{{format_players(b)}}} share distribution differs between secrets 0 and {s}"
                 )

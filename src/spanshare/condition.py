@@ -35,9 +35,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .msp import ENUMERATION_GUARD, MSP, _linear_deals, msp_structure
+from .msp import ENUMERATION_GUARD, MSP, _linear_deals, _row_keys, msp_structure
 from . import quantum
-from .quantum import SECRECY_TOL, QuantumState, _row_keys, partial_trace, probe_family
+from .quantum import SECRECY_TOL, QuantumState, partial_trace, probe_family
 from .structures import AdversaryStructure, FormatError, complement, format_players, full_mask
 from .structures import _check_player_count, _read_header, _read_ints, _read_lines
 
@@ -58,7 +58,7 @@ def _groups(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarr
     of its rows' weights."""
     order = keys.argsort(kind="stable")
     ordered = keys[order]
-    starts = np.flatnonzero(np.r_[len(keys) > 0, ordered[1:] != ordered[:-1]])
+    starts = np.flatnonzero(np.concatenate(([len(keys) > 0], ordered[1:] != ordered[:-1])))
     return order[starts], np.add.reduceat(weights[order], starts)
 
 
@@ -203,9 +203,15 @@ def check_secrecy(sch: ClassicalScheme, u_mask: int) -> bool:
     return bool((words == words[0]).all() and (mass == mass[0]).all())
 
 
+def _distinct(keys: np.ndarray) -> int:
+    """How many distinct keys there are, by one sort and a count of changes."""
+    keys = np.sort(keys)
+    return int(np.count_nonzero(keys[1:] != keys[:-1])) + (len(keys) > 0)
+
+
 def check_correctness(sch: ClassicalScheme, q_mask: int) -> bool:
     """True iff every supported Q-share word determines the secret."""
-    return len(np.unique(_keys(sch, q_mask))) == len(np.unique(_keys(sch, q_mask, secret=True)))
+    return _distinct(_keys(sch, q_mask)) == _distinct(_keys(sch, q_mask, secret=True))
 
 
 def _derive_structure(sch: ClassicalScheme) -> AdversaryStructure:
@@ -308,23 +314,32 @@ def eq1_check(sch: ClassicalScheme, u_mask: int) -> bool:
     independent over the rationals, so two sums are equal iff their maps
     are. Two U-words meet in a term only inside one Q-word's column, so
     all tables are summed in one pass over the rows sorted by secret,
-    Q-word and U-word. Each weight is written once as n = a*a*k
+    Q-word and U-word, and a row alone in its column adds no term: only
+    columns of two or more rows are walked (none on a linear table, where
+    Q determines U's shares). Each weight is written once as n = a*a*k
     (``_square_classes``, which factors nothing); a term is then
     sqrt(n1 n2) = a1 a2 g sqrt((k1/g)(k2/g)) with g = gcd(k1, k2), whose k
     is of the same kind. Every term is positive, so no form cancels to
     empty and a pair that shares no Q-word, the empty (zero) sum, is simply
     absent. The diagonal is left out: G_s[yu, yu] = P(yu | s) is the
     U-marginal, which the secrecy precondition already found equal for
-    every secret.
+    every secret. The base is refined from the weights of the walked rows
+    only; every form of one call is written over that one base.
     """
     _split_preconditions(sch, u_mask)
     q_mask = complement(u_mask, sch.n)
     sq, u = _keys(sch, q_mask, secret=True), _keys(sch, u_mask)
     order = np.lexsort((u, sq))
-    rows = zip(*(a[order].tolist() for a in (sq, sch.secrets, u, sch.numerators)))
+    new_column = np.diff(sq[order]) != 0
+    alone = np.ones(len(order), dtype=bool)
+    alone[1:] &= new_column
+    alone[:-1] &= new_column
+    order = order[~alone]
+    columns = [a[order].tolist() for a in (sq, sch.secrets, u, sch.numerators)]
     # every term sqrt(n1 n2) / denominator shares the denominator: forms keep integer coefficients
     grams: list[dict[tuple[int, int], dict[int, int]]] = [{} for _ in range(sch.secret_count)]
-    roots = _square_classes(sch.numerators.tolist())
+    roots = _square_classes(columns[3])
+    rows = zip(*columns)
     for _, column in itertools.groupby(rows, key=lambda row: row[0]):
         column = list(column)
         for i, (_, s, u1, n1) in enumerate(column):
@@ -365,7 +380,7 @@ def lift_report(sch: ClassicalScheme, u_mask: int, seed: int = 0) -> LiftReport:
     the sorted difference of the diagonals, the same floats.
     """
     _split_preconditions(sch, u_mask)
-    dim = math.prod(sch.share_sizes)
+    dim = math.prod(sch._dims[1:])  # the state lives on the codes: ranks as dims
     if dim > ORACLE_DIMENSION_GUARD:
         raise ValueError(f"lifted state dimension {dim} exceeds the oracle guard")
     family = probe_family(sch.secret_count, seed, n_random=10)

@@ -19,8 +19,10 @@ one-extra-player self-dual extension, and ``_linear_deals``, the one
 dealer of every linear scheme: the MSP label table and ``condition``'s
 group-homomorphic schemes both read its array of h (s, r), indexed
 (secret, randomness, share), and it alone enforces
-``ENUMERATION_GUARD``. ``MSP`` alone checks its player count (1..16)
-and full column rank; each constructor builds one, the one it returns.
+``ENUMERATION_GUARD``. ``_row_keys`` gives the int64 row keys by which
+``classical``, ``quantum`` and ``condition`` compare and group rows.
+``MSP`` alone checks its player count (1..16) and full column rank; each
+constructor builds one, the one it returns.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -113,6 +116,26 @@ class MSP:
 
 
 ENUMERATION_GUARD = 10**7
+# row-major keys stay exact below this bound; past it they are
+# compressed to dense group ids so int64 never overflows
+_KEY_LIMIT = 2**40
+
+
+def _row_keys(labels: np.ndarray, cols: Sequence[int], dims: Sequence[int]) -> np.ndarray:
+    """One int64 per label row, equal exactly when the rows agree on cols.
+
+    This is the row-major index of the cols (as numpy.ravel_multi_index)
+    whenever the product of their dims is at most 2**40.
+    """
+    key = np.zeros(len(labels), dtype=np.int64)
+    bound = 1
+    for c in cols:
+        if bound * dims[c] > _KEY_LIMIT:
+            uniq, key = np.unique(key, return_inverse=True)
+            bound = len(uniq)
+        key = key * dims[c] + labels[:, c]
+        bound *= dims[c]
+    return key
 
 
 def _linear_deals(h: tuple[tuple[int, ...], ...], moduli: tuple[int, ...]) -> np.ndarray:

@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .classical import ReconstructionPlan, build_reconstruction_plan
-from .msp import MSP, extend_msp, msp_structure
+from .msp import MSP, _row_keys, extend_msp, msp_structure
 from .structures import AdversaryStructure, NoSchemeError, format_players
 
 NORM_ATOL = 1e-12
@@ -55,28 +55,8 @@ REDUCTION_DIM_GUARD = 4096
 # a sweep compares every pair of probes on each coalition: one trace
 # distance and one report line per pair
 PROBE_PAIR_GUARD = 100_000
-# row-major keys stay exact below this bound; past it they are
-# compressed to dense group ids so int64 never overflows
-_KEY_LIMIT = 2**40
 # partial_trace expands at most about this many amplitude pairs at once
 _PAIR_CHUNK = 1 << 20
-
-
-def _row_keys(labels: np.ndarray, cols: Sequence[int], dims: Sequence[int]) -> np.ndarray:
-    """One int64 per label row, equal exactly when the rows agree on cols.
-
-    This is the row-major index of the cols (as numpy.ravel_multi_index)
-    whenever the product of their dims is at most 2**40.
-    """
-    key = np.zeros(len(labels), dtype=np.int64)
-    bound = 1
-    for c in cols:
-        if bound * dims[c] > _KEY_LIMIT:
-            uniq, key = np.unique(key, return_inverse=True)
-            bound = len(uniq)
-        key = key * dims[c] + labels[:, c]
-        bound *= dims[c]
-    return key
 
 
 @dataclass(frozen=True, eq=False)

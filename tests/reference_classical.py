@@ -27,6 +27,12 @@ are the dict walks ``condition`` ran before a scheme stored arrays:
 every check projected each row of ``table`` through ``project``, and
 the structure was read off one secrecy check per player set.
 
+``ref_check_correctness`` and ``ref_tally_verify_classical`` are
+``check_correctness`` and ``verify_classical`` as they ran before both
+compared sorted int64 keys: distinct keys counted by ``np.unique``, and
+each secret's B-share tuples tallied by ``np.unique(axis=0,
+return_counts=True)``.
+
 ``ref_compositions`` is the first-part-then-the-rest recursion that
 ``condition._compositions`` ran before it read cut points off
 ``itertools.combinations_with_replacement``.
@@ -38,10 +44,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from spanshare.classical import ClassicalVerifyReport
 from spanshare.msp import ENUMERATION_GUARD
-from spanshare.condition import LiftReport, _split_preconditions
+from spanshare.condition import LiftReport, _keys, _split_preconditions
 from spanshare.galois import solve_left
-from spanshare.msp import rows_of
+from spanshare.msp import msp_structure, rows_of
 from spanshare.quantum import SECRECY_TOL, QuantumState, partial_trace, probe_family
 from spanshare.structures import AdversaryStructure, complement, format_players
 
@@ -113,6 +120,50 @@ def ref_verify_classical(msp, structure):
                     f"B={{{format_players(b)}}} share distribution differs between secrets 0 and {s}"
                 )
     return True, None
+
+
+def ref_tally_verify_classical(msp, structure=None):
+    """verify_classical with one np.unique tally of B's share tuples per secret."""
+    table = msp._label_table
+    p, block, _ = table.shape
+    if structure is None:
+        structure = msp_structure(msp)
+    deals = p * block
+    members = list(structure.members())
+    member_set = set(members)
+    qualified = [q for q in range(1 << msp.n) if q not in member_set]
+    recombinators = {q: solve_left(rows_of(msp, q), msp.eps) for q in qualified}
+    for q, u1 in recombinators.items():
+        if u1 is None:
+            return ClassicalVerifyReport(
+                deals, f"qualified set {{{format_players(q)}}} cannot reconstruct at all"
+            )
+    first = None
+    for q, u1 in recombinators.items():
+        got = table[:, :, msp.row_indices(q)] @ np.array(u1, dtype=np.int64) % p
+        wrong = np.flatnonzero(got != np.arange(p)[:, None])
+        if wrong.size and (first is None or wrong[0] < first[0]):
+            first = (int(wrong[0]), q, int(got.flat[wrong[0]]))
+    if first is not None:
+        deal, q, got = first
+        s, *a = (int(x) for x in np.unravel_index(deal, (p,) * msp.e))
+        return ClassicalVerifyReport(
+            deals, f"set {{{format_players(q)}}} reconstructed {got} for secret {s}, a={tuple(a)}"
+        )
+    for b in members:
+        views = table[:, :, msp.row_indices(b)]
+        tallies = [np.unique(view, axis=0, return_counts=True) for view in views]
+        for s in range(1, p):
+            if not all(np.array_equal(x, y) for x, y in zip(tallies[s], tallies[0])):
+                return ClassicalVerifyReport(
+                    deals, f"B={{{format_players(b)}}} share distribution differs between secrets 0 and {s}"
+                )
+    return ClassicalVerifyReport(deals)
+
+
+def ref_check_correctness(sch, q_mask):
+    """check_correctness counting distinct keys with np.unique."""
+    return len(np.unique(_keys(sch, q_mask))) == len(np.unique(_keys(sch, q_mask, secret=True)))
 
 
 def ref_scheme_table(msp):

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from spanshare.galois import Field, Matrix
@@ -15,11 +16,11 @@ from spanshare.classical import (
     verify_classical,
 )
 from spanshare.msp import compile_formula, msp_structure, shamir_msp
-from spanshare.structures import mask_from_players, parse_formula, threshold_structure
+from spanshare.structures import AdversaryStructure, mask_from_players, parse_formula, threshold_structure
 
 import reference_classical
-from conftest import random_msps, shares_of, unchecked_msp
-from reference_classical import ref_verify_classical
+from conftest import msp_corpus, random_msps, shares_of, unchecked_msp
+from reference_classical import ref_tally_verify_classical, ref_verify_classical
 from reference_galois import det, left_mul
 
 GF5 = Field(5)
@@ -222,8 +223,68 @@ def test_verify_classical_matches_deal_loop(monkeypatch, shift):
         for structure in (msp_structure(msp), threshold_structure(msp.n, i % msp.n)):
             report = verify_classical(msp, structure=structure)
             assert (report.passed, report.failure) == ref_verify_classical(msp, structure)
+            assert str(report) == str(ref_tally_verify_classical(msp, structure))
             seen.add(report.failure.split()[0].partition("=")[0] if report.failure else "pass")
     assert seen == {"pass", "qualified", "B"} | ({"set"} if shift else set())
+
+
+def test_verify_classical_matches_the_tallies_on_msp_tables():
+    """Sorted share keys report what one np.unique tally per secret reports,
+    on the MSP corpus against its own structure and every threshold one."""
+    seen = set()
+    for msp in msp_corpus():
+        for structure in [None] + [threshold_structure(msp.n, t) for t in range(msp.n)]:
+            report = verify_classical(msp, structure)
+            assert str(report) == str(ref_tally_verify_classical(msp, structure))
+            seen.add(report.failure.split()[0].partition("=")[0] if report.failure else "pass")
+    assert seen == {"pass", "qualified", "B"}
+
+
+def _leaking_msps():
+    """(MSP, structure) pairs whose tolerable sets see the secret, and one
+    over GF(257) whose five-row view passes the exact key range and leaks
+    nothing."""
+    gf257 = Field(257)
+    cases = [
+        # player 1 holds the secret in the clear
+        (unchecked_msp(GF5, Matrix.from_rows(GF5, [(1, 0), (1, 1), (0, 1)], 2), (1, 2, 3), 3),
+         threshold_structure(3, 1)),
+        # players 1 and 2 together hold s + a and a
+        (unchecked_msp(GF7, Matrix.from_rows(GF7, [(1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1)], 3),
+                       (1, 2, 3, 3), 3), AdversaryStructure(3, (0b011, 0b100))),
+        # player 1's five rows span the secret: its keys pass 2**40 and are compressed
+        (unchecked_msp(gf257, Matrix.from_rows(gf257, [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (1, 0)], 2),
+                       (1, 1, 1, 1, 1, 2), 2), AdversaryStructure(2, (0b01,))),
+        (unchecked_msp(gf257, Matrix.from_rows(gf257, [(0, c) for c in range(1, 6)] + [(1, 0)], 2),
+                       (1, 1, 1, 1, 1, 2), 2), AdversaryStructure(2, (0b01,))),
+    ]
+    # A linear deal that leaks to B already leaks at secret 1: s times B's
+    # secret column lies in the span of B's randomness columns iff the column
+    # does. So a table dealing (2, 0) for every randomness of secret 2, where
+    # s + a and a deal the other secrets, stands for a dealer that leaks there
+    # first; every qualified set still reconstructs.
+    dealer = unchecked_msp(GF5, Matrix.from_rows(GF5, [(1, 1), (0, 1)], 2), (1, 2), 2)
+    table = np.array(dealer._label_table)
+    table[2] = (2, 0)
+    table.flags.writeable = False
+    dealer.__dict__["_label_table"] = table
+    cases.append((dealer, threshold_structure(2, 1)))
+    return cases
+
+
+def test_verify_classical_names_the_first_leak_as_the_tallies_do():
+    failures = []
+    for msp, structure in _leaking_msps():
+        report = verify_classical(msp, structure)
+        assert str(report) == str(ref_tally_verify_classical(msp, structure))
+        failures.append(report.failure)
+    assert failures == [
+        "B={1} share distribution differs between secrets 0 and 1",
+        "B={1,2} share distribution differs between secrets 0 and 1",
+        "B={1} share distribution differs between secrets 0 and 1",
+        None,
+        "B={1} share distribution differs between secrets 0 and 2",
+    ]
 
 
 def test_share_file_round_trip(shamir13):

@@ -44,6 +44,7 @@ from reference_classical import (
     _sqrt_decompose,
     _sqrt_sum,
     reconstruction_map,
+    ref_check_correctness,
     ref_eq1_check,
     ref_homomorphic_dichotomy_check,
     ref_homomorphic_table,
@@ -380,17 +381,30 @@ def _diagonal_views_text(size_q):
             "p 0 0 0 1/2\np 0 1 2 1/2\np 1 0 1 1/2\np 1 1 3 1/2\n")
 
 
+def _uniform_pair_text(a):
+    """Player 1 holds a uniform u < a; player 2's share 2u + s names both
+    it and the secret s: a x 2a shares dealt, and U = {1} has diagonal views."""
+    rows = "".join(f"p {s} {u} {2 * u + s} 1/{a}\n" for s in range(2) for u in range(a))
+    return f"scheme n=2 secrets=2\nspace 1 {a}\nspace 2 {2 * a}\n" + rows
+
+
 def test_lift_report_at_and_past_the_oracle_dimension_guard(monkeypatch, tmp_path, capsys):
-    # share spaces 1000 x 1000 lift to the guard's 10**6 dimensions; 1000 x 1001 pass it
-    at_edge = parse_scheme(_diagonal_views_text(1000))
+    # the state is built on the dealt shares: 707 x 1414 = 999,698 lies at the
+    # guard's 10**6 edge, and 708 x 1416 = 1,002,528 passes it
+    at_edge = parse_scheme(_uniform_pair_text(707))
     assert eq1_check(at_edge, U1) and lift_report(at_edge, U1).passed
-    monkeypatch.setattr(condition, "QuantumState", lambda *args: pytest.fail("built"))
-    with pytest.raises(ValueError, match=r"^lifted state dimension 1001000 exceeds the oracle guard$"):
-        lift_report(parse_scheme(_diagonal_views_text(1001)), U1)
-    path = tmp_path / "past.scheme"
+    # declared spaces 1000 x 1001 with 2 x 4 shares dealt are checked, not refused
+    path = tmp_path / "declared.scheme"
     path.write_text(_diagonal_views_text(1001))
+    assert main(["condition", "check", str(path), "--set", "1"]) == 0
+    assert capsys.readouterr() == ("eq1=true oracle=true agree=true\n", "")
+    monkeypatch.setattr(condition, "QuantumState", lambda *args: pytest.fail("built"))
+    with pytest.raises(ValueError, match=r"^lifted state dimension 1002528 exceeds the oracle guard$"):
+        lift_report(parse_scheme(_uniform_pair_text(708)), U1)
+    path = tmp_path / "past.scheme"
+    path.write_text(_uniform_pair_text(708))
     assert main(["condition", "check", str(path), "--set", "1"]) == 2
-    assert capsys.readouterr() == ("", "error: lifted state dimension 1001000 exceeds the oracle guard\n")
+    assert capsys.readouterr() == ("", "error: lifted state dimension 1002528 exceeds the oracle guard\n")
 
 
 def test_lift_report_matches_dict_reference(shamir_table):
@@ -800,15 +814,26 @@ def _check_outcome(check, sch, u):
         return f"PreconditionError: {exc}"
 
 
+def _walked_rows(sch, u):
+    """How many rows eq1_check walks on the split: those sharing their
+    (secret, Q-word) column with another row."""
+    _, counts = np.unique(condition._keys(sch, (1 << sch.n) - 1 - u, secret=True), return_counts=True)
+    return int(counts[counts > 1].sum())
+
+
 def _assert_checks_match_reference(schemes, dichotomy_splits=None):
-    """eq1 agrees with its pair-loop oracle on every split, and the
-    dichotomy on every split or on ``dichotomy_splits``; returns how
-    many dichotomy verdicts of each value were compared."""
-    seen = {True: 0, False: 0}
+    """eq1 agrees with its pair-loop oracle and correctness with its
+    np.unique count on every split, and the dichotomy on every split or on
+    ``dichotomy_splits``; returns how many dichotomy verdicts of each value
+    were compared and on how many splits eq1 gave a verdict after walking
+    some Q-column of two or more rows."""
+    seen = {True: 0, False: 0, "walked": 0}
     for sch in schemes:
         for u in range(1 << sch.n):
+            assert check_correctness(sch, u) == ref_check_correctness(sch, u), (format_scheme(sch), u)
             eq1 = _check_outcome(eq1_check, sch, u)
             assert eq1 == _check_outcome(ref_eq1_check, sch, u), (format_scheme(sch), u)
+            seen["walked"] += isinstance(eq1, bool) and _walked_rows(sch, u) > 0
         for u in dichotomy_splits or range(1 << sch.n):
             verdict = homomorphic_dichotomy_check(sch, u)
             assert verdict == ref_homomorphic_dichotomy_check(sch, u), (format_scheme(sch), u)
@@ -822,7 +847,7 @@ def test_checks_match_reference_on_generated_tables(seed):
     verdicts = [eq1_check(sch, U1) for sch in schemes]
     assert 0 < sum(verdicts) < len(verdicts)
     seen = _assert_checks_match_reference(schemes)
-    assert seen[True] and seen[False]
+    assert seen[True] and seen[False] and seen["walked"]
 
 
 @pytest.mark.parametrize(
@@ -845,17 +870,28 @@ def test_checks_match_reference_on_search_streams(monkeypatch, kwargs):
     monkeypatch.setattr(condition, "eq1_check", recording)
     condition.search_counterexample(**kwargs)
     assert streamed
-    _assert_checks_match_reference(streamed)
+    seen = _assert_checks_match_reference(streamed)
+    # in family="function" Q's share determines U's; the others stream
+    # tables with a Q-word seen with several U-words
+    assert bool(seen["walked"]) == (kwargs.get("family") != "function")
 
 
 def test_checks_match_reference_on_homomorphic_candidates():
     schemes = list(condition._homomorphic_candidates(4))
     assert len(schemes) == 150
-    _assert_checks_match_reference(schemes)
+    assert _assert_checks_match_reference(schemes)["walked"]
+
+
+def test_checks_match_reference_on_the_committed_counterexample():
+    sch = parse_scheme((FIXTURES / "counterexample.scheme").read_text())
+    # secret 1's two rows share Q-word 2
+    assert _walked_rows(sch, U1) == 2
+    assert _assert_checks_match_reference([sch])["walked"]
 
 
 def test_checks_match_reference_on_msp_tables(shamir_table):
-    _assert_checks_match_reference([shamir_table])
+    # every split of a linear table: Q determines U's shares, so eq1 walks no row
+    assert not _assert_checks_match_reference([shamir_table])["walked"]
     # the dichotomy's pair-loop oracle takes minutes on all 32 splits of
     # Shamir(5,2) (about 16 s on one split of size 3), so here it runs on
     # the splits of sizes 0, 1 and 5 and on one split each of sizes 2 and 4

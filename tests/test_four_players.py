@@ -12,6 +12,9 @@ minimal qualified sets. The paper's claims then hold on each:
 - the self-dual extension restricts back to the structure;
 - linear schemes convert: the MSP's table passes ``eq1_check`` on every U
   in A and its dual A*, and the density-matrix oracle agrees.
+
+The fast classical checks answer on all of them as their slow references
+in ``reference_classical`` do.
 """
 
 import itertools
@@ -19,11 +22,21 @@ import math
 
 import pytest
 
-from spanshare.condition import ORACLE_DIMENSION_GUARD, eq1_check, lift_report, scheme_from_msp
+from spanshare.classical import verify_classical
+from spanshare.condition import (
+    ORACLE_DIMENSION_GUARD,
+    PreconditionError,
+    check_correctness,
+    eq1_check,
+    lift_report,
+    scheme_from_msp,
+)
 from spanshare.galois import Field
 from spanshare.msp import compile_formula, extend_msp, msp_structure
 from spanshare.quantum import qss_mixed
 from spanshare.structures import NoSchemeError, parse_formula
+
+from reference_classical import ref_check_correctness, ref_eq1_check, ref_tally_verify_classical
 
 N = 4
 FULL = (1 << N) - 1
@@ -96,3 +109,29 @@ def test_every_four_player_structure():
             assert report.passed, (text, u, report.max_distance)
             splits += 1
     assert (refused, splits) == (86, 448)
+
+
+def _outcome(check, table, u):
+    try:
+        return check(table, u)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def test_every_four_player_table_matches_the_references():
+    """verify_classical reports what the np.unique tallies report for every
+    compiled MSP; on the Q2* ones' tables, check_correctness and eq1_check
+    answer as their references do on every split."""
+    verdicts = set()
+    for members, text in STRUCTURES:
+        msp = compile_formula(parse_formula(text), GF2, N)
+        assert str(verify_classical(msp)) == str(ref_tally_verify_classical(msp)), text
+        if not is_q2star(members):
+            continue
+        table = scheme_from_msp(msp)
+        for u in SETS:
+            assert check_correctness(table, u) == ref_check_correctness(table, u), (text, u)
+            eq1 = _outcome(eq1_check, table, u)
+            assert eq1 == _outcome(ref_eq1_check, table, u), (text, u)
+            verdicts.add(eq1 if eq1 is True else "refused")
+    assert verdicts == {True, "refused"}
