@@ -28,10 +28,6 @@ class ReconstructionError(ValueError):
     """A player set that cannot reconstruct was asked to."""
 
 
-class ShareFormatError(FormatError):
-    """Raised for malformed share files."""
-
-
 def share(msp: MSP, secret: int, randomness: Sequence[int]) -> tuple[int, ...]:
     """Deal: extend the secret by the given e-1 field elements and
     multiply by the MSP matrix; entry i is the share of player psi[i]."""
@@ -203,17 +199,17 @@ def parse_share_file(text: str) -> tuple[int, dict[int, tuple[int, int]]]:
     for lineno, fields in _read_lines(text):
         if fields[0] == "field":
             if p is not None:
-                raise ShareFormatError(f"line {lineno}: duplicate field line")
-            (p,) = _read_ints(fields[1:], ShareFormatError, lineno, "field line", 1, decimal=True)
+                raise FormatError(f"line {lineno}: duplicate field line")
+            (p,) = _read_ints(fields[1:], lineno, "field line", 1, decimal=True)
         elif fields[0] == "share":
-            player, row, value = _read_ints(fields[1:], ShareFormatError, lineno, "share line", 3)
+            player, row, value = _read_ints(fields[1:], lineno, "share line", 3)
             if row < 1:
-                raise ShareFormatError(f"line {lineno}: rows are 1-based")
+                raise FormatError(f"line {lineno}: rows are 1-based")
             if row - 1 in shares:
-                raise ShareFormatError(f"line {lineno}: duplicate row {row}")
+                raise FormatError(f"line {lineno}: duplicate row {row}")
             shares[row - 1] = (player, value)
         else:
-            raise ShareFormatError(f"line {lineno}: unknown directive {fields[0]!r}")
+            raise FormatError(f"line {lineno}: unknown directive {fields[0]!r}")
     if p is None:
-        raise ShareFormatError("missing field header")
+        raise FormatError("missing field header")
     return p, shares

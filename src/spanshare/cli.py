@@ -24,7 +24,6 @@ from pathlib import Path
 
 from .classical import (
     ReconstructionError,
-    ShareFormatError,
     format_share_file,
     parse_share_file,
     reconstruct,
@@ -43,7 +42,7 @@ from .msp import (
     dual_msp,
     dump_msp,
     extend_msp,
-    msp_eval,
+    msp_structure,
     parse_msp,
 )
 from .quantum import probe_family, qss_mixed, qss_pure
@@ -151,7 +150,7 @@ def _cmd_msp_from_formula(args: argparse.Namespace) -> int:
 
 def _cmd_msp_eval(args: argparse.Namespace) -> int:
     msp = parse_msp(_read(args.file))
-    print(msp_eval(msp, _parse_set(args.set, msp.n)))
+    print(int(not msp_structure(msp).is_member(_parse_set(args.set, msp.n))))
     return 0
 
 
@@ -171,18 +170,18 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     msp = parse_msp(_read(args.msp))
     p, entries = parse_share_file(_read(args.shares))
     if p != msp.field.p:
-        raise ShareFormatError(f"share file field {p} does not match MSP field {msp.field.p}")
+        raise FormatError(f"share file field {p} does not match MSP field {msp.field.p}")
     for i, (player, _) in entries.items():
         if i >= msp.d:
-            raise ShareFormatError(f"share file row {i + 1} is past the MSP's {msp.d} rows")
+            raise FormatError(f"share file row {i + 1} is past the MSP's {msp.d} rows")
         if player != msp.psi[i]:
-            raise ShareFormatError(f"share file row {i + 1} is labelled player {player}, "
-                                   f"but the MSP gives it to player {msp.psi[i]}")
+            raise FormatError(f"share file row {i + 1} is labelled player {player}, "
+                              f"but the MSP gives it to player {msp.psi[i]}")
     q = _parse_set(args.set, msp.n)
     wanted = msp.row_indices(q)
     missing = [i + 1 for i in wanted if i not in entries]
     if missing:
-        raise ShareFormatError(f"share file lacks rows {missing} needed by the set")
+        raise FormatError(f"share file lacks rows {missing} needed by the set")
     print(reconstruct(msp, q, {i: entries[i][1] for i in wanted}))
     return 0
 
@@ -350,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:  # every format error subclasses ValueError
+    except ValueError as exc:  # FormatError subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, (NoSchemeError, ReconstructionError)) else 2
 

@@ -42,15 +42,13 @@ from .structures import AdversaryStructure, FormatError, complement, format_play
 from .structures import _check_player_count, _read_header, _read_ints, _read_lines
 
 
-class SchemeFormatError(FormatError):
-    """Raised for malformed scheme table files."""
-
-
 class PreconditionError(ValueError):
     """A conversion check was asked about an invalid split."""
 
 
 ORACLE_DIMENSION_GUARD = 10**6
+SPLIT_PAIR_GUARD = 2**18
+SEARCH_BUDGET = 10**5
 
 
 def _groups(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +284,9 @@ def _square_classes(numbers: Iterable[int]) -> dict[int, tuple[int, int]]:
 
 
 def _split_preconditions(sch: ClassicalScheme, u_mask: int) -> None:
-    """Shared eq1/oracle preconditions."""
+    """Shared eq1/oracle preconditions, then the split pair guard: eq1
+    makes one Gram term per pair of rows sharing a Q-word, and the
+    oracle's views hold one entry per such pair."""
     q_mask = complement(u_mask, sch.n)
     if not check_correctness(sch, q_mask):
         raise PreconditionError(
@@ -301,6 +301,14 @@ def _split_preconditions(sch: ClassicalScheme, u_mask: int) -> None:
             f"U={{{format_players(u_mask)}}} is not in the intersection of the "
             "structure and its dual"
         )
+    rows = len(sch.secrets)
+    if rows * (rows - 1) // 2 > SPLIT_PAIR_GUARD:  # fewer rows make fewer pairs: no count needed
+        keys = np.sort(_keys(sch, q_mask))
+        counts = np.diff(np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True]))))
+        pairs = int((counts * (counts - 1)).sum()) // 2
+        if pairs > SPLIT_PAIR_GUARD:
+            raise ValueError(f"{pairs} pairs of rows share a Q-word, "
+                             f"past the split pair guard ({SPLIT_PAIR_GUARD})")
 
 
 def eq1_check(sch: ClassicalScheme, u_mask: int) -> bool:
@@ -568,6 +576,38 @@ def _table_candidates(
                                 yield _scheme_from_numerators(den, size_u, size_q, rows, s_count)
 
 
+def _table_count(max_secrets: int, max_share_size: int, max_denominator: int, cap: int) -> int:
+    """How many tables ``_table_candidates`` builds before its function
+    filter, or a number past cap once the running count passes it.
+
+    A map g whose preimages have sizes w yields, for each U-marginal
+    (m_yu) composing den, the product over y_u and s of the compositions
+    of m_yu into w_s parts: the coefficient of x**den in F(x)**size_u,
+    where F has the coefficients F[m] = prod_s C(m + w_s - 1, w_s - 1).
+    The surjections with preimage sizes w number size_q! / prod_s w_s!.
+    Coefficients are clipped at cap + 1, so int64 convolutions suffice.
+    """
+    top_secrets = min(max_secrets, max_share_size)  # a surjection needs size_q >= s_count
+    if top_secrets < 2:
+        return 0
+    total = 0
+    for den in range(2, max_denominator + 1):
+        for s_count in range(2, top_secrets + 1):
+            for size_q in range(s_count, max_share_size + 1):
+                for cuts in itertools.combinations(range(1, size_q), s_count - 1):
+                    w = [hi - lo for lo, hi in zip((0,) + cuts, cuts + (size_q,))]
+                    maps = math.factorial(size_q) // math.prod(map(math.factorial, w))
+                    f = np.array([min(math.prod(math.comb(m + k - 1, k - 1) for k in w), cap + 1)
+                                  for m in range(den + 1)])
+                    power = f
+                    for _ in range(2, max_share_size + 1):  # size_u
+                        power = np.minimum(np.convolve(power, f)[: den + 1], cap + 1)
+                        total += maps * int(power[den])
+                        if total > cap:
+                            return total
+    return total
+
+
 def _homomorphic_candidates(max_modulus: int) -> Iterator[ClassicalScheme]:
     """Every injective two-share homomorphic scheme over Z_m, m up to
     max_modulus. Only randomness arity 1 can be injective: a spec of arity
@@ -604,9 +644,22 @@ def search_counterexample(
     only randomness arity 1 can be injective, so only those specs are
     dealt. Those schemes provably satisfy the criterion, so it exhausts
     its bounds and returns None.
+
+    The candidates (tables, or homomorphic specs) are counted from the
+    bounds before any is built: past SEARCH_BUDGET the search is refused,
+    and with none it returns None at once.
     """
     if family not in ("all", "function", "homomorphic"):
         raise ValueError(f"unknown search family {family!r}")
+    if family == "homomorphic":  # m**4 specs per modulus m: the sum of m**4 over 2..max_share_size
+        m = max_share_size
+        count = max(0, m * (m + 1) * (2 * m + 1) * (3 * m * m + 3 * m - 1) // 30 - 1)
+    else:
+        count = _table_count(max_secrets, max_share_size, max_denominator, SEARCH_BUDGET)
+    if count > SEARCH_BUDGET:
+        raise ValueError(f"the bounds admit more than {SEARCH_BUDGET} candidates, past the search budget")
+    if not count:  # the loops would find nothing, however many denominators they run through
+        return None
     u_mask = 0b01
     if family == "homomorphic":
         candidates = _homomorphic_candidates(max_share_size)
@@ -681,27 +734,27 @@ def parse_scheme(text: str) -> ClassicalScheme:
     ``space <player> <size>`` line per player and ``p <secret> <shares>
     <num>[/<den>]`` rows, where a repeated (secret, shares) adds up."""
     lines = _read_lines(text)
-    header = _read_header(lines, "scheme", ("n", "secrets"), SchemeFormatError)
+    header = _read_header(lines, "scheme", ("n", "secrets"))
     n = header["n"]
     sizes: dict[int, int] = {}
     rows: list[tuple[tuple[int, tuple[int, ...]], Fraction]] = []
     for lineno, fields in lines:
         if fields[0] == "space":
-            i, size = _read_ints(fields[1:], SchemeFormatError, lineno, "space line", 2)
+            i, size = _read_ints(fields[1:], lineno, "space line", 2)
             if i in sizes:
-                raise SchemeFormatError(f"line {lineno}: duplicate space line for player {i}")
+                raise FormatError(f"line {lineno}: duplicate space line for player {i}")
             sizes[i] = size
         elif fields[0] == "p":
-            s, *y = _read_ints(fields[1:-1], SchemeFormatError, lineno, "secret and shares", n + 1)
-            num_den = _read_ints(fields[-1].split("/", 1), SchemeFormatError, lineno, "probability")
+            s, *y = _read_ints(fields[1:-1], lineno, "secret and shares", n + 1)
+            num_den = _read_ints(fields[-1].split("/", 1), lineno, "probability")
             if num_den[1:] == [0]:
-                raise SchemeFormatError(f"line {lineno}: bad probability: zero denominator")
+                raise FormatError(f"line {lineno}: bad probability: zero denominator")
             rows.append(((s, tuple(y)), Fraction(*num_den)))
         else:
-            raise SchemeFormatError(f"line {lineno}: unknown directive {fields[0]!r}")
+            raise FormatError(f"line {lineno}: unknown directive {fields[0]!r}")
     if len(sizes) != n or sorted(sizes) != list(range(1, n + 1)):
-        raise SchemeFormatError("need one space line per player")
+        raise FormatError("need one space line per player")
     try:
         return ClassicalScheme.from_table(n, header["secrets"], tuple(sizes[i] for i in sorted(sizes)), rows)
     except ValueError as exc:
-        raise SchemeFormatError(str(exc)) from None
+        raise FormatError(str(exc)) from None

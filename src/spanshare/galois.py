@@ -8,10 +8,10 @@ identical inputs always produce identical outputs.
 
 ``span_table`` decides, for a matrix with labeled rows, whether the
 target (1, 0, ..., 0) lies in the span of the rows of every label set
-at once. It runs both criteria of ``msp_eval`` incrementally on int64
-arrays, one label's rows at a time: a reduced echelon basis of the row
-space grows, and a kernel basis is cut down from the identity. Every
-set's two answers are cross-checked.
+at once. It runs both criteria, the left solve and the kernel witness,
+incrementally on int64 arrays, one label's rows at a time: a reduced
+echelon basis of the row space grows, and a kernel basis is cut down
+from the identity. Every set's two answers are cross-checked.
 """
 
 from __future__ import annotations

@@ -4,8 +4,7 @@ An MSP is a field, a d x e matrix with full column rank, and a
 labeling of each row by a player. A player set accepts when the
 target vector (1, 0, ..., 0) lies in the span of its rows; by the
 kernel/image duality this is equivalent to the absence of a kernel
-witness. ``msp_eval`` computes both criteria for one set and insists
-they agree. ``msp_structure`` reads the table of every set from
+witness. ``msp_structure`` reads the table of every set from
 ``galois.span_table``, which runs both criteria incrementally, one
 player's rows at a time, and cross-checks them on every set; the
 structure is derived once per MSP object and cached on it.
@@ -34,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .galois import Field, Matrix, kernel_witness, rank, solve_left, span_table
+from .galois import Field, Matrix, rank, span_table
 from .structures import (
     AdversaryStructure,
     And,
@@ -51,10 +50,6 @@ from .structures import (
     max_player,
     players_from_mask,
 )
-
-
-class MspFormatError(FormatError):
-    """Raised for malformed MSP dump files."""
 
 
 @dataclass(frozen=True)
@@ -165,25 +160,6 @@ def _linear_deals(h: tuple[tuple[int, ...], ...], moduli: tuple[int, ...]) -> np
 def rows_of(msp: MSP, mask: int) -> Matrix:
     """The submatrix M_B of rows owned by the player set, order preserved."""
     return msp.matrix.take_rows(msp.row_indices(mask))
-
-
-def msp_eval(msp: MSP, mask: int) -> int:
-    """The monotone function: 1 iff the target vector is spanned by M_B.
-
-    Both the span criterion (a left solution exists) and its dual (a
-    kernel witness not orthogonal to the target exists) are computed;
-    exactly one must succeed, anything else indicates a linear-algebra
-    bug and raises.
-    """
-    sub = rows_of(msp, mask)
-    spanned = solve_left(sub, msp.eps) is not None
-    witnessed = kernel_witness(sub, msp.eps) is not None
-    if spanned == witnessed:
-        raise RuntimeError(
-            f"span and kernel criteria disagree on subset {mask:b}; "
-            "the linear algebra layer is broken"
-        )
-    return 1 if spanned else 0
 
 
 def msp_structure(msp: MSP) -> AdversaryStructure:
@@ -349,17 +325,17 @@ def parse_msp(text: str) -> MSP:
     """Parse a dump: the ``msp field= d= e= n=`` header line, then one
     ``row <player> <entries>`` line per matrix row."""
     lines = _read_lines(text)
-    header = _read_header(lines, "msp", ("field", "d", "e", "n"), MspFormatError)
+    header = _read_header(lines, "msp", ("field", "d", "e", "n"))
     rows: list[list[int]] = []
     for lineno, fields in lines:
         if fields[0] != "row":
-            raise MspFormatError(f"line {lineno}: unknown directive {fields[0]!r}")
-        rows.append(_read_ints(fields[1:], MspFormatError, lineno, "row line", 1 + header["e"]))
+            raise FormatError(f"line {lineno}: unknown directive {fields[0]!r}")
+        rows.append(_read_ints(fields[1:], lineno, "row line", 1 + header["e"]))
     if len(rows) != header["d"]:
-        raise MspFormatError(f"{len(rows)} rows, header says {header['d']}")
+        raise FormatError(f"{len(rows)} rows, header says {header['d']}")
     try:
         field = Field(header["field"])
         matrix = Matrix.from_rows(field, [row[1:] for row in rows], header["e"])
         return MSP(field, matrix, tuple(row[0] for row in rows), header["n"])
     except ValueError as exc:
-        raise MspFormatError(str(exc)) from None
+        raise FormatError(str(exc)) from None

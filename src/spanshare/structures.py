@@ -18,11 +18,7 @@ MAX_PLAYERS = 16
 
 
 class FormatError(ValueError):
-    """Raised for malformed input text; each input format raises its own subclass."""
-
-
-class StructureFormatError(FormatError):
-    """Raised for malformed structure files."""
+    """Raised for malformed input text, in every input format."""
 
 
 class NoSchemeError(ValueError):
@@ -245,37 +241,38 @@ def _read_lines(text: str) -> Iterator[tuple[int, list[str]]]:
             yield lineno, fields
 
 
-def _read_ints(tokens: Sequence[str], error: type[FormatError], lineno: int, what: str,
+def _read_ints(tokens: Sequence[str], lineno: int, what: str,
                count: int | None = None, decimal: bool = False) -> list[int]:
-    """The tokens as ints, or the format's error naming the line: with
+    """The tokens as ints, or a FormatError naming the line: with
     count, exactly that many; with decimal, nonnegative decimals only."""
     if count is not None and len(tokens) != count:
-        raise error(f"line {lineno}: bad {what}: expected {count} numbers, got {len(tokens)}")
+        raise FormatError(f"line {lineno}: bad {what}: expected {count} numbers, got {len(tokens)}")
     try:
         if decimal and not all(t.isdecimal() for t in tokens):
             raise ValueError
         return [int(t) for t in tokens]  # int() also fails past the interpreter's digit limit
     except ValueError:
         kind = "nonnegative decimals" if decimal else "integers"
-        raise error(f"line {lineno}: bad {what}: expected {kind}") from None
+        raise FormatError(f"line {lineno}: bad {what}: expected {kind}") from None
 
 
-def _read_header(lines: Iterator[tuple[int, list[str]]], name: str, keys: tuple[str, ...],
-                 error: type[FormatError]) -> dict[str, int]:
+def _read_header(lines: Iterator[tuple[int, list[str]]], name: str, keys: tuple[str, ...]) -> dict[str, int]:
     """The first line, ``name key=value ...``: every key exactly once and
     no other, each value a nonnegative decimal."""
     lineno, fields = next(lines, (0, [""]))
     if fields[0] != name:
-        raise error(f"line {lineno}: missing {name} header line" if lineno else f"missing {name} header line")
+        raise FormatError(f"line {lineno}: missing {name} header line" if lineno
+                          else f"missing {name} header line")
     header: dict[str, int] = {}
     for token in fields[1:]:
         key, _, value = token.partition("=")
         if key not in keys or key in header:
-            raise error(f"line {lineno}: {'duplicate' if key in header else 'unknown'} header key {key!r}")
-        (header[key],) = _read_ints([value], error, lineno, f"header value {key}=", decimal=True)
+            kind = "duplicate" if key in header else "unknown"
+            raise FormatError(f"line {lineno}: {kind} header key {key!r}")
+        (header[key],) = _read_ints([value], lineno, f"header value {key}=", decimal=True)
     for key in keys:
         if key not in header:
-            raise error(f"line {lineno}: header missing {key}=")
+            raise FormatError(f"line {lineno}: header missing {key}=")
     return header
 
 
@@ -294,22 +291,22 @@ def parse_structure(text: str) -> AdversaryStructure:
     for lineno, fields in _read_lines(text):
         if fields[0] == "players":
             if n is not None:
-                raise StructureFormatError(f"line {lineno}: duplicate players directive")
-            (n,) = _read_ints(fields[1:], StructureFormatError, lineno, "players line", 1, decimal=True)
+                raise FormatError(f"line {lineno}: duplicate players directive")
+            (n,) = _read_ints(fields[1:], lineno, "players line", 1, decimal=True)
             if n > MAX_PLAYERS:  # before any player id becomes a mask of n bits
-                raise StructureFormatError(f"player count must lie in 1..{MAX_PLAYERS}, got {n}")
+                raise FormatError(f"player count must lie in 1..{MAX_PLAYERS}, got {n}")
         elif fields[0] == "maximal":
             if n is None:
-                raise StructureFormatError(f"line {lineno}: 'maximal' before 'players'")
-            sets.append(_read_ints(fields[1:], StructureFormatError, lineno, "maximal line"))
+                raise FormatError(f"line {lineno}: 'maximal' before 'players'")
+            sets.append(_read_ints(fields[1:], lineno, "maximal line"))
         else:
-            raise StructureFormatError(f"line {lineno}: unknown directive {fields[0]!r}")
+            raise FormatError(f"line {lineno}: unknown directive {fields[0]!r}")
     if n is None:
-        raise StructureFormatError("missing players directive")
+        raise FormatError("missing players directive")
     try:
         return build_structure(n, sets)
     except ValueError as exc:
-        raise StructureFormatError(str(exc)) from None
+        raise FormatError(str(exc)) from None
 
 
 def format_structure(a: AdversaryStructure) -> str:

@@ -6,10 +6,15 @@ re-labelled part of the extension is a fully checked ``MSP``, and the
 dual is compiled through ``ref_compile_formula`` from the or-of-ands
 formula of the complements of the maximal sets, so it passes that
 function's formula check before its own structure check.
+
+``msp_eval`` is the per-set evaluator that ``spanshare.msp`` kept
+before every MSP command read ``msp_structure``: it decides one set
+by a left solve and a kernel witness and insists they agree, so it
+checks ``galois.span_table`` set by set.
 """
 
-from spanshare.galois import Field, Matrix
-from spanshare.msp import MSP, _VERIFY_LIMIT, msp_structure
+from spanshare.galois import Field, Matrix, kernel_witness, solve_left
+from spanshare.msp import MSP, _VERIFY_LIMIT, msp_structure, rows_of
 from spanshare.structures import (
     And,
     Formula,
@@ -20,6 +25,25 @@ from spanshare.structures import (
     max_player,
     players_from_mask,
 )
+
+
+def msp_eval(msp: MSP, mask: int) -> int:
+    """The monotone function: 1 iff the target vector is spanned by M_B.
+
+    Both the span criterion (a left solution exists) and its dual (a
+    kernel witness not orthogonal to the target exists) are computed;
+    exactly one must succeed, anything else indicates a linear-algebra
+    bug and raises.
+    """
+    sub = rows_of(msp, mask)
+    spanned = solve_left(sub, msp.eps) is not None
+    witnessed = kernel_witness(sub, msp.eps) is not None
+    if spanned == witnessed:
+        raise RuntimeError(
+            f"span and kernel criteria disagree on subset {mask:b}; "
+            "the linear algebra layer is broken"
+        )
+    return 1 if spanned else 0
 
 
 def _var_msp(field: Field, player: int, n: int) -> MSP:

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from conftest import all_antichains, lagrange_at_zero, mask, msp_corpus, shares_of
+from reference_msp import msp_eval
 
 from spanshare.galois import Field
 from spanshare.classical import reconstruct, share, verify_classical
@@ -31,7 +32,6 @@ from spanshare.msp import (
     compile_formula,
     dual_msp,
     extend_msp,
-    msp_eval,
     msp_structure,
     shamir_msp,
 )

@@ -7,7 +7,6 @@ from spanshare.galois import Field, Matrix
 from spanshare import classical, msp as msp_module
 from spanshare.classical import (
     ReconstructionError,
-    ShareFormatError,
     build_reconstruction_plan,
     format_share_file,
     parse_share_file,
@@ -16,7 +15,13 @@ from spanshare.classical import (
     verify_classical,
 )
 from spanshare.msp import compile_formula, msp_structure, shamir_msp
-from spanshare.structures import AdversaryStructure, mask_from_players, parse_formula, threshold_structure
+from spanshare.structures import (
+    AdversaryStructure,
+    FormatError,
+    mask_from_players,
+    parse_formula,
+    threshold_structure,
+)
 
 import reference_classical
 from conftest import msp_corpus, random_msps, shares_of, unchecked_msp
@@ -298,11 +303,11 @@ def test_share_file_round_trip(shamir13):
 
 
 def test_share_file_errors():
-    with pytest.raises(ShareFormatError):
+    with pytest.raises(FormatError):
         parse_share_file("share 1 1 2\n")
-    with pytest.raises(ShareFormatError):
+    with pytest.raises(FormatError):
         parse_share_file("field 5\nshare 1 0 2\n")
-    with pytest.raises(ShareFormatError):
+    with pytest.raises(FormatError):
         parse_share_file("field 5\nshare 1 1 2\nshare 1 1 3\n")
-    with pytest.raises(ShareFormatError):
+    with pytest.raises(FormatError):
         parse_share_file("field 5\nbogus\n")

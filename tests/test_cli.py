@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,12 +15,19 @@ from hypothesis import example, given, settings, strategies as st
 from spanshare import cli
 from spanshare.cli import SplitMix64, main
 from spanshare.galois import Field
-from spanshare.msp import compile_formula, dump_msp
+from spanshare.msp import compile_formula, dump_msp, shamir_msp
 from spanshare import quantum
 from spanshare.quantum import PROBE_PAIR_GUARD, probe_family
-from spanshare.structures import format_structure, parse_formula, threshold_structure
+from spanshare.structures import (
+    format_structure,
+    full_mask,
+    parse_formula,
+    players_from_mask,
+    threshold_structure,
+)
 
-from conftest import NumpyWithout
+from conftest import NumpyWithout, msp_corpus
+from reference_msp import msp_eval
 
 ORAND = "or(and(1,3),and(2,3))"
 
@@ -107,6 +115,23 @@ def test_msp_from_formula_and_eval(orand_msp_file, capsys):
     assert capsys.readouterr().out.strip() == "1"
     assert main(["msp", "eval", str(orand_msp_file), "--set", "1,2"]) == 0
     assert capsys.readouterr().out.strip() == "0"
+
+
+def test_msp_eval_command_matches_the_per_set_oracle(tmp_path, capsys):
+    # every set of the corpus, then on Shamir(16, 7) and Shamir(16, 15)
+    # over GF(17) the sets at and below the threshold, both ends and four drawn sets
+    rng = random.Random(25)
+    cases = [(m, range(1 << m.n)) for m in msp_corpus()]
+    for k in (7, 15):
+        sets = [full_mask(k + 1), full_mask(k), full_mask(16), 0] + rng.sample(range(1 << 16), 4)
+        cases.append((shamir_msp(16, k, Field(17)), sets))
+    for i, (m, masks) in enumerate(cases):
+        path = tmp_path / f"{i}.msp"
+        path.write_text(dump_msp(m))
+        for b in masks:
+            players = ",".join(str(p) for p in players_from_mask(b)) or "-"
+            assert main(["msp", "eval", str(path), "--set", players]) == 0
+            assert capsys.readouterr() == (f"{msp_eval(m, b)}\n", ""), (i, b)
 
 
 def test_msp_from_formula_field_too_small(capsys):

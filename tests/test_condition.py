@@ -16,7 +16,6 @@ from spanshare.condition import (
     ClassicalScheme,
     HomomorphicSpec,
     PreconditionError,
-    SchemeFormatError,
     check_correctness,
     check_secrecy,
     eq1_check,
@@ -33,6 +32,7 @@ from spanshare.msp import MSP, compile_formula, extend_msp, msp_structure, shami
 from spanshare.quantum import QuantumState
 from spanshare.structures import (
     AdversaryStructure,
+    FormatError,
     build_structure,
     mask_from_players,
     parse_formula,
@@ -407,6 +407,60 @@ def test_lift_report_at_and_past_the_oracle_dimension_guard(monkeypatch, tmp_pat
     assert capsys.readouterr() == ("", "error: lifted state dimension 1002528 exceeds the oracle guard\n")
 
 
+def _noise_text(size):
+    """Player 2's share is the secret s; player 1 holds a uniform u < size,
+    independent of it: each secret's Q-word is held by size rows, so
+    size * (size - 1) pairs of rows share a Q-word."""
+    rows = "".join(f"p {s} {u} {s} 1/{size}\n" for s in range(2) for u in range(size))
+    return f"scheme n=2 secrets=2\nspace 1 {size}\nspace 2 2\n" + rows
+
+
+class Built(Exception):
+    pass
+
+
+def _fail(*args):
+    raise Built
+
+
+def test_split_pair_guard_at_and_past_its_edge(monkeypatch, tmp_path, capsys):
+    # 512 * 511 = 261,632 pairs lie inside the guard of 2**18 = 262,144,
+    # and 513 * 512 = 262,656 pass it
+    assert condition.SPLIT_PAIR_GUARD == 2**18
+    at_edge, past = parse_scheme(_noise_text(512)), parse_scheme(_noise_text(513))
+    assert eq1_check(at_edge, U1)
+    # the oracle gets past the guard to its state, which fails here
+    monkeypatch.setattr(condition, "QuantumState", _fail)
+    with pytest.raises(Built):
+        lift_report(at_edge, U1)
+    # past the guard, neither check builds anything
+    monkeypatch.setattr(condition, "_square_classes", _fail)
+    message = r"^262656 pairs of rows share a Q-word, past the split pair guard \(262144\)$"
+    for check in (eq1_check, lift_report):
+        with pytest.raises(ValueError, match=message):
+            check(past, U1)
+    path = tmp_path / "past.scheme"
+    path.write_text(_noise_text(513))
+    assert main(["condition", "check", str(path), "--set", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: 262656 pairs of rows share a Q-word, "
+                                       "past the split pair guard (262144)\n")
+    # the edge is inclusive: 8 * 7 = 56 pairs pass a guard of 56 and not one of 55
+    small = parse_scheme(_noise_text(8))
+    monkeypatch.setattr(condition, "SPLIT_PAIR_GUARD", 56)
+    with pytest.raises(Built):
+        eq1_check(small, U1)
+    monkeypatch.setattr(condition, "SPLIT_PAIR_GUARD", 55)
+    with pytest.raises(ValueError, match=r"^56 pairs of rows share a Q-word"):
+        eq1_check(small, U1)
+
+
+def test_split_pair_guard_counts_no_pair_when_q_names_u(monkeypatch):
+    # the oracle guard's at-edge table: each Q-word is held by one row, so
+    # its 1414 rows make no pair and even a guard of 0 admits the split
+    monkeypatch.setattr(condition, "SPLIT_PAIR_GUARD", 0)
+    assert eq1_check(parse_scheme(_uniform_pair_text(707)), U1)
+
+
 def test_lift_report_matches_dict_reference(shamir_table):
     fixture = Path(__file__).parent / "fixtures" / "counterexample.scheme"
     cases = [(shamir_table, u) for u in range(8)]
@@ -683,7 +737,7 @@ def test_scheme_player_cap_refused_before_structure(monkeypatch):
     monkeypatch.setattr(condition, "check_secrecy", lambda *args: calls.append(args) or True)
     text = "scheme n=17 secrets=1\n" + "".join(f"space {i} 1\n" for i in range(1, 18))
     text += "p 0 " + "0 " * 17 + "1\n"
-    with pytest.raises(SchemeFormatError) as exc:
+    with pytest.raises(FormatError) as exc:
         parse_scheme(text)
     assert str(exc.value) == "player count must lie in 1..16, got 17"
     assert calls == []
@@ -701,7 +755,7 @@ def test_scheme_structure_derivation_bounded(monkeypatch, tmp_path, capsys):
     calls = []
     monkeypatch.setattr(condition, "check_secrecy", lambda *args: calls.append(args) or True)
     # 153 * 2**16 is above the guard of 10**7, 152 * 2**16 below it
-    with pytest.raises(SchemeFormatError) as exc:
+    with pytest.raises(FormatError) as exc:
         parse_scheme(_sixteen_player_text(153))
     assert str(exc.value) == (
         "153 rows times 65536 player sets exceed the enumeration guard (10000000)"
@@ -916,6 +970,58 @@ def test_search_restricted_families_find_nothing():
         search_counterexample(family="bogus")
 
 
+def test_table_count_is_the_length_of_the_candidate_stream(monkeypatch):
+    # the stream's tables are counted, not built
+    monkeypatch.setattr(condition, "_scheme_from_numerators", lambda *args: None)
+    for bounds in [(2, 3, 4), (3, 3, 3), (2, 2, 5), (3, 4, 2), (4, 4, 2), (1, 3, 5), (3, 1, 5), (2, 3, 1)]:
+        streamed = sum(1 for _ in condition._table_candidates(*bounds, False))
+        assert condition._table_count(*bounds, cap=10**9) == streamed, bounds
+    # the defaults, the golden (3, 4, 3) search, the widest the exit-code
+    # fuzz draws and the minute-long function search
+    assert condition._table_count(2, 3, 8, cap=10**9) == 21_322
+    assert condition._table_count(3, 4, 3, cap=10**9) == 25_852
+    assert condition._table_count(3, 3, 6, cap=10**9) == 7_572
+    assert condition._table_count(3, 4, 8, cap=10**9) == 5_208_812
+    # the count stops once past its cap
+    assert 100 < condition._table_count(3, 4, 8, cap=100) < 10**4
+
+
+def test_search_budget_at_and_past_its_edge(monkeypatch, capsys):
+    assert condition.SEARCH_BUDGET == 10**5
+    monkeypatch.setattr(condition, "_enumerate_tables", _fail)
+    monkeypatch.setattr(condition, "homomorphic_scheme", _fail)
+    # (3, 4, 4) builds 91,188 tables, inside the budget: the search starts
+    with pytest.raises(Built):
+        search_counterexample(3, 4, 4, family="function")
+    message = r"^the bounds admit more than 100000 candidates, past the search budget$"
+    for kwargs in ({"max_secrets": 3, "max_share_size": 4, "max_denominator": 8, "family": "function"},
+                   {"max_share_size": 4, "max_denominator": 10**9},
+                   {"max_share_size": 14, "family": "homomorphic"}):
+        with pytest.raises(ValueError, match=message):
+            search_counterexample(**kwargs)
+    assert main(["condition", "search", "--secrets", "3", "--share-size", "4", "--den", "8",
+                 "--family", "function"]) == 2
+    assert capsys.readouterr() == ("", "error: the bounds admit more than 100000 candidates, "
+                                       "past the search budget\n")
+    # the edge is inclusive: (3, 3, 6) builds 7,572 tables and Z_2 .. Z_4 deal 353 specs
+    for budget, kwargs in ((7_572, {"max_secrets": 3, "max_share_size": 3, "max_denominator": 6}),
+                           (353, {"max_share_size": 4, "family": "homomorphic"})):
+        monkeypatch.setattr(condition, "SEARCH_BUDGET", budget)
+        with pytest.raises(Built):
+            search_counterexample(**kwargs)
+        monkeypatch.setattr(condition, "SEARCH_BUDGET", budget - 1)
+        with pytest.raises(ValueError, match=rf"^the bounds admit more than {budget - 1} candidates"):
+            search_counterexample(**kwargs)
+
+
+def test_search_without_candidates_returns_at_once(monkeypatch):
+    monkeypatch.setattr(condition, "_enumerate_tables", _fail)
+    monkeypatch.setattr(condition, "homomorphic_scheme", _fail)
+    assert search_counterexample(max_secrets=1, max_denominator=10**12) is None
+    assert search_counterexample(max_share_size=1, max_denominator=10**12, family="function") is None
+    assert search_counterexample(max_share_size=1, family="homomorphic") is None
+
+
 def test_generated_schemes_are_valid():
     schemes = generate_valid_schemes(25, seed=7)
     assert len(schemes) == 25
@@ -938,13 +1044,13 @@ def test_scheme_file_round_trip(counterexample, shamir_table):
 
 
 def test_scheme_file_errors():
-    with pytest.raises(SchemeFormatError):
+    with pytest.raises(FormatError):
         parse_scheme("bogus\n")
-    with pytest.raises(SchemeFormatError):
+    with pytest.raises(FormatError):
         parse_scheme("scheme n=1 secrets=1\np 0 0 1/1\n")  # no space line
-    with pytest.raises(SchemeFormatError):
+    with pytest.raises(FormatError):
         parse_scheme("scheme n=1 secrets=1\nspace 1 2\np 0 0 1/2\n")  # sums to 1/2
-    with pytest.raises(SchemeFormatError):
+    with pytest.raises(FormatError):
         parse_scheme("scheme n=1 secrets=1\nspace 1 2\np 0 zero 1/1\n")
 
 

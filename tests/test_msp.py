@@ -10,18 +10,17 @@ from spanshare import galois, msp as msp_module
 from spanshare.galois import Field, Matrix, kernel_witness, rank, solve_left, span_table
 from spanshare.msp import (
     MSP,
-    MspFormatError,
     compile_formula,
     dual_msp,
     dump_msp,
     extend_msp,
-    msp_eval,
     msp_structure,
     parse_msp,
     rows_of,
     shamir_msp,
 )
 from spanshare.structures import (
+    FormatError,
     build_structure,
     eval_formula,
     mask_from_players,
@@ -30,7 +29,7 @@ from spanshare.structures import (
 )
 
 from conftest import msp_corpus, unchecked_msp
-from reference_msp import ref_compile_formula, ref_dual_msp, ref_extend_msp
+from reference_msp import msp_eval, ref_compile_formula, ref_dual_msp, ref_extend_msp
 from reference_structures import format_formula
 
 GF2 = Field(2)
@@ -200,15 +199,15 @@ def test_dump_round_trip(shamir13, orand):
 
 
 def test_parse_msp_errors():
-    with pytest.raises(MspFormatError):
+    with pytest.raises(FormatError):
         parse_msp("not a dump\n")
-    with pytest.raises(MspFormatError):
+    with pytest.raises(FormatError):
         parse_msp("msp field=4 d=1 e=1 n=1\nrow 1 1\n")
-    with pytest.raises(MspFormatError):
+    with pytest.raises(FormatError):
         parse_msp("msp field=5 d=2 e=1 n=1\nrow 1 1\n")
-    with pytest.raises(MspFormatError):
+    with pytest.raises(FormatError):
         parse_msp("msp field=5 d=1 e=2 n=1\nrow 1 1\n")
-    with pytest.raises(MspFormatError):
+    with pytest.raises(FormatError):
         parse_msp("msp field=5 d=1 e=1 n=1\nrow 1 x\n")
 
 
@@ -377,7 +376,7 @@ def test_msp_refuses_17_players_before_any_linear_algebra(monkeypatch):
     monkeypatch.setattr(msp_module, "span_table", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match=r"^player count must lie in 1\.\.16, got 17$"):
         MSP(GF5, Matrix.from_rows(GF5, [(1,)], 1), (1,), 17)
-    with pytest.raises(MspFormatError, match=r"^player count must lie in 1\.\.16, got 100000000$"):
+    with pytest.raises(FormatError, match=r"^player count must lie in 1\.\.16, got 100000000$"):
         parse_msp("msp field=5 d=1 e=1 n=100000000\nrow 1 1\n")
     assert calls == []
 

@@ -10,9 +10,9 @@ from spanshare import structures as structures_module
 from spanshare.structures import (
     AdversaryStructure,
     And,
+    FormatError,
     FormulaError,
     Or,
-    StructureFormatError,
     Threshold,
     Var,
     build_structure,
@@ -115,15 +115,15 @@ def test_structure_file_round_trip():
 
 
 def test_structure_file_errors():
-    with pytest.raises(StructureFormatError):
+    with pytest.raises(FormatError):
         parse_structure("maximal 1\n")
-    with pytest.raises(StructureFormatError):
+    with pytest.raises(FormatError):
         parse_structure("players x\n")
-    with pytest.raises(StructureFormatError):
+    with pytest.raises(FormatError):
         parse_structure("players 3\nmaximal 1 9\n")
-    with pytest.raises(StructureFormatError):
+    with pytest.raises(FormatError):
         parse_structure("players 3\nbogus\n")
-    with pytest.raises(StructureFormatError):
+    with pytest.raises(FormatError):
         parse_structure("")
 
 
@@ -132,7 +132,7 @@ def test_structure_file_player_cap_checked_first():
     text = "players 100000000\nmaximal 100000000\n"
     tracemalloc.start()
     try:
-        with pytest.raises(StructureFormatError) as exc:
+        with pytest.raises(FormatError) as exc:
             parse_structure(text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
