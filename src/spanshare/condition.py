@@ -375,55 +375,51 @@ class LiftReport:
 
 
 def lift_report(sch: ClassicalScheme, u_mask: int, seed: int = 0) -> LiftReport:
-    """Build the lifted state for each probe on the table's codes and
-    compare the exact reduced density matrices on U.
+    """Trace the lift of the maximally entangled input once, on the secret
+    register R and U, and compare every pair of probes' exact views on U.
 
     This is the ground truth that validates eq1_check; it never shares
     code with it beyond the table itself. The probes are
     ``probe_family(secret_count, seed, n_random=10)``, which always holds
     the uniform superposition: reduced states that agree on basis secrets
-    alone do not establish erasure correction. Every trace distance is exact:
-    the eigenvalues of each difference, from ``eigvalsh``, or, when the
-    views are diagonal (Q determines U's shares, as on linear tables),
-    the sorted difference of the diagonals, the same floats.
+    alone do not establish erasure correction. The lifted state has the
+    amplitude sqrt(P(y | s) / S) on each row (s, y), over R and the table's
+    codes (share ranks, so a view spans the shares dealt). Its one trace on
+    R + U is block-diagonal because Q is correct: block s is V_s / S, V_s the
+    U-view of basis probe s, so a probe alpha's view is the sum of
+    |alpha_s|**2 V_s. Every trace distance is exact: half the abs-sum of a
+    pair's difference when every block is diagonal (Q determines U's shares,
+    as on linear tables), else of its eigenvalues from ``eigvalsh``.
     """
     _split_preconditions(sch, u_mask)
-    dim = math.prod(sch._dims[1:])  # the state lives on the codes: ranks as dims
+    dim = math.prod(sch._dims[1:])  # a probe's lifted state lives on the codes: ranks as dims
     if dim > ORACLE_DIMENSION_GUARD:
         raise ValueError(f"lifted state dimension {dim} exceeds the oracle guard")
-    family = probe_family(sch.secret_count, seed, n_random=10)
-    roots = np.array([(w / sch.denominator) ** 0.5 for w in sch.numerators.tolist()])
-    u_coords = [i for i in range(sch.n) if u_mask >> i & 1]
-    # The probes' states are one stack on all rows of the table, zero
-    # amplitudes kept, so one trace has one support for them all and the
-    # labels are checked once. Q is correct, so each traced-out group holds
-    # the rows of one secret, and a zero amplitude only adds exact zeros.
-    # Each share is labelled by its rank among its player's values (the
-    # table's codes, ranks as dims): that relabelling is a local isometry,
-    # so every view keeps its nonzero spectrum, on no more dims than used.
-    amplitudes = np.array([alpha[sch.secrets] * roots for _, alpha in family])
-    views = partial_trace(QuantumState(tuple(sch._dims[1:]), sch.codes, amplitudes), u_coords)
-    u_dim = views.dim
-    # each probe's view: its diagonal when the support is diagonal, else its dense matrix
-    diagonal = not (views.index % (u_dim + 1)).any()
+    s_count = sch.secret_count
+    family = probe_family(s_count, seed, n_random=10)
+    roots = np.array([(w / (sch.denominator * s_count)) ** 0.5 for w in sch.numerators.tolist()])
+    keep = [0] + [i + 1 for i in range(sch.n) if u_mask >> i & 1]
+    trace = partial_trace(QuantumState(tuple(sch._dims), sch._labels, roots), keep)
+    u_dim = trace.dim // s_count
+    rows, cols = np.divmod(trace.index, trace.dim)
+    # block s of the trace, times S, is V_s: its diagonal when every block is
+    # diagonal, else its dense matrix; real, as the amplitudes are
+    diagonal = (rows == cols).all()
     if diagonal:
-        reduced = np.zeros((len(family), u_dim))
-        reduced[:, views.index // (u_dim + 1)] = views.values.real
+        views = np.zeros((s_count, u_dim))
+        views[rows // u_dim, rows % u_dim] = trace.values.real * s_count
     else:
-        reduced = views.mat
+        views = np.zeros((s_count, u_dim, u_dim))
+        views[rows // u_dim, rows % u_dim, cols % u_dim] = trace.values.real * s_count
+    weights = np.abs(np.array([alpha for _, alpha in family])) ** 2
     # every pair a < b of probes, a-major, at most max(a pair's entries,
     # _PAIR_CHUNK) entries at a time
     first, second = np.triu_indices(len(family), 1)
-    step = max(quantum._PAIR_CHUNK // math.prod(reduced.shape[1:]), 1)
+    step = max(quantum._PAIR_CHUNK // math.prod(views.shape[1:]), 1)
     dists = [np.empty(0)]
     for lo in range(0, len(first), step):
-        diffs = reduced[first[lo : lo + step]] - reduced[second[lo : lo + step]]
-        # Diagonal views: eigvalsh (LAPACK zheevd) finds the tridiagonal form
-        # of a diagonal matrix with exact zeros off it and returns its real
-        # diagonal sorted, so sorting the diagonals, exact zeros off the
-        # support included, gives the same floats without a dense matrix.
-        spectra = np.sort(diffs, axis=1) if diagonal else np.linalg.eigvalsh(diffs)
-        dists.append(0.5 * np.abs(spectra).sum(axis=1))
+        diffs = np.tensordot(weights[first[lo : lo + step]] - weights[second[lo : lo + step]], views, 1)
+        dists.append(0.5 * np.abs(diffs if diagonal else np.linalg.eigvalsh(diffs)).sum(axis=1))
     dists = np.concatenate(dists)
     # the first pair in that order at the largest distance, if it is above 0
     worst, witness = 0.0, None

@@ -15,9 +15,10 @@ the pure scheme on one erased set (``verify_erasure``).
 
 A secret qudit state, such as a sweep's probe, is a read-only vector of
 its p amplitudes. The shares' states are sparse: an N x k int64 array of
-distinct basis labels and their N complex amplitudes, or a P x N stack of
-P states' amplitudes on one label array, which one partial trace reduces
-all at once. An encoded state
+distinct basis labels and their N complex amplitudes, one state each. The
+density-matrix oracle of ``condition`` serves all its probes with one such
+state, on a secret register R beside a table's shares, and one trace on
+R + U, block-diagonal because Q is correct. An encoded state
 is the secrets' blocks of the MSP's cached table of every M (s, a), and
 a plan multiplies the A columns by U mod p. Partial traces group the
 amplitudes by their traced-out labels with numpy sorts. That grouping
@@ -61,17 +62,17 @@ _PAIR_CHUNK = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Sparse state over a tuple of qudit coordinates, or a stack of states
-    on one label array.
+    """Sparse state over a tuple of qudit coordinates.
 
     Row i of ``labels`` (N x k int64, distinct rows) is a basis label,
-    one entry per coordinate, with amplitude ``values[i]``, or ``values[:, i]``
-    in each of the P rows of a P x N stack; both arrays are read-only. An
-    array that already has the stored dtype (int64 labels, complex values)
-    is kept, not copied, and made read-only in place, so a caller who wants
-    to keep writing it passes a copy. The labels are checked once, and every
-    state is normalized to unit norm within 1e-12 at construction. Compare
-    states through their arrays, not ==.
+    one entry per coordinate, with amplitude ``values[i]``; both arrays are
+    read-only. An array that already has the stored dtype (int64 labels,
+    complex values) is kept, not copied, and made read-only in place, so a
+    caller who wants to keep writing it passes a copy. The state is checked
+    to be normalized to unit norm within 1e-12 at construction. Compare
+    states through their arrays, not ==. The oracle's one state per report
+    is one of these: secret register R first, then the table's codes, so its
+    one trace on R + U is block-diagonal because Q is correct.
     """
 
     dims: tuple[int, ...]
@@ -93,28 +94,25 @@ class QuantumState:
         if np.count_nonzero(keys[1:] == keys[:-1]):
             raise ValueError("duplicate basis labels")
         values = np.asarray(self.values, dtype=complex)
-        if values.ndim not in (1, 2) or values.shape[-1] != len(labels):
+        if values.shape != (len(labels),):
             raise ValueError("labels and values differ in length")
         labels.flags.writeable = values.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", values)
-        for norm in _norms(values):
-            if abs(norm - 1.0) > NORM_ATOL:
-                raise ValueError(f"state norm {norm} is not 1 within {NORM_ATOL}")
+        norm = _norm(values)
+        if abs(norm - 1.0) > NORM_ATOL:
+            raise ValueError(f"state norm {norm} is not 1 within {NORM_ATOL}")
 
     @cached_property
     def amps(self) -> dict[tuple[int, ...], complex]:
-        """A single state's amplitudes as a dict from label tuples, in row order."""
-        if self.values.ndim != 1:
-            raise ValueError("a stack of states has no single amplitude dict")
+        """The amplitudes as a dict from label tuples, in row order."""
         return dict(zip(map(tuple, self.labels.tolist()), self.values.tolist()))
 
 
-def _norms(values: np.ndarray) -> list[float]:
-    """The norm of each state of a stack of amplitude vectors, or of one vector."""
-    squares = (np.abs(values) ** 2).tolist()
+def _norm(values: np.ndarray) -> float:
+    """The norm of an amplitude vector."""
     # compensated: a naive sum of ~10**6 squares drifts past NORM_ATOL
-    return [math.sqrt(math.fsum(row)) for row in (squares if values.ndim == 2 else [squares])]
+    return math.sqrt(math.fsum((np.abs(values) ** 2).tolist()))
 
 
 def _trace_atol(terms: int) -> float:
@@ -144,15 +142,14 @@ _last_support: tuple | None = None
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Reduced state on its support: ``index`` holds sorted, distinct row-major
-    flat indices closed under transpose, ``values`` the complex entries there,
-    or a P x K stack of P reduced states' entries on the one support (both
-    read-only); all other entries are exact zeros. An array that already has
-    the stored dtype (int64 index, complex values) is kept, not copied, and
-    made read-only in place, so a caller who wants to keep writing it passes
-    a copy. ``terms`` is the amplitude count of the state it was traced
+    flat indices closed under transpose, ``values`` the complex entries there
+    (both read-only); all other entries are exact zeros. An array that already
+    has the stored dtype (int64 index, complex values) is kept, not copied,
+    and made read-only in place, so a caller who wants to keep writing it
+    passes a copy. ``terms`` is the amplitude count of the state it was traced
     from, 0 for a matrix given entry by entry; the trace check's tolerance
-    grows with it. The support is checked once, every state's entries each
-    time.
+    grows with it. The oracle's one trace on R + U is one of these,
+    block-diagonal because Q is correct: block s is secret s's U-view over S.
     """
 
     dims: tuple[int, ...]
@@ -165,7 +162,7 @@ class DensityMatrix:
         dim = self.dim
         index = np.asarray(self.index, dtype=np.int64)
         values = np.asarray(self.values, dtype=complex)
-        if index.ndim != 1 or values.ndim not in (1, 2) or values.shape[-1:] != index.shape:
+        if index.ndim != 1 or values.shape != index.shape:
             raise ValueError("density matrix index and values differ in shape")
         last = _last_support
         if last is not None and last[0] == dim and np.array_equal(last[1], index):
@@ -182,11 +179,9 @@ class DensityMatrix:
                 raise ValueError("density matrix is not Hermitian: support unsorted or not symmetric")
             diagonal = np.flatnonzero(rows == cols)
             _last_support = dim, index.copy(), order, diagonal
-        if not (abs(values.take(order, axis=-1) - values.conj()) <= NORM_ATOL + 1e-5 * abs(values)).all():
+        if not (abs(values[order] - values.conj()) <= NORM_ATOL + 1e-5 * abs(values)).all():
             raise ValueError("density matrix is not Hermitian")
-        traces = (values if values.ndim == 2 else values[None]).take(diagonal, axis=1).sum(axis=1).tolist()
-        tol = _trace_atol(self.terms)
-        if any(abs(trace - 1.0) > tol for trace in traces):
+        if abs(values[diagonal].sum() - 1.0) > _trace_atol(self.terms):
             raise ValueError("density matrix trace is not 1")
         index.flags.writeable = values.flags.writeable = False
         object.__setattr__(self, "index", index)
@@ -198,18 +193,17 @@ class DensityMatrix:
 
     @cached_property
     def mat(self) -> np.ndarray:
-        """The dense, read-only dim x dim matrix, or P x dim x dim for a stack,
-        built on first read."""
-        mat = _scatter(self.dim**2, self.index, self.values)
-        mat = mat.reshape(*self.values.shape[:-1], self.dim, self.dim)
+        """The dense, read-only dim x dim matrix, built on first read."""
+        mat = _scatter(self.dim, self.index, self.values)
         mat.flags.writeable = False
         return mat
 
 
-def _scatter(size: int, index: np.ndarray, values: np.ndarray) -> np.ndarray:
-    out = np.zeros((*values.shape[:-1], size), dtype=complex)
-    out.T[index] = values.T
-    return out
+def _scatter(dim: int, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The dense dim x dim matrix with the given entries at the flat indices."""
+    out = np.zeros(dim * dim, dtype=complex)
+    out[index] = values
+    return out.reshape(dim, dim)
 
 
 @dataclass(frozen=True)
@@ -261,20 +255,17 @@ def apply_plan(enc: EncodedState, plan: ReconstructionPlan) -> QuantumState:
 
 
 # The label plan of the last partial trace whose pairs fit in one chunk:
-# (dims, keep, stacked states, _PAIR_CHUNK), the plan's own copy of the
-# labels, and the chunk with its work buffers. It is replaced whole, so at
-# most one plan is held.
+# (dims, keep, _PAIR_CHUNK), the plan's own copy of the labels, and the
+# chunk with its work buffers. It is replaced whole, so at most one plan
+# is held.
 _last_plan: tuple | None = None
 
 
-def _pair_chunks(
-    labels: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...], dim: int, states: int
-):
-    """The label work of a partial trace of a stack of states, a chunk of at
-    most max(states, _PAIR_CHUNK) terms at a time: rows i, j of each amplitude
-    pair's term a_i conj(a_j), the support so far, and the bins where each
-    state's earlier sums then its terms of the chunk fall, as float pairs:
-    entry k of state r takes its real part in bin 2 (r len(index) + k) and its
+def _pair_chunks(labels: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...], dim: int):
+    """The label work of a partial trace, a chunk of at most _PAIR_CHUNK terms
+    at a time: rows i, j of each amplitude pair's term a_i conj(a_j), the
+    support so far, and the bins where the earlier sums then the chunk's terms
+    fall, as float pairs: entry k takes its real part in bin 2 k and its
     imaginary part in the next; then three work buffers for the chunk's terms,
     so a trace that reuses a held plan allocates no array of its pairs' size.
     """
@@ -295,10 +286,9 @@ def _pair_chunks(
     ends = width.cumsum()
     shift = (sizes.cumsum() - sizes).repeat(sizes) - (ends - width)
     total = int(ends[-1]) if len(ends) else 0
-    chunk = max(_PAIR_CHUNK // max(states, 1), 1)
     index = np.empty(0, dtype=np.int64)
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
+    for lo in range(0, total, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, total)
         # the members r0 .. r1 whose pairs lo .. hi - 1 are: all their pairs,
         # cut to those, so a chunk expands at most two members' pairs beyond it
         r0, r1 = np.searchsorted(ends, [lo, hi - 1], "right").tolist()
@@ -307,19 +297,17 @@ def _pair_chunks(
         i = order[r0 : r1 + 1].repeat(w)[lo - first : hi - first]
         j = order[np.arange(lo, hi) + shift[r0 : r1 + 1].repeat(w)[lo - first : hi - first]]
         index, where = np.unique(np.concatenate([index, kidx[i] * dim + kidx[j]]), return_inverse=True)
-        bins = np.empty((states, len(where), 2), dtype=np.int64)
-        np.multiply(where, 2, out=bins[..., 0])
-        bins[..., 0] += np.arange(0, 2 * len(index) * states, 2 * len(index))[:, None]
-        np.add(bins[..., 0], 1, out=bins[..., 1])
-        yield i, j, index, bins.ravel(), np.empty((3, states, hi - lo), dtype=complex)
+        bins = np.empty((len(where), 2), dtype=np.int64)
+        np.multiply(where, 2, out=bins[:, 0])
+        np.add(bins[:, 0], 1, out=bins[:, 1])
+        yield i, j, index, bins.ravel(), np.empty((3, hi - lo), dtype=complex)
 
 
 def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
-    """Exact reduction to the given coordinates (ascending order), of every
-    state of a stack at once: each one's entries are those of its own trace.
+    """Exact reduction to the given coordinates (ascending order).
 
     The label work is reused from the previous call when that call traced
-    as many states on the same labels to the same coordinates in one chunk.
+    the same labels to the same coordinates in one chunk.
     """
     global _last_plan
     keep = tuple(sorted(keep))
@@ -333,38 +321,33 @@ def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
         raise ValueError(
             f"reduced dimension {dim} exceeds the exact-simulation guard ({REDUCTION_DIM_GUARD})"
         )
-    labels = state.labels
-    values = state.values if state.values.ndim == 2 else state.values[None]
-    key = (state.dims, keep, len(values), _PAIR_CHUNK)
+    labels, values = state.labels, state.values
+    key = (state.dims, keep, _PAIR_CHUNK)
     last = _last_plan
     if last is not None and last[0] == key and np.array_equal(last[1], labels):
         chunks = [last[2]]
     else:
         _last_plan = last = None  # the old plan goes before a new one is built
-        chunks = _pair_chunks(labels, state.dims, keep, dim, len(values))
-    # every state's entries as (real, imaginary) float pairs, one bincount per chunk
-    sums = np.empty((len(values), 0))
+        chunks = _pair_chunks(labels, state.dims, keep, dim)
+    # the entries as (real, imaginary) float pairs, one bincount per chunk
+    sums = np.empty(0)
     count, index = 0, np.empty(0, dtype=np.int64)
     for count, (i, j, index, bins, buffers) in enumerate(chunks, 1):
         a, c, terms = buffers
-        values.take(i, axis=1, out=a)
-        values.conj().take(j, axis=1, out=c)
+        values.take(i, out=a)
+        values.conj().take(j, out=c)
         # into a third buffer: numpy's in-place complex multiply may round differently
         np.multiply(a, c, out=terms)
         # the first chunk has no sums before its terms
-        parts = np.concatenate([sums, terms.view(float)], axis=1) if sums.size else terms.view(float)
-        sums = np.bincount(bins, parts.ravel(), 2 * len(values) * len(index))
-        sums = sums.reshape(len(values), 2 * len(index))
+        parts = np.concatenate([sums, terms.view(float)]) if sums.size else terms.view(float)
+        sums = np.bincount(bins, parts, 2 * len(index))
     if last is None and count == 1:
         _last_plan = key, labels.copy(), (i, j, index, bins, buffers)
-    entries = sums.view(complex)
-    return DensityMatrix(kdims, index, entries if state.values.ndim == 2 else entries[0], len(labels))
+    return DensityMatrix(kdims, index, sums.view(complex), len(labels))
 
 
 def fidelity(rho: DensityMatrix, psi: np.ndarray) -> float:
     """<psi| rho |psi> for a pure reference state's amplitude vector."""
-    if rho.values.ndim != 1:
-        raise ValueError("fidelity of a stack of density matrices")
     if psi.shape != (rho.dim,):
         raise ValueError("state and density matrix dimensions do not match")
     return float(np.real(np.vdot(psi, rho.mat @ psi)))
@@ -377,8 +360,6 @@ def trace_distance_within(r1: DensityMatrix, r2: DensityMatrix) -> tuple[bool, f
     union of the supports; the returned value is that upper bound when it
     certifies the tolerance, else the exact trace distance.
     """
-    if r1.values.ndim != 1 or r2.values.ndim != 1:
-        raise ValueError("trace distance of a stack of density matrices")
     if r1.dim != r2.dim:
         raise ValueError("trace distance of density matrices with different dimensions")
     # views traced by one reused plan share their index array
@@ -392,8 +373,7 @@ def trace_distance_within(r1: DensityMatrix, r2: DensityMatrix) -> tuple[bool, f
     bound = 0.5 * math.sqrt(r1.dim) * float(np.linalg.norm(delta))
     if bound <= SECRECY_TOL:
         return True, bound
-    dense = _scatter(r1.dim**2, index, delta).reshape(r1.dim, r1.dim)
-    value = float(0.5 * np.abs(np.linalg.eigvalsh(dense)).sum())
+    value = float(0.5 * np.abs(np.linalg.eigvalsh(_scatter(r1.dim, index, delta))).sum())
     return value <= SECRECY_TOL, value
 
 

@@ -21,6 +21,9 @@ is ``lift_report`` as it ran before it read diagonal views' distances
 off their sorted diagonals: a fully checked state and a dense view per
 probe, and one stacked ``eigvalsh`` call per probe against every later
 probe.
+``ref_probe_views`` is each probe's U-view as ``ref_per_probe_lift_report``
+traces it, one state at a time, so a pair's reference distance can be
+read off by ``trace_distance``.
 
 ``check_secrecy``, ``reconstruction_map`` and ``ref_derive_structure``
 are the dict walks ``condition`` ran before a scheme stored arrays:
@@ -384,6 +387,20 @@ def ref_per_probe_lift_report(sch, u_mask, seed=0):
         if dists[b] > worst:
             worst, witness = float(dists[b]), (names[a], names[a + 1 + b])
     return LiftReport(worst <= SECRECY_TOL, worst, witness)
+
+
+def ref_probe_views(sch, u_mask, seed=0):
+    """{name: U-view} of the default probes, each from one single-state
+    partial trace of its lifted state on the table's share words."""
+    family = probe_family(sch.secret_count, seed, n_random=10)
+    values = [np.array(v, dtype=np.int64) for v in sch.share_values]
+    words = np.column_stack([v[c] for v, c in zip(values, sch.codes.T)])
+    roots = np.array([(w / sch.denominator) ** 0.5 for w in sch.numerators.tolist()])
+    return {
+        name: partial_trace(QuantumState(sch.share_sizes, words, alpha[sch.secrets] * roots),
+                            coords(sch.n, u_mask))
+        for name, alpha in family
+    }
 
 
 def ref_compositions(total, parts):

@@ -218,21 +218,18 @@ def test_lift_report_traces_all_probes_at_once_bit_for_bit(monkeypatch, plan_bui
         reports[trace] = lift_report(sch, 0b01, seed=5)
     assert reports[partial_trace] == reports[cold_trace]
     assert not reports[partial_trace].passed
-    # one trace of a stack of the 13 probes' states per report, each building its plan
+    # one trace per report serves the 13 probes: the one state on the secret
+    # register and the codes, traced to the register and U, each building its plan
     assert [len(calls) for calls in traced.values()] == [1, 1] and len(plan_builds) == 2
     (state, keep, rho), = traced[partial_trace]
-    assert rho.values.shape == (13, len(rho.index))
-    assert rho.values.tobytes() == traced[cold_trace][0][2].values.tobytes()
-    # and each state's entries are those of its own trace, bit for bit
-    for alpha, row in zip(state.values, rho.values):
-        cold = cold_trace(QuantumState(state.dims, state.labels, alpha), keep)
-        assert cold.index.tobytes() == rho.index.tobytes()
-        assert cold.values.tobytes() == row.tobytes()
+    assert state.dims == tuple(sch._dims) and list(keep) == [0, 1] and rho.dims == tuple(sch._dims[:2])
+    cold = traced[cold_trace][0][2]
+    assert cold.index.tobytes() == rho.index.tobytes() and cold.values.tobytes() == rho.values.tobytes()
 
 
 def lifted_states(sch, alpha):
-    """One probe's lifted state as lift_report builds it, on all rows of the
-    table, and on only the rows its amplitudes reach."""
+    """One probe's lifted state on the table's share words, on all rows of
+    the table, and on only the rows its amplitudes reach."""
     values = [np.array(v, dtype=np.int64) for v in sch.share_values]
     words = np.column_stack([v[c] for v, c in zip(values, sch.codes.T)])
     roots = np.array([(w / sch.denominator) ** 0.5 for w in sch.numerators.tolist()])
