@@ -46,7 +46,6 @@ class PreconditionError(ValueError):
     """A conversion check was asked about an invalid split."""
 
 
-ORACLE_DIMENSION_GUARD = 10**6
 SPLIT_PAIR_GUARD = 2**18
 SEARCH_BUDGET = 10**5
 
@@ -58,6 +57,15 @@ def _groups(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarr
     ordered = keys[order]
     starts = np.flatnonzero(np.concatenate(([len(keys) > 0], ordered[1:] != ordered[:-1])))
     return order[starts], np.add.reduceat(weights[order], starts)
+
+
+class _DerivedOnRead(cached_property):
+    """A cached property that reads None on its class, so that a dataclass
+    takes None as the default of the init-only field it is assigned to; a
+    value given at construction is stored on the instance and read first."""
+
+    def __get__(self, instance, owner=None):
+        return None if instance is None else super().__get__(instance, owner)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,9 +82,11 @@ class ClassicalScheme:
     rows of one (s, y) in first-row order, drops zero rows, checks that
     each secret's probabilities sum to exactly 1 and makes the arrays
     read-only. ``structure`` is the adversary structure the scheme
-    claims to tolerate; when not given it is derived as the family of
-    all subsets whose share marginal is secret-independent (the maximal
-    tolerable structure).
+    claims to tolerate; when not given it is derived on first read as the
+    family of all subsets whose share marginal is secret-independent (the
+    maximal tolerable structure), but a table too large for that is refused
+    at construction. One verdict per split (None or its precondition
+    message) is cached on the table, keyed by U.
     """
 
     n: int
@@ -86,17 +96,17 @@ class ClassicalScheme:
     shares: InitVar[Sequence[Sequence[int]]]
     numerators: np.ndarray
     denominator: int
-    structure: AdversaryStructure | None = None
+    structure: InitVar[AdversaryStructure | None] = _DerivedOnRead(lambda sch: _derive_structure(sch))
     codes: np.ndarray = dc_field(init=False)
     share_values: tuple[tuple[int, ...], ...] = dc_field(init=False)
 
-    def __post_init__(self, shares: Sequence[Sequence[int]]) -> None:
+    def __post_init__(self, shares: Sequence[Sequence[int]], structure: AdversaryStructure | None) -> None:
         if self.n < 1 or len(self.share_sizes) != self.n:
             raise ValueError("share_sizes must list one space per player")
-        _check_player_count(self.n)  # before _derive_structure's secrecy checks
-        if self.structure is not None and self.structure.n != self.n:
+        _check_player_count(self.n)  # before the enumeration guard's player sets
+        if structure is not None and structure.n != self.n:
             raise ValueError(
-                f"structure over {self.structure.n} players for a scheme of {self.n} players"
+                f"structure over {structure.n} players for a scheme of {self.n} players"
             )
         if self.secret_count < 1:
             raise ValueError("need at least one secret")
@@ -140,17 +150,16 @@ class ClassicalScheme:
         labels = np.column_stack([secrets.astype(np.int64), codes])
         labels.flags.writeable = nums.flags.writeable = False
         dims = [self.secret_count] + ranks
-        for name, value in zip(("_labels", "secrets", "codes", "numerators", "share_values", "_dims"),
-                               (labels, labels[:, 0], labels[:, 1:], nums, values, dims)):
+        names = ("_labels", "secrets", "codes", "numerators", "share_values", "_dims", "_verdicts")
+        for name, value in zip(names, (labels, labels[:, 0], labels[:, 1:], nums, values, dims, {})):
             object.__setattr__(self, name, value)
-        if self.structure is None:
-            # _derive_structure may test every player set
-            if len(nums) << self.n > ENUMERATION_GUARD:
-                raise ValueError(
-                    f"{len(nums)} rows times {1 << self.n} player sets exceed "
-                    f"the enumeration guard ({ENUMERATION_GUARD})"
-                )
-            object.__setattr__(self, "structure", _derive_structure(self))
+        if structure is not None:
+            object.__setattr__(self, "structure", structure)
+        elif len(nums) << self.n > ENUMERATION_GUARD:  # the derivation may test every player set
+            raise ValueError(
+                f"{len(nums)} rows times {1 << self.n} player sets exceed "
+                f"the enumeration guard ({ENUMERATION_GUARD})"
+            )
 
     @classmethod
     def from_table(
@@ -188,17 +197,23 @@ def _keys(sch: ClassicalScheme, mask: int, secret: bool = False) -> np.ndarray:
     return _row_keys(sch._labels, cols, sch._dims)
 
 
-def check_secrecy(sch: ClassicalScheme, u_mask: int) -> bool:
-    """True iff the U-share marginal is the same exact distribution
-    for every secret."""
-    first, mass = _groups(_keys(sch, u_mask, secret=True), sch.numerators)
+def _same_marginals(sch: ClassicalScheme, u: np.ndarray, su: np.ndarray) -> bool:
+    """True iff every secret has the same exact distribution of the keys u,
+    given them and the (secret, u) keys su of the rows."""
+    first, mass = _groups(su, sch.numerators)
     # groups ascend by secret, then by U-word: every secret needs the same list
     counts = np.bincount(sch.secrets[first], minlength=sch.secret_count)
     if (counts != counts[0]).any():
         return False
-    words = _keys(sch, u_mask)[first].reshape(sch.secret_count, -1)
+    words = u[first].reshape(sch.secret_count, -1)
     mass = mass.reshape(sch.secret_count, -1)
     return bool((words == words[0]).all() and (mass == mass[0]).all())
+
+
+def check_secrecy(sch: ClassicalScheme, u_mask: int) -> bool:
+    """True iff the U-share marginal is the same exact distribution
+    for every secret."""
+    return _same_marginals(sch, _keys(sch, u_mask), _keys(sch, u_mask, secret=True))
 
 
 def _distinct(keys: np.ndarray) -> int:
@@ -283,32 +298,44 @@ def _square_classes(numbers: Iterable[int]) -> dict[int, tuple[int, int]]:
     return classes
 
 
-def _split_preconditions(sch: ClassicalScheme, u_mask: int) -> None:
-    """Shared eq1/oracle preconditions, then the split pair guard: eq1
-    makes one Gram term per pair of rows sharing a Q-word, and the
-    oracle's views hold one entry per such pair."""
+def _decide_split(sch: ClassicalScheme, u_mask: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Raise the split's ``PreconditionError`` (Q reconstructs, U learns
+    nothing, U lies in the structure and its dual), then, on every call, the
+    split pair guard: eq1 makes one Gram term per pair of rows sharing a
+    Q-word, and the oracle's views hold one entry per such pair.
+
+    The first call for U decides the verdict from the Q, (secret, Q), U and
+    (secret, U) keys, caches it on the table and returns the (secret, Q)
+    and U keys; a later call reads the verdict and returns None.
+    """
     q_mask = complement(u_mask, sch.n)
-    if not check_correctness(sch, q_mask):
-        raise PreconditionError(
-            f"scheme is not correct: Q={{{format_players(q_mask)}}} cannot reconstruct"
-        )
-    if not check_secrecy(sch, u_mask):
-        raise PreconditionError(f"scheme is not secret for U={{{format_players(u_mask)}}}")
-    structure = sch.structure
-    assert structure is not None
-    if not (structure.is_member(u_mask) and structure.dual().is_member(u_mask)):
-        raise PreconditionError(
-            f"U={{{format_players(u_mask)}}} is not in the intersection of the "
-            "structure and its dual"
-        )
+    q = None
+    if u_mask not in sch._verdicts:
+        q, sq, u, su = (_keys(sch, mask, secret) for mask in (q_mask, u_mask) for secret in (False, True))
+        structure = vars(sch).get("structure")  # given, or derived and read
+        verdict = None
+        if _distinct(q) != _distinct(sq):
+            verdict = f"scheme is not correct: Q={{{format_players(q_mask)}}} cannot reconstruct"
+        elif not _same_marginals(sch, u, su):
+            verdict = f"scheme is not secret for U={{{format_players(u_mask)}}}"
+        # a derived structure by its definition: U is in it, being secret, and in its
+        # dual when Q is not; Q's words never mix secrets, so it is not unless S = 1
+        elif not (sch.secret_count > 1 if structure is None
+                  else structure.is_member(u_mask) and structure.dual().is_member(u_mask)):
+            verdict = (f"U={{{format_players(u_mask)}}} is not in the intersection of the "
+                       "structure and its dual")
+        sch._verdicts[u_mask] = verdict
+    if (message := sch._verdicts[u_mask]) is not None:
+        raise PreconditionError(message)
     rows = len(sch.secrets)
     if rows * (rows - 1) // 2 > SPLIT_PAIR_GUARD:  # fewer rows make fewer pairs: no count needed
-        keys = np.sort(_keys(sch, q_mask))
+        keys = np.sort(_keys(sch, q_mask) if q is None else q)
         counts = np.diff(np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True]))))
         pairs = int((counts * (counts - 1)).sum()) // 2
         if pairs > SPLIT_PAIR_GUARD:
             raise ValueError(f"{pairs} pairs of rows share a Q-word, "
                              f"past the split pair guard ({SPLIT_PAIR_GUARD})")
+    return None if q is None else (sq, u)
 
 
 def eq1_check(sch: ClassicalScheme, u_mask: int) -> bool:
@@ -334,9 +361,8 @@ def eq1_check(sch: ClassicalScheme, u_mask: int) -> bool:
     every secret. The base is refined from the weights of the walked rows
     only; every form of one call is written over that one base.
     """
-    _split_preconditions(sch, u_mask)
-    q_mask = complement(u_mask, sch.n)
-    sq, u = _keys(sch, q_mask, secret=True), _keys(sch, u_mask)
+    keys = _decide_split(sch, u_mask)
+    sq, u = keys or (_keys(sch, complement(u_mask, sch.n), secret=True), _keys(sch, u_mask))
     order = np.lexsort((u, sq))
     new_column = np.diff(sq[order]) != 0
     alone = np.ones(len(order), dtype=bool)
@@ -378,8 +404,8 @@ def lift_report(sch: ClassicalScheme, u_mask: int, seed: int = 0) -> LiftReport:
     """Trace the lift of the maximally entangled input once, on the secret
     register R and U, and compare every pair of probes' exact views on U.
 
-    This is the ground truth that validates eq1_check; it never shares
-    code with it beyond the table itself. The probes are
+    This is the ground truth that validates eq1_check; it shares only the
+    table and the split's one cached verdict with it. The probes are
     ``probe_family(secret_count, seed, n_random=10)``, which always holds
     the uniform superposition: reduced states that agree on basis secrets
     alone do not establish erasure correction. The lifted state has the
@@ -391,10 +417,7 @@ def lift_report(sch: ClassicalScheme, u_mask: int, seed: int = 0) -> LiftReport:
     pair's difference when every block is diagonal (Q determines U's shares,
     as on linear tables), else of its eigenvalues from ``eigvalsh``.
     """
-    _split_preconditions(sch, u_mask)
-    dim = math.prod(sch._dims[1:])  # a probe's lifted state lives on the codes: ranks as dims
-    if dim > ORACLE_DIMENSION_GUARD:
-        raise ValueError(f"lifted state dimension {dim} exceeds the oracle guard")
+    _decide_split(sch, u_mask)
     s_count = sch.secret_count
     family = probe_family(s_count, seed, n_random=10)
     roots = np.array([(w / (sch.denominator * s_count)) ** 0.5 for w in sch.numerators.tolist()])
@@ -414,7 +437,7 @@ def lift_report(sch: ClassicalScheme, u_mask: int, seed: int = 0) -> LiftReport:
     weights = np.abs(np.array([alpha for _, alpha in family])) ** 2
     # every pair a < b of probes, a-major, at most max(a pair's entries,
     # _PAIR_CHUNK) entries at a time
-    first, second = np.triu_indices(len(family), 1)
+    first, second = quantum._probe_pairs(len(family))
     step = max(quantum._PAIR_CHUNK // math.prod(views.shape[1:]), 1)
     dists = [np.empty(0)]
     for lo in range(0, len(first), step):
@@ -472,29 +495,6 @@ def homomorphic_scheme(spec: HomomorphicSpec) -> ClassicalScheme:
     if kernel != 1:
         raise ValueError(f"homomorphism is not injective (kernel size {kernel})")
     return _tally((spec.group_order,) * len(spec.matrix), np.moveaxis(deals, 2, 0))
-
-
-def homomorphic_dichotomy_check(sch: ClassicalScheme, u_mask: int) -> bool:
-    """For every Q-word, all U-words seen with it are equiprobable: two
-    conditional probabilities are either never jointly positive or
-    exactly equal.
-
-    Conditionals are taken under the uniform secret prior, which makes
-    the check a property of the scheme itself; on splits where the
-    complement reconstructs, conditioning on Y_q pins the secret down
-    and this coincides with the per-secret conditional. Every joint
-    entry is positive and dividing by the Q-marginal keeps equality,
-    so the joint table alone decides it. Homomorphic schemes satisfy
-    the dichotomy (conditioned on a Q-word, the compatible U-words
-    form a coset and are equiprobable), which is what makes them pass
-    the square-root criterion.
-    """
-    first, joint = _groups(_keys(sch, full_mask(sch.n)), sch.numerators)
-    q = _keys(sch, complement(u_mask, sch.n))[first]
-    order = q.argsort(kind="stable")
-    q, joint = q[order], joint[order]
-    same = q[1:] == q[:-1]
-    return bool((joint[1:][same] == joint[:-1][same]).all())
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,16 @@ def probe_family(dim: int, seed: int = 0, n_random: int = 20) -> tuple[tuple[str
     return tuple(zip(names, vectors))
 
 
+@lru_cache(maxsize=64)
+def _probe_pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The indices a < b of every pair of count probes, a-major, as two
+    read-only arrays; built once per count."""
+    pairs = np.triu_indices(count, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _require_superposition(family: Sequence[tuple[str, np.ndarray]], dim: int) -> None:
     """Refuse probes of dim > 1 values that are all basis states: they cannot see phase damage."""
     if dim > 1 and all(np.count_nonzero(alpha) < 2 for _, alpha in family):

@@ -7,7 +7,17 @@ ran before both read the deals from the MSP's label table: every
 it read the same vectorized deals: a kernel scan, then one Python
 evaluation of h per input. They return the report text and the table
 items, so the table-backed paths can be compared with them exactly.
-``ref_eq1_check`` and ``ref_homomorphic_dichotomy_check`` are the
+``ref_split_preconditions`` is the split check that ``eq1_check`` and
+``lift_report`` each ran on every call before both read one verdict per
+split cached on the table: correctness, secrecy and the membership of U
+in the structure read off ``sch.structure`` and its dual, each from
+keys of its own, then the split pair guard; here correctness and
+secrecy are this module's checks, and every reference below runs it.
+``homomorphic_dichotomy_check`` is the dichotomy that homomorphic
+schemes satisfy (every Q-word's U-words are equiprobable), read off
+one grouping of the joint table; ``condition`` held it until no
+library code called it. ``ref_eq1_check`` and
+``ref_homomorphic_dichotomy_check`` are the
 all-pairs-of-U-words loops that ``eq1_check`` and
 ``homomorphic_dichotomy_check`` ran before both summed the table once
 over Q-words; ``_sqrt_sum`` is the canonical form the first sums in,
@@ -49,11 +59,12 @@ import numpy as np
 
 from spanshare.classical import ClassicalVerifyReport
 from spanshare.msp import ENUMERATION_GUARD
-from spanshare.condition import LiftReport, _keys, _split_preconditions
+from spanshare import condition
+from spanshare.condition import LiftReport, PreconditionError, _groups, _keys
 from spanshare.galois import solve_left
 from spanshare.msp import msp_structure, rows_of
 from spanshare.quantum import SECRECY_TOL, QuantumState, partial_trace, probe_family
-from spanshare.structures import AdversaryStructure, complement, format_players
+from spanshare.structures import AdversaryStructure, complement, format_players, full_mask
 
 from reference_quantum import state_of, trace_distance
 
@@ -89,6 +100,55 @@ def reconstruction_map(sch, q_mask):
 def ref_derive_structure(sch):
     """The structure of every player set passing check_secrecy, all 2**n tested."""
     return AdversaryStructure.from_table(sch.n, [check_secrecy(sch, b) for b in range(1 << sch.n)])
+
+
+def ref_split_preconditions(sch, u_mask):
+    """Raise the split's PreconditionError, then the split pair guard's
+    ValueError, each check from scratch."""
+    q_mask = complement(u_mask, sch.n)
+    if not ref_check_correctness(sch, q_mask):
+        raise PreconditionError(
+            f"scheme is not correct: Q={{{format_players(q_mask)}}} cannot reconstruct"
+        )
+    if not check_secrecy(sch, u_mask):
+        raise PreconditionError(f"scheme is not secret for U={{{format_players(u_mask)}}}")
+    structure = sch.structure
+    if not (structure.is_member(u_mask) and structure.dual().is_member(u_mask)):
+        raise PreconditionError(
+            f"U={{{format_players(u_mask)}}} is not in the intersection of the "
+            "structure and its dual"
+        )
+    rows = len(sch.secrets)
+    if rows * (rows - 1) // 2 > condition.SPLIT_PAIR_GUARD:
+        keys = np.sort(_keys(sch, q_mask))
+        counts = np.diff(np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True]))))
+        pairs = int((counts * (counts - 1)).sum()) // 2
+        if pairs > condition.SPLIT_PAIR_GUARD:
+            raise ValueError(f"{pairs} pairs of rows share a Q-word, "
+                             f"past the split pair guard ({condition.SPLIT_PAIR_GUARD})")
+
+
+def homomorphic_dichotomy_check(sch, u_mask):
+    """For every Q-word, all U-words seen with it are equiprobable: two
+    conditional probabilities are either never jointly positive or
+    exactly equal.
+
+    Conditionals are taken under the uniform secret prior, which makes
+    the check a property of the scheme itself; on splits where the
+    complement reconstructs, conditioning on Y_q pins the secret down
+    and this coincides with the per-secret conditional. Every joint
+    entry is positive and dividing by the Q-marginal keeps equality,
+    so the joint table alone decides it. Homomorphic schemes satisfy
+    the dichotomy (conditioned on a Q-word, the compatible U-words
+    form a coset and are equiprobable), which is what makes them pass
+    the square-root criterion.
+    """
+    first, joint = _groups(_keys(sch, full_mask(sch.n)), sch.numerators)
+    q = _keys(sch, complement(u_mask, sch.n))[first]
+    order = q.argsort(kind="stable")
+    q, joint = q[order], joint[order]
+    same = q[1:] == q[:-1]
+    return bool((joint[1:][same] == joint[:-1][same]).all())
 
 
 def _deals(msp):
@@ -266,7 +326,7 @@ def _sqrt_sum(terms):
 
 def ref_eq1_check(sch, u_mask):
     """eq1_check with one canonical sum per pair of U-words and secret."""
-    _split_preconditions(sch, u_mask)
+    ref_split_preconditions(sch, u_mask)
     q_mask = complement(u_mask, sch.n)
     joint = {}
     for (s, y), pr in sch.table.items():
@@ -315,7 +375,7 @@ def ref_homomorphic_dichotomy_check(sch, u_mask):
 
 def ref_lift_report(sch, u_mask, seed=0):
     """lift_report on the default probes, walking the table once per probe."""
-    _split_preconditions(sch, u_mask)
+    ref_split_preconditions(sch, u_mask)
     family = probe_family(sch.secret_count, seed, n_random=10)
     reduced = []
     for name, alpha in family:
@@ -335,7 +395,7 @@ def ref_lift_report(sch, u_mask, seed=0):
 
 def ref_eigvalsh_lift_report(sch, u_mask, seed=0):
     """lift_report on the default probes, every distance from eigvalsh."""
-    _split_preconditions(sch, u_mask)
+    ref_split_preconditions(sch, u_mask)
     family = probe_family(sch.secret_count, seed, n_random=10)
     values = [np.array(v, dtype=np.int64) for v in sch.share_values]
     words = np.column_stack([v[c] for v, c in zip(values, sch.codes.T)])
@@ -360,7 +420,7 @@ def ref_per_probe_lift_report(sch, u_mask, seed=0):
     probe: the diagonal read-off when every view shares the reused plan's
     index array and it is diagonal, else one eigvalsh stack per probe but the
     last, and the witness kept by a loop over the probes."""
-    _split_preconditions(sch, u_mask)
+    ref_split_preconditions(sch, u_mask)
     family = probe_family(sch.secret_count, seed, n_random=10)
     values = [np.array(v, dtype=np.int64) for v in sch.share_values]
     words = np.column_stack([v[c] for v, c in zip(values, sch.codes.T)])

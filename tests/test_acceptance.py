@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from conftest import all_antichains, lagrange_at_zero, mask, msp_corpus, shares_of
+from reference_classical import homomorphic_dichotomy_check
 from reference_msp import msp_eval
 
 from spanshare.galois import Field
@@ -22,7 +23,6 @@ from spanshare.condition import (
     eq1_check,
     format_scheme,
     generate_valid_schemes,
-    homomorphic_dichotomy_check,
     homomorphic_scheme,
     lift_report,
     scheme_from_msp,

@@ -21,7 +21,6 @@ from spanshare.condition import (
     eq1_check,
     format_scheme,
     generate_valid_schemes,
-    homomorphic_dichotomy_check,
     homomorphic_scheme,
     lift_report,
     parse_scheme,
@@ -43,7 +42,9 @@ from conftest import NumpyWithout, random_msps
 from reference_classical import (
     _sqrt_decompose,
     _sqrt_sum,
+    homomorphic_dichotomy_check,
     reconstruction_map,
+    check_secrecy as ref_check_secrecy,
     ref_check_correctness,
     ref_eq1_check,
     ref_homomorphic_dichotomy_check,
@@ -55,6 +56,7 @@ from reference_classical import (
     ref_per_probe_lift_report,
     ref_probe_views,
     ref_scheme_table,
+    ref_split_preconditions,
 )
 from reference_quantum import trace_distance
 
@@ -390,23 +392,33 @@ def _uniform_pair_text(a):
     return f"scheme n=2 secrets=2\nspace 1 {a}\nspace 2 {2 * a}\n" + rows
 
 
-def test_lift_report_at_and_past_the_oracle_dimension_guard(monkeypatch, tmp_path, capsys):
-    # the state is built on the dealt shares: 707 x 1414 = 999,698 lies at the
-    # guard's 10**6 edge, and 708 x 1416 = 1,002,528 passes it
-    at_edge = parse_scheme(_uniform_pair_text(707))
-    assert eq1_check(at_edge, U1) and lift_report(at_edge, U1).passed
-    # declared spaces 1000 x 1001 with 2 x 4 shares dealt are checked, not refused
-    path = tmp_path / "declared.scheme"
-    path.write_text(_diagonal_views_text(1001))
-    assert main(["condition", "check", str(path), "--set", "1"]) == 0
-    assert capsys.readouterr() == ("eq1=true oracle=true agree=true\n", "")
-    monkeypatch.setattr(condition, "QuantumState", lambda *args: pytest.fail("built"))
-    with pytest.raises(ValueError, match=r"^lifted state dimension 1002528 exceeds the oracle guard$"):
-        lift_report(parse_scheme(_uniform_pair_text(708)), U1)
-    path = tmp_path / "past.scheme"
-    path.write_text(_uniform_pair_text(708))
+def test_lift_report_decides_tables_whose_dealt_codes_multiply_past_a_million(monkeypatch, tmp_path, capsys):
+    # a probe's lifted state on every player's dealt codes would span
+    # 708 x 1416 = 1,002,528 dimensions, or 2048 x 4096; the one trace keeps
+    # the secret register and U's codes, 2 x 708 or 2 x 2048 diagonal dimensions
+    for a in (707, 708, 2048):
+        sch = parse_scheme(_uniform_pair_text(a))
+        assert eq1_check(sch, U1) and lift_report(sch, U1).passed
+    # declared spaces 1000 x 1001 with 2 x 4 shares dealt, and the 708 table
+    path = tmp_path / "wide.scheme"
+    for text in (_diagonal_views_text(1001), _uniform_pair_text(708)):
+        path.write_text(text)
+        assert main(["condition", "check", str(path), "--set", "1"]) == 0
+        assert capsys.readouterr() == ("eq1=true oracle=true agree=true\n", "")
+    # what the oracle builds stays bounded by the guards that remain: the
+    # trace's 1,416 dimensions pass a reduced-dimension guard of 1416 and not
+    # one of 1415, and the split pair guard counts the pairs of rows sharing
+    # a Q-word, none here, so even a guard of 0 admits the table
+    sch = parse_scheme(_uniform_pair_text(708))
+    monkeypatch.setattr(condition, "SPLIT_PAIR_GUARD", 0)
+    monkeypatch.setattr(quantum, "REDUCTION_DIM_GUARD", 1416)
+    assert lift_report(sch, U1).passed
+    monkeypatch.setattr(quantum, "REDUCTION_DIM_GUARD", 1415)
+    message = "reduced dimension 1416 exceeds the exact-simulation guard (1415)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lift_report(sch, U1)
     assert main(["condition", "check", str(path), "--set", "1"]) == 2
-    assert capsys.readouterr() == ("", "error: lifted state dimension 1002528 exceeds the oracle guard\n")
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _five_secret_text(size):
@@ -490,8 +502,8 @@ def test_split_pair_guard_at_and_past_its_edge(monkeypatch, tmp_path, capsys):
 
 
 def test_split_pair_guard_counts_no_pair_when_q_names_u(monkeypatch):
-    # the oracle guard's at-edge table: each Q-word is held by one row, so
-    # its 1414 rows make no pair and even a guard of 0 admits the split
+    # each Q-word is held by one row, so the 1414 rows make no pair and even
+    # a guard of 0 admits the split
     monkeypatch.setattr(condition, "SPLIT_PAIR_GUARD", 0)
     assert eq1_check(parse_scheme(_uniform_pair_text(707)), U1)
 
@@ -863,6 +875,81 @@ def test_scheme_structure_derivation_bounded(monkeypatch, tmp_path, capsys):
     assert calls == []
 
 
+def _two_secret_sixteen_player_text():
+    """Player 1 holds r < 76, player 2 holds r + s mod 76 and the other 14
+    players hold 0: 152 rows, and every player set without both 1 and 2
+    learns nothing, so the structure has 49,152 members."""
+    rows = "".join(f"p {s} {r} {(r + s) % 76}" + " 0" * 14 + " 1/76\n" for s in range(2) for r in range(76))
+    return ("scheme n=16 secrets=2\nspace 1 76\nspace 2 76\n"
+            + "".join(f"space {i} 1\n" for i in range(3, 17)) + rows)
+
+
+def test_sixteen_player_split_is_decided_without_the_structure(monkeypatch, tmp_path, capsys):
+    # a split is decided from its own keys: the 65,536 player sets of the
+    # derived structure are not tested to parse the table or to check U = {3..16}
+    path = tmp_path / "sixteen.scheme"
+    path.write_text(_two_secret_sixteen_player_text())
+    monkeypatch.setattr(condition, "_derive_structure", _fail)
+    assert main(["condition", "check", str(path), "--set", ",".join(map(str, range(3, 17)))]) == 0
+    assert capsys.readouterr() == ("eq1=true oracle=true agree=true\n", "")
+    monkeypatch.undo()
+    # read, the structure is still derived: it is the closed form, and on a
+    # seeded sample of sets it answers as the reference's dict-walk secrecy
+    # check does (all 65,536 of them take about a minute)
+    sch = parse_scheme(path.read_text())
+    everyone = (1 << 16) - 1
+    assert sch.structure == AdversaryStructure(16, (everyone ^ 0b01, everyone ^ 0b10))
+    rng = random.Random(16)
+    for b in [0, 0b11, everyone, everyone ^ 0b11] + [rng.randrange(1 << 16) for _ in range(200)]:
+        assert sch.structure.is_member(b) == ref_check_secrecy(sch, b), b
+
+
+def test_condition_check_decides_each_split_once(monkeypatch, capsys):
+    # eq1_check then lift_report on one table build the split's four key
+    # arrays and run one secrecy analysis; the verdict is cached on the table
+    keys, marginals = [], []
+    build, same = condition._keys, condition._same_marginals
+
+    def counted(*args, **kwargs):
+        keys.append(args[1:] + tuple(kwargs.values()))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(condition, "_keys", counted)
+    monkeypatch.setattr(condition, "_same_marginals", lambda *args: marginals.append(1) or same(*args))
+    monkeypatch.setattr(condition, "_derive_structure", _fail)
+    sch = parse_scheme((FIXTURES / "counterexample.scheme").read_text())
+    assert not eq1_check(sch, U1) and not lift_report(sch, U1).passed
+    assert sorted(keys) == [(0b01, False), (0b01, True), (0b10, False), (0b10, True)] and marginals == [1]
+    assert sch._verdicts == {U1: None}
+    # a refused split is refused again from its cached message, and the CLI's
+    # condition check decides its one split once, beside its validity check
+    with pytest.raises(PreconditionError, match="not correct"):
+        eq1_check(sch, 0b10)
+    keys.clear()
+    with pytest.raises(PreconditionError, match="not correct"):
+        lift_report(sch, 0b10)
+    assert keys == [] and len(marginals) == 1
+    assert main(["condition", "check", str(FIXTURES / "counterexample.scheme"), "--set", "1"]) == 1
+    assert capsys.readouterr() == ("eq1=false oracle=false agree=true\n", "")
+    assert len(keys) == 2 + 4 and len(marginals) == 2
+
+
+def test_homomorphic_search_reads_no_structure(monkeypatch):
+    # its 150 injective candidates are decided by their own keys; 120 of
+    # them fail Q's correctness, and none derives its structure
+    monkeypatch.setattr(condition, "_derive_structure", _fail)
+    assert search_counterexample(family="homomorphic", max_share_size=4) is None
+
+
+def test_probe_pairs_are_built_once_per_count():
+    first, second = quantum._probe_pairs(16)
+    assert quantum._probe_pairs(16)[0] is first
+    assert [a.tolist() for a in (first, second)] == [a.tolist() for a in np.triu_indices(16, 1)]
+    for index in (first, second):
+        with pytest.raises(ValueError):
+            index[0] = 1
+
+
 def _rederived(sch):
     """The same table with no claimed structure, so that one is derived."""
     shares = [np.array(v, dtype=object)[c] for v, c in zip(sch.share_values, sch.codes.T)]
@@ -882,13 +969,63 @@ def test_bottom_up_structure_matches_all_masks(monkeypatch):
     for msp in msps:
         sch = _rederived(scheme_from_msp(msp))
         assert sch.structure == ref_derive_structure(sch) == msp_structure(msp)
+    # nothing is tested at construction; on the first read of the structure
     # Shamir(5,2) tests its 16 sets of at most two players and the 10 sets
-    # of three, each of whose two-player subsets is tolerable: 26 of 32
+    # of three, each of whose two-player subsets is tolerable: 26 of 32; a
+    # second read tests none
     calls = []
     check = condition.check_secrecy
     monkeypatch.setattr(condition, "check_secrecy", lambda *args: calls.append(args[1]) or check(*args))
-    _rederived(scheme_from_msp(msps[0]))
+    sch = _rederived(scheme_from_msp(msps[0]))
+    assert calls == []
+    assert sch.structure == msp_structure(msps[0])
     assert sorted(calls) == sorted(b for b in range(32) if bin(b).count("1") <= 3)
+    assert sch.structure is sch.structure and len(calls) == 26
+
+
+def _split_outcome(check, sch, u):
+    """None, or the type and message of the error a split check raises."""
+    try:
+        check(sch, u)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_split_verdicts_match_the_reference():
+    orand = compile_formula(parse_formula("or(and(1,3),and(2,3))"), GF5)
+    msps = [shamir_msp(3, 1, GF5), shamir_msp(5, 2, Field(7)), extend_msp(orand), _past_int64_msp()]
+    given = [scheme_from_msp(msp) for msp in msps]
+    derived = [_rederived(sch) for sch in given]
+    derived.append(parse_scheme((FIXTURES / "counterexample.scheme").read_text()))
+    derived += [sch for seed in (0, 1, 2) for sch in generate_valid_schemes(
+        200, seed, max_secrets=4, max_share_size=6, max_denominator=24)]
+    derived += list(condition._homomorphic_candidates(4))
+    # one secret: with a claimed structure, and with the derived full one, whose dual is empty
+    pad = {(0, (0, 0)): Fraction(1, 2), (0, (1, 0)): Fraction(1, 2)}
+    given.append(ClassicalScheme.from_table(2, 1, (2, 1), pad, structure=AdversaryStructure(2, (U1,))))
+    derived.append(ClassicalScheme.from_table(2, 1, (2, 1), pad))
+    # a table that copies the secret to both players is correct for {2} but not secret for {1}
+    copying = {(0, (0, 0)): Fraction(1), (1, (1, 1)): Fraction(1)}
+    given.append(ClassicalScheme.from_table(2, 2, (2, 2), copying, structure=AdversaryStructure(2, (U1,))))
+    derived.append(ClassicalScheme.from_table(2, 2, (2, 2), copying))
+    kinds = set()
+    for sch in given + derived:
+        # every verdict first, so that a derived structure is not read before it
+        outcomes = [_split_outcome(condition._decide_split, sch, u) for u in range(1 << sch.n)]
+        if sch in derived:
+            assert "structure" not in vars(sch), format_scheme(sch)
+            reference = ref_derive_structure(sch)
+            for u, outcome in enumerate(outcomes):
+                # past correctness and secrecy, U's membership by definition is the reference's bits
+                if outcome is None or "intersection" in outcome[1]:
+                    inside = reference.is_member(u) and reference.dual().is_member(u)
+                    assert (outcome is None) == inside, (format_scheme(sch), u)
+        for u, outcome in enumerate(outcomes):
+            assert outcome == _split_outcome(ref_split_preconditions, sch, u), (format_scheme(sch), u)
+            kinds.add(outcome and next(kind for kind in ("not correct", "not secret", "intersection")
+                                       if kind in outcome[1]))
+    assert kinds == {None, "not correct", "not secret", "intersection"}
 
 
 def test_scheme_arrays_hold_the_table(shamir_table):

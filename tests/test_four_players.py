@@ -18,13 +18,11 @@ in ``reference_classical`` do.
 """
 
 import itertools
-import math
 
 import pytest
 
 from spanshare.classical import verify_classical
 from spanshare.condition import (
-    ORACLE_DIMENSION_GUARD,
     PreconditionError,
     check_correctness,
     eq1_check,
@@ -101,7 +99,6 @@ def test_every_four_player_structure():
         assert qss_mixed(msp).structure == msp_structure(msp)
         assert set(msp_structure(extend_msp(msp)).restrict(N).members()) == members, text
         table = scheme_from_msp(msp)
-        assert math.prod(table.share_sizes) <= ORACLE_DIMENSION_GUARD
         dual = {b for b in SETS if FULL & ~b not in members}
         for u in sorted(members & dual):
             assert eq1_check(table, u), (text, u)
