@@ -12,6 +12,11 @@ at once. It runs both criteria, the left solve and the kernel witness,
 incrementally on int64 arrays, one label's rows at a time: a reduced
 echelon basis of the row space grows, and a kernel basis is cut down
 from the identity. Every set's two answers are cross-checked.
+
+``left_solve_and_kernel`` reduces [m^T | target] once, on plain int
+lists, and reads off the rank, the left solve and a left-kernel basis
+that ``solve_left`` and ``kernel_basis`` of m^T would take three row
+reductions to give; ``msp`` builds an MSP's dual form from it.
 """
 
 from __future__ import annotations
@@ -115,11 +120,17 @@ class Matrix:
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form of m and its pivot columns."""
-    p = m.field.p
     rows = [list(r) for r in m.data]
+    pivots = _reduce(rows, m.cols, m.field.p)
+    return Matrix(m.field, tuple(tuple(row) for row in rows), m.cols), pivots
+
+
+def _reduce(rows: list[list[int]], cols: int, p: int) -> tuple[int, ...]:
+    """Bring plain rows of reduced ints to reduced row echelon form over
+    the first cols columns, in place; returns the pivot columns."""
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
+    for c in range(cols):
         if r == len(rows):
             break
         pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
@@ -134,7 +145,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    return Matrix(m.field, tuple(tuple(row) for row in rows), m.cols), tuple(pivots)
+    return tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -170,20 +181,53 @@ def kernel_basis(m: Matrix) -> Matrix:
     consumer of this basis deterministic.
     """
     reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    if not free:
+    vecs = _free_vectors(reduced.data, pivots, m.cols, m.field.p)
+    if not vecs:
         return Matrix(m.field, (), m.cols)
-    p = m.field.p
-    vecs = []
-    for f in free:
-        v = [0] * m.cols
-        v[f] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-reduced.data[i][f]) % p
-        vecs.append(v)
     basis, _ = rref(Matrix.from_rows(m.field, vecs, m.cols))
     return basis
+
+
+def _free_vectors(reduced: Sequence[Sequence[int]], pivots: Sequence[int], cols: int,
+                  p: int) -> list[tuple[int, ...]]:
+    """The kernel of reduced rows restricted to their first cols columns:
+    one vector per free column f, with a 1 at f and a 0 at every other
+    free column."""
+    pivot_set = set(pivots)
+    vecs = []
+    for f in range(cols):
+        if f not in pivot_set:
+            v = [0] * cols
+            v[f] = 1
+            for i, pc in enumerate(pivots):
+                v[pc] = -reduced[i][f] % p
+            vecs.append(tuple(v))
+    return vecs
+
+
+def left_solve_and_kernel(
+    m: Matrix, target: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...] | None, tuple[tuple[int, ...], ...]]:
+    """One row reduction of [m^T | target]: the pivot rows of m, a u with
+    u^T m = target^T or None, and a basis of the left kernel {v : v^T m = 0}.
+
+    The pivots are the rows of m that rref(m^T) picks, so their count is
+    the rank. u sets its free coordinates to zero, as ``solve_left``
+    does. The kernel has one vector per free row f of m: a 1 at f and a
+    0 at every other free row, so its reduced form is ``kernel_basis(m^T)``.
+    """
+    if len(target) != m.cols:
+        raise ValueError(f"target length {len(target)} does not match column count {m.cols}")
+    p, d = m.field.p, m.rows
+    aug = [[row[j] for row in m.data] + [target[j] % p] for j in range(m.cols)]
+    pivots = _reduce(aug, d + 1, p)
+    spanned = d not in pivots
+    if not spanned:  # the target column is the last pivot
+        pivots = pivots[:-1]
+    u = [0] * d
+    for i, pc in enumerate(pivots):
+        u[pc] = aug[i][d]
+    return pivots, tuple(u) if spanned else None, tuple(_free_vectors(aug, pivots, d, p))
 
 
 def kernel_witness(m: Matrix, eps: Sequence[int]) -> tuple[int, ...] | None:

@@ -7,7 +7,12 @@ kernel/image duality this is equivalent to the absence of a kernel
 witness. ``msp_structure`` reads the table of every set from
 ``galois.span_table``, which runs both criteria incrementally, one
 player's rows at a time, and cross-checks them on every set; the
-structure is derived once per MSP object and cached on it.
+structure is derived once per MSP object and cached on it. The table
+runs on M or, when that is narrower, on its dual form N = [u | K]
+(u^T M = eps, K a left-kernel basis), since f_M(B) = 1 - f_N(complement
+of B). N comes from one elimination and is certified in exact int64
+(u M = eps, K M = 0, K of d - e rows and the identity on M's non-pivot
+rows) before it is used.
 
 Constructions here: the Shamir/Vandermonde instance, compilation of
 monotone threshold formulas by one block-insertion composer (each
@@ -33,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .galois import Field, Matrix, rank, span_table
+from .galois import Field, Matrix, left_solve_and_kernel, rank, span_table
 from .structures import (
     AdversaryStructure,
     And,
@@ -100,14 +105,52 @@ class MSP:
 
     @cached_property
     def _structure(self) -> AdversaryStructure:
-        """f^-1(0) from the all-subsets table."""
+        """f^-1(0) from the all-subsets table of M or, when narrower, of
+        its dual form N = [u | K], d x (d - e + 1).
+
+        Here u^T M = eps and the rows of K are a basis of the left kernel
+        of M, and f_M(B) = 1 - f_N(complement of B) (Fehr 1999; Cramer,
+        Damgard and Maurer 2000). N is taken when M has rank e and
+        2 (d - e + 1) <= e: each added row costs span_table about width**2
+        per mask, and below that its per-row overhead outweighs the
+        saving. ``_dual_form`` certifies N before any table is run; on
+        N, span_table cross-checks the same two criteria, each one the
+        other's criterion on M.
+        """
         matrix = np.array(self.matrix.data, dtype=np.int64).reshape(self.d, self.e)
-        table = span_table(self.field, matrix, self.psi, self.n)
-        return AdversaryStructure.from_table(self.n, (1 - table).tobytes())
+        narrow = _dual_form(self, matrix) if 2 * (self.d - self.e + 1) <= self.e else None
+        if narrow is None:
+            tolerable = 1 - span_table(self.field, matrix, self.psi, self.n)
+        else:
+            # reversing a 2**n table sends every mask to its complement
+            tolerable = span_table(self.field, narrow, self.psi, self.n)[::-1]
+        return AdversaryStructure.from_table(self.n, tolerable.tobytes())
 
     def row_indices(self, mask: int) -> tuple[int, ...]:
         """Indices of rows labeled into the given player set, in row order."""
         return tuple(i for i, lbl in enumerate(self.psi) if mask >> (lbl - 1) & 1)
+
+
+def _dual_form(msp: MSP, matrix: np.ndarray) -> np.ndarray | None:
+    """N = [u | K] of ``MSP._structure`` from one elimination of
+    [M^T | eps], as a d x (d - e + 1) int64 array, or None when M (given
+    also as the int64 array matrix) lacks full column rank.
+
+    The certificate is never skipped: u M = eps and K M = 0 mod p, and
+    K has d - e rows and is the identity on the rows of M that are not
+    pivots, so K is a basis of the (d - e)-dimensional left kernel.
+    """
+    p, d, e = msp.field.p, msp.d, msp.e
+    pivots, u, kernel = left_solve_and_kernel(msp.matrix, msp.eps)
+    if len(pivots) != e:
+        return None
+    k = np.array(kernel, dtype=np.int64).reshape(-1, d)
+    free = sorted(set(range(d)) - set(pivots))
+    if (u is None or not np.array_equal(np.array(u, dtype=np.int64) @ matrix % p, msp.eps)
+            or len(k) != d - e or (k @ matrix % p).any()
+            or not np.array_equal(k[:, free], np.eye(d - e, dtype=np.int64))):
+        raise RuntimeError("dual form fails its certificate; the linear algebra layer is broken")
+    return np.column_stack([u, k.T])
 
 
 ENUMERATION_GUARD = 10**7

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -8,6 +9,7 @@ from spanshare.galois import (
     Matrix,
     kernel_basis,
     kernel_witness,
+    left_solve_and_kernel,
     rank,
     rref,
     solve_left,
@@ -39,7 +41,8 @@ def test_field_rejects_composite_and_out_of_range():
     (lambda: Matrix(GF5, (), -1), "negative column count"),
     (lambda: M(GF5, [[1, 2]]).matvec((1,)), "matvec of 1x2 matrix with length-1 vector"),
     (lambda: kernel_witness(M(GF5, [[1, 2]]), (1,)), "eps length 1 does not match column count 2"),
-], ids=["dot", "negative-cols", "matvec", "kernel-witness-eps"])
+    (lambda: left_solve_and_kernel(M(GF5, [[1, 2]]), (1,)), "target length 1 does not match column count 2"),
+], ids=["dot", "negative-cols", "matvec", "kernel-witness-eps", "left-solve-and-kernel-target"])
 def test_refusals_name_the_mismatch(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
@@ -161,3 +164,34 @@ def test_operations_are_deterministic(m):
     assert kernel_witness(m, eps) == kernel_witness(m, eps)
     assert solve_left(m, eps) == solve_left(m, eps)
     assert rref(m) == rref(m)
+
+
+def seeded_cases(seed=28, per_field=40):
+    """(m, target) over GF(2, 3, 5, 7, 11): uniform matrices, products
+    of lower rank, targets in the row space and uniform ones."""
+    rng = random.Random(seed)
+    for p in (2, 3, 5, 7, 11):
+        field = Field(p)
+        for i in range(per_field):
+            d, e = rng.randint(0, 7), rng.randint(1, 6)
+            vec = lambda k: [rng.randrange(p) for _ in range(k)]
+            if i % 2:  # rank at most r: a d x r times an r x e product
+                right = M(field, [vec(e) for _ in range(rng.randint(0, min(d, e)))], e)
+                m = M(field, [left_mul(right, vec(right.rows)) for _ in range(d)], e)
+            else:
+                m = M(field, [vec(e) for _ in range(d)], e)
+            yield m, tuple(vec(e))
+            yield m, left_mul(m, vec(d))
+
+
+def test_left_solve_and_kernel_matches_solve_left_and_kernel_basis():
+    deficient = unspanned = 0
+    for m, target in seeded_cases():
+        pivots, u, kernel = left_solve_and_kernel(m, target)
+        assert len(pivots) == rank(m)
+        assert u == solve_left(m, target)
+        transposed = m.transpose()
+        assert rref(M(m.field, kernel, m.rows))[0] == kernel_basis(transposed)
+        deficient += len(pivots) < min(m.rows, m.cols)
+        unspanned += u is None
+    assert deficient > 50 and unspanned > 50

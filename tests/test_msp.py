@@ -281,16 +281,37 @@ def table_of(m):
     return span_table(m.field, matrix, m.psi, m.n)
 
 
+def derive(m, entries=None):
+    """msp_structure of a fresh copy of m, as a 0/1 list of f(B), and the
+    matrices span_table received; with entries, chunks hold that many."""
+    received = []
+
+    def spy(field, matrix, psi, n):
+        received.append(matrix)
+        return span_table(field, matrix, psi, n)
+
+    with mock.patch.object(msp_module, "span_table", spy), \
+            mock.patch.object(galois, "_STACK_ENTRIES", entries or galois._STACK_ENTRIES):
+        structure = msp_structure(unchecked_msp(m.field, m.matrix, m.psi, m.n))
+    return [int(not structure.is_member(b)) for b in range(1 << m.n)], received
+
+
 def assert_table_is_eval(m, masks=None, chunk_masks=(1, 4)):
-    """span_table agrees with msp_eval on the masks, at the default chunk
-    size and with chunks of the given mask counts, so that the prefix
-    walk and the in-chunk doubling both run."""
+    """span_table on M, and msp_structure on whichever of M and its dual
+    form it picks, agree with each other on every set and with msp_eval
+    on the masks: at the default chunk size and with chunks of the given
+    mask counts, so that the prefix walk and the in-chunk doubling both
+    run on M and on N."""
     masks = range(1 << m.n) if masks is None else masks
     expected = [msp_eval(m, b) for b in masks]
-    for entries in (galois._STACK_ENTRIES,) + tuple(k * m.e * m.e for k in chunk_masks):
-        with mock.patch.object(galois, "_STACK_ENTRIES", entries):
+    bits, (form,) = derive(m)
+    assert bits == [int(x) for x in table_of(m)]
+    assert [bits[b] for b in masks] == expected
+    for k in chunk_masks:
+        with mock.patch.object(galois, "_STACK_ENTRIES", k * m.e * m.e):
             table = table_of(m)
-        assert [int(table[b]) for b in masks] == expected, entries
+        assert [int(table[b]) for b in masks] == expected, k
+        assert derive(m, k * form.shape[1] ** 2)[0] == bits, k
 
 
 @st.composite
@@ -322,10 +343,19 @@ def test_span_table_matches_eval_on_corpus_duals_and_extensions():
         assert_table_is_eval(m)
 
 
-def test_span_table_matches_eval_on_dual_of_thr3_of_7():
-    m = dual_msp(compile_formula(parse_formula("thr3(1,2,3,4,5,6,7)"), Field(11)))
-    assert (m.d, m.e) == (105, 85)
-    assert_table_is_eval(m)
+@pytest.fixture(scope="module")
+def thr3_of_7_dual():
+    return dual_msp(compile_formula(parse_formula("thr3(1,2,3,4,5,6,7)"), Field(11)))
+
+
+@pytest.fixture(scope="module")
+def thr4_of_8_dual():
+    return dual_msp(compile_formula(parse_formula("thr4(1,2,3,4,5,6,7,8)"), Field(11)))
+
+
+def test_span_table_matches_eval_on_dual_of_thr3_of_7(thr3_of_7_dual):
+    assert (thr3_of_7_dual.d, thr3_of_7_dual.e) == (105, 85)
+    assert_table_is_eval(thr3_of_7_dual)
 
 
 def test_span_table_matches_eval_on_shamir_16_7_sample():
@@ -340,6 +370,77 @@ def test_msp_structure_of_shamir_16_7_is_threshold():
     structure = msp_structure(shamir_msp(16, 7, Field(17)))
     assert structure == threshold_structure(16, 7)
     assert structure.dual() == threshold_structure(16, 8)
+
+
+# ---------------------------------------------------------------------------
+# msp_structure on the narrower of M and its dual form [u | ker M^T]
+
+
+def test_span_table_and_structure_match_eval_on_generic_duals(thr3_of_7_dual, thr4_of_8_dual):
+    # msp_eval takes 15 to 30 ms a set on these, so it checks a sample;
+    # at their width the default chunk of M holds one or two masks, and
+    # the dual form's prefix walk at small chunks runs on the thr3-of-7
+    # dual, the corpus and the arbitrary MSPs
+    ext = extend_msp(thr3_of_7_dual)
+    assert (ext.d, ext.e, ext.n) == (211, 156, 8)
+    assert_table_is_eval(ext, random.Random(7).sample(range(1 << 8), 48), chunk_masks=())
+    assert (thr4_of_8_dual.d, thr4_of_8_dual.e) == (280, 225)
+    assert_table_is_eval(thr4_of_8_dual, random.Random(8).sample(range(1 << 8), 24), chunk_masks=())
+
+
+def test_msp_structure_on_the_extension_of_the_thr4_of_8_dual(monkeypatch, thr4_of_8_dual):
+    # 561 x 436: the direct table would take tens of seconds, so the
+    # structure extend_msp derived for its own check is compared with the
+    # extended structure and with msp_eval on a sample of sets
+    received = []
+
+    def spy(field, matrix, psi, n):
+        received.append(matrix.shape)
+        return span_table(field, matrix, psi, n)
+
+    monkeypatch.setattr(msp_module, "span_table", spy)
+    ext = extend_msp(thr4_of_8_dual)
+    assert (ext.d, ext.e, ext.n) == (561, 436, 9)
+    assert received[-1] == (561, 126)
+    structure, expected = msp_structure(ext), msp_structure(thr4_of_8_dual).extend_selfdual()
+    assert structure == expected
+    for b in random.Random(9).sample(range(1 << 9), 12):
+        assert int(not structure.is_member(b)) == msp_eval(ext, b), b
+
+
+def test_span_table_runs_on_the_narrower_form(thr3_of_7_dual):
+    _, (form,) = derive(thr3_of_7_dual)
+    assert form.shape == (105, 21)
+    orand = compile_formula(parse_formula("or(and(1,3),and(2,3))"), GF5)
+    # rank 2 of 3 columns: the rule's width test alone would pick N
+    deficient = unchecked_msp(GF5, Matrix.from_rows(GF5, [[1, 0, 0], [0, 1, 0], [1, 1, 0]]), (1, 2, 3), 3)
+    shapes = []
+    for m in [shamir_msp(5, 2, GF7), orand, extend_msp(orand), deficient]:
+        _, (form,) = derive(m)
+        assert np.array_equal(form, np.array(m.matrix.data).reshape(m.d, m.e))
+        shapes.append(form.shape)
+    assert shapes == [(5, 3), (4, 3), (8, 5), (3, 3)]
+
+
+@pytest.mark.parametrize("corrupt", ["solution", "kernel"])
+def test_dual_form_refuses_a_wrong_certificate(monkeypatch, thr3_of_7_dual, corrupt):
+    eliminate, p = galois.left_solve_and_kernel, thr3_of_7_dual.field.p
+
+    def wrong(m, target):
+        # a 1 added on a pivot row keeps K the identity on the free rows
+        pivots, u, kernel = eliminate(m, target)
+        bump = lambda v: tuple((x + (i == pivots[0])) % p for i, x in enumerate(v))
+        if corrupt == "solution":
+            return pivots, bump(u), kernel
+        return pivots, u, (bump(kernel[0]),) + kernel[1:]
+
+    calls = []
+    monkeypatch.setattr(msp_module, "left_solve_and_kernel", wrong)
+    monkeypatch.setattr(msp_module, "span_table", lambda *args: calls.append(args))
+    m = thr3_of_7_dual
+    with pytest.raises(RuntimeError, match="^dual form fails its certificate; the linear algebra layer is broken$"):
+        msp_structure(unchecked_msp(m.field, m.matrix, m.psi, m.n))
+    assert calls == []
 
 
 def test_span_table_raises_when_the_criteria_disagree(monkeypatch):
