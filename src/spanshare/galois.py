@@ -13,10 +13,10 @@ incrementally on int64 arrays, one label's rows at a time: a reduced
 echelon basis of the row space grows, and a kernel basis is cut down
 from the identity. Every set's two answers are cross-checked.
 
-``left_solve_and_kernel`` reduces [m^T | target] once, on plain int
-lists, and reads off the rank, the left solve and a left-kernel basis
-that ``solve_left`` and ``kernel_basis`` of m^T would take three row
-reductions to give; ``msp`` builds an MSP's dual form from it.
+Solves, kernels and ranks run ``_reduce`` on plain int lists.
+``left_solve_and_kernel`` reduces [m^T | target] once for the rank, the
+left solve (``solve_left``) and a left-kernel basis; ``msp`` caches one
+call per MSP for its rank check and its dual form.
 """
 
 from __future__ import annotations
@@ -103,10 +103,6 @@ class Matrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.data[i]
 
-    def transpose(self) -> "Matrix":
-        data = tuple(tuple(r[j] for r in self.data) for j in range(self.cols))
-        return Matrix(self.field, data, self.rows)
-
     def take_rows(self, indices: Sequence[int]) -> "Matrix":
         return Matrix(self.field, tuple(self.data[i] for i in indices), self.cols)
 
@@ -116,13 +112,6 @@ class Matrix:
             raise ValueError(f"matvec of {self.rows}x{self.cols} matrix with length-{len(v)} vector")
         p = self.field.p
         return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.data)
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form of m and its pivot columns."""
-    rows = [list(r) for r in m.data]
-    pivots = _reduce(rows, m.cols, m.field.p)
-    return Matrix(m.field, tuple(tuple(row) for row in rows), m.cols), pivots
 
 
 def _reduce(rows: list[list[int]], cols: int, p: int) -> tuple[int, ...]:
@@ -150,7 +139,7 @@ def _reduce(rows: list[list[int]], cols: int, p: int) -> tuple[int, ...]:
 
 def rank(m: Matrix) -> int:
     """Rank of m over its field, by exact row reduction."""
-    return len(rref(m)[1])
+    return len(_reduce([list(r) for r in m.data], m.cols, m.field.p))
 
 
 def solve_left(m: Matrix, target: Sequence[int]) -> tuple[int, ...] | None:
@@ -160,17 +149,7 @@ def solve_left(m: Matrix, target: Sequence[int]) -> tuple[int, ...] | None:
     positive dimension the free coordinates are set to zero, which is
     the lexicographically smallest assignment under 0 < 1 < ... < p-1.
     """
-    if len(target) != m.cols:
-        raise ValueError(f"target length {len(target)} does not match column count {m.cols}")
-    mt = m.transpose()
-    aug_rows = [mt.data[i] + (target[i] % m.field.p,) for i in range(mt.rows)]
-    reduced, pivots = rref(Matrix(m.field, tuple(aug_rows), m.rows + 1))
-    if m.rows in pivots:
-        return None
-    u = [0] * m.rows
-    for i, pc in enumerate(pivots):
-        u[pc] = reduced.data[i][-1]
-    return tuple(u)
+    return left_solve_and_kernel(m, target)[1]
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -180,12 +159,10 @@ def kernel_basis(m: Matrix) -> Matrix:
     (pivots ascending, leading ones, zeros above pivots) makes every
     consumer of this basis deterministic.
     """
-    reduced, pivots = rref(m)
-    vecs = _free_vectors(reduced.data, pivots, m.cols, m.field.p)
-    if not vecs:
-        return Matrix(m.field, (), m.cols)
-    basis, _ = rref(Matrix.from_rows(m.field, vecs, m.cols))
-    return basis
+    p, rows = m.field.p, [list(r) for r in m.data]
+    vecs = [list(v) for v in _free_vectors(rows, _reduce(rows, m.cols, p), m.cols, p)]
+    _reduce(vecs, m.cols, p)
+    return Matrix(m.field, tuple(map(tuple, vecs)), m.cols)
 
 
 def _free_vectors(reduced: Sequence[Sequence[int]], pivots: Sequence[int], cols: int,
@@ -211,10 +188,10 @@ def left_solve_and_kernel(
     """One row reduction of [m^T | target]: the pivot rows of m, a u with
     u^T m = target^T or None, and a basis of the left kernel {v : v^T m = 0}.
 
-    The pivots are the rows of m that rref(m^T) picks, so their count is
-    the rank. u sets its free coordinates to zero, as ``solve_left``
-    does. The kernel has one vector per free row f of m: a 1 at f and a
-    0 at every other free row, so its reduced form is ``kernel_basis(m^T)``.
+    The pivots are the rows of m that the reduction of m^T picks, so
+    their count is the rank. u sets its free coordinates to zero. The
+    kernel has one vector per free row f of m: a 1 at f and a 0 at
+    every other free row, so its reduced form is the kernel basis of m^T.
     """
     if len(target) != m.cols:
         raise ValueError(f"target length {len(target)} does not match column count {m.cols}")

@@ -10,9 +10,10 @@ player's rows at a time, and cross-checks them on every set; the
 structure is derived once per MSP object and cached on it. The table
 runs on M or, when that is narrower, on its dual form N = [u | K]
 (u^T M = eps, K a left-kernel basis), since f_M(B) = 1 - f_N(complement
-of B). N comes from one elimination and is certified in exact int64
-(u M = eps, K M = 0, K of d - e rows and the identity on M's non-pivot
-rows) before it is used.
+of B). N is read off the one elimination of [M^T | eps] that the MSP
+caches for its rank check, and is certified in exact int64 (u M = eps,
+K M = 0, K of d - e rows and the identity on M's non-pivot rows) before
+it is used.
 
 Constructions here: the Shamir/Vandermonde instance, compilation of
 monotone threshold formulas by one block-insertion composer (each
@@ -38,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .galois import Field, Matrix, left_solve_and_kernel, rank, span_table
+from .galois import Field, Matrix, left_solve_and_kernel, span_table
 from .structures import (
     AdversaryStructure,
     And,
@@ -82,7 +83,7 @@ class MSP:
         _check_player_count(self.n)
         if any(not 1 <= lbl <= self.n for lbl in self.psi):
             raise ValueError("row label out of range")
-        if rank(self.matrix) != self.matrix.cols:
+        if len(self._elimination[0]) != self.matrix.cols:
             raise ValueError("MSP matrix lacks full column rank")
 
     @property
@@ -96,6 +97,11 @@ class MSP:
     @property
     def eps(self) -> tuple[int, ...]:
         return (1,) + (0,) * (self.e - 1)
+
+    @cached_property
+    def _elimination(self) -> tuple:
+        """``left_solve_and_kernel(M, eps)``, computed once per MSP."""
+        return left_solve_and_kernel(self.matrix, self.eps)
 
     @cached_property
     def _label_table(self) -> np.ndarray:
@@ -113,9 +119,9 @@ class MSP:
         Damgard and Maurer 2000). N is taken when M has rank e and
         2 (d - e + 1) <= e: each added row costs span_table about width**2
         per mask, and below that its per-row overhead outweighs the
-        saving. ``_dual_form`` certifies N before any table is run; on
-        N, span_table cross-checks the same two criteria, each one the
-        other's criterion on M.
+        saving. ``_dual_form`` reads N off the rank check's elimination and
+        certifies it before any table is run; on N, span_table
+        cross-checks the same two criteria, each one the other's on M.
         """
         matrix = np.array(self.matrix.data, dtype=np.int64).reshape(self.d, self.e)
         narrow = _dual_form(self, matrix) if 2 * (self.d - self.e + 1) <= self.e else None
@@ -132,16 +138,16 @@ class MSP:
 
 
 def _dual_form(msp: MSP, matrix: np.ndarray) -> np.ndarray | None:
-    """N = [u | K] of ``MSP._structure`` from one elimination of
-    [M^T | eps], as a d x (d - e + 1) int64 array, or None when M (given
-    also as the int64 array matrix) lacks full column rank.
+    """N = [u | K] of ``MSP._structure`` from the MSP's cached elimination
+    of [M^T | eps], as a d x (d - e + 1) int64 array, or None when M
+    (given also as the int64 array matrix) lacks full column rank.
 
     The certificate is never skipped: u M = eps and K M = 0 mod p, and
     K has d - e rows and is the identity on the rows of M that are not
     pivots, so K is a basis of the (d - e)-dimensional left kernel.
     """
     p, d, e = msp.field.p, msp.d, msp.e
-    pivots, u, kernel = left_solve_and_kernel(msp.matrix, msp.eps)
+    pivots, u, kernel = msp._elimination
     if len(pivots) != e:
         return None
     k = np.array(kernel, dtype=np.int64).reshape(-1, d)

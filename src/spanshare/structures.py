@@ -115,7 +115,9 @@ class AdversaryStructure:
     @classmethod
     def _from_bits(cls, n: int, bits: int) -> "AdversaryStructure":
         """The structure whose downward-closed membership set is bits."""
-        out = cls(n, ())  # checks n
+        _check_player_count(n)
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
         out._settle(bits)
         return out
 

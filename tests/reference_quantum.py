@@ -27,6 +27,8 @@ import numpy as np
 from spanshare.galois import solve_left
 from spanshare.quantum import DensityMatrix, QuantumState, _row_keys
 
+from reference_galois import ref_transpose
+
 
 def ravel(label, dims):
     index = 0
@@ -155,5 +157,5 @@ def schmidt_rank(state, first, tol=1e-9):
 
 def support_in_image(enc):
     """Every support label of an encoded state is M w for some w."""
-    mt = enc.msp.matrix.transpose()
+    mt = ref_transpose(enc.msp.matrix)
     return all(solve_left(mt, label) is not None for label in enc.state.amps)

@@ -11,11 +11,26 @@ from spanshare.galois import (
     kernel_witness,
     left_solve_and_kernel,
     rank,
-    rref,
     solve_left,
 )
 
-from reference_galois import add, div, element, identity, inv, left_mul, mul, neg, sub, zeros
+from reference_galois import (
+    add,
+    div,
+    element,
+    identity,
+    inv,
+    left_mul,
+    mul,
+    neg,
+    ref_kernel_basis,
+    ref_kernel_witness,
+    ref_rref,
+    ref_solve_left,
+    ref_transpose,
+    sub,
+    zeros,
+)
 
 GF5 = Field(5)
 GF7 = Field(7)
@@ -101,9 +116,9 @@ def test_matrix_shape_validation():
 
 def test_transpose_of_degenerate_shapes():
     empty = Matrix(GF5, (), 3)
-    t = empty.transpose()
+    t = ref_transpose(empty)
     assert (t.rows, t.cols) == (3, 0)
-    assert t.transpose().data == empty.data
+    assert ref_transpose(t).data == empty.data
 
 
 small_prime = st.sampled_from([2, 3, 5, 7])
@@ -122,7 +137,7 @@ def matrices(draw, max_dim=5):
 @given(matrices())
 @settings(max_examples=200)
 def test_rank_equals_rank_of_transpose(m):
-    assert rank(m) == rank(m.transpose())
+    assert rank(m) == rank(ref_transpose(m))
 
 
 @given(matrices(), st.data())
@@ -163,7 +178,7 @@ def test_operations_are_deterministic(m):
     eps = (1,) + (0,) * (m.cols - 1)
     assert kernel_witness(m, eps) == kernel_witness(m, eps)
     assert solve_left(m, eps) == solve_left(m, eps)
-    assert rref(m) == rref(m)
+    assert kernel_basis(m) == kernel_basis(m)
 
 
 def seeded_cases(seed=28, per_field=40):
@@ -184,14 +199,35 @@ def seeded_cases(seed=28, per_field=40):
             yield m, left_mul(m, vec(d))
 
 
+def assert_matches_the_reference(m, target):
+    """Every solve, kernel and rank of m, value for value with the
+    former path through transposed, augmented and reduced matrices."""
+    eps = (1,) + (0,) * (m.cols - 1)
+    assert rank(m) == len(ref_rref(m)[1])
+    assert solve_left(m, target) == ref_solve_left(m, target)
+    assert kernel_basis(m) == ref_kernel_basis(m)
+    assert kernel_witness(m, target) == ref_kernel_witness(m, target)
+    assert kernel_witness(m, eps) == ref_kernel_witness(m, eps)
+    pivots, u, kernel = left_solve_and_kernel(m, target)
+    transposed = ref_transpose(m)
+    assert pivots == ref_rref(transposed)[1]
+    assert u == ref_solve_left(m, target)
+    assert ref_rref(M(m.field, kernel, m.rows))[0] == ref_kernel_basis(transposed)
+
+
 def test_left_solve_and_kernel_matches_solve_left_and_kernel_basis():
-    deficient = unspanned = 0
+    deficient = unspanned = empty = 0
     for m, target in seeded_cases():
-        pivots, u, kernel = left_solve_and_kernel(m, target)
-        assert len(pivots) == rank(m)
-        assert u == solve_left(m, target)
-        transposed = m.transpose()
-        assert rref(M(m.field, kernel, m.rows))[0] == kernel_basis(transposed)
+        assert_matches_the_reference(m, target)
+        pivots, u, _ = left_solve_and_kernel(m, target)
         deficient += len(pivots) < min(m.rows, m.cols)
         unspanned += u is None
-    assert deficient > 50 and unspanned > 50
+        empty += m.rows == 0
+    assert deficient > 50 and unspanned > 50 and empty > 10
+
+
+@given(matrices(), st.data())
+@settings(max_examples=200)
+def test_solves_and_kernels_match_the_reference(m, data):
+    target = tuple(data.draw(st.integers(0, m.field.p - 1)) for _ in range(m.cols))
+    assert_matches_the_reference(m, target)

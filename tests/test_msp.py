@@ -69,6 +69,15 @@ def test_msp_constructor_validation(shamir13):
         MSP(GF5, shamir13.matrix, (1, 2), 3)
     with pytest.raises(ValueError):
         MSP(GF5, shamir13.matrix, (1, 2, 4), 3)
+    # wide, no rows, tall of rank 2: refused when built and when parsed
+    for rows, e in [([[1, 2]], 2), ([], 1), ([[1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 2, 0]], 3)]:
+        psi, n = tuple(range(1, len(rows) + 1)), max(len(rows), 1)
+        with pytest.raises(ValueError, match="column rank"):
+            MSP(GF5, Matrix.from_rows(GF5, rows, e), psi, n)
+        dump = f"msp field=5 d={len(rows)} e={e} n={n}\n" + "".join(
+            f"row {i} {' '.join(map(str, row))}\n" for i, row in zip(psi, rows))
+        with pytest.raises(FormatError, match="column rank"):
+            parse_msp(dump)
 
 
 def test_rows_of_examples(shamir13):
@@ -471,9 +480,32 @@ def test_structure_derived_once_per_msp(monkeypatch):
     assert len(calls) == 2
 
 
+def test_each_msp_is_eliminated_once(monkeypatch, thr3_of_7_dual):
+    calls = []
+
+    def spy(m, target):
+        calls.append(m)
+        return galois.left_solve_and_kernel(m, target)
+
+    monkeypatch.setattr(msp_module, "left_solve_and_kernel", spy)
+    orand = compile_formula(parse_formula("or(and(1,3),and(2,3))"), GF5)
+    on_m = [shamir_msp(5, 2, GF7), orand, extend_msp(orand)]  # tables run on M
+    deficient = unchecked_msp(GF5, Matrix.from_rows(GF5, [[1, 0, 0], [0, 1, 0], [1, 1, 0]]), (1, 2, 3), 3)
+    assert derive(thr3_of_7_dual)[1][0].shape == (105, 21)  # the narrow route
+    for m in on_m + [thr3_of_7_dual]:
+        calls.clear()
+        fresh = MSP(m.field, m.matrix, m.psi, m.n)  # the rank check
+        assert msp_structure(fresh) is msp_structure(fresh)
+        assert calls == [m.matrix]
+    calls.clear()
+    msp_structure(deficient)  # built unchecked: eliminated on the narrow route only
+    msp_structure(deficient)
+    assert calls == [deficient.matrix]
+
+
 def test_msp_refuses_17_players_before_any_linear_algebra(monkeypatch):
     calls = []
-    monkeypatch.setattr(msp_module, "rank", lambda *args: calls.append(args))
+    monkeypatch.setattr(msp_module, "left_solve_and_kernel", lambda *args: calls.append(args))
     monkeypatch.setattr(msp_module, "span_table", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match=r"^player count must lie in 1\.\.16, got 17$"):
         MSP(GF5, Matrix.from_rows(GF5, [(1,)], 1), (1,), 17)

@@ -296,6 +296,16 @@ def test_threshold_structure_refuses_before_enumerating(monkeypatch):
     assert threshold_structure(4, 4).maximal == (0b1111,)
 
 
+def test_from_bits_checks_the_player_count_first():
+    with pytest.raises(ValueError, match=r"^player count must lie in 1\.\.16, got 17$"):
+        AdversaryStructure._from_bits(17, 0)
+    with pytest.raises(ValueError, match=r"^player count must lie in 1\.\.16, got 17$"):
+        threshold_structure(16, 8).extend_selfdual()
+    built = AdversaryStructure._from_bits(3, 0b10111)  # the sets {}, {1}, {2} and {3}
+    assert built == AdversaryStructure(3, (0b001, 0b010, 0b100))
+    assert built.maximal == (0b001, 0b010, 0b100)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: AdversaryStructure(2, (0b100,)), "maximal set contains a player id out of range"),
     (lambda: threshold_structure(2, 1).is_member(0b100), "subset contains a player id out of range"),
