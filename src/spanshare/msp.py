@@ -24,7 +24,7 @@ one-extra-player self-dual extension, and ``_linear_deals``, the one
 dealer of every linear scheme: the MSP label table and ``condition``'s
 group-homomorphic schemes both read its array of h (s, r), indexed
 (secret, randomness, share), and it alone enforces
-``ENUMERATION_GUARD``. ``_row_keys`` gives the int64 row keys by which
+``ENUMERATION_GUARD`` and ``DEAL_ENTRY_GUARD``. ``_row_keys`` gives the int64 row keys by which
 ``classical``, ``quantum`` and ``condition`` compare and group rows.
 ``MSP`` alone checks its player count (1..16) and full column rank; each
 constructor builds one, the one it returns.
@@ -160,6 +160,10 @@ def _dual_form(msp: MSP, matrix: np.ndarray) -> np.ndarray | None:
 
 
 ENUMERATION_GUARD = 10**7
+# _linear_deals holds N deals' inputs and shares in int64 arrays of N (e k + d)
+# entries (e inputs of k components, d shares) and peaks at about
+# 8 N (e k + 2 d) bytes, at most 16 per entry: 2**24 entries stay under 256 MiB
+DEAL_ENTRY_GUARD = 1 << 24
 # row-major keys stay exact below this bound; past it they are
 # compressed to dense group ids so int64 never overflows
 _KEY_LIMIT = 2**40
@@ -189,12 +193,19 @@ def _linear_deals(h: tuple[tuple[int, ...], ...], moduli: tuple[int, ...]) -> np
     Secret x_0 and randomness (x_1, ..., x_m) run in itertools.product
     order, each x_j in G's product order; a share packs its components by
     mixed radix, first modulus most significant. More than
-    ENUMERATION_GUARD inputs are refused before anything is allocated.
+    ENUMERATION_GUARD inputs, or inputs and shares of more than
+    DEAL_ENTRY_GUARD entries, are refused before anything is allocated.
     """
     k, arity, order = len(moduli), len(h[0]), math.prod(moduli)
     total = order**arity
     if total > ENUMERATION_GUARD:
         raise ValueError(f"{total} deals exceed the enumeration guard ({ENUMERATION_GUARD})")
+    entries = total * (arity * k + len(h))
+    if entries > DEAL_ENTRY_GUARD:
+        raise ValueError(
+            f"{total} deals of {len(h)} shares make {entries} int64 entries, "
+            f"past the deal memory guard ({DEAL_ENTRY_GUARD})"
+        )
     inputs = np.indices(moduli * arity).reshape(arity * k, -1)
     deals = 0
     for j, md in enumerate(moduli):

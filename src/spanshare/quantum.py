@@ -21,15 +21,16 @@ state, on a secret register R beside a table's shares, and one trace on
 R + U, block-diagonal because Q is correct. An encoded state
 is the secrets' blocks of the MSP's cached table of every M (s, a), and
 a plan multiplies the A columns by U mod p. Partial traces group the
-amplitudes by their traced-out labels with numpy sorts. That grouping
-depends on the labels alone, so a trace reuses the last one when its
-labels, dims and kept coordinates are those of the previous trace: the
-full-support probes of a sweep all share one support. Reduced states
+amplitudes by their traced-out labels with numpy sorts. Reduced states
 keep only the entries on their support, where secrecy checks compare
-them. A support's transpose order and diagonal are derived once and
-reused while the next reduced state has an equal support; its entries
-are checked every time. Only fidelity and exact trace distances build
-dense matrices, where numpy does the eigenvalue work.
+them. Only fidelity and exact trace distances build dense matrices, where
+numpy does the eigenvalue work. A support depends on the MSP, the plan
+and the secrets a probe touches, not on the amplitudes, so the label
+work (a state's range and duplicate checks, a plan's relabeling, a
+trace's grouping, a support's transpose order and diagonal) is done once
+per run of equal arrays, through a one-entry ``_Memo`` each: the
+full-support probes of a sweep share it. Norms and entries are checked
+every time.
 """
 
 from __future__ import annotations
@@ -60,6 +61,31 @@ PROBE_PAIR_GUARD = 100_000
 _PAIR_CHUNK = 1 << 20
 
 
+class _Memo:
+    """One value derived from a key and an array, served while the next key
+    is == and the next array equal to an own copy of the array; a miss
+    drops the value before another is built, so at most one is held."""
+
+    entry: tuple | None = None
+
+    def get(self, key, array: np.ndarray):
+        entry = self.entry
+        if entry is not None and entry[0] == key and np.array_equal(entry[1], array):
+            return entry[2]
+        self.entry = None
+        return None
+
+    def put(self, key, array: np.ndarray, value) -> None:
+        self.entry = key, array.copy(), value
+
+
+# the four memos, by key: what they hold
+_checked_labels = _Memo()  # dims: True, the labels passed _check_labels
+_last_support = _Memo()  # dim: the support's transpose order and diagonal positions
+_last_relabel = _Memo()  # plan: its relabeling of the labels, handed out as copies
+_last_plan = _Memo()  # (dims, keep, _PAIR_CHUNK): a one-chunk trace plan with its buffers
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumState:
     """Sparse state over a tuple of qudit coordinates.
@@ -68,11 +94,12 @@ class QuantumState:
     one entry per coordinate, with amplitude ``values[i]``; both arrays are
     read-only. An array that already has the stored dtype (int64 labels,
     complex values) is kept, not copied, and made read-only in place, so a
-    caller who wants to keep writing it passes a copy. The state is checked
-    to be normalized to unit norm within 1e-12 at construction. Compare
-    states through their arrays, not ==. The oracle's one state per report
-    is one of these: secret register R first, then the table's codes, so its
-    one trace on R + U is block-diagonal because Q is correct.
+    caller who wants to keep writing it passes a copy. The norm is checked
+    to be 1 within 1e-12 at construction, and the labels to be in range and
+    distinct unless they equal the labels last checked under the same dims.
+    Compare states through their arrays, not ==. The oracle's one state per
+    report is one of these: secret register R first, then the table's codes,
+    so its one trace on R + U is block-diagonal because Q is correct.
     """
 
     dims: tuple[int, ...]
@@ -86,13 +113,9 @@ class QuantumState:
         if labels.size and labels.dtype.kind not in "biu":
             raise ValueError(f"basis labels must be int tuples within int64, got {labels.dtype}")
         labels = labels.astype(np.int64, copy=False)
-        bad = (labels < 0) | (labels >= np.array(self.dims, dtype=np.int64))
-        if np.count_nonzero(bad):
-            label = tuple(labels[int(np.argmax(bad.any(axis=1)))].tolist())
-            raise ValueError(f"basis label {label} out of range for dims {self.dims}")
-        keys = np.sort(_row_keys(labels, range(len(self.dims)), self.dims))
-        if np.count_nonzero(keys[1:] == keys[:-1]):
-            raise ValueError("duplicate basis labels")
+        if _checked_labels.get(self.dims, labels) is None:
+            _check_labels(labels, self.dims)
+            _checked_labels.put(self.dims, labels, True)
         values = np.asarray(self.values, dtype=complex)
         if values.shape != (len(labels),):
             raise ValueError("labels and values differ in length")
@@ -107,6 +130,17 @@ class QuantumState:
     def amps(self) -> dict[tuple[int, ...], complex]:
         """The amplitudes as a dict from label tuples, in row order."""
         return dict(zip(map(tuple, self.labels.tolist()), self.values.tolist()))
+
+
+def _check_labels(labels: np.ndarray, dims: tuple[int, ...]) -> None:
+    """Refuse int64 label rows out of range for dims or not distinct."""
+    bad = (labels < 0) | (labels >= np.array(dims, dtype=np.int64))
+    if np.count_nonzero(bad):
+        label = tuple(labels[int(np.argmax(bad.any(axis=1)))].tolist())
+        raise ValueError(f"basis label {label} out of range for dims {dims}")
+    keys = np.sort(_row_keys(labels, range(len(dims)), dims))
+    if np.count_nonzero(keys[1:] == keys[:-1]):
+        raise ValueError("duplicate basis labels")
 
 
 def _norm(values: np.ndarray) -> float:
@@ -133,12 +167,6 @@ def _trace_atol(terms: int) -> float:
     return 2 * NORM_ATOL + (terms + 8) * math.ulp(1.0)
 
 
-# The last support a density matrix was checked on: its dim, an own copy of
-# the index, the transpose order and the positions of the diagonal entries.
-# It is replaced whole, so at most one support is held.
-_last_support: tuple | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Reduced state on its support: ``index`` holds sorted, distinct row-major
@@ -158,17 +186,15 @@ class DensityMatrix:
     terms: int = 0
 
     def __post_init__(self) -> None:
-        global _last_support
         dim = self.dim
         index = np.asarray(self.index, dtype=np.int64)
         values = np.asarray(self.values, dtype=complex)
         if index.ndim != 1 or values.shape != index.shape:
             raise ValueError("density matrix index and values differ in shape")
-        last = _last_support
-        if last is not None and last[0] == dim and np.array_equal(last[1], index):
-            order, diagonal = last[2], last[3]
+        held = _last_support.get(dim, index)
+        if held is not None:
+            order, diagonal = held
         else:
-            _last_support = None
             if len(index) and (index[0] < 0 or index[-1] >= dim * dim):
                 raise ValueError(f"density matrix index out of range for dims {self.dims}")
             # values[order[k]] is the transpose of entry k: np.isclose(mat, mat^H) on the support
@@ -178,7 +204,7 @@ class DensityMatrix:
             if (index[1:] <= index[:-1]).any() or (transposed[order] != index).any():
                 raise ValueError("density matrix is not Hermitian: support unsorted or not symmetric")
             diagonal = np.flatnonzero(rows == cols)
-            _last_support = dim, index.copy(), order, diagonal
+            _last_support.put(dim, index, (order, diagonal))
         if not (abs(values[order] - values.conj()) <= NORM_ATOL + 1e-5 * abs(values)).all():
             raise ValueError("density matrix is not Hermitian")
         if abs(values[diagonal].sum() - 1.0) > _trace_atol(self.terms):
@@ -187,7 +213,7 @@ class DensityMatrix:
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "values", values)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return math.prod(self.dims)
 
@@ -242,23 +268,19 @@ def apply_plan(enc: EncodedState, plan: ReconstructionPlan) -> QuantumState:
     """Relabel the A coordinates by the plan's matrix U.
 
     Afterwards the coordinate at plan.a_rows[0] holds the secret state
-    and factors out from everything else.
+    and factors out from everything else. The relabeling is reused from
+    the previous call when that call had an equal plan and equal labels.
     """
     if plan.msp != enc.msp:
         raise ValueError("plan was built for a different MSP")
     labels = enc.state.labels
-    a_rows = list(plan.a_rows)
-    u = np.array(plan.u.data, dtype=np.int64)
-    out = labels.copy()
-    out[:, a_rows] = labels[:, a_rows] @ u.T % enc.msp.field.p
-    return QuantumState(enc.state.dims, out, enc.state.values)
-
-
-# The label plan of the last partial trace whose pairs fit in one chunk:
-# (dims, keep, _PAIR_CHUNK), the plan's own copy of the labels, and the
-# chunk with its work buffers. It is replaced whole, so at most one plan
-# is held.
-_last_plan: tuple | None = None
+    out = _last_relabel.get(plan, labels)
+    if out is None:
+        a_rows = list(plan.a_rows)
+        out = labels.copy()
+        out[:, a_rows] = labels[:, a_rows] @ np.array(plan.u.data, dtype=np.int64).T % enc.msp.field.p
+        _last_relabel.put(plan, labels, out)
+    return QuantumState(enc.state.dims, out.copy(), enc.state.values)
 
 
 def _pair_chunks(labels: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...], dim: int):
@@ -309,7 +331,6 @@ def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
     The label work is reused from the previous call when that call traced
     the same labels to the same coordinates in one chunk.
     """
-    global _last_plan
     keep = tuple(sorted(keep))
     if len(set(keep)) != len(keep):
         raise ValueError("duplicate coordinates in keep")
@@ -323,12 +344,8 @@ def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
         )
     labels, values = state.labels, state.values
     key = (state.dims, keep, _PAIR_CHUNK)
-    last = _last_plan
-    if last is not None and last[0] == key and np.array_equal(last[1], labels):
-        chunks = [last[2]]
-    else:
-        _last_plan = last = None  # the old plan goes before a new one is built
-        chunks = _pair_chunks(labels, state.dims, keep, dim)
+    held = _last_plan.get(key, labels)
+    chunks = [held] if held is not None else _pair_chunks(labels, state.dims, keep, dim)
     # the entries as (real, imaginary) float pairs, one bincount per chunk
     sums = np.empty(0)
     count, index = 0, np.empty(0, dtype=np.int64)
@@ -341,8 +358,8 @@ def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
         # the first chunk has no sums before its terms
         parts = np.concatenate([sums, terms.view(float)]) if sums.size else terms.view(float)
         sums = np.bincount(bins, parts, 2 * len(index))
-    if last is None and count == 1:
-        _last_plan = key, labels.copy(), (i, j, index, bins, buffers)
+    if held is None and count == 1:
+        _last_plan.put(key, labels, (i, j, index, bins, buffers))
     return DensityMatrix(kdims, index, sums.view(complex), len(labels))
 
 
@@ -370,7 +387,8 @@ def trace_distance_within(r1: DensityMatrix, r2: DensityMatrix) -> tuple[bool, f
         delta = np.zeros(len(index), dtype=complex)
         delta[where[: len(r1.index)]] = r1.values
         delta[where[len(r1.index) :]] -= r2.values
-    bound = 0.5 * math.sqrt(r1.dim) * float(np.linalg.norm(delta))
+    # the 2-norm as np.linalg.norm computes it, without its dispatch
+    bound = 0.5 * math.sqrt(r1.dim) * math.sqrt(delta.real.dot(delta.real) + delta.imag.dot(delta.imag))
     if bound <= SECRECY_TOL:
         return True, bound
     value = float(0.5 * np.abs(np.linalg.eigvalsh(_scatter(r1.dim, index, delta))).sum())
@@ -418,12 +436,6 @@ def _probe_pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
     for index in pairs:
         index.flags.writeable = False
     return pairs
-
-
-def _require_superposition(family: Sequence[tuple[str, np.ndarray]], dim: int) -> None:
-    """Refuse probes of dim > 1 values that are all basis states: they cannot see phase damage."""
-    if dim > 1 and all(np.count_nonzero(alpha) < 2 for _, alpha in family):
-        raise ValueError("probes must include non-basis amplitude assignments")
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +578,9 @@ class QuantumScheme:
         plan, then pairwise secrecy of the probes on each coalition."""
         report = VerificationReport(self.kind, self.descriptor, seed)
         family = inputs if inputs is not None else probe_family(self.msp.field.p, seed)
-        _require_superposition(family, self.msp.field.p)
+        # basis states alone cannot see phase damage
+        if all(np.count_nonzero(alpha) < 2 for _, alpha in family):
+            raise ValueError("probes must include non-basis amplitude assignments")
         encoded = [(name, alpha, qencode(self.msp, alpha)) for name, alpha in family]
         for recoveries, coalitions in self.blocks:
             for mask in recoveries:

@@ -16,7 +16,7 @@ from spanshare import cli
 from spanshare.cli import SplitMix64, main
 from spanshare.galois import Field
 from spanshare.msp import compile_formula, dump_msp, shamir_msp
-from spanshare import quantum
+from spanshare import msp as msp_module, quantum
 from spanshare.quantum import PROBE_PAIR_GUARD, probe_family
 from spanshare.structures import (
     format_structure,
@@ -221,6 +221,40 @@ def test_qss_verify_pure_budget_refusal_has_no_hint(tmp_path, capsys):
     assert main(["qss", "verify-pure", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: encoding needs 2048383 amplitudes, beyond the simulation guard (2000000)\n"
+
+
+def one_player_msp_text(p, e, extra):
+    """An MSP over GF(p) whose one player holds the e x e identity and extra all-ones rows."""
+    rows = [[int(i == j) for j in range(e)] for i in range(e)] + [[1] * e] * extra
+    body = "".join("row 1 " + " ".join(map(str, row)) + "\n" for row in rows)
+    return f"msp field={p} d={len(rows)} e={e} n=1\n" + body
+
+
+def test_qss_verify_deal_memory_guard_is_exit_2(tmp_path, monkeypatch, capsys):
+    # 8 deals of 3 inputs and 6 shares: 72 int64 entries
+    small = tmp_path / "small.msp"
+    small.write_text(one_player_msp_text(2, 3, 3))
+    monkeypatch.setattr(msp_module, "DEAL_ENTRY_GUARD", 72)
+    assert main(["qss", "verify-pure", str(small)]) == 0
+    assert capsys.readouterr().out.endswith("result: PASS\n")
+    monkeypatch.setattr(msp_module, "DEAL_ENTRY_GUARD", 71)
+    assert main(["qss", "verify-pure", str(small)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 8 deals of 6 shares make 72 int64 entries, past the deal memory guard (71)\n"
+    )
+    monkeypatch.undo()
+    # 2**20 amplitudes pass the simulation guard, but 24 shares of each deal
+    # beside its 20 inputs would peak near 570 MB: refused before any array
+    big = tmp_path / "big.msp"
+    big.write_text(one_player_msp_text(2, 20, 4))
+    monkeypatch.setattr(msp_module.np, "indices", lambda *args: pytest.fail("allocated"))
+    assert main(["qss", "verify-pure", str(big)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 1048576 deals of 24 shares make 46137344 int64 entries, "
+        "past the deal memory guard (16777216)\n"
+    )
 
 
 def test_qss_verify_mixed_budget_refusal_is_exit_2(tmp_path, capsys):

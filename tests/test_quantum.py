@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spanshare import quantum
-from spanshare.galois import Field
+from spanshare.galois import Field, Matrix
 from spanshare.classical import build_reconstruction_plan
 from spanshare.msp import compile_formula, extend_msp, msp_structure, shamir_msp
 from spanshare.quantum import (
@@ -32,6 +32,7 @@ from reference_quantum import (
     normalized,
     probe,
     projector,
+    ref_apply_plan,
     schmidt_rank,
     state_of,
     support_in_image,
@@ -561,3 +562,94 @@ def test_sweep_line_order(shamir13, orand):
     assert report_keys(mixed) == sweep_keys(
         ["1,3", "2,3", "1,2,3"], ["-", "1", "2", "1,2", "3"], names
     )
+
+
+# ---------------------------------------------------------------------------
+# label work done once per run of equal label arrays
+
+
+@pytest.fixture
+def cold_memos(monkeypatch):
+    """Start with no label check, relabeling, trace plan or support held."""
+    for memo in (quantum._checked_labels, quantum._last_relabel, quantum._last_plan, quantum._last_support):
+        monkeypatch.setattr(memo, "entry", None)
+
+
+def test_a_held_label_check_never_skips_a_refusal(cold_memos):
+    labels = np.array([[0, 1], [2, 2], [1, 0]])
+    values = np.full(3, 3**-0.5, dtype=complex)
+    duplicated, out_of_range = labels.copy(), labels.copy()
+    duplicated[2] = duplicated[0]
+    out_of_range[1, 1] = 3
+    for bad, message in ((duplicated, "^duplicate basis labels$"), (out_of_range, "out of range")):
+        QuantumState((3, 3), labels.copy(), values)
+        with pytest.raises(ValueError, match=message):
+            QuantumState((3, 3), bad, values)
+    # equal labels under other dims are checked again
+    QuantumState((3, 3), labels.copy(), values)
+    with pytest.raises(ValueError, match=r"^basis label \(2, 2\) out of range for dims \(2, 3\)$"):
+        QuantumState((2, 3), labels.copy(), values)
+    # a kept array whose writing is turned back on is checked again
+    kept = labels.copy()
+    assert QuantumState((3, 3), kept, values).labels is kept and not kept.flags.writeable
+    kept.flags.writeable = True
+    kept[2] = kept[0]
+    with pytest.raises(ValueError, match="^duplicate basis labels$"):
+        QuantumState((3, 3), kept, values)
+
+
+def test_a_held_relabeling_serves_only_its_own_plan(cold_memos, orand):
+    msp = shamir_msp(5, 2, Field(7))
+    plans = [build_reconstruction_plan(msp, mask(*b, n=5)) for b in ((1,), (2, 4))]
+    family = dict(probe_family(7, seed=1, n_random=2))
+    # the uniform and random probes are encoded on one label array
+    encoded = [qencode(msp, family[name]) for name in ("uniform", "random:0", "random:1")]
+    assert all(np.array_equal(enc.state.labels, encoded[0].state.labels) for enc in encoded)
+    for plan in plans + plans:
+        for enc in encoded:
+            after = apply_plan(enc, plan)
+            assert after.amps == pytest.approx(ref_apply_plan(enc.state, plan))
+    # writing to a state's labels after turning writing back on leaves the held relabeling alone
+    after = apply_plan(encoded[0], plans[0])
+    after.labels.flags.writeable = True
+    after.labels[:] = 0
+    assert apply_plan(encoded[1], plans[0]).amps == pytest.approx(ref_apply_plan(encoded[1].state, plans[0]))
+    # a hit does not get past the plan's MSP, even with the held plan's rows and U
+    apply_plan(encoded[0], plans[0])
+    foreign = dataclasses.replace(plans[0], msp=shamir_msp(5, 2, Field(11)))
+    with pytest.raises(ValueError, match="different MSP"):
+        apply_plan(encoded[0], foreign)
+    with pytest.raises(ValueError, match="different MSP"):
+        apply_plan(qencode(orand, probe(5, {0: 1, 1: 1})), plans[0])
+    # nor past a singular U built by hand right after a hit
+    apply_plan(encoded[0], plans[0])
+    u = plans[0].u
+    singular = dataclasses.replace(plans[0], u=Matrix(u.field, (u.data[1],) + u.data[1:], u.cols))
+    with pytest.raises(ValueError, match="^duplicate basis labels$"):
+        apply_plan(encoded[0], singular)
+
+
+@pytest.mark.parametrize("case, counts", [
+    ("pure", (476, 136, 448, 128, 256)),
+    ("mixed", (104, 24, 78, 18, 48)),
+])
+def test_each_run_of_equal_labels_is_checked_and_relabeled_once(cold_memos, monkeypatch, case, counts):
+    if case == "pure":
+        scheme = qss_pure(shamir_msp(5, 2, Field(7)))
+    else:
+        scheme = qss_mixed(compile_formula(parse_formula("or(and(1,3),and(2,3))"), GF5))
+    seen = dict.fromkeys(["states", "checks", "apply_plan", "relabels", "trace plans"], 0)
+
+    def spy(key, call):
+        def counted(*args, **kwargs):
+            seen[key] += 1
+            return call(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(QuantumState, "__post_init__", spy("states", QuantumState.__post_init__))
+    monkeypatch.setattr(quantum, "_check_labels", spy("checks", quantum._check_labels))
+    monkeypatch.setattr(quantum, "apply_plan", spy("apply_plan", quantum.apply_plan))
+    monkeypatch.setattr(quantum._last_relabel, "put", spy("relabels", quantum._last_relabel.put))
+    monkeypatch.setattr(quantum, "_pair_chunks", spy("trace plans", quantum._pair_chunks))
+    assert scheme.verify_all(seed=2026).passed
+    assert tuple(seen.values()) == counts

@@ -165,7 +165,7 @@ def test_partial_trace_in_small_chunks(monkeypatch):
 @pytest.fixture
 def plan_builds(monkeypatch):
     """Start with no plan held; record every partial trace that builds one."""
-    monkeypatch.setattr(quantum, "_last_plan", None)
+    monkeypatch.setattr(quantum._last_plan, "entry", None)
     builds = []
     build = quantum._pair_chunks
 
@@ -178,7 +178,7 @@ def plan_builds(monkeypatch):
 
 
 def cold_trace(state, keep):
-    quantum._last_plan = None
+    quantum._last_plan.entry = None
     return partial_trace(state, keep)
 
 
@@ -266,9 +266,9 @@ def test_full_row_traces_match_rows_reached_bit_for_bit(case):
 def test_an_equal_support_is_checked_once():
     values = np.array([0.5, 0.1 + 0.2j, 0.1 - 0.2j, 0.5])
     quantum.DensityMatrix((2,), np.array([0, 1, 2, 3]), values)
-    held = quantum._last_support
+    held = quantum._last_support.entry
     rho = quantum.DensityMatrix((2,), np.array([0, 1, 2, 3]), values[[0, 2, 1, 3]])
-    assert quantum._last_support is held
+    assert quantum._last_support.entry is held
     assert rho.mat.tobytes() == np.array([[0.5, 0.1 - 0.2j], [0.1 + 0.2j, 0.5]]).tobytes()
 
 
@@ -343,14 +343,14 @@ def test_writing_to_a_writeable_base_cannot_serve_a_stale_plan(plan_builds):
 def test_a_plan_is_held_only_under_its_chunk_bound(monkeypatch, plan_builds):
     state = random_sparse_state(np.random.default_rng(8), (3, 4, 2, 5), 0.5)
     whole = partial_trace(state, ())
-    assert quantum._last_plan is not None
+    assert quantum._last_plan.entry is not None
     partial_trace(state, ())
     assert len(plan_builds) == 1
     monkeypatch.setattr(quantum, "_PAIR_CHUNK", 7)
     for _ in range(2):
         # streamed in chunks each time, and the chunks are not held
         rho = partial_trace(state, ())
-        assert quantum._last_plan is None
+        assert quantum._last_plan.entry is None
         assert rho.values.tobytes() == whole.values.tobytes()
     assert len(plan_builds) == 3
 
