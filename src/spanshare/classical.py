@@ -64,12 +64,16 @@ class ReconstructionPlan:
     After applying U, the first A-share carries the secret and the
     joint distribution of everything else is independent of it. The
     first row u1 solves u1^T M_A = eps^T; the rest are the reduced
-    echelon basis of W = {u : u . (M_A v) = 0}.
+    echelon basis of W = {u : u . (M_A v) = 0}. A U not invertible on A's shares is refused.
     """
 
     msp: MSP
     a_rows: tuple[int, ...]
     u: Matrix
+
+    def __post_init__(self) -> None:
+        if not self.u.rows == self.u.cols == len(self.a_rows) == rank(self.u):
+            raise ValueError("reconstruction plan transformation is not invertible")
 
 
 def build_reconstruction_plan(msp: MSP, b_mask: int) -> ReconstructionPlan:
@@ -94,10 +98,7 @@ def build_reconstruction_plan(msp: MSP, b_mask: int) -> ReconstructionPlan:
         )
     w = m_a.matvec(v)
     basis = kernel_basis(Matrix(msp.field, (w,), len(w)))
-    assert msp.field.dot(u1, w) != 0  # u1 lies outside the secrecy subspace
     u = Matrix.from_rows(msp.field, [u1] + [list(r) for r in basis.data], len(w))
-    if rank(u) != u.rows or u.rows != u.cols:
-        raise RuntimeError("reconstruction plan transformation is not invertible")
     return ReconstructionPlan(msp, msp.row_indices(a_mask), u)
 
 

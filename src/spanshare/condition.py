@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .msp import ENUMERATION_GUARD, MSP, _linear_deals, _row_keys, msp_structure
+from .msp import ENUMERATION_GUARD, MSP, _linear_deals, _read_only, _row_keys, msp_structure
 from . import quantum
 from .quantum import SECRECY_TOL, QuantumState, partial_trace, probe_family
 from .structures import AdversaryStructure, FormatError, complement, format_players, full_mask
@@ -147,8 +147,8 @@ class ClassicalScheme:
                 raise ValueError(f"probabilities for secret {s} sum to {total}, not 1")
         # no numerator passes the denominator, so no sum passes rows * denominator
         nums = nums.astype(np.int64 if len(nums) * self.denominator < 2**63 else object)
-        labels = np.column_stack([secrets.astype(np.int64), codes])
-        labels.flags.writeable = nums.flags.writeable = False
+        labels = _read_only(np.column_stack([secrets.astype(np.int64), codes]))
+        nums = _read_only(nums)
         dims = [self.secret_count] + ranks
         names = ("_labels", "secrets", "codes", "numerators", "share_values", "_dims", "_verdicts")
         for name, value in zip(names, (labels, labels[:, 0], labels[:, 1:], nums, values, dims, {})):

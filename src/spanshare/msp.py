@@ -212,9 +212,13 @@ def _linear_deals(h: tuple[tuple[int, ...], ...], moduli: tuple[int, ...]) -> np
         # entries may be any Python ints: reduce before the int64 product
         h_j = np.array([[c % md for c in row] for row in h], dtype=np.int64)
         deals = deals * md + inputs[j::k].T @ h_j.T % md
-    deals = deals.reshape(order, -1, len(h))
-    deals.flags.writeable = False
-    return deals
+    return _read_only(deals).reshape(order, -1, len(h))
+
+
+def _read_only(owner: np.ndarray) -> np.ndarray:
+    """A view of an array that owns its memory, made read-only first: no view of it can be made writeable."""
+    owner.flags.writeable = False
+    return owner.view()
 
 
 def rows_of(msp: MSP, mask: int) -> Matrix:

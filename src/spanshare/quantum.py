@@ -18,19 +18,19 @@ its p amplitudes. The shares' states are sparse: an N x k int64 array of
 distinct basis labels and their N complex amplitudes, one state each. The
 density-matrix oracle of ``condition`` serves all its probes with one such
 state, on a secret register R beside a table's shares, and one trace on
-R + U, block-diagonal because Q is correct. An encoded state
-is the secrets' blocks of the MSP's cached table of every M (s, a), and
-a plan multiplies the A columns by U mod p. Partial traces group the
-amplitudes by their traced-out labels with numpy sorts. Reduced states
-keep only the entries on their support, where secrecy checks compare
-them. Only fidelity and exact trace distances build dense matrices, where
-numpy does the eigenvalue work. A support depends on the MSP, the plan
-and the secrets a probe touches, not on the amplitudes, so the label
-work (a state's range and duplicate checks, a plan's relabeling, a
-trace's grouping, a support's transpose order and diagonal) is done once
-per run of equal arrays, through a one-entry ``_Memo`` each: the
-full-support probes of a sweep share it. Norms and entries are checked
-every time.
+R + U, block-diagonal because Q is correct. An encoded state is the
+secrets' blocks of the MSP's cached deal table of every M (s, a), and
+recovery deals the same amplitudes through the plan's program, the MSP
+whose A rows are U M_A. Partial traces group the amplitudes by their
+traced-out labels with numpy sorts. Reduced states keep only the entries
+on their support, where secrecy checks compare them. Only fidelity and
+exact trace distances build dense matrices, where numpy does the
+eigenvalue work. Labels are valid where they are dealt: a deal table's
+rows are distinct (full column rank) and no view of it can be written, so
+a dealt state runs no label check, and the last dealt state's one-chunk
+trace plan is held with its checked support under its deal (the MSP and
+the secrets a probe touches), as the last plan's program is. A caller's
+states and matrices are checked in full and traced afresh every time.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .classical import ReconstructionPlan, build_reconstruction_plan
-from .msp import MSP, _row_keys, extend_msp, msp_structure
+from .galois import Matrix
+from .msp import MSP, _read_only, _row_keys, extend_msp, msp_structure
 from .structures import AdversaryStructure, NoSchemeError, format_players
 
 NORM_ATOL = 1e-12
@@ -61,29 +62,16 @@ PROBE_PAIR_GUARD = 100_000
 _PAIR_CHUNK = 1 << 20
 
 
-class _Memo:
-    """One value derived from a key and an array, served while the next key
-    is == and the next array equal to an own copy of the array; a miss
-    drops the value before another is built, so at most one is held."""
-
-    entry: tuple | None = None
-
-    def get(self, key, array: np.ndarray):
-        entry = self.entry
-        if entry is not None and entry[0] == key and np.array_equal(entry[1], array):
-            return entry[2]
-        self.entry = None
-        return None
-
-    def put(self, key, array: np.ndarray, value) -> None:
-        self.entry = key, array.copy(), value
+_held_program: tuple | None = None  # (plan, its program) of apply_plan's last call
+_held_trace: tuple | None = None  # ((MSP, secrets, keep, _PAIR_CHUNK), plan, support) of a dealt trace
 
 
-# the four memos, by key: what they hold
-_checked_labels = _Memo()  # dims: True, the labels passed _check_labels
-_last_support = _Memo()  # dim: the support's transpose order and diagonal positions
-_last_relabel = _Memo()  # plan: its relabeling of the labels, handed out as copies
-_last_plan = _Memo()  # (dims, keep, _PAIR_CHUNK): a one-chunk trace plan with its buffers
+def _certified(cls, name: str, certificate, *fields):
+    """cls(*fields), its __post_init__ reading a check's certificate (or None) in attribute name."""
+    obj = cls.__new__(cls)
+    object.__setattr__(obj, name, certificate)
+    obj.__init__(*fields)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,16 +83,16 @@ class QuantumState:
     read-only. An array that already has the stored dtype (int64 labels,
     complex values) is kept, not copied, and made read-only in place, so a
     caller who wants to keep writing it passes a copy. The norm is checked
-    to be 1 within 1e-12 at construction, and the labels to be in range and
-    distinct unless they equal the labels last checked under the same dims.
-    Compare states through their arrays, not ==. The oracle's one state per
-    report is one of these: secret register R first, then the table's codes,
-    so its one trace on R + U is block-diagonal because Q is correct.
+    to be 1 within 1e-12 at construction, and the labels, unless dealt, to be
+    in range and distinct. Compare states through their arrays, not ==. The
+    oracle's one state per report is one of these: secret register R first,
+    then the table's codes, so its one trace on R + U is block-diagonal.
     """
 
     dims: tuple[int, ...]
     labels: np.ndarray
     values: np.ndarray
+    _deal = None  # (MSP, secrets) of a dealt state: its rows of the MSP's deal table
 
     def __post_init__(self) -> None:
         labels = np.asarray(self.labels)
@@ -113,9 +101,8 @@ class QuantumState:
         if labels.size and labels.dtype.kind not in "biu":
             raise ValueError(f"basis labels must be int tuples within int64, got {labels.dtype}")
         labels = labels.astype(np.int64, copy=False)
-        if _checked_labels.get(self.dims, labels) is None:
+        if self._deal is None:
             _check_labels(labels, self.dims)
-            _checked_labels.put(self.dims, labels, True)
         values = np.asarray(self.values, dtype=complex)
         if values.shape != (len(labels),):
             raise ValueError("labels and values differ in length")
@@ -176,14 +163,16 @@ class DensityMatrix:
     and made read-only in place, so a caller who wants to keep writing it
     passes a copy. ``terms`` is the amplitude count of the state it was traced
     from, 0 for a matrix given entry by entry; the trace check's tolerance
-    grows with it. The oracle's one trace on R + U is one of these,
-    block-diagonal because Q is correct: block s is secret s's U-view over S.
+    grows with it. The support is checked unless traced by a held plan. The
+    oracle's one trace on R + U is one of these, block-diagonal because Q is
+    correct: block s is secret s's U-view over S.
     """
 
     dims: tuple[int, ...]
     index: np.ndarray
     values: np.ndarray
     terms: int = 0
+    _support = None  # (order, diagonal) of the checked support
 
     def __post_init__(self) -> None:
         dim = self.dim
@@ -191,10 +180,7 @@ class DensityMatrix:
         values = np.asarray(self.values, dtype=complex)
         if index.ndim != 1 or values.shape != index.shape:
             raise ValueError("density matrix index and values differ in shape")
-        held = _last_support.get(dim, index)
-        if held is not None:
-            order, diagonal = held
-        else:
+        if self._support is None:
             if len(index) and (index[0] < 0 or index[-1] >= dim * dim):
                 raise ValueError(f"density matrix index out of range for dims {self.dims}")
             # values[order[k]] is the transpose of entry k: np.isclose(mat, mat^H) on the support
@@ -203,8 +189,8 @@ class DensityMatrix:
             order = transposed.argsort()
             if (index[1:] <= index[:-1]).any() or (transposed[order] != index).any():
                 raise ValueError("density matrix is not Hermitian: support unsorted or not symmetric")
-            diagonal = np.flatnonzero(rows == cols)
-            _last_support.put(dim, index, (order, diagonal))
+            object.__setattr__(self, "_support", (order, np.flatnonzero(rows == cols)))
+        order, diagonal = self._support
         if not (abs(values[order] - values.conj()) <= NORM_ATOL + 1e-5 * abs(values)).all():
             raise ValueError("density matrix is not Hermitian")
         if abs(values[diagonal].sum() - 1.0) > _trace_atol(self.terms):
@@ -232,23 +218,20 @@ def _scatter(dim: int, index: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out.reshape(dim, dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncodedState:
-    """A dealt quantum secret: one coordinate per MSP row."""
+    """A dealt quantum secret: one coordinate per MSP row, and the read-only amplitudes dealt."""
 
     state: QuantumState
     msp: MSP
+    alpha: np.ndarray
 
 
-def qencode(msp: MSP, alpha: np.ndarray) -> EncodedState:
-    """Encode the single-qudit state of amplitudes alpha into one
-    coordinate per MSP row.
-
-    A basis secret becomes the uniform superposition of its dealt
-    share vectors over all randomness; general states extend by
-    linearity, over alpha's nonzero entries in ascending order. Because
-    the padded map is a bijection on labels this is unitary by construction.
-    """
+def _encode(msp: MSP, alpha: np.ndarray) -> QuantumState:
+    """The state msp deals for the amplitudes alpha: a basis secret becomes
+    the uniform superposition of its block of the MSP's deal table, and
+    general states extend by linearity, over alpha's nonzero entries in
+    ascending order."""
     p = msp.field.p
     if alpha.shape != (p,):
         raise ValueError(f"input state must be a single GF({p}) coordinate")
@@ -259,28 +242,40 @@ def qencode(msp: MSP, alpha: np.ndarray) -> EncodedState:
         # consecutive secrets (basis and full-support probes): a view
         labels = table[secrets[0] : secrets[-1] + 1].reshape(-1, msp.d)
     else:
-        labels = table[secrets].reshape(-1, msp.d)
+        labels = _read_only(table[secrets]).reshape(-1, msp.d)
     values = np.repeat(alpha[secrets] * (1.0 / math.sqrt(block)), block)
-    return EncodedState(QuantumState((p,) * msp.d, labels, values), msp)
+    return _certified(QuantumState, "_deal", (msp, tuple(secrets)), (p,) * msp.d, labels, values)
+
+
+def qencode(msp: MSP, alpha: np.ndarray) -> EncodedState:
+    """Encode the single-qudit state of amplitudes alpha into one coordinate per MSP
+    row: unitary, as M is a bijection on labels (``MSP`` checks full column rank)."""
+    return EncodedState(_encode(msp, alpha), msp, _read_only(alpha.copy()))
+
+
+def _program(plan: ReconstructionPlan) -> MSP:
+    """M with its A rows replaced by U M_A: it deals each (s, a) as M does
+    with U applied to the A shares; ``MSP`` checks its full column rank."""
+    msp = plan.msp
+    rows = list(msp.matrix.data)
+    m_a = [rows[i] for i in plan.a_rows]
+    for i, u_row in zip(plan.a_rows, plan.u.data):
+        rows[i] = tuple(sum(c * x for c, x in zip(u_row, col)) % msp.field.p for col in zip(*m_a))
+    return MSP(msp.field, Matrix(msp.field, tuple(rows), msp.e), msp.psi, msp.n)
 
 
 def apply_plan(enc: EncodedState, plan: ReconstructionPlan) -> QuantumState:
-    """Relabel the A coordinates by the plan's matrix U.
-
-    Afterwards the coordinate at plan.a_rows[0] holds the secret state
-    and factors out from everything else. The relabeling is reused from
-    the previous call when that call had an equal plan and equal labels.
-    """
+    """Relabel the A coordinates by the plan's matrix U: deal enc's alpha
+    through the plan's program, built once per run of calls with one plan.
+    Afterwards the coordinate at plan.a_rows[0] holds the secret state and
+    factors out from everything else."""
+    global _held_program
     if plan.msp != enc.msp:
         raise ValueError("plan was built for a different MSP")
-    labels = enc.state.labels
-    out = _last_relabel.get(plan, labels)
-    if out is None:
-        a_rows = list(plan.a_rows)
-        out = labels.copy()
-        out[:, a_rows] = labels[:, a_rows] @ np.array(plan.u.data, dtype=np.int64).T % enc.msp.field.p
-        _last_relabel.put(plan, labels, out)
-    return QuantumState(enc.state.dims, out.copy(), enc.state.values)
+    if _held_program is None or _held_program[0] != plan:
+        _held_program = None  # dropped before the next one is built
+        _held_program = plan, _program(plan)
+    return _encode(_held_program[1], enc.alpha)
 
 
 def _pair_chunks(labels: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...], dim: int):
@@ -319,6 +314,7 @@ def _pair_chunks(labels: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...
         i = order[r0 : r1 + 1].repeat(w)[lo - first : hi - first]
         j = order[np.arange(lo, hi) + shift[r0 : r1 + 1].repeat(w)[lo - first : hi - first]]
         index, where = np.unique(np.concatenate([index, kidx[i] * dim + kidx[j]]), return_inverse=True)
+        index = _read_only(index)  # a held plan's support is handed out
         bins = np.empty((len(where), 2), dtype=np.int64)
         np.multiply(where, 2, out=bins[:, 0])
         np.add(bins[:, 0], 1, out=bins[:, 1])
@@ -328,9 +324,10 @@ def _pair_chunks(labels: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...
 def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
     """Exact reduction to the given coordinates (ascending order).
 
-    The label work is reused from the previous call when that call traced
-    the same labels to the same coordinates in one chunk.
+    A dealt state's label work is reused from the previous call when that
+    traced a state of the same deal to the same coordinates in one chunk.
     """
+    global _held_trace
     keep = tuple(sorted(keep))
     if len(set(keep)) != len(keep):
         raise ValueError("duplicate coordinates in keep")
@@ -343,9 +340,10 @@ def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
             f"reduced dimension {dim} exceeds the exact-simulation guard ({REDUCTION_DIM_GUARD})"
         )
     labels, values = state.labels, state.values
-    key = (state.dims, keep, _PAIR_CHUNK)
-    held = _last_plan.get(key, labels)
-    chunks = [held] if held is not None else _pair_chunks(labels, state.dims, keep, dim)
+    key = state._deal and (*state._deal, keep, _PAIR_CHUNK)
+    held = _held_trace if key and _held_trace and _held_trace[0] == key else None
+    _held_trace = held  # a miss drops the held plan before another is built
+    chunks = [held[1]] if held else _pair_chunks(labels, state.dims, keep, dim)
     # the entries as (real, imaginary) float pairs, one bincount per chunk
     sums = np.empty(0)
     count, index = 0, np.empty(0, dtype=np.int64)
@@ -358,9 +356,10 @@ def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
         # the first chunk has no sums before its terms
         parts = np.concatenate([sums, terms.view(float)]) if sums.size else terms.view(float)
         sums = np.bincount(bins, parts, 2 * len(index))
-    if held is None and count == 1:
-        _last_plan.put(key, labels, (i, j, index, bins, buffers))
-    return DensityMatrix(kdims, index, sums.view(complex), len(labels))
+    rho = _certified(DensityMatrix, "_support", held and held[2], kdims, index, sums.view(complex), len(labels))
+    if key and not held and count == 1:
+        _held_trace = key, (i, j, index, bins, buffers), rho._support
+    return rho
 
 
 def fidelity(rho: DensityMatrix, psi: np.ndarray) -> float:
@@ -430,12 +429,8 @@ def probe_family(dim: int, seed: int = 0, n_random: int = 20) -> tuple[tuple[str
 
 @lru_cache(maxsize=64)
 def _probe_pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The indices a < b of every pair of count probes, a-major, as two
-    read-only arrays; built once per count."""
-    pairs = np.triu_indices(count, 1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
+    """The indices a < b of every pair of count probes, a-major, read-only; built once per count."""
+    return tuple(_read_only(index) for index in np.triu_indices(count, 1))
 
 
 # ---------------------------------------------------------------------------

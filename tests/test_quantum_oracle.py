@@ -2,6 +2,7 @@
 dict-loop references (tests/reference_quantum.py), within 1e-12 per
 entry, plus the coalition part of the simulation budget."""
 
+import dataclasses
 import itertools
 import time
 from pathlib import Path
@@ -18,11 +19,13 @@ from reference_quantum import (
     ref_trace_distance_within,
     state_of,
 )
+from conftest import msp_corpus
 from spanshare import condition
+from spanshare.classical import build_reconstruction_plan
 from spanshare.cli import main
 from spanshare.condition import lift_report, parse_scheme
 from spanshare.galois import Field, Matrix
-from spanshare.msp import compile_formula, dump_msp, extend_msp, shamir_msp
+from spanshare.msp import compile_formula, dump_msp, extend_msp, msp_structure, shamir_msp
 from spanshare import quantum
 from spanshare.quantum import (
     AmplitudeBudgetError,
@@ -89,6 +92,32 @@ def test_every_plan_matches_reference(msp):
             assert_same_amps(after.amps, ref_apply_plan(enc.state, plan))
             keep = (plan.a_rows[0],)
             assert_same_matrix(partial_trace(after, keep).mat, ref_partial_trace(after, keep))
+
+
+def test_every_corpus_plan_deals_through_its_program_as_the_reference_relabels():
+    selfdual = [m for m in msp_corpus() if msp_structure(m).is_selfdual()]
+    assert len(selfdual) >= 4
+    for msp in selfdual:
+        p = msp.field.p
+        # a basis state, the uniform state, and secrets {0, 2}: not consecutive, so not a table slice
+        probes = [probe(p, {1: 1}), probe(p, dict.fromkeys(range(p), 1)), probe(p, {0: 0.6, 2: 0.8j})]
+        for plan in qss_pure(msp).plans.values():
+            for alpha in probes:
+                enc = qencode(msp, alpha)
+                after = apply_plan(enc, plan)
+                # the same labels in the same row order, with the same amplitudes
+                assert list(after.amps.items()) == list(ref_apply_plan(enc.state, plan).items())
+
+
+def test_a_singular_u_is_refused_when_the_plan_is_built():
+    plan = build_reconstruction_plan(shamir_msp(5, 2, GF7), 0b00001)
+    u = plan.u
+    singular = Matrix(u.field, (u.data[1],) + u.data[1:], u.cols)
+    with pytest.raises(ValueError, match="^reconstruction plan transformation is not invertible$"):
+        dataclasses.replace(plan, u=singular)
+    # nor a U of another size than the A rows it acts on
+    with pytest.raises(ValueError, match="not invertible"):
+        dataclasses.replace(plan, a_rows=plan.a_rows[1:])
 
 
 def test_partial_trace_matches_reference_on_every_keep():
@@ -159,13 +188,13 @@ def test_partial_trace_in_small_chunks(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the label plan reused across partial traces of equal labels
+# the label plan reused across partial traces of one deal
 
 
 @pytest.fixture
 def plan_builds(monkeypatch):
     """Start with no plan held; record every partial trace that builds one."""
-    monkeypatch.setattr(quantum._last_plan, "entry", None)
+    monkeypatch.setattr(quantum, "_held_trace", None)
     builds = []
     build = quantum._pair_chunks
 
@@ -178,7 +207,7 @@ def plan_builds(monkeypatch):
 
 
 def cold_trace(state, keep):
-    quantum._last_plan.entry = None
+    quantum._held_trace = None
     return partial_trace(state, keep)
 
 
@@ -260,15 +289,21 @@ def test_full_row_traces_match_rows_reached_bit_for_bit(case):
 
 
 # ---------------------------------------------------------------------------
-# the support check reused across density matrices of equal supports
+# the support check reused across the traces of one deal by a held plan
 
 
-def test_an_equal_support_is_checked_once():
+def test_an_equal_support_is_checked_once(plan_builds):
+    # the full-support probes of one deal are traced by one plan, with one checked support
+    msp = shamir_msp(5, 2, GF7)
+    family = dict(probe_family(7, seed=2, n_random=2))
+    rhos = [partial_trace(qencode(msp, family[name]).state, (0, 1)) for name in ("uniform", "random:0", "random:1")]
+    assert len(plan_builds) == 1
+    assert all(rho.index is rhos[0].index and rho._support is rhos[0]._support for rho in rhos)
+    # a matrix built by a caller is checked afresh, also on the support just checked
     values = np.array([0.5, 0.1 + 0.2j, 0.1 - 0.2j, 0.5])
-    quantum.DensityMatrix((2,), np.array([0, 1, 2, 3]), values)
-    held = quantum._last_support.entry
-    rho = quantum.DensityMatrix((2,), np.array([0, 1, 2, 3]), values[[0, 2, 1, 3]])
-    assert quantum._last_support.entry is held
+    first = quantum.DensityMatrix((2,), np.array([0, 1, 2, 3]), values)
+    rho = quantum.DensityMatrix((2,), first.index, values[[0, 2, 1, 3]])
+    assert rho._support is not first._support
     assert rho.mat.tobytes() == np.array([[0.5, 0.1 - 0.2j], [0.1 + 0.2j, 0.5]]).tobytes()
 
 
@@ -334,25 +369,32 @@ def test_writing_to_a_writeable_base_cannot_serve_a_stale_plan(plan_builds):
     other = int(np.argmax(base[:, 0] != base[0, 0]))
     base[[0, other]] = base[[other, 0]]
     rho = partial_trace(view, (0,))
-    assert len(plan_builds) == 2
+    # a state built by a caller is planned afresh and never held
+    assert len(plan_builds) == 2 and quantum._held_trace is None
     assert rho.values.tobytes() != before.values.tobytes()
     assert_same_matrix(rho.mat, ref_partial_trace(view, (0,)))
     assert_same_bytes(rho, cold_trace(view, (0,)))
 
 
 def test_a_plan_is_held_only_under_its_chunk_bound(monkeypatch, plan_builds):
-    state = random_sparse_state(np.random.default_rng(8), (3, 4, 2, 5), 0.5)
+    # a state built by a caller is not held even in one chunk
+    caller = random_sparse_state(np.random.default_rng(8), (3, 4, 2, 5), 0.5)
+    for _ in range(2):
+        partial_trace(caller, ())
+        assert quantum._held_trace is None
+    # the uniform probe's 343 amplitudes, dealt by Shamir(5,2)
+    state = qencode(shamir_msp(5, 2, GF7), dict(probe_family(7))["uniform"]).state
     whole = partial_trace(state, ())
-    assert quantum._last_plan.entry is not None
+    assert quantum._held_trace is not None
     partial_trace(state, ())
-    assert len(plan_builds) == 1
+    assert len(plan_builds) == 3
     monkeypatch.setattr(quantum, "_PAIR_CHUNK", 7)
     for _ in range(2):
         # streamed in chunks each time, and the chunks are not held
         rho = partial_trace(state, ())
-        assert quantum._last_plan.entry is None
+        assert quantum._held_trace is None
         assert rho.values.tobytes() == whole.values.tobytes()
-    assert len(plan_builds) == 3
+    assert len(plan_builds) == 5
 
 
 def assert_same_distance(rho1, rho2):
