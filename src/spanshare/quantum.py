@@ -20,17 +20,18 @@ density-matrix oracle of ``condition`` serves all its probes with one such
 state, on a secret register R beside a table's shares, and one trace on
 R + U, block-diagonal because Q is correct. An encoded state is the
 secrets' blocks of the MSP's cached deal table of every M (s, a), and
-recovery deals the same amplitudes through the plan's program, the MSP
-whose A rows are U M_A. Partial traces group the amplitudes by their
-traced-out labels with numpy sorts. Reduced states keep only the entries
-on their support, where secrecy checks compare them. Only fidelity and
-exact trace distances build dense matrices, where numpy does the
-eigenvalue work. Labels are valid where they are dealt: a deal table's
-rows are distinct (full column rank) and no view of it can be written, so
-a dealt state runs no label check, and the last dealt state's one-chunk
-trace plan is held with its checked support under its deal (the MSP and
-the secrets a probe touches), as the last plan's program is. A caller's
-states and matrices are checked in full and traced afresh every time.
+recovery deals the same amplitudes (one array) through the plan's program,
+the MSP whose A rows are U M_A. Partial traces group the amplitudes by
+their traced-out labels with numpy sorts. Reduced states keep only the
+entries on their support, where secrecy checks compare them. Only fidelity
+and exact trace distances build dense matrices. States are valid where
+they are dealt: deal tables have distinct rows (full column rank), qencode
+checks the norm once, and no view of either array can be written, so a
+dealt state runs no check; its one-chunk trace plan is held with its
+checked support under its deal (MSP and secrets), as the last plan's
+program is. A caller's states and matrices are checked in full and traced
+afresh every time. apply_plan and partial_trace each hold one plan, with
+its work buffers, in module state: they must not run in two threads at once.
 """
 
 from __future__ import annotations
@@ -80,13 +81,13 @@ class QuantumState:
 
     Row i of ``labels`` (N x k int64, distinct rows) is a basis label,
     one entry per coordinate, with amplitude ``values[i]``; both arrays are
-    read-only. An array that already has the stored dtype (int64 labels,
-    complex values) is kept, not copied, and made read-only in place, so a
-    caller who wants to keep writing it passes a copy. The norm is checked
-    to be 1 within 1e-12 at construction, and the labels, unless dealt, to be
-    in range and distinct. Compare states through their arrays, not ==. The
-    oracle's one state per report is one of these: secret register R first,
-    then the table's codes, so its one trace on R + U is block-diagonal.
+    read-only. A dealt state runs no check; a caller's is checked at
+    construction: labels in range and distinct, norm 1 within 1e-12. Its
+    arrays of the stored dtype (int64 labels, complex values) are kept, not
+    copied, and made read-only in place, so a caller who wants to keep
+    writing one passes a copy. Compare states through their arrays, not ==.
+    The oracle's one state per report is one of these: secret register R
+    first, then the table's codes, so its one trace on R + U is block-diagonal.
     """
 
     dims: tuple[int, ...]
@@ -95,23 +96,22 @@ class QuantumState:
     _deal = None  # (MSP, secrets) of a dealt state: its rows of the MSP's deal table
 
     def __post_init__(self) -> None:
+        if self._deal is not None:
+            return
         labels = np.asarray(self.labels)
         if labels.ndim != 2 or labels.shape[1] != len(self.dims):
             raise ValueError("basis label arity does not match coordinate count")
         if labels.size and labels.dtype.kind not in "biu":
             raise ValueError(f"basis labels must be int tuples within int64, got {labels.dtype}")
         labels = labels.astype(np.int64, copy=False)
-        if self._deal is None:
-            _check_labels(labels, self.dims)
+        _check_labels(labels, self.dims)
         values = np.asarray(self.values, dtype=complex)
         if values.shape != (len(labels),):
             raise ValueError("labels and values differ in length")
         labels.flags.writeable = values.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", values)
-        norm = _norm(values)
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state norm {norm} is not 1 within {NORM_ATOL}")
+        _norm(values)
 
     @cached_property
     def amps(self) -> dict[tuple[int, ...], complex]:
@@ -131,9 +131,12 @@ def _check_labels(labels: np.ndarray, dims: tuple[int, ...]) -> None:
 
 
 def _norm(values: np.ndarray) -> float:
-    """The norm of an amplitude vector."""
+    """The norm of a state's amplitudes, refused unless 1 within NORM_ATOL (NaN is not)."""
     # compensated: a naive sum of ~10**6 squares drifts past NORM_ATOL
-    return math.sqrt(math.fsum((np.abs(values) ** 2).tolist()))
+    norm = math.sqrt(math.fsum((np.abs(values) ** 2).tolist()))
+    if not abs(norm - 1.0) <= NORM_ATOL:
+        raise ValueError(f"state norm {norm} is not 1 within {NORM_ATOL}")
+    return norm
 
 
 def _trace_atol(terms: int) -> float:
@@ -206,51 +209,46 @@ class DensityMatrix:
     @cached_property
     def mat(self) -> np.ndarray:
         """The dense, read-only dim x dim matrix, built on first read."""
-        mat = _scatter(self.dim, self.index, self.values)
-        mat.flags.writeable = False
-        return mat
+        return _read_only(_scatter(self.dim, self.index, self.values))
 
 
 def _scatter(dim: int, index: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The dense dim x dim matrix with the given entries at the flat indices."""
-    out = np.zeros(dim * dim, dtype=complex)
-    out[index] = values
-    return out.reshape(dim, dim)
+    """The dense dim x dim matrix, owning its memory, with the given entries at the flat indices."""
+    out = np.zeros((dim, dim), dtype=complex)
+    out.ravel()[index] = values
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class EncodedState:
-    """A dealt quantum secret: one coordinate per MSP row, and the read-only amplitudes dealt."""
+    """A quantum secret ``qencode`` dealt on msp: one coordinate per MSP row."""
 
     state: QuantumState
     msp: MSP
-    alpha: np.ndarray
 
 
-def _encode(msp: MSP, alpha: np.ndarray) -> QuantumState:
-    """The state msp deals for the amplitudes alpha: a basis secret becomes
-    the uniform superposition of its block of the MSP's deal table, and
-    general states extend by linearity, over alpha's nonzero entries in
-    ascending order."""
-    p = msp.field.p
-    if alpha.shape != (p,):
-        raise ValueError(f"input state must be a single GF({p}) coordinate")
-    secrets = np.flatnonzero(alpha).tolist()  # none for the zero vector, refused by the norm check
+def _dealt(msp: MSP, secrets: tuple[int, ...], values: np.ndarray) -> QuantumState:
+    """The state msp deals on the ascending secrets' blocks of its deal table, with checked values."""
     table = msp._label_table  # entry (s, r) is the label M (s, a)
-    block = table.shape[1]
     if secrets and secrets[-1] - secrets[0] == len(secrets) - 1:
         # consecutive secrets (basis and full-support probes): a view
         labels = table[secrets[0] : secrets[-1] + 1].reshape(-1, msp.d)
     else:
-        labels = _read_only(table[secrets]).reshape(-1, msp.d)
-    values = np.repeat(alpha[secrets] * (1.0 / math.sqrt(block)), block)
-    return _certified(QuantumState, "_deal", (msp, tuple(secrets)), (p,) * msp.d, labels, values)
+        labels = _read_only(table[list(secrets)]).reshape(-1, msp.d)
+    return _certified(QuantumState, "_deal", (msp, secrets), (msp.field.p,) * msp.d, labels, values)
 
 
 def qencode(msp: MSP, alpha: np.ndarray) -> EncodedState:
-    """Encode the single-qudit state of amplitudes alpha into one coordinate per MSP
-    row: unitary, as M is a bijection on labels (``MSP`` checks full column rank)."""
-    return EncodedState(_encode(msp, alpha), msp, _read_only(alpha.copy()))
+    """Encode the single-qudit state of amplitudes alpha into one coordinate per MSP row,
+    unitary as M is a bijection on labels (``MSP`` checks full column rank): a basis secret
+    becomes the uniform superposition of its block of the deal table, others by linearity."""
+    if alpha.shape != (msp.field.p,):
+        raise ValueError(f"input state must be a single GF({msp.field.p}) coordinate")
+    secrets = tuple(np.flatnonzero(alpha).tolist())  # none for the zero vector, refused by the norm check
+    block = msp._label_table.shape[1]
+    values = np.asarray(np.repeat(alpha[list(secrets)] * (1.0 / math.sqrt(block)), block), dtype=complex)
+    _norm(values)
+    return EncodedState(_dealt(msp, secrets, _read_only(values)), msp)
 
 
 def _program(plan: ReconstructionPlan) -> MSP:
@@ -265,17 +263,19 @@ def _program(plan: ReconstructionPlan) -> MSP:
 
 
 def apply_plan(enc: EncodedState, plan: ReconstructionPlan) -> QuantumState:
-    """Relabel the A coordinates by the plan's matrix U: deal enc's alpha
-    through the plan's program, built once per run of calls with one plan.
-    Afterwards the coordinate at plan.a_rows[0] holds the secret state and
-    factors out from everything else."""
+    """Relabel the A coordinates by the plan's matrix U: deal the same
+    amplitudes (enc's own array) through the plan's program, built once per
+    run of calls with one plan. Afterwards the coordinate at plan.a_rows[0]
+    holds the secret state and factors out from everything else."""
     global _held_program
     if plan.msp != enc.msp:
         raise ValueError("plan was built for a different MSP")
+    if enc.state._deal is None or enc.state._deal[0] != enc.msp:
+        raise ValueError("encoded state was not dealt by qencode on its MSP")
     if _held_program is None or _held_program[0] != plan:
         _held_program = None  # dropped before the next one is built
         _held_program = plan, _program(plan)
-    return _encode(_held_program[1], enc.alpha)
+    return _dealt(_held_program[1], enc.state._deal[1], enc.state.values)
 
 
 def _pair_chunks(labels: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...], dim: int):
@@ -355,7 +355,7 @@ def partial_trace(state: QuantumState, keep: Iterable[int]) -> DensityMatrix:
         np.multiply(a, c, out=terms)
         # the first chunk has no sums before its terms
         parts = np.concatenate([sums, terms.view(float)]) if sums.size else terms.view(float)
-        sums = np.bincount(bins, parts, 2 * len(index))
+        sums = _read_only(np.bincount(bins, parts, 2 * len(index)))
     rho = _certified(DensityMatrix, "_support", held and held[2], kdims, index, sums.view(complex), len(labels))
     if key and not held and count == 1:
         _held_trace = key, (i, j, index, bins, buffers), rho._support

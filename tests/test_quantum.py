@@ -93,6 +93,20 @@ def test_state_keeps_the_callers_arrays():
     assert not labels.flags.writeable and not amps.flags.writeable
 
 
+def test_a_nan_amplitude_fails_the_norm_gate(shamir13, monkeypatch):
+    nan = np.array([np.nan, 0, 0, 0, 0], dtype=complex)
+    refused = "^state norm nan is not 1 within 1e-12$"
+    with pytest.raises(ValueError, match=refused):
+        qencode(shamir13, nan)
+    with pytest.raises(ValueError, match=refused):
+        QuantumState((2,), np.array([[0], [1]]), np.array([np.nan, 0.5]))
+    # a sweep refuses the probe when it is encoded, before any report line
+    lines = counted(monkeypatch, VerificationReport, "add")
+    with pytest.raises(ValueError, match=refused):
+        qss_pure(shamir13).verify_all(inputs=[*probe_family(5, n_random=0), ("nan", nan)])
+    assert lines == []
+
+
 def test_qencode_basis_zero(shamir13):
     enc = qencode(shamir13, probe(5, {0: 1}))
     expected = {(a % 5, 2 * a % 5, 3 * a % 5) for a in range(5)}
@@ -592,14 +606,20 @@ def counted(monkeypatch, owner, name):
 
 def test_no_view_of_a_dealt_or_cached_array_can_be_made_writeable(shamir13):
     enc = qencode(shamir13, probe(5, {0: 1, 2: 1}))  # secrets {0, 2}: labels taken by fancy index
+    uniform = qencode(shamir13, probe(5, dict.fromkeys(range(5), 1)))
+    view = partial_trace(uniform.state, (0, 1))
     arrays = [
         shamir13._label_table,
         enc.state.labels,
-        enc.alpha,
+        enc.state.values,
         qencode(shamir13, probe(5, {0: 1, 1: 1})).state.labels,
         partial_trace(enc.state, (0,)).index,
         *quantum._probe_pairs(7),
         condition.scheme_from_msp(shamir13).numerators,
+        uniform.state.values,
+        view.values,
+        view.mat,
+        apply_plan(uniform, build_reconstruction_plan(shamir13, mask(2, n=3))).values,
     ]
     for array in arrays:
         with pytest.raises(ValueError, match="WRITEABLE"):
@@ -647,6 +667,8 @@ def test_a_held_relabeling_serves_only_its_own_plan(nothing_held, orand):
             after = apply_plan(enc, plan)
             assert after.amps == pytest.approx(ref_apply_plan(enc.state, plan))
             assert quantum._held_program[0] is plan
+            # recovery deals the encoded state's own amplitude array
+            assert after.values is enc.state.values
     # a returned state's labels cannot be written, so the held program's deals stay as dealt
     after = apply_plan(encoded[0], plans[0])
     with pytest.raises(ValueError, match="WRITEABLE"):
@@ -661,9 +683,21 @@ def test_a_held_relabeling_serves_only_its_own_plan(nothing_held, orand):
         apply_plan(qencode(orand, probe(5, {0: 1, 1: 1})), plans[0])
 
 
+def test_apply_plan_refuses_a_state_qencode_did_not_deal(shamir13):
+    plan = build_reconstruction_plan(shamir13, mask(2, n=3))
+    dealt = qencode(shamir13, probe(5, {0: 1, 1: 1}))
+    # the dealt arrays, rebuilt by a caller: a state checked in full, but not dealt
+    built = QuantumState(dealt.state.dims, dealt.state.labels, dealt.state.values)
+    recovered = apply_plan(dealt, plan)
+    other = qencode(shamir_msp(3, 1, Field(7)), probe(7, {0: 1}))
+    for state in (built, recovered, other.state):
+        with pytest.raises(ValueError, match="^encoded state was not dealt by qencode on its MSP$"):
+            apply_plan(quantum.EncodedState(state, shamir13), plan)
+
+
 @pytest.mark.parametrize("case, counts", [
-    ("pure", (476, 0, 448, 16, 256)),
-    ("mixed", (104, 0, 78, 3, 48)),
+    ("pure", (476, 0, 448, 16, 256, 28)),
+    ("mixed", (104, 0, 78, 3, 48, 26)),
 ])
 def test_each_run_of_equal_labels_is_checked_and_relabeled_once(nothing_held, monkeypatch, case, counts):
     if case == "pure":
@@ -674,6 +708,7 @@ def test_each_run_of_equal_labels_is_checked_and_relabeled_once(nothing_held, mo
     checks = counted(monkeypatch, quantum, "_check_labels")
     applied = counted(monkeypatch, quantum, "apply_plan")
     built = counted(monkeypatch, quantum, "_pair_chunks")
+    norms = counted(monkeypatch, quantum, "_norm")
     programs = []
     build = quantum._program
 
@@ -683,7 +718,8 @@ def test_each_run_of_equal_labels_is_checked_and_relabeled_once(nothing_held, mo
 
     monkeypatch.setattr(quantum, "_program", program)
     assert scheme.verify_all(seed=2026).passed
-    # dealt states run no label check; one program per run of one plan
-    assert (len(states), len(checks), len(applied), len(programs), len(built)) == counts
+    # dealt states run no label check, and only qencode checks a norm, once
+    # per probe; one program per run of one plan
+    assert (len(states), len(checks), len(applied), len(programs), len(built), len(norms)) == counts
     gc.collect()
     assert sum(ref() is not None for ref in programs) == 1

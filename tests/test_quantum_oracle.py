@@ -107,6 +107,7 @@ def test_every_corpus_plan_deals_through_its_program_as_the_reference_relabels()
                 after = apply_plan(enc, plan)
                 # the same labels in the same row order, with the same amplitudes
                 assert list(after.amps.items()) == list(ref_apply_plan(enc.state, plan).items())
+                assert after.values is enc.state.values
 
 
 def test_a_singular_u_is_refused_when_the_plan_is_built():
