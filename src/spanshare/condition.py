@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .msp import ENUMERATION_GUARD, MSP, _linear_deals, _read_only, _row_keys, msp_structure
+from .msp import ENUMERATION_GUARD, MSP, _certified, _linear_deals, _read_only, _row_keys, msp_structure
 from . import quantum
 from .quantum import SECRECY_TOL, QuantumState, partial_trace, probe_family
 from .structures import AdversaryStructure, FormatError, complement, format_players, full_mask
@@ -79,9 +79,12 @@ class ClassicalScheme:
     column of shares; it is kept as ``codes`` (R x n int64), each
     share's rank among its player's distinct values ``share_values[i]``
     (ascending Python ints, exact past int64). Construction merges the
-    rows of one (s, y) in first-row order, drops zero rows, checks that
-    each secret's probabilities sum to exactly 1 and makes the arrays
-    read-only. ``structure`` is the adversary structure the scheme
+    rows of one (s, y) in first-row order, checks each secret and share in
+    range, each weight nonnegative and each secret's sum exactly 1, drops
+    zero rows and makes the arrays read-only. ``homomorphic_scheme`` and the
+    enumerated tables (search, ``generate_valid_schemes``) deal rows valid by
+    construction: they skip those four checks, store the same arrays and keep
+    only the caller's contract. ``structure`` is the adversary structure the scheme
     claims to tolerate; when not given it is derived on first read as the
     family of all subsets whose share marginal is secret-independent (the
     maximal tolerable structure), but a table too large for that is refused
@@ -99,6 +102,7 @@ class ClassicalScheme:
     structure: InitVar[AdversaryStructure | None] = _DerivedOnRead(lambda sch: _derive_structure(sch))
     codes: np.ndarray = dc_field(init=False)
     share_values: tuple[tuple[int, ...], ...] = dc_field(init=False)
+    _valid = None  # True when the builder guarantees the rows valid: the row checks are skipped
 
     def __post_init__(self, shares: Sequence[Sequence[int]], structure: AdversaryStructure | None) -> None:
         if self.n < 1 or len(self.share_sizes) != self.n:
@@ -121,30 +125,30 @@ class ClassicalScheme:
         values = tuple(tuple(v.tolist()) for v, _ in ranked)
         ranks = [len(v) for v in values]
         codes = np.array([inverse for _, inverse in ranked], dtype=np.int64).reshape(self.n, -1).T
-        # merge the rows of one (s, y) in first-row order, summing exactly
-        keys = _row_keys(np.column_stack([np.unique(secrets, return_inverse=True)[1], codes]),
-                         range(self.n + 1), [len(secrets)] + ranks)
-        first, nums = _groups(keys, nums.astype(object))
-        secrets, codes, nums = (a[first.argsort()] for a in (secrets[first], codes[first], nums))
-        bad_share = np.zeros(len(secrets), dtype=bool)
-        for v, size, col in zip(values, self.share_sizes, codes.T):
-            bad_share |= np.array([not 0 <= x < size for x in v], dtype=bool)[col]
-        bad = [(secrets < 0) | (secrets >= self.secret_count), bad_share, nums < 0]
-        bad_rows = np.flatnonzero(bad[0] | bad[1] | bad[2])
-        if len(bad_rows):  # the first bad row, checked for its secret, then its shares, then its sign
-            r = int(bad_rows[0])
-            word = tuple(v[c] for v, c in zip(values, codes[r].tolist()))
-            errors = [f"secret {secrets[r]} out of range", f"share word {word} out of range",
-                      "negative probability"]
-            raise ValueError(next(error for error, flags in zip(errors, bad) if flags[r]))
+        if self._valid is None:  # merge the rows of one (s, y) in first-row order, summing exactly
+            keys = _row_keys(np.column_stack([np.unique(secrets, return_inverse=True)[1], codes]),
+                             range(self.n + 1), [len(secrets)] + ranks)
+            first, nums = _groups(keys, nums.astype(object))
+            secrets, codes, nums = (a[first.argsort()] for a in (secrets[first], codes[first], nums))
+            bad_share = np.zeros(len(secrets), dtype=bool)
+            for v, size, col in zip(values, self.share_sizes, codes.T):
+                bad_share |= np.array([not 0 <= x < size for x in v], dtype=bool)[col]
+            bad = [(secrets < 0) | (secrets >= self.secret_count), bad_share, nums < 0]
+            bad_rows = np.flatnonzero(bad[0] | bad[1] | bad[2])
+            if len(bad_rows):  # the first bad row, checked for its secret, then its shares, then its sign
+                r = int(bad_rows[0])
+                word = tuple(v[c] for v, c in zip(values, codes[r].tolist()))
+                errors = [f"secret {secrets[r]} out of range", f"share word {word} out of range",
+                          "negative probability"]
+                raise ValueError(next(error for error, flags in zip(errors, bad) if flags[r]))
+            first, totals = _groups(secrets, nums)
+            totals = dict(zip(secrets[first].tolist(), totals.tolist()))
+            # with k secrets present, one of the first k + 1 secrets is missing or wrong
+            for s in range(min(self.secret_count, len(totals) + 1)):
+                if (total := Fraction(totals.get(s, 0), self.denominator)) != 1:
+                    raise ValueError(f"probabilities for secret {s} sum to {total}, not 1")
         keep = nums != 0
         secrets, codes, nums = secrets[keep], codes[keep], nums[keep]
-        first, totals = _groups(secrets, nums)
-        totals = dict(zip(secrets[first].tolist(), totals.tolist()))
-        # with k secrets present, one of the first k + 1 secrets is missing or wrong
-        for s in range(min(self.secret_count, len(totals) + 1)):
-            if (total := Fraction(totals.get(s, 0), self.denominator)) != 1:
-                raise ValueError(f"probabilities for secret {s} sum to {total}, not 1")
         # no numerator passes the denominator, so no sum passes rows * denominator
         nums = nums.astype(np.int64 if len(nums) * self.denominator < 2**63 else object)
         labels = _read_only(np.column_stack([secrets.astype(np.int64), codes]))
@@ -233,15 +237,20 @@ def _derive_structure(sch: ClassicalScheme) -> AdversaryStructure:
     return AdversaryStructure.from_predicate(sch.n, lambda b: check_secrecy(sch, b))
 
 
-def _tally(share_sizes: tuple[int, ...], columns,
-           structure: AdversaryStructure | None = None) -> ClassicalScheme:
-    """The table of a linear dealer: columns[j][s, r] is player j's share
-    of secret s under randomness r, and every r has equal weight."""
+def _valid_scheme(*fields) -> ClassicalScheme:
+    """ClassicalScheme(*fields) for rows valid by construction: distinct (s, y), in range,
+    nonnegative, each secret's summing to the denominator. Only the caller's contract is checked."""
+    return _certified(ClassicalScheme, "_valid", True, *fields)
+
+
+def _tally(share_sizes: tuple[int, ...], columns) -> tuple:
+    """The scheme fields, up to the structure, of a linear dealer's table:
+    columns[j][s, r] is player j's share of secret s under randomness r,
+    and every r has equal weight."""
     secret_count, block = np.shape(columns[0])
     secrets = np.arange(secret_count).repeat(block)
     columns = [np.ravel(col) for col in columns]
-    return ClassicalScheme(len(share_sizes), secret_count, share_sizes, secrets, columns,
-                           np.ones_like(secrets), block, structure)
+    return len(share_sizes), secret_count, share_sizes, secrets, columns, np.ones_like(secrets), block
 
 
 def scheme_from_msp(msp: MSP) -> ClassicalScheme:
@@ -259,7 +268,8 @@ def scheme_from_msp(msp: MSP) -> ClassicalScheme:
         # an object radix packs in Python ints: many rows pass 2**63
         radix = np.array([p**j for j in reversed(range(len(rows)))], dtype=object)
         shares.append((table[:, :, list(rows)] @ radix).tolist())
-    return _tally(sizes, shares, msp_structure(msp))
+    # checked in full: an MSP built past its rank check deals repeated rows, which merge
+    return ClassicalScheme(*_tally(sizes, shares), msp_structure(msp))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +504,8 @@ def homomorphic_scheme(spec: HomomorphicSpec) -> ClassicalScheme:
     kernel = int(np.count_nonzero(~deals.any(axis=2)))
     if kernel != 1:
         raise ValueError(f"homomorphism is not injective (kernel size {kernel})")
-    return _tally((spec.group_order,) * len(spec.matrix), np.moveaxis(deals, 2, 0))
+    # injective: every (s, v) deals its own word, in range, of weight 1/block
+    return _valid_scheme(*_tally((spec.group_order,) * len(spec.matrix), np.moveaxis(deals, 2, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +529,9 @@ def _surjections(size: int, onto: int) -> Iterator[tuple[int, ...]]:
 def _scheme_from_numerators(
     den: int, size_u: int, size_q: int, rows: list[tuple[int, int, int, int]], s_count: int
 ) -> ClassicalScheme:
+    """The scheme of ``_enumerate_tables`` rows, valid by their construction."""
     secrets, us, qs, nums = zip(*rows)
-    return ClassicalScheme(2, s_count, (size_u, size_q), secrets, [us, qs], nums, den)
+    return _valid_scheme(2, s_count, (size_u, size_q), secrets, [us, qs], nums, den)
 
 
 def _function_given_q(rows: list[tuple[int, int, int, int]]) -> bool:
@@ -639,7 +651,9 @@ def search_counterexample(
     schemes over Z_m (m up to max_share_size) instead of raw tables;
     only randomness arity 1 can be injective, so only those specs are
     dealt. Those schemes provably satisfy the criterion, so it exhausts
-    its bounds and returns None.
+    its bounds and returns None. So does family='function': a functional
+    table gives each Q-word one supported row, so every (secret, Q-word)
+    column holds one row, eq1 has no Gram term and the criterion holds.
 
     The candidates (tables, or homomorphic specs) are counted from the
     bounds before any is built: past SEARCH_BUDGET the search is refused,

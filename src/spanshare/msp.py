@@ -25,7 +25,9 @@ dealer of every linear scheme: the MSP label table and ``condition``'s
 group-homomorphic schemes both read its array of h (s, r), indexed
 (secret, randomness, share), and it alone enforces
 ``ENUMERATION_GUARD`` and ``DEAL_ENTRY_GUARD``. ``_row_keys`` gives the int64 row keys by which
-``classical``, ``quantum`` and ``condition`` compare and group rows.
+``classical``, ``quantum`` and ``condition`` compare and group rows;
+``_certified`` builds a dealt state or a valid-by-construction table
+whose ``__post_init__`` reads its builder's certificate instead of checks.
 ``MSP`` alone checks its player count (1..16) and full column rank; each
 constructor builds one, the one it returns.
 """
@@ -219,6 +221,14 @@ def _read_only(owner: np.ndarray) -> np.ndarray:
     """A view of an array that owns its memory, made read-only first: no view of it can be made writeable."""
     owner.flags.writeable = False
     return owner.view()
+
+
+def _certified(cls, name: str, certificate, *fields):
+    """cls(*fields), its __post_init__ reading a check's certificate (or None) in attribute name."""
+    obj = cls.__new__(cls)
+    object.__setattr__(obj, name, certificate)
+    obj.__init__(*fields)
+    return obj
 
 
 def rows_of(msp: MSP, mask: int) -> Matrix:

@@ -46,7 +46,7 @@ import numpy as np
 
 from .classical import ReconstructionPlan, build_reconstruction_plan
 from .galois import Matrix
-from .msp import MSP, _read_only, _row_keys, extend_msp, msp_structure
+from .msp import MSP, _certified, _read_only, _row_keys, extend_msp, msp_structure
 from .structures import AdversaryStructure, NoSchemeError, format_players
 
 NORM_ATOL = 1e-12
@@ -65,14 +65,6 @@ _PAIR_CHUNK = 1 << 20
 
 _held_program: tuple | None = None  # (plan, its program) of apply_plan's last call
 _held_trace: tuple | None = None  # ((MSP, secrets, keep, _PAIR_CHUNK), plan, support) of a dealt trace
-
-
-def _certified(cls, name: str, certificate, *fields):
-    """cls(*fields), its __post_init__ reading a check's certificate (or None) in attribute name."""
-    obj = cls.__new__(cls)
-    object.__setattr__(obj, name, certificate)
-    obj.__init__(*fields)
-    return obj
 
 
 @dataclass(frozen=True, eq=False)

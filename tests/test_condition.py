@@ -834,6 +834,107 @@ def test_homomorphic_scheme_matches_reference_on_product_groups():
     assert outcomes[-1] == "100000000 deals exceed the enumeration guard (10000000)"
 
 
+def _frozen(array):
+    """True iff the array is read-only and no view of it can be made writeable."""
+    try:
+        array.flags.writeable = True
+    except ValueError:
+        return True
+    return False
+
+
+def _same_table(certified, checked):
+    """Assert that a table built valid by construction stores exactly what the
+    checked constructor stores for the same rows, field by field."""
+    assert certified._valid is True and checked._valid is None
+    for name in ("_labels", "secrets", "codes", "numerators"):
+        a, b = getattr(certified, name), getattr(checked, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tolist() == b.tolist(), name
+        assert _frozen(a) and _frozen(b), name
+    for name in ("n", "secret_count", "share_sizes", "denominator", "share_values", "_dims"):
+        assert getattr(certified, name) == getattr(checked, name), name
+
+
+def _certified_and_checked(monkeypatch, build):
+    """[build(), the same build with every table checked in full], each
+    build's ValueError text in place of its result."""
+    outcomes = []
+    for valid_scheme in (condition._valid_scheme, ClassicalScheme):
+        with monkeypatch.context() as patch:
+            patch.setattr(condition, "_valid_scheme", valid_scheme)
+            try:
+                outcomes.append(build())
+            except ValueError as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
+def test_certified_homomorphic_tables_equal_their_checked_twins(monkeypatch):
+    specs = [
+        HomomorphicSpec((modulus,), 1, rows)
+        for modulus in range(2, 6)
+        for rows in itertools.product(list(itertools.product(range(modulus), repeat=2)), repeat=2)
+    ]
+    built = 0
+    for spec in [*specs, *_product_and_wide_specs()]:
+        certified, checked = _certified_and_checked(monkeypatch, lambda: homomorphic_scheme(spec))
+        if isinstance(checked, str):
+            assert certified == checked, spec
+        else:
+            _same_table(certified, checked)
+            built += 1
+    assert len(specs) == 978 and built >= 150 + 10
+
+
+def test_certified_enumerated_tables_equal_their_checked_twins(monkeypatch):
+    for seed in range(1, 6):
+        for kwargs in ({"max_secrets": 4, "max_share_size": 6, "max_denominator": 24}, {}):
+            certified, checked = _certified_and_checked(
+                monkeypatch, lambda: generate_valid_schemes(200, seed, **kwargs))
+            assert len(certified) == len(checked) == 200
+            for a, b in zip(certified, checked):
+                _same_table(a, b)
+    # every table of the default search
+    certified, checked = _certified_and_checked(
+        monkeypatch, lambda: list(condition._table_candidates(2, 3, 8, False)))
+    assert len(certified) == len(checked) == 21_322
+    for a, b in zip(certified, checked):
+        _same_table(a, b)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((17, 2, (4,) * 17, [0, 1], [[0, 1]] * 17, [1, 1], 1), r"^player count must lie in 1\.\.16, got 17$"),
+    ((2, 2, (2,), [0, 1], [[0, 1]] * 2, [1, 1], 1), r"^share_sizes must list one space per player$"),
+    ((2, 0, (2, 2), [0, 1], [[0, 1]] * 2, [1, 1], 1), r"^need at least one secret$"),
+    ((2, 2, (2, 2), [0, 1], [[0, 1]] * 2, [1, 1], 1, AdversaryStructure(3, ())),
+     r"^structure over 3 players for a scheme of 2 players$"),
+])
+def test_certified_tables_keep_the_callers_contract(fields, message):
+    for build in (condition._valid_scheme, ClassicalScheme):
+        with pytest.raises(ValueError, match=message):
+            build(*fields)
+
+
+def test_certified_homomorphic_tables_refuse_as_the_checked_ones_do(monkeypatch):
+    # injective: (1, 0) and (0, 1) alone already determine (s, v)
+    seventeen = HomomorphicSpec((2,), 1, ((1, 0), (0, 1)) + ((1, 1),) * 15)
+    sixteen = HomomorphicSpec((13,), 1, ((1, 0), (0, 1)) + ((1, 1),) * 14)
+    assert _certified_and_checked(monkeypatch, lambda: homomorphic_scheme(seventeen)) == [
+        "player count must lie in 1..16, got 17"] * 2
+    assert _certified_and_checked(monkeypatch, lambda: homomorphic_scheme(sixteen)) == [
+        "169 rows times 65536 player sets exceed the enumeration guard (10000000)"] * 2
+
+
+def test_functional_tables_have_one_row_per_secret_and_q_word():
+    # so eq1 walks no column of two rows: it has no Gram term and holds
+    tables = list(condition._table_candidates(2, 3, 6, True))
+    assert len(tables) == 800
+    for sch in tables:
+        assert condition._distinct(condition._keys(sch, 0b10, secret=True)) == len(sch.secrets)
+        assert eq1_check(sch, U1)
+    assert search_counterexample(2, 3, 6, family="function") is None
+
+
 def test_scheme_player_cap_refused_before_structure(monkeypatch):
     calls = []
     monkeypatch.setattr(condition, "check_secrecy", lambda *args: calls.append(args) or True)

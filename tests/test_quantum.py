@@ -616,6 +616,10 @@ def test_no_view_of_a_dealt_or_cached_array_can_be_made_writeable(shamir13):
         partial_trace(enc.state, (0,)).index,
         *quantum._probe_pairs(7),
         condition.scheme_from_msp(shamir13).numerators,
+        *(getattr(sch, name) for sch in (
+            condition.homomorphic_scheme(condition.HomomorphicSpec((5,), 1, ((1, 0), (1, 1)))),
+            condition.generate_valid_schemes(1, 0)[0],
+        ) for name in ("_labels", "numerators")),
         uniform.state.values,
         view.values,
         view.mat,
